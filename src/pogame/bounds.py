@@ -5,7 +5,9 @@ factors as ``sum_y b_y (s - 2 a_y)`` with ``s = sum_x a_x``, so the best Bob
 response is ``b_y = sign(s - 2 a_y)`` and enumeration over Alice's 2^n sign
 vectors is exact.  The PNC polytope replaces Alice's responses by vectors in
 [-1, 1]^n summing to zero; the objective is linear in them, so the maximum
-sits on a vertex (one zero entry, balanced signs elsewhere, for odd n).
+sits on a vertex.  For odd n each vertex has one zero entry and balanced
+signs elsewhere, so the enumeration runs directly over those
+n * C(n-1, (n-1)/2) vertices, one zero position (one block) at a time.
 
 Enumeration order is lexicographic with -1 < 0 < +1 and the first maximizer
 wins, so results are reproducible across runs and platforms.
@@ -13,8 +15,9 @@ wins, so results are reproducible across runs and platforms.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
-from itertools import product
+from itertools import combinations, product
 
 import numpy as np
 
@@ -43,14 +46,18 @@ def _check_n(n: int) -> None:
         raise ValueError(f"n must be odd with 3 <= n <= {MAX_N}, got {n}")
 
 
+def _bob_coefficients(a: np.ndarray) -> np.ndarray:
+    """Coefficient of each b_y in the Bell value, ``s - 2 a_y``, for the last axis of a."""
+    return a.sum(axis=-1, keepdims=True) - 2 * a
+
+
 def _best_bob(a) -> tuple[np.ndarray, float]:
     """Optimal deterministic Bob against Alice responses a (entries in [-1, 1]).
 
     Ties (coefficient exactly zero) resolve to -1, the lexicographically
     smallest choice.
     """
-    a = np.asarray(a, dtype=float)
-    coeff = a.sum() - 2.0 * a
+    coeff = _bob_coefficients(np.asarray(a, dtype=float))
     b = np.where(coeff > 0, 1, -1)
     return b, float(np.abs(coeff).sum())
 
@@ -59,8 +66,7 @@ def local_bound(n: int) -> tuple[int, DeterministicStrategy]:
     """Exact maximum over all 2^(2n) deterministic strategies, with witness."""
     _check_n(n)
     rows = np.array(list(product((-1, 1), repeat=n)), dtype=int)
-    s = rows.sum(axis=1)
-    values = np.abs(s[:, None] - 2 * rows).sum(axis=1)
+    values = np.abs(_bob_coefficients(rows)).sum(axis=1)
     idx = int(np.argmax(values))  # first maximizer = lexicographically smallest a
     a = rows[idx]
     b, value = _best_bob(a)
@@ -82,29 +88,44 @@ def local_bound_closed_form(n: int) -> int:
     return best
 
 
+def _pnc_blocks(n: int):
+    """PNC vertices as one int array per zero position, rows in lexicographic order.
+
+    Block z has its zero at position z and a -1 on each (n-1)/2-subset of
+    the other positions (+1 elsewhere).  Subsets of the minus positions in
+    ``combinations`` order give the rows in ascending lexicographic order.
+    """
+    half = (n - 1) // 2
+    minus = np.array(list(combinations(range(n - 1), half)))
+    signs = np.ones((len(minus), n - 1), dtype=np.int64)
+    signs[np.arange(len(minus))[:, None], minus] = -1
+    for z in range(n):
+        yield np.insert(signs, z, 0, axis=1)
+
+
 def _pnc_vertices(n: int):
     """Vertices of {a in [-1,1]^n : sum a = 0} in lexicographic order.
 
     For odd n each vertex has exactly one zero entry and balanced signs on
-    the rest.
+    the rest; the blocks of ``_pnc_blocks`` are merged into one order.
     """
-    for a in product((-1, 0, 1), repeat=n):
-        if a.count(0) == 1 and sum(a) == 0:
-            yield a
+    yield from heapq.merge(*(map(tuple, block.tolist()) for block in _pnc_blocks(n)))
 
 
 def pnc_bound(n: int) -> tuple[int, PncVertex]:
     """Exact maximum over PNC vertices with an unconstrained deterministic Bob."""
     _check_n(n)
     best_value = None
-    best_witness = None
-    for a in _pnc_vertices(n):
-        b, value = _best_bob(a)
-        value = int(round(value))
-        if best_value is None or value > best_value:
-            best_value = value
-            best_witness = PncVertex(a, tuple(int(v) for v in b))
-    return best_value, best_witness
+    best_a = None
+    for block in _pnc_blocks(n):
+        values = np.abs(_bob_coefficients(block)).sum(axis=1)
+        # First maximizer of the block; blocks interleave in the global order.
+        first = int(np.argmax(values))
+        top, a = int(values[first]), tuple(block[first].tolist())
+        if best_value is None or top > best_value or (top == best_value and a < best_a):
+            best_value, best_a = top, a
+    b, _ = _best_bob(best_a)
+    return best_value, PncVertex(best_a, tuple(int(v) for v in b))
 
 
 def pnc_bound_reduction(n: int) -> int:
@@ -113,24 +134,38 @@ def pnc_bound_reduction(n: int) -> int:
     return 2 * (n - 1)
 
 
+def _balanced_values(coeff: np.ndarray) -> np.ndarray:
+    """Best balanced Bob value per coefficient row (length 2h+1) and dropped entry.
+
+    With a row sorted ascending as c_0 <= ... <= c_2h, P_k the sum of its
+    first k entries and T its total, dropping c_j and putting +1 on the
+    larger half of the rest and -1 on the smaller half gives
+    ``T - 2 P_(h+1) + c_j`` for j < h and ``T - 2 P_h - c_j`` for j >= h.
+    Column j of the result is the value for dropping the j-th smallest entry.
+    """
+    half = coeff.shape[1] // 2
+    c = np.sort(coeff, axis=1)
+    prefix = np.cumsum(c, axis=1)
+    total = prefix[:, -1:]
+    return np.where(
+        np.arange(c.shape[1]) < half,
+        total - 2 * prefix[:, half : half + 1] + c,
+        total - 2 * prefix[:, half - 1 : half] - c,
+    )
+
+
 def pnc_bound_symmetric(n: int) -> int:
     """PNC bound when Bob's responses are constrained to the same polytope.
 
     The objective is linear in b on Bob's polytope, so for each Alice vertex
     it suffices to enumerate Bob's zero position and balance the signs of
-    the remaining entries against the coefficients.
+    the remaining entries against the coefficients (``_balanced_values``).
     """
     _check_n(n)
-    half = (n - 1) // 2
-    best = 0.0
-    for a in _pnc_vertices(n):
-        arr = np.asarray(a, dtype=float)
-        coeff = arr.sum() - 2.0 * arr
-        for q in range(n):
-            rest = np.sort(np.delete(coeff, q))[::-1]
-            value = rest[:half].sum() - rest[half:].sum()
-            best = max(best, value)
-    return int(round(best))
+    best = 0
+    for block in _pnc_blocks(n):
+        best = max(best, int(_balanced_values(_bob_coefficients(block)).max()))
+    return best
 
 
 def strategy_behavior(strategy: DeterministicStrategy | PncVertex, n: int) -> gamecore.Behavior:

@@ -29,7 +29,7 @@ def _default_seed() -> int:
     try:
         return int(raw)
     except ValueError:
-        raise SystemExit(2)
+        raise ValueError(f"{ENV_SEED} must be an integer, got {raw!r}") from None
 
 
 def _odd_n(value: str) -> int:

@@ -85,6 +85,8 @@ class Behavior:
 
     def validate(self, tol: float = EPS) -> None:
         t = self.table
+        if not np.all(np.isfinite(t)):
+            raise ValueError("probabilities must be finite")
         if np.min(t) < -tol or np.max(t) > 1 + tol:
             raise ValueError("probabilities must lie in [0, 1]")
         sums = t.sum(axis=(2, 3))
@@ -279,20 +281,46 @@ def behavior_to_csv(beh: Behavior) -> str:
     return buf.getvalue()
 
 
+def _fill_once(shape: tuple[int, ...], index: np.ndarray, values: np.ndarray, label) -> np.ndarray:
+    """Table of ``shape``, starting from NaN, with ``values`` placed at ``index``.
+
+    ``index`` holds one row of 0-based indices into the leading axes of
+    ``shape`` per value.  Every keyed entry must be given exactly once; the
+    error names the first out-of-range, duplicate or missing entry, formatted
+    by ``label(*indices)``.
+    """
+    keyed = shape[: index.shape[1]]
+    outside = np.any((index < 0) | (index >= np.array(keyed)), axis=1)
+    if np.any(outside):
+        raise ValueError(f"{label(*index[np.argmax(outside)])} is out of range for n={shape[0]}")
+    flat = np.ravel_multi_index(tuple(index.T), keyed)
+    counts = np.bincount(flat, minlength=int(np.prod(keyed)))
+    wrong = np.flatnonzero(counts != 1)
+    if len(wrong):
+        kind = "duplicate" if counts[wrong[0]] > 1 else "missing"
+        where = label(*np.unravel_index(wrong[0], keyed))
+        raise ValueError(f"{kind} {where}: every entry must appear exactly once")
+    table = np.full(shape, np.nan)
+    table.reshape((-1,) + shape[index.shape[1] :])[flat] = values
+    return table
+
+
 def behavior_from_csv(text: str) -> Behavior:
     lines = [ln for ln in text.strip().splitlines() if ln]
     if lines[0].strip() != "x,y,a,b,p":
         raise ValueError("CSV header must be 'x,y,a,b,p'")
-    rows = []
+    if len(lines) == 1:
+        raise ValueError("CSV has no data rows")
+    index, probs = [], []
     for ln in lines[1:]:
         x, y, a, b, p = ln.split(",")
-        rows.append((int(x), int(y), int(a), int(b), float(p)))
-    n = max(r[0] for r in rows)
-    if len(rows) != 4 * n * n:
-        raise ValueError(f"expected {4 * n * n} rows for n={n}, got {len(rows)}")
-    table = np.empty((n, n, 2, 2))
-    for x, y, a, b, p in rows:
-        table[x - 1, y - 1, a, b] = p
+        index.append((int(x) - 1, int(y) - 1, int(a), int(b)))
+        probs.append(float(p))
+    index = np.array(index)
+    n = int(index[:, 0].max()) + 1
+    table = _fill_once(
+        (n, n, 2, 2), index, np.array(probs), lambda x, y, a, b: f"row {x + 1},{y + 1},{a},{b}"
+    )
     beh = Behavior(n=n, table=table)
     beh.validate()
     return beh
@@ -310,13 +338,28 @@ def behavior_to_json(beh: Behavior) -> str:
     return '{"n": %d, "table": {%s}}' % (beh.n, ", ".join(blocks))
 
 
+def _unique_keys(pairs: list) -> dict:
+    """JSON object hook that rejects a key given twice instead of keeping the last."""
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ValueError(f"duplicate key {key!r} in JSON object")
+        obj[key] = value
+    return obj
+
+
 def behavior_from_json(text: str) -> Behavior:
-    obj = json.loads(text)
+    obj = json.loads(text, object_pairs_hook=_unique_keys)
     n = int(obj["n"])
-    table = np.empty((n, n, 2, 2))
-    for key, block in obj["table"].items():
-        x, y = (int(t) for t in key.split(","))
-        table[x - 1, y - 1] = np.asarray(block, dtype=float)
+    index = []
+    for key in obj["table"]:
+        x, y = key.split(",")
+        index.append((int(x) - 1, int(y) - 1))
+    index = np.array(index, dtype=int).reshape(-1, 2)
+    blocks = np.array(list(obj["table"].values()), dtype=float)
+    if blocks.shape != (len(index), 2, 2):
+        raise ValueError("every table block must be a 2x2 array")
+    table = _fill_once((n, n, 2, 2), index, blocks, lambda x, y: f'block "{x + 1},{y + 1}"')
     beh = Behavior(n=n, table=table)
     beh.validate()
     return beh

@@ -22,20 +22,30 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gamecore import QuantumSetup, bell_expression
-from .observables import bloch_of, obs_from_bloch
-from .qmat import EPS, I2, partial_trace, proj, tensor
+from .gamecore import GameSpec, QuantumSetup
+from .qmat import EPS, PAULIS, proj
+
+_PAULI_STACK = np.array(PAULIS)
 
 
 def bell_operator(alice, bob) -> np.ndarray:
-    """4x4 Bell operator sum_xy alpha_xy A_x (x) B_y (alpha = -1 on diagonal)."""
-    n = len(alice)
-    coeff = bell_expression(n).coefficients
-    op = np.zeros((4, 4), dtype=complex)
-    for x in range(n):
-        for y in range(n):
-            op += coeff[x, y] * tensor(alice[x], bob[y])
-    return op
+    """4x4 Bell operator sum_xy alpha_xy A_x (x) B_y (alpha = -1 on diagonal).
+
+    The coefficient matrix is ``J - 2I`` (all ones minus twice the
+    identity), so the double sum collapses to
+    ``(sum_x A_x) (x) (sum_y B_y) - 2 sum_x A_x (x) B_x``: one Kronecker
+    product and one contraction instead of n^2 Kronecker products.
+    """
+    a = np.asarray(alice, dtype=complex)
+    b = np.asarray(bob, dtype=complex)
+    GameSpec(len(a))  # validates n
+    pairs = np.einsum("xij,xkl->ikjl", a, b).reshape(4, 4)
+    return np.kron(a.sum(axis=0), b.sum(axis=0)) - 2.0 * pairs
+
+
+def _setting_combos(obs: np.ndarray) -> np.ndarray:
+    """Row y of ``J - 2I`` applied to the stack: ``sum_x O_x - 2 O_y`` for every y."""
+    return obs.sum(axis=0) - 2.0 * obs
 
 
 def setup_bell_value(setup: QuantumSetup) -> float:
@@ -64,40 +74,29 @@ class SosCertificate:
     degenerate: tuple[bool, ...]
 
 
-def _delta_operator(alice) -> np.ndarray:
-    """Pairwise anticommutator sum: sum_{x<x'} {A_x, A_x'}."""
-    n = len(alice)
-    op = np.zeros((2, 2), dtype=complex)
-    for x in range(n):
-        for xp in range(x + 1, n):
-            op += alice[x] @ alice[xp] + alice[xp] @ alice[x]
-    return op
+def _delta_operator(alice: np.ndarray) -> np.ndarray:
+    """Pairwise anticommutator sum: sum_{x<x'} {A_x, A_x'} = (sum_x A_x)^2 - sum_x A_x^2."""
+    total = alice.sum(axis=0)
+    return total @ total - np.einsum("xij,xjk->ik", alice, alice)
 
 
 def sos_certificate(setup: QuantumSetup, tol: float = EPS) -> SosCertificate:
     """Compute the certificate data (omegas, residuals, gap, delta) for a setup."""
     n = setup.n
-    coeff = bell_expression(n).coefficients
+    alice = np.array(setup.alice)
+    # psi as a 2x2 matrix: (M (x) I) psi is M @ psi2, (I (x) M) psi is psi2 @ M^T.
     psi = setup.state
-    omegas = np.zeros(n)
-    residuals = np.zeros(n)
-    degenerate = []
+    psi2 = psi.reshape(2, 2)
+    vecs = (_setting_combos(alice) @ psi2).reshape(n, 4)
+    bob_vecs = (psi2 @ np.array(setup.bob).transpose(0, 2, 1)).reshape(n, 4)
+    omegas = np.linalg.norm(vecs, axis=1)
+    residuals = omegas.copy()
+    degenerate = tuple(bool(w < tol) for w in omegas)
     for y in range(n):
-        combo = np.zeros((2, 2), dtype=complex)
-        for x in range(n):
-            combo += coeff[x, y] * setup.alice[x]
-        vec = tensor(combo, I2) @ psi
-        omega = float(np.linalg.norm(vec))
-        omegas[y] = omega
-        bob_vec = tensor(I2, setup.bob[y]) @ psi
-        if omega < tol:
-            degenerate.append(True)
-            residuals[y] = omega
-        else:
-            degenerate.append(False)
-            residuals[y] = float(np.linalg.norm(vec / omega - bob_vec))
+        if not degenerate[y]:
+            residuals[y] = float(np.linalg.norm(vecs[y] / omegas[y] - bob_vecs[y]))
     value = setup_bell_value(setup)
-    delta = float(np.vdot(psi, tensor(_delta_operator(setup.alice), I2) @ psi).real)
+    delta = float(np.vdot(psi2, _delta_operator(alice) @ psi2).real)
     return SosCertificate(
         n=n,
         omegas=omegas,
@@ -105,7 +104,7 @@ def sos_certificate(setup: QuantumSetup, tol: float = EPS) -> SosCertificate:
         delta_expectation=delta,
         bell_value=value,
         gap=float(omegas.sum() - value),
-        degenerate=tuple(degenerate),
+        degenerate=degenerate,
     )
 
 
@@ -140,20 +139,23 @@ def concavity_bound(n: int) -> float:
 
 
 def _matrix_sign(m: np.ndarray) -> np.ndarray:
-    """Hermitian unit-square maximizer of tr(B m): flip eigenvalues to their signs."""
+    """Hermitian unit-square maximizer of tr(B m) for each matrix of a (k, 2, 2) stack.
+
+    Flips every eigenvalue to its sign.
+    """
     w, v = np.linalg.eigh(m)
     signs = np.where(w >= 0, 1.0, -1.0)
-    return (v * signs) @ v.conj().T
+    return (v * signs[:, None, :]) @ v.conj().transpose(0, 2, 1)
 
 
-def _effective_bob(rho: np.ndarray, combo: np.ndarray) -> np.ndarray:
-    """Tr_A[(combo (x) I) rho], so that tr[(combo (x) B) rho] = tr(B .)."""
-    return partial_trace(tensor(combo, I2) @ rho, keep=1, dims=[2, 2])
+def _effective_bob(rho: np.ndarray, combos: np.ndarray) -> np.ndarray:
+    """Tr_A[(C_y (x) I) rho] for each C_y, so that tr[(C_y (x) B) rho] = tr(B .)."""
+    return np.einsum("yim,mkil->ykl", combos, rho.reshape(2, 2, 2, 2))
 
 
-def _effective_alice(rho: np.ndarray, combo: np.ndarray) -> np.ndarray:
-    """Tr_B[(I (x) combo) rho], so that tr[(A (x) combo) rho] = tr(A .)."""
-    return partial_trace(tensor(I2, combo) @ rho, keep=0, dims=[2, 2])
+def _effective_alice(rho: np.ndarray, combos: np.ndarray) -> np.ndarray:
+    """Tr_B[(I (x) C_x) rho] for each C_x, so that tr[(A (x) C_x) rho] = tr(A .)."""
+    return np.einsum("xkm,imjk->xij", combos, rho.reshape(2, 2, 2, 2))
 
 
 def _geometric_median(points: np.ndarray, iters: int = 500, tol: float = 1e-14) -> np.ndarray:
@@ -179,7 +181,7 @@ def _geometric_median(points: np.ndarray, iters: int = 500, tol: float = 1e-14) 
     return mu
 
 
-def _constrained_alice_update(targets: np.ndarray, previous: list[np.ndarray]) -> list[np.ndarray]:
+def _constrained_alice_update(targets: np.ndarray, previous: np.ndarray) -> np.ndarray:
     """Exact argmax of sum_x t_x . a_x over unit Bloch vectors summing to zero.
 
     Falls back to the previous observables when the Fermat-Weber solution is
@@ -191,8 +193,12 @@ def _constrained_alice_update(targets: np.ndarray, previous: list[np.ndarray]) -
     dist = np.linalg.norm(diff, axis=1)
     if np.any(dist < 1e-12):
         return previous
-    bloch = diff / dist[:, None]
-    return [obs_from_bloch(v) for v in bloch]
+    return _obs_from_blochs(diff / dist[:, None])
+
+
+def _obs_from_blochs(bloch: np.ndarray) -> np.ndarray:
+    """Stack of observables v . sigma for the unit rows of ``bloch``."""
+    return np.einsum("xk,kij->xij", bloch.astype(complex), _PAULI_STACK)
 
 
 @dataclass(frozen=True, eq=False)
@@ -221,8 +227,8 @@ def _random_setup(n: int, rng: np.random.Generator, constrained: bool) -> Quantu
         if np.any(dist < 1e-12):  # essentially never; resample deterministically
             return _random_setup(n, rng, constrained)
         alice_dirs = diff / dist[:, None]
-    alice = [obs_from_bloch(v) for v in alice_dirs]
-    bob = [obs_from_bloch(v) for v in random_units(n)]
+    alice = _obs_from_blochs(alice_dirs)
+    bob = _obs_from_blochs(random_units(n))
     op = bell_operator(alice, bob)
     _, v = np.linalg.eigh(op)
     state = v[:, -1]
@@ -237,10 +243,9 @@ def _seesaw_single(
     constrained: bool,
     init: QuantumSetup | None,
 ) -> tuple[QuantumSetup, list[float], bool]:
-    coeff = bell_expression(n).coefficients
     setup = init if init is not None else _random_setup(n, rng, constrained)
-    alice = [a.copy() for a in setup.alice]
-    bob = [b.copy() for b in setup.bob]
+    alice = np.array(setup.alice, dtype=complex)
+    bob = np.array(setup.bob, dtype=complex)
     state = setup.state.copy()
 
     def value_of() -> float:
@@ -252,13 +257,12 @@ def _seesaw_single(
     for _ in range(iters):
         rho = proj(state)
         # Bob: exact sign update per setting.
-        for y in range(n):
-            combo = sum(coeff[x, y] * alice[x] for x in range(n))
-            bob[y] = _matrix_sign(_effective_bob(rho, combo))
+        bob = _matrix_sign(_effective_bob(rho, _setting_combos(alice)))
         # Alice: exact sign update, or Fermat-Weber step on the sum-zero set.
-        combos = [sum(coeff[x, y] * bob[y] for y in range(n)) for x in range(n)]
+        effective = _effective_alice(rho, _setting_combos(bob))
         if constrained:
-            targets = np.array([bloch_of(_effective_alice(rho, c)) for c in combos])
+            # Bloch components tr(M sigma_k) / 2 of each effective operator.
+            targets = np.einsum("xij,kji->xk", effective, _PAULI_STACK).real / 2.0
             before = value_of()
             candidate = _constrained_alice_update(targets, alice)
             saved = alice
@@ -266,8 +270,7 @@ def _seesaw_single(
             if value_of() < before - 1e-12:
                 alice = saved
         else:
-            for x in range(n):
-                alice[x] = _matrix_sign(_effective_alice(rho, combos[x]))
+            alice = _matrix_sign(effective)
         # State: top eigenvector of the Bell operator.
         op = bell_operator(alice, bob)
         w, v = np.linalg.eigh(op)
@@ -299,6 +302,8 @@ def seesaw(
         raise ValueError(f"n must be odd and >= 3, got {n}")
     if iters < 1 or restarts < 1:
         raise ValueError("iters and restarts must be >= 1")
+    if not tol >= 0:
+        raise ValueError(f"tol must be >= 0, got {tol}")
     constrained = (n > 3) if constrain_parity is None else bool(constrain_parity)
 
     streams = np.random.SeedSequence(seed).spawn(restarts)

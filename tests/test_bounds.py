@@ -5,6 +5,8 @@ import pytest
 
 from pogame import bounds, gamecore as gc
 
+import oracles
+
 
 def brute_force_local(n):
     """Oracle: evaluate the expression on every deterministic pair directly."""
@@ -113,3 +115,34 @@ def test_tie_breaking_is_lexicographic():
         if int(round(v)) == value:
             seen.append(a)
     assert witness.a == seen[0]
+
+
+@pytest.mark.parametrize("n", [3, 5, 7, 9])
+def test_pnc_vertices_match_scan_in_order(n):
+    assert list(bounds._pnc_vertices(n)) == list(oracles.pnc_vertices_scan(n))
+
+
+@pytest.mark.parametrize("n", [3, 5, 7, 9])
+def test_pnc_bounds_match_scan(n):
+    value, witness = bounds.pnc_bound(n)
+    assert (value, witness.a, witness.b) == oracles.pnc_bound_scan(n)
+    assert bounds.pnc_bound_symmetric(n) == oracles.pnc_bound_symmetric_scan(n)
+
+
+@pytest.mark.parametrize("n", [11, 13])
+def test_pnc_bounds_closed_form_large(n):
+    value, witness = bounds.pnc_bound(n)
+    assert value == 2 * n - 2
+    assert witness.a == (-1,) * ((n - 1) // 2) + (0,) + (1,) * ((n - 1) // 2)
+    assert bounds.pnc_bound_symmetric(n) == 2 * n - 2
+
+
+@pytest.mark.parametrize("n", [3, 5, 7, 9])
+def test_balanced_values_match_sort_oracle(n):
+    # Random real rows exercise the prefix-sum formula beyond the {-2, 0, 2}
+    # coefficients of the actual vertices; columns follow sorted order.
+    rng = np.random.default_rng(60 + n)
+    coeff = rng.normal(size=(40, n))
+    got = np.sort(bounds._balanced_values(coeff), axis=1)
+    want = np.sort([oracles.balanced_values_sort(row) for row in coeff], axis=1)
+    assert np.allclose(got, want, rtol=0, atol=1e-12)

@@ -172,3 +172,17 @@ def test_explicit_seed_beats_env_variable(monkeypatch, capsys):
     payload, _ = split_payload(out)
     assert code == 0
     assert payload["provenance"]["seed"] == 4
+
+
+@pytest.mark.parametrize("command", ["optimize", "report"])
+def test_negative_tolerance_is_usage_error(command, capsys):
+    code, _, err = run_cli([command, "--n", "3", "--tol", "-1"], capsys)
+    assert code == 2
+    assert "tol must be >= 0" in err
+
+
+def test_non_integer_env_seed_is_usage_error(monkeypatch, capsys):
+    monkeypatch.setenv(cli.ENV_SEED, "abc")
+    code, _, err = run_cli(["optimize", "--n", "3"], capsys)
+    assert code == 2
+    assert "POGAME_SEED must be an integer, got 'abc'" in err

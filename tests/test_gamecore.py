@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -205,3 +207,44 @@ def test_json_round_trip_bit_exact():
 def test_csv_header_enforced():
     with pytest.raises(ValueError):
         gc.behavior_from_csv("a,b,c\n1,1,0")
+
+
+def test_csv_rejects_duplicated_and_missing_rows():
+    # One row duplicated and one dropped keeps the row count at 4 n^2.
+    beh = gc.behavior_from_setup(gc.setup_from_family(obs.trine()))
+    lines = gc.behavior_to_csv(beh).splitlines()
+    header, rows = lines[0], lines[1:]
+    assert rows[5].startswith("1,2,0,1,")
+    tampered = [header] + rows[:5] + [rows[4]] + rows[6:]
+    with pytest.raises(ValueError, match="duplicate row 1,2,0,0"):
+        gc.behavior_from_csv("\n".join(tampered))
+    # A dropped row alone is named as missing.
+    with pytest.raises(ValueError, match="missing row 1,2,0,1"):
+        gc.behavior_from_csv("\n".join([header] + rows[:5] + rows[6:]))
+
+
+def test_csv_rejects_out_of_range_index():
+    text = gc.behavior_to_csv(gc.behavior_from_setup(gc.setup_from_family(obs.trine())))
+    with pytest.raises(ValueError, match="out of range"):
+        gc.behavior_from_csv(text.replace("\n1,1,0,0,", "\n0,1,0,0,", 1))
+
+
+def test_json_rejects_missing_block():
+    text = gc.behavior_to_json(gc.behavior_from_setup(gc.setup_from_family(obs.trine())))
+    doc = json.loads(text)
+    del doc["table"]["2,3"]
+    with pytest.raises(ValueError, match='missing block "2,3"'):
+        gc.behavior_from_json(json.dumps(doc))
+
+
+def test_json_rejects_repeated_block_key():
+    text = gc.behavior_to_json(gc.behavior_from_setup(gc.setup_from_family(obs.trine())))
+    with pytest.raises(ValueError, match="duplicate key '1,1'"):
+        gc.behavior_from_json(text.replace('"1,2"', '"1,1"'))
+
+
+def test_behavior_validation_rejects_nan():
+    table = np.full((3, 3, 2, 2), 0.25)
+    table[1, 2, 0, 1] = np.nan
+    with pytest.raises(ValueError, match="finite"):
+        gc.Behavior(n=3, table=table).validate()

@@ -1,0 +1,89 @@
+"""Property tests over random gauges and observables (skipped without hypothesis)."""
+
+import numpy as np
+import pytest
+
+pytest.importorskip("hypothesis")
+from hypothesis import given, settings, strategies as st  # noqa: E402
+
+from pogame import gamecore as gc  # noqa: E402
+from pogame import quantum_opt as qo  # noqa: E402
+from pogame.observables import canonical_family  # noqa: E402
+from pogame.qmat import I2, SIGMA_X, SIGMA_Y, SIGMA_Z  # noqa: E402
+
+import oracles  # noqa: E402
+
+PROPERTY_SETTINGS = settings(max_examples=40, deadline=None, database=None)
+
+angles = st.floats(min_value=0.0, max_value=2 * np.pi, allow_nan=False)
+odd_n = st.sampled_from([3, 5, 7, 9, 13])
+
+
+def _rotation(alpha, beta, gamma, delta):
+    """exp(i alpha) Rz(beta) Ry(gamma) Rz(delta): every 2x2 unitary has this form."""
+
+    def rz(t):
+        return np.diag([np.exp(-0.5j * t), np.exp(0.5j * t)])
+
+    ry = np.cos(gamma / 2) * I2 - 1j * np.sin(gamma / 2) * SIGMA_Y
+    return np.exp(1j * alpha) * rz(beta) @ ry @ rz(delta)
+
+
+unitaries = st.builds(_rotation, angles, angles, angles, angles)
+
+
+def _bloch_observable(v):
+    v = np.asarray(v) / np.linalg.norm(v)
+    return v[0] * SIGMA_X + v[1] * SIGMA_Y + v[2] * SIGMA_Z
+
+
+def _unit_state(v):
+    psi = np.asarray(v[:4]) + 1j * np.asarray(v[4:])
+    return psi / np.linalg.norm(psi)
+
+
+unit_range = st.floats(-1.0, 1.0)
+# Hermitian and squaring to the identity: the trivial +-I or a Bloch direction.
+observables = st.one_of(
+    st.sampled_from([I2, -I2]),
+    st.tuples(*[unit_range] * 3).filter(lambda v: np.linalg.norm(v) > 0.1).map(_bloch_observable),
+)
+states = st.tuples(*[unit_range] * 8).filter(lambda v: np.linalg.norm(v) > 0.1).map(_unit_state)
+
+
+@st.composite
+def observable_pairs(draw):
+    n = draw(odd_n)
+    alice = draw(st.lists(observables, min_size=n, max_size=n))
+    bob = draw(st.lists(observables, min_size=n, max_size=n))
+    return alice, bob
+
+
+def _rotated(setup, u, v):
+    return gc.QuantumSetup(
+        state=np.kron(u, v) @ setup.state,
+        alice=tuple(u @ a @ u.conj().T for a in setup.alice),
+        bob=tuple(v @ b @ v.conj().T for b in setup.bob),
+    )
+
+
+@PROPERTY_SETTINGS
+@given(observable_pairs(), states, unitaries, unitaries)
+def test_bell_value_and_spectrum_invariant_under_local_unitaries(pair, state, u, v):
+    alice, bob = pair
+    canonical = gc.setup_from_family(canonical_family(len(alice)))
+    random = gc.QuantumSetup(state=state, alice=tuple(alice), bob=tuple(bob))
+    for base in (canonical, random):
+        moved = _rotated(base, u, v)
+        assert abs(qo.setup_bell_value(moved) - qo.setup_bell_value(base)) <= 1e-9
+        spectrum = np.linalg.eigvalsh(qo.bell_operator(base.alice, base.bob))
+        moved_spectrum = np.linalg.eigvalsh(qo.bell_operator(moved.alice, moved.bob))
+        assert np.max(np.abs(moved_spectrum - spectrum)) <= 1e-9
+
+
+@PROPERTY_SETTINGS
+@given(observable_pairs())
+def test_bell_operator_matches_loop_oracle(pair):
+    alice, bob = pair
+    got = qo.bell_operator(alice, bob)
+    assert np.max(np.abs(got - oracles.bell_operator_loop(alice, bob))) <= 1e-12

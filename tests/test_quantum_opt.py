@@ -6,6 +6,8 @@ from pogame import observables as obs
 from pogame import quantum_opt as qo
 from pogame.qmat import SIGMA_X, SIGMA_Z, phi_plus
 
+import oracles
+
 
 def random_setup(rng, n):
     def units(count):
@@ -165,3 +167,42 @@ def test_geometric_median_collinear_and_generic():
     # First-order optimality: unit pulls cancel at the median.
     pulls = (pts - mu) / np.linalg.norm(pts - mu, axis=1)[:, None]
     assert np.linalg.norm(pulls.sum(axis=0)) <= 1e-6
+
+
+def random_observables(rng, count):
+    """Hermitian unit-square matrices U diag(+-1) U^dag, identity included."""
+    out = []
+    for _ in range(count):
+        z = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+        u, _ = np.linalg.qr(z)
+        signs = rng.choice((-1.0, 1.0), size=2)
+        out.append((u * signs) @ u.conj().T)
+    return out
+
+
+@pytest.mark.parametrize("n", [3, 5, 13])
+def test_bell_operator_matches_loop_oracle(n):
+    rng = np.random.default_rng(70 + n)
+    for _ in range(5):
+        alice, bob = random_observables(rng, n), random_observables(rng, n)
+        got = qo.bell_operator(alice, bob)
+        assert np.max(np.abs(got - oracles.bell_operator_loop(alice, bob))) <= 1e-12
+
+
+def test_delta_operator_matches_pairwise_sum():
+    rng = np.random.default_rng(79)
+    alice = np.array(random_observables(rng, 7))
+    pairwise = sum(alice[x] @ alice[y] + alice[y] @ alice[x] for x in range(7) for y in range(x + 1, 7))
+    assert np.max(np.abs(qo._delta_operator(alice) - pairwise)) <= 1e-12
+
+
+def test_bell_operator_rejects_even_n():
+    with pytest.raises(ValueError):
+        qo.bell_operator([SIGMA_Z] * 4, [SIGMA_X] * 4)
+
+
+def test_seesaw_rejects_negative_tolerance():
+    with pytest.raises(ValueError, match="tol"):
+        qo.seesaw(3, tol=-1.0)
+    with pytest.raises(ValueError, match="tol"):
+        qo.seesaw(3, tol=float("nan"))
