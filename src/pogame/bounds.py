@@ -22,6 +22,7 @@ from itertools import combinations, product
 import numpy as np
 
 from . import gamecore
+from .observables import check_n
 
 #: Enumeration is exact but exponential; a verifier has no business beyond this.
 MAX_N = 13
@@ -39,11 +40,6 @@ class PncVertex:
 
     a: tuple[int, ...]
     b: tuple[int, ...]
-
-
-def _check_n(n: int) -> None:
-    if n % 2 == 0 or n < 3 or n > MAX_N:
-        raise ValueError(f"n must be odd with 3 <= n <= {MAX_N}, got {n}")
 
 
 def _bob_coefficients(a: np.ndarray) -> np.ndarray:
@@ -64,7 +60,7 @@ def _best_bob(a) -> tuple[np.ndarray, float]:
 
 def local_bound(n: int) -> tuple[int, DeterministicStrategy]:
     """Exact maximum over all 2^(2n) deterministic strategies, with witness."""
-    _check_n(n)
+    check_n(n, MAX_N)
     rows = np.array(list(product((-1, 1), repeat=n)), dtype=int)
     values = np.abs(_bob_coefficients(rows)).sum(axis=1)
     idx = int(np.argmax(values))  # first maximizer = lexicographically smallest a
@@ -79,7 +75,7 @@ def local_bound_closed_form(n: int) -> int:
     The value of the best (a, b) depends on a only through s = sum(a):
     ``(n+s)/2 * |s-2| + (n-s)/2 * |s+2|``.
     """
-    _check_n(n)
+    check_n(n, MAX_N)
     best = 0
     for s in range(-n, n + 1, 2):
         k_plus = (n + s) // 2
@@ -114,7 +110,7 @@ def _pnc_vertices(n: int):
 
 def pnc_bound(n: int) -> tuple[int, PncVertex]:
     """Exact maximum over PNC vertices with an unconstrained deterministic Bob."""
-    _check_n(n)
+    check_n(n, MAX_N)
     best_value = None
     best_a = None
     for block in _pnc_blocks(n):
@@ -130,7 +126,7 @@ def pnc_bound(n: int) -> tuple[int, PncVertex]:
 
 def pnc_bound_reduction(n: int) -> int:
     """Closed-form route: with sum a = 0 the value is 2 sum |a_y|, maximal at 2(n-1)."""
-    _check_n(n)
+    check_n(n, MAX_N)
     return 2 * (n - 1)
 
 
@@ -161,7 +157,7 @@ def pnc_bound_symmetric(n: int) -> int:
     it suffices to enumerate Bob's zero position and balance the signs of
     the remaining entries against the coefficients (``_balanced_values``).
     """
-    _check_n(n)
+    check_n(n, MAX_N)
     best = 0
     for block in _pnc_blocks(n):
         best = max(best, int(_balanced_values(_bob_coefficients(block)).max()))
@@ -206,7 +202,7 @@ def quantum_gap_report(n: int) -> GapReport:
     ``pnc < quantum`` holds for every n; ``pnc < local < quantum`` only for
     n = 3 (from n = 5 on, unconstrained classical strategies beat 2n).
     """
-    _check_n(n)
+    check_n(n, MAX_N)
     local, _ = local_bound(n)
     pnc, _ = pnc_bound(n)
     quantum = 2.0 * n

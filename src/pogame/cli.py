@@ -17,6 +17,7 @@ import numpy as np
 
 from . import quantum_opt as qo
 from . import report as report_mod
+from .observables import check_n
 from .report import CertificationReport, provenance, render_json
 
 ENV_SEED = "POGAME_SEED"
@@ -37,9 +38,21 @@ def _odd_n(value: str) -> int:
         n = int(value)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"n must be an integer, got {value!r}") from exc
-    if n % 2 == 0 or n < 3:
-        raise argparse.ArgumentTypeError(f"n must be odd and >= 3, got {n}")
+    try:
+        check_n(n)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
     return n
+
+
+def _positive_alpha(value: str) -> float:
+    try:
+        alpha = float(value)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"alpha must be a number, got {value!r}") from exc
+    if not 0 < alpha < float("inf"):
+        raise argparse.ArgumentTypeError(f"alpha must be strictly positive and finite, got {alpha}")
+    return alpha
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -65,14 +78,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_cert = sub.add_parser("certify", help="POVM certification and randomness")
     p_cert.add_argument("--n", type=_odd_n, required=True)
-    p_cert.add_argument("--alpha", type=float, default=1.0)
+    p_cert.add_argument("--alpha", type=_positive_alpha, default=1.0)
 
     p_rep = sub.add_parser("report", help="full pipeline report")
     p_rep.add_argument("--n", type=_odd_n, required=True)
     p_rep.add_argument("--seed", type=int, default=None)
     p_rep.add_argument("--restarts", type=int, default=8)
     p_rep.add_argument("--tol", type=float, default=1e-9)
-    p_rep.add_argument("--alpha", type=float, default=1.0)
+    p_rep.add_argument("--alpha", type=_positive_alpha, default=1.0)
     p_rep.add_argument("--format", choices=("json", "csv", "text"), default="json")
     p_rep.add_argument("--out", default=None)
 
@@ -127,9 +140,6 @@ def _cmd_selftest(args) -> int:
 
 
 def _cmd_certify(args) -> int:
-    if args.alpha <= 0:
-        print("alpha must be strictly positive", file=sys.stderr)
-        return 2
     povm_sec, rand_sec, checks = report_mod.certify_section(args.n, args.alpha)
     _print_section({"n": args.n, "povm": povm_sec, "randomness": rand_sec})
     return 0 if _emit_checks(checks) else 1

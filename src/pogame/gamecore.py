@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .observables import ObservableFamily, assert_observable
+from .observables import ObservableFamily, assert_observable, check_n
 from .qmat import EPS, I2, as_state, operator_norm, partial_trace, phi_plus, proj, tensor
 
 
@@ -33,8 +33,7 @@ class GameSpec:
     n: int
 
     def __post_init__(self):
-        if self.n % 2 == 0 or self.n < 3:
-            raise ValueError(f"n must be odd and >= 3, got {self.n}")
+        check_n(self.n)
 
     @property
     def input_probability(self) -> float:
@@ -64,8 +63,7 @@ class BellExpression:
 
 
 def bell_expression(n: int) -> BellExpression:
-    if n % 2 == 0 or n < 3:
-        raise ValueError(f"n must be odd and >= 3, got {n}")
+    check_n(n)
     coeff = np.ones((n, n), dtype=int)
     np.fill_diagonal(coeff, -1)
     return BellExpression(n=n, coefficients=coeff)
@@ -174,11 +172,9 @@ def bell_value(expr: BellExpression, beh: Behavior) -> float:
     """sum_xy alpha_xy E_xy for matching sizes."""
     if expr.n != beh.n:
         raise ValueError(f"size mismatch: expression n={expr.n}, behavior n={beh.n}")
-    total = 0.0
-    for x in range(expr.n):
-        for y in range(expr.n):
-            total += expr.coefficients[x, y] * beh.correlator(x, y)
-    return float(total)
+    t = beh.table
+    correlators = t[..., 0, 0] - t[..., 0, 1] - t[..., 1, 0] + t[..., 1, 1]
+    return float(np.sum(expr.coefficients * correlators))
 
 
 def success_probability(expr: BellExpression, beh: Behavior) -> float:

@@ -17,6 +17,13 @@ import numpy as np
 from .qmat import EPS, I2, PAULIS, SIGMA_X, SIGMA_Y, SIGMA_Z, is_hermitian, operator_norm
 
 
+def check_n(n: int, max_n: int | None = None) -> None:
+    """Raise ``ValueError`` unless n is an odd number of settings >= 3 (and <= max_n)."""
+    if n % 2 == 0 or n < 3 or (max_n is not None and n > max_n):
+        rule = "and >= 3" if max_n is None else f"with 3 <= n <= {max_n}"
+        raise ValueError(f"n must be odd {rule}, got {n}")
+
+
 def obs_from_bloch(vec) -> np.ndarray:
     """Observable ``n . sigma`` for a unit Bloch vector ``n``."""
     v = np.asarray(vec, dtype=float).reshape(3)
@@ -57,8 +64,7 @@ class ObservableFamily:
     params: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.n % 2 == 0 or self.n < 3:
-            raise ValueError(f"n must be odd and >= 3, got {self.n}")
+        check_n(self.n)
         if len(self.alice) != self.n or len(self.bob) != self.n:
             raise ValueError("family must carry exactly n observables per party")
         for m in self.alice + self.bob:
@@ -98,8 +104,7 @@ def family_n(n: int, nu: float | None = None, beta: float | None = None) -> Obse
     ``-nu sx + beta sy - sz/(n-1)``, which cancel pairwise so the family
     sums to zero exactly.
     """
-    if n % 2 == 0 or n < 3:
-        raise ValueError(f"n must be odd and >= 3, got {n}")
+    check_n(n)
     if nu is None and beta is None:
         nu = beta = _default_split(n)
     elif nu is None or beta is None:

@@ -1,10 +1,10 @@
-"""Dense complex linear algebra for small multi-qubit registers.
+"""Dense complex linear algebra for qubit operators and two-qubit states.
 
 Operators are complex128 ndarrays in row-major order; pure states are 1-D
-complex128 ndarrays.  Everything here targets dimensions up to 64 (two
-physical qubits plus up to four ancillas), so dense storage and LAPACK
-routines are used throughout.  All functions are pure and never mutate
-their arguments.
+complex128 ndarrays.  Operators are 2x2 qubit observables or 4x4 two-qubit
+matrices, so dense storage and LAPACK routines are used throughout; local
+operators act on a two-qubit state through its 2x2 form (``apply_local``).
+All functions are pure and never mutate their arguments.
 """
 
 from __future__ import annotations
@@ -75,6 +75,17 @@ def tensor(*ops) -> np.ndarray:
     return out
 
 
+def apply_local(a, b, psi) -> np.ndarray:
+    """``(a (x) b) psi`` for a two-qubit state, returned as the 2x2 matrix ``a psi2 b^T``.
+
+    Reshaped row-major, a two-qubit vector is the 2x2 matrix ``psi2`` with
+    Alice's index on rows and Bob's on columns, so each local operator acts
+    by one matrix product.  ``a`` and ``b`` may be stacks of 2x2 matrices,
+    which broadcast.
+    """
+    return a @ np.reshape(psi, (2, 2)) @ np.swapaxes(b, -1, -2)
+
+
 def proj(v) -> np.ndarray:
     """Rank-1 projector |v><v| of a (not necessarily normalized) vector."""
     arr = np.asarray(v, dtype=complex).reshape(-1)
@@ -141,7 +152,3 @@ def eig_hermitian(m, tol: float = EPS) -> tuple[np.ndarray, np.ndarray]:
 def operator_norm(m) -> float:
     """Spectral norm (largest singular value)."""
     return float(np.linalg.norm(np.asarray(m, dtype=complex), 2))
-
-
-def frobenius_norm(m) -> float:
-    return float(np.linalg.norm(np.asarray(m, dtype=complex)))

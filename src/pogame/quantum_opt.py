@@ -23,7 +23,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gamecore import GameSpec, QuantumSetup
-from .qmat import EPS, PAULIS, proj
+from .observables import check_n
+from .qmat import EPS, I2, PAULIS, apply_local, proj
 
 _PAULI_STACK = np.array(PAULIS)
 
@@ -84,11 +85,9 @@ def sos_certificate(setup: QuantumSetup, tol: float = EPS) -> SosCertificate:
     """Compute the certificate data (omegas, residuals, gap, delta) for a setup."""
     n = setup.n
     alice = np.array(setup.alice)
-    # psi as a 2x2 matrix: (M (x) I) psi is M @ psi2, (I (x) M) psi is psi2 @ M^T.
     psi = setup.state
-    psi2 = psi.reshape(2, 2)
-    vecs = (_setting_combos(alice) @ psi2).reshape(n, 4)
-    bob_vecs = (psi2 @ np.array(setup.bob).transpose(0, 2, 1)).reshape(n, 4)
+    vecs = apply_local(_setting_combos(alice), I2, psi).reshape(n, 4)
+    bob_vecs = apply_local(I2, np.array(setup.bob), psi).reshape(n, 4)
     omegas = np.linalg.norm(vecs, axis=1)
     residuals = omegas.copy()
     degenerate = tuple(bool(w < tol) for w in omegas)
@@ -96,7 +95,7 @@ def sos_certificate(setup: QuantumSetup, tol: float = EPS) -> SosCertificate:
         if not degenerate[y]:
             residuals[y] = float(np.linalg.norm(vecs[y] / omegas[y] - bob_vecs[y]))
     value = setup_bell_value(setup)
-    delta = float(np.vdot(psi2, _delta_operator(alice) @ psi2).real)
+    delta = float(np.vdot(psi, apply_local(_delta_operator(alice), I2, psi)).real)
     return SosCertificate(
         n=n,
         omegas=omegas,
@@ -128,8 +127,7 @@ def delta_check(setup: QuantumSetup, tol: float = 1e-8) -> float:
 
 def concavity_bound(n: int) -> float:
     """Analytic ceiling sqrt(n (n^2 + (n-4) delta_min)) with delta_min = -n; equals 2n."""
-    if n % 2 == 0 or n < 3:
-        raise ValueError(f"n must be odd and >= 3, got {n}")
+    check_n(n)
     return float(np.sqrt(n * (n * n + (n - 4) * (-n))))
 
 
@@ -298,8 +296,7 @@ def seesaw(
     ``init`` is given it seeds the first restart.  Ties between restarts
     resolve to the earliest one.
     """
-    if n % 2 == 0 or n < 3:
-        raise ValueError(f"n must be odd and >= 3, got {n}")
+    check_n(n)
     if iters < 1 or restarts < 1:
         raise ValueError("iters and restarts must be >= 1")
     if not tol >= 0:

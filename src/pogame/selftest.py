@@ -1,17 +1,33 @@
-"""SWAP-circuit simulation and self-testing relation checks.
+"""SWAP-circuit self-test, run as a list of stages on the 2x2 state.
 
-Register layout is ``(A, B, A', B')`` for the three-setting circuit and
-``(A, B, A', B', A'', B'')`` for the five-setting one; physical registers
-come first so the initial vector is just ``psi (x) |0...0>``.  Controlled
-gates act when the control ancilla is in |1>, which reproduces the
-``(1 +/- Z)`` branch pattern after the Hadamard sandwich.
+A two-qubit state ``psi`` is handled as the 2x2 matrix ``psi2`` with
+Alice's index on rows and Bob's on columns, so every local operator acts as
+``(M (x) N) psi = M psi2 N^T`` (``qmat.apply_local``).
 
-The second swap stage controls the single unitary ``i Y X`` (phase
-included): with the product operator the cross branches cancel against the
-optimum relations, which plain controlled-Y gates do not achieve.  The
-sigma_y direction is only ever extracted up to the sigma_z dressing of the
-junk state, reflecting the complex-conjugation equivalence of the
-correlations.
+The swap circuit is a list of stages.  Each stage adds one ancilla per
+party, starts both in |0> and leaves one branch operator per party for each
+ancilla value: the physical pair goes to ``sum_jk (K_j (x) L_k) psi |j>|k>``
+with Alice's branches ``K_j`` and Bob's ``L_k``.  There are two stages:
+
+- (Z, X): a Hadamard sandwich around controlled-Z, then controlled-X,
+  leaves ``(I + Z)/2`` and ``X (I - Z)/2``;
+- (iYX), present when the operators carry a y direction (five settings): a
+  Hadamard sandwich around controlled ``M = i Y X`` leaves ``(I + M)/2``
+  and ``(I - M)/2``.
+
+The second stage controls the single unitary ``i Y X`` (phase included):
+with the product operator the cross branches cancel against the optimum
+relations, which plain controlled-Y gates do not achieve.  The sigma_y
+direction is only ever extracted up to the sigma_z dressing of the junk
+state, reflecting the complex-conjugation equivalence of the correlations.
+
+Registers are ordered ``(A, B, A', B', A'', B'')``: the physical pair
+first, then one ancilla pair per stage, so the three-setting circuit has
+four registers and the five-setting one six.  The first stage's pair
+(A', B') receives the extracted state; the junk is left on the physical
+pair and the later ancillas.  At the optimum each later stage leaves its
+ancilla pair correlated, so the predicted junk is built from Alice's
+branches alone: ``xi = sum_j (K_j chi) |jj>``.
 """
 
 from __future__ import annotations
@@ -21,27 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gamecore import QuantumSetup
-from .qmat import EPS, I2, SIGMA_X, SIGMA_Y, SIGMA_Z, operator_norm, phi_plus, tensor
-
-_HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
-
-
-def _embed(op: np.ndarray, reg: int, nregs: int) -> np.ndarray:
-    factors = [I2] * nregs
-    factors[reg] = op
-    return tensor(*factors)
-
-
-def _controlled(control: int, target: int, u: np.ndarray, nregs: int) -> np.ndarray:
-    p0 = np.array([[1, 0], [0, 0]], dtype=complex)
-    p1 = np.array([[0, 0], [0, 1]], dtype=complex)
-    return _embed(p0, control, nregs) + _embed(p1, control, nregs) @ _embed(u, target, nregs)
-
-
-def _permute_registers(vec: np.ndarray, perm: tuple[int, ...]) -> np.ndarray:
-    """Reorder qubit registers: position i of the output takes source perm[i]."""
-    nregs = len(perm)
-    return np.transpose(vec.reshape((2,) * nregs), perm).reshape(-1)
+from .qmat import EPS, I2, SIGMA_X, SIGMA_Y, SIGMA_Z, apply_local, operator_norm, phi_plus
 
 
 @dataclass(frozen=True, eq=False)
@@ -58,11 +54,6 @@ class SelfTestOperators:
     y_a: np.ndarray | None = None
     y_b: np.ndarray | None = None
     norms: dict | None = None
-
-
-def _state_norm(op: np.ndarray, state: np.ndarray, side: str) -> float:
-    big = tensor(op, I2) if side == "a" else tensor(I2, op)
-    return float(np.linalg.norm(big @ state))
 
 
 def _quartet_combo(items, signs) -> np.ndarray:
@@ -86,7 +77,8 @@ def build_selftest_operators(setup: QuantumSetup, tol: float = EPS) -> SelfTestO
     alice, bob = setup.alice, setup.bob
 
     def normalized(op: np.ndarray, side: str) -> tuple[np.ndarray, float]:
-        norm = _state_norm(op, psi, side)
+        on_state = apply_local(op, I2, psi) if side == "a" else apply_local(I2, op, psi)
+        norm = float(np.linalg.norm(on_state))
         if norm < tol:
             raise ValueError("swap operator has vanishing norm on the state")
         normed = op / norm
@@ -128,122 +120,88 @@ def build_selftest_operators(setup: QuantumSetup, tol: float = EPS) -> SelfTestO
     return SelfTestOperators(n, alice, bob, z_a, x_a, z_b, x_b, y_a=y_a, y_b=y_b, norms=norms)
 
 
-def _on_a(op: np.ndarray) -> np.ndarray:
-    return tensor(op, I2)
-
-
-def _on_b(op: np.ndarray) -> np.ndarray:
-    return tensor(I2, op)
-
-
 def verify_relations(ops: SelfTestOperators, state) -> dict[str, float]:
     """Residual norms of the optimum relations, all zero at the exact optimum."""
-    psi = np.asarray(state, dtype=complex).reshape(-1)
+    psi = np.asarray(state, dtype=complex).reshape(2, 2)
     res: dict[str, float] = {}
 
     def rec(name: str, vec: np.ndarray) -> None:
         res[name] = float(np.linalg.norm(vec))
 
     for x in range(ops.n):
-        rec(
-            f"diag_anticorrelation_{x + 1}",
-            (tensor(ops.alice[x], ops.bob[x]) @ psi) + psi,
-        )
+        rec(f"diag_anticorrelation_{x + 1}", apply_local(ops.alice[x], ops.bob[x], psi) + psi)
 
-    rec("z_equal", (_on_a(ops.z_a) - _on_b(ops.z_b)) @ psi)
-    rec("x_equal", (_on_a(ops.x_a) - _on_b(ops.x_b)) @ psi)
-    rec("zx_anticommute_a", _on_a(ops.z_a @ ops.x_a + ops.x_a @ ops.z_a) @ psi)
-    rec("zx_anticommute_b", _on_b(ops.z_b @ ops.x_b + ops.x_b @ ops.z_b) @ psi)
+    rec("z_equal", apply_local(ops.z_a, I2, psi) - apply_local(I2, ops.z_b, psi))
+    rec("x_equal", apply_local(ops.x_a, I2, psi) - apply_local(I2, ops.x_b, psi))
+    rec("zx_anticommute_a", apply_local(ops.z_a @ ops.x_a + ops.x_a @ ops.z_a, I2, psi))
+    rec("zx_anticommute_b", apply_local(I2, ops.z_b @ ops.x_b + ops.x_b @ ops.z_b, psi))
 
     if ops.n == 3:
         # Pairwise sum relations implied by the vanishing observable sums.
         pairs = [
-            ("a1_b2_b3", ops.alice[0], ops.bob[1], ops.bob[2]),
-            ("a2_b1_b3", ops.alice[1], ops.bob[0], ops.bob[2]),
-            ("a3_b1_b2", ops.alice[2], ops.bob[0], ops.bob[1]),
+            ("a1_b2_b3", ops.alice[0], ops.bob[1] + ops.bob[2]),
+            ("a2_b1_b3", ops.alice[1], ops.bob[0] + ops.bob[2]),
+            ("a3_b1_b2", ops.alice[2], ops.bob[0] + ops.bob[1]),
+            ("a2_a3_b1", ops.alice[1] + ops.alice[2], ops.bob[0]),
+            ("a1_a3_b2", ops.alice[0] + ops.alice[2], ops.bob[1]),
+            ("a2_a1_b3", ops.alice[1] + ops.alice[0], ops.bob[2]),
         ]
-        for name, a, b1, b2 in pairs:
-            rec(f"pair_{name}", (tensor(a, b1) + tensor(a, b2)) @ psi - psi)
-        pairs_b = [
-            ("a2_a3_b1", ops.alice[1], ops.alice[2], ops.bob[0]),
-            ("a1_a3_b2", ops.alice[0], ops.alice[2], ops.bob[1]),
-            ("a2_a1_b3", ops.alice[1], ops.alice[0], ops.bob[2]),
-        ]
-        for name, a1, a2, b in pairs_b:
-            rec(f"pair_{name}", (tensor(a1, b) + tensor(a2, b)) @ psi - psi)
+        for name, a, b in pairs:
+            rec(f"pair_{name}", apply_local(a, b, psi) - psi)
         return res
 
     assert ops.y_a is not None and ops.y_b is not None
-    rec("y_opposite", (_on_a(ops.y_a) + _on_b(ops.y_b)) @ psi)
-    rec("yx_anticommute_a", _on_a(ops.y_a @ ops.x_a + ops.x_a @ ops.y_a) @ psi)
-    rec("yx_anticommute_b", _on_b(ops.y_b @ ops.x_b + ops.x_b @ ops.y_b) @ psi)
-    rec("zy_anticommute_a", _on_a(ops.z_a @ ops.y_a + ops.y_a @ ops.z_a) @ psi)
-    rec("zy_anticommute_b", _on_b(ops.z_b @ ops.y_b + ops.y_b @ ops.z_b) @ psi)
-    rec("yx_product_equal", (_on_a(ops.y_a @ ops.x_a) - _on_b(ops.y_b @ ops.x_b)) @ psi)
-    rec(
-        "yx_yx_minus_one",
-        (tensor(ops.y_a @ ops.x_a, ops.y_b @ ops.x_b) @ psi) + psi,
-    )
+    yx_a = ops.y_a @ ops.x_a
+    yx_b = ops.y_b @ ops.x_b
+    rec("y_opposite", apply_local(ops.y_a, I2, psi) + apply_local(I2, ops.y_b, psi))
+    rec("yx_anticommute_a", apply_local(yx_a + ops.x_a @ ops.y_a, I2, psi))
+    rec("yx_anticommute_b", apply_local(I2, yx_b + ops.x_b @ ops.y_b, psi))
+    rec("zy_anticommute_a", apply_local(ops.z_a @ ops.y_a + ops.y_a @ ops.z_a, I2, psi))
+    rec("zy_anticommute_b", apply_local(I2, ops.z_b @ ops.y_b + ops.y_b @ ops.z_b, psi))
+    rec("yx_product_equal", apply_local(yx_a, I2, psi) - apply_local(I2, yx_b, psi))
+    rec("yx_yx_minus_one", apply_local(yx_a, yx_b, psi) + psi)
     return res
 
 
 @dataclass(frozen=True, eq=False)
 class SwapCircuit:
-    """Gate list over the qubit registers; gates apply left to right."""
+    """Stages applied in order over ``nregs = 2 + 2 * len(stages)`` qubit registers.
+
+    Each stage is a pair of (2, 2, 2) stacks, Alice's and Bob's branch
+    operators indexed by the value of the stage's ancilla.
+    """
 
     n: int
     nregs: int
-    gates: tuple[tuple[str, np.ndarray], ...]
+    stages: tuple[tuple[np.ndarray, np.ndarray], ...]
 
-    def unitary(self) -> np.ndarray:
-        dim = 2**self.nregs
-        u = np.eye(dim, dtype=complex)
-        for _, gate in self.gates:
-            u = gate @ u
-        return u
+
+def _zx_branches(z: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """(I + Z)/2 and X (I - Z)/2: Hadamard, controlled-Z, Hadamard, controlled-X."""
+    return np.array([(I2 + z) / 2, x @ (I2 - z) / 2])
+
+
+def _reflection_branches(m: np.ndarray) -> np.ndarray:
+    """(I + M)/2 and (I - M)/2: Hadamard, controlled-M, Hadamard."""
+    return np.array([(I2 + m) / 2, (I2 - m) / 2])
 
 
 def build_circuit(ops: SelfTestOperators) -> SwapCircuit:
-    """Assemble the swap circuit for n = 3 (one stage) or n = 5 (two stages)."""
-    if ops.n == 3:
-        nregs = 4
-        regs_anc = (2, 3)
-    elif ops.n == 5:
-        nregs = 6
-        regs_anc = (2, 3)
-    else:
+    """Stage list of the swap circuit: (Z, X), then (iYX) when the operators carry y."""
+    if ops.n not in (3, 5):
         raise ValueError(f"isometry circuits are implemented for n = 3 and n = 5, got {ops.n}")
+    stages = [(_zx_branches(ops.z_a, ops.x_a), _zx_branches(ops.z_b, ops.x_b))]
+    if ops.y_a is not None:
+        stages.append(
+            (_reflection_branches(1j * ops.y_a @ ops.x_a), _reflection_branches(1j * ops.y_b @ ops.x_b))
+        )
+    return SwapCircuit(n=ops.n, nregs=2 + 2 * len(stages), stages=tuple(stages))
 
-    gates: list[tuple[str, np.ndarray]] = []
 
-    def h(reg: int, tag: str) -> None:
-        gates.append((f"H_{tag}", _embed(_HADAMARD, reg, nregs)))
-
-    def c(control: int, target: int, u: np.ndarray, tag: str) -> None:
-        gates.append((tag, _controlled(control, target, u, nregs)))
-
-    ap, bp = regs_anc
-    h(ap, "A'")
-    h(bp, "B'")
-    c(ap, 0, ops.z_a, "CZ_A")
-    c(bp, 1, ops.z_b, "CZ_B")
-    h(ap, "A'")
-    h(bp, "B'")
-    c(ap, 0, ops.x_a, "CX_A")
-    c(bp, 1, ops.x_b, "CX_B")
-
-    if ops.n == 5:
-        app, bpp = 4, 5
-        ya_xa = 1j * ops.y_a @ ops.x_a
-        yb_xb = 1j * ops.y_b @ ops.x_b
-        h(app, "A''")
-        h(bpp, "B''")
-        c(app, 0, ya_xa, "CYX_A")
-        c(bpp, 1, yb_xb, "CYX_B")
-        h(app, "A''")
-        h(bpp, "B''")
-
-    return SwapCircuit(n=ops.n, nregs=nregs, gates=tuple(gates))
+def _apply_stage(stage: tuple[np.ndarray, np.ndarray], state: np.ndarray) -> np.ndarray:
+    """One stage on a (2, 2, ...) state tensor; its ancilla pair becomes the last two axes."""
+    alice, bob = stage
+    return np.einsum("jac,kbd,cd...->ab...jk", alice, bob, state)
 
 
 @dataclass(frozen=True, eq=False)
@@ -260,12 +218,9 @@ class IsometryResult:
     max_entry_error: float
 
 
-def _schmidt_split(vec: np.ndarray, nregs: int, keep: tuple[int, ...], tol: float):
-    """Rank-1 factorization across the (keep | rest) bipartition, if it exists."""
-    rest = tuple(i for i in range(nregs) if i not in keep)
-    mat = np.transpose(vec.reshape((2,) * nregs), rest + keep).reshape(
-        2 ** len(rest), 2 ** len(keep)
-    )
+def _schmidt_split(state: np.ndarray, tol: float):
+    """Rank-1 factorization of a register tensor across (rest | A', B'), if it exists."""
+    mat = np.moveaxis(state, (2, 3), (-2, -1)).reshape(-1, 4)
     u, s, vh = np.linalg.svd(mat)
     factorized = bool(s[0] > 0 and (len(s) == 1 or s[1] < tol))
     junk = u[:, 0] * s[0]
@@ -287,23 +242,6 @@ def _frame_coefficients(op: np.ndarray, z: np.ndarray, x: np.ndarray, tol: float
     if operator_norm(op - cz * z - cx * x) > max(tol, 1e-8):
         raise ValueError("observable does not lie in the span of the swap frame")
     return cz, cx
-
-
-def _chi_vector(ops: SelfTestOperators, psi: np.ndarray) -> np.ndarray:
-    return (np.eye(4) + _on_a(ops.z_a)) @ psi / np.sqrt(2)
-
-
-def _xi_vector(ops: SelfTestOperators, psi: np.ndarray) -> np.ndarray:
-    """Junk for the two-stage circuit, on registers (A, B, A'', B'')."""
-    chi = _chi_vector(ops, psi)
-    m = _on_a(1j * ops.y_a @ ops.x_a)
-    plus = (np.eye(4) + m) @ chi
-    minus = (np.eye(4) - m) @ chi
-    e00 = np.zeros(4)
-    e00[0] = 1.0
-    e11 = np.zeros(4)
-    e11[3] = 1.0
-    return 0.5 * (np.kron(plus, e00) + np.kron(minus, e11))
 
 
 def _parse_target(target: str, n: int) -> tuple[str, tuple]:
@@ -331,6 +269,9 @@ def _parse_target(target: str, n: int) -> tuple[str, tuple]:
     raise ValueError(f"unrecognized isometry target: {target}")
 
 
+_REFERENCE = {"Z": SIGMA_Z, "X": SIGMA_X, "Y": SIGMA_Y}
+
+
 def run_isometry(setup: QuantumSetup, target: str = "state", tol: float = EPS) -> IsometryResult:
     """Apply the swap circuit and compare with the predicted factorized output.
 
@@ -342,71 +283,52 @@ def run_isometry(setup: QuantumSetup, target: str = "state", tol: float = EPS) -
     """
     ops = build_selftest_operators(setup)
     circuit = build_circuit(ops)
-    n, nregs = setup.n, circuit.nregs
-    psi = setup.state
-    phi = phi_plus()
-
+    n = setup.n
     kind, args = _parse_target(target, n)
 
-    # Physical operator applied before the circuit, and expected ancilla action.
-    named_ops = {
-        "ZA": (_on_a(ops.z_a), np.kron(SIGMA_Z, I2) @ phi, False),
-        "ZB": (_on_b(ops.z_b), np.kron(I2, SIGMA_Z) @ phi, False),
-        "XA": (_on_a(ops.x_a), np.kron(SIGMA_X, I2) @ phi, False),
-        "XB": (_on_b(ops.x_b), np.kron(I2, SIGMA_X) @ phi, False),
-        "YA": (_on_a(ops.y_a) if ops.y_a is not None else None, np.kron(SIGMA_Y, I2) @ phi, True),
-        "YB": (_on_b(ops.y_b) if ops.y_b is not None else None, np.kron(I2, SIGMA_Y) @ phi, True),
-    }
-
-    dressed = False
-    if kind == "state":
-        pre = np.eye(4, dtype=complex)
-        anc_expected = phi
-    elif kind == "named":
+    # Local operators applied before the circuit, and their reference action
+    # on the extracted pair.
+    a_op, b_op, a_ref, b_ref = I2, I2, I2, I2
+    if kind == "named":
         (name,) = args
-        pre, anc_expected, dressed = named_ops[name]
-        if pre is None:
+        op = getattr(ops, f"{name[0].lower()}_{name[1].lower()}")  # "ZA" -> ops.z_a
+        if op is None:
             raise ValueError(f"target {name} requires the five-setting operators")
-    else:
+        if name[1] == "A":
+            a_op, a_ref = op, _REFERENCE[name[0]]
+        else:
+            b_op, b_ref = op, _REFERENCE[name[0]]
+    elif kind != "state":
         if n != 3:
             raise ValueError("raw observable targets are supported by the three-setting circuit")
-        za, xa = ops.z_a, ops.x_a
-        zb, xb = ops.z_b, ops.x_b
-        if kind == "a":
-            (x,) = args
-            cz, cx = _frame_coefficients(setup.alice[x], za, xa, tol)
-            pre = _on_a(setup.alice[x])
-            anc_expected = np.kron(cz * SIGMA_Z + cx * SIGMA_X, I2) @ phi
-        elif kind == "b":
-            (y,) = args
-            dz, dx = _frame_coefficients(setup.bob[y], zb, xb, tol)
-            pre = _on_b(setup.bob[y])
-            anc_expected = np.kron(I2, dz * SIGMA_Z + dx * SIGMA_X) @ phi
-        else:
-            x, y = args
-            cz, cx = _frame_coefficients(setup.alice[x], za, xa, tol)
-            dz, dx = _frame_coefficients(setup.bob[y], zb, xb, tol)
-            pre = tensor(setup.alice[x], setup.bob[y])
-            anc_expected = np.kron(cz * SIGMA_Z + cx * SIGMA_X, dz * SIGMA_Z + dx * SIGMA_X) @ phi
+        if kind in ("a", "ab"):
+            a_op = setup.alice[args[0]]
+            cz, cx = _frame_coefficients(a_op, ops.z_a, ops.x_a, tol)
+            a_ref = cz * SIGMA_Z + cx * SIGMA_X
+        if kind in ("b", "ab"):
+            b_op = setup.bob[args[-1]]
+            dz, dx = _frame_coefficients(b_op, ops.z_b, ops.x_b, tol)
+            b_ref = dz * SIGMA_Z + dx * SIGMA_X
 
-    anc_zero = np.zeros(2 ** (nregs - 2))
-    anc_zero[0] = 1.0
-    vec_in = np.kron(pre @ psi, anc_zero)
-    output = circuit.unitary() @ vec_in
+    out = apply_local(a_op, b_op, setup.state)
+    for stage in circuit.stages:
+        out = _apply_stage(stage, out)
+    output = out.reshape(-1)
 
-    # Expected output: junk factor on the non-extracted registers.
-    if n == 3:
-        junk_expected = _chi_vector(ops, psi)
-        expected = np.kron(junk_expected, anc_expected)
-        keep = (2, 3)
-    else:
-        xi = _xi_vector(ops, psi)
-        if dressed:
-            xi = _embed(SIGMA_Z, 2, 4) @ xi  # sigma_z on A'' within (A, B, A'', B'')
-        junk_expected = xi
-        # Assemble on (A, B, A'', B'', A', B') then reorder to (A, B, A', B', A'', B'').
-        expected = _permute_registers(np.kron(xi, anc_expected), (0, 1, 4, 5, 2, 3))
-        keep = (2, 3)
+    # Expected output: the junk is chi = (1 + Z_A) psi / sqrt(2) after the
+    # first stage; each later stage takes it to sum_j (K_j chi) |jj> with
+    # Alice's branches K_j only, so a failed relation on Bob's side lowers
+    # the fidelity instead of entering the prediction.  The junk times the
+    # reference action on (A', B') is the expected output.
+    anc_expected = apply_local(a_ref, b_ref, phi_plus())
+    junk_expected = apply_local(I2 + ops.z_a, I2, setup.state) / np.sqrt(2)
+    for alice, _ in circuit.stages[1:]:
+        junk_expected = np.einsum("jac,cb...,jk->ab...jk", alice, junk_expected, I2)
+    if target in ("YA", "YB"):
+        junk_expected = np.einsum("il,abl...->abi...", SIGMA_Z, junk_expected)  # sigma_z on A''
+    expected = np.einsum("ab...,jk->abjk...", junk_expected, anc_expected).reshape(-1)
+    junk_expected = junk_expected.reshape(-1)
+    anc_expected = anc_expected.reshape(-1)
 
     exp_norm = np.linalg.norm(expected)
     if exp_norm > 0:
@@ -419,7 +341,7 @@ def run_isometry(setup: QuantumSetup, target: str = "state", tol: float = EPS) -
     phase = overlap / abs(overlap) if abs(overlap) > 0 else 1.0
     max_entry_error = float(np.max(np.abs(output - phase * expected_unit)))
 
-    factorized, junk, extracted = _schmidt_split(output, nregs, keep, max(tol, 1e-8))
+    factorized, junk, extracted = _schmidt_split(out, max(tol, 1e-8))
     junk_fid = _fidelity(junk, junk_expected) if factorized else 0.0
     extracted_fid = _fidelity(extracted, anc_expected) if factorized else 0.0
 

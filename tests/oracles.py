@@ -2,15 +2,20 @@
 
 These are the direct transcriptions of the definitions: a scan of all 3^n
 tuples for the PNC vertices, a per-vertex sort for the symmetric PNC
-bound, and the n^2 Kronecker-product sum for the Bell operator.  They are
-exponential or quadratic and only meant for small n.
+bound, the n^2 Kronecker-product sum for the Bell operator, the n^2
+correlator loop for the Bell value of a behavior, the gate-by-gate
+swap circuit as a dense 2^k x 2^k unitary, and its predicted output built
+from the dense junk vectors.  They are exponential or
+quadratic and only meant for small n.
 """
 
+import re
 from itertools import product
 
 import numpy as np
 
-from pogame import bounds, gamecore as gc
+from pogame import bounds, gamecore as gc, selftest as st
+from pogame.qmat import I2, SIGMA_X, SIGMA_Y, SIGMA_Z, phi_plus, tensor
 
 
 def pnc_vertices_scan(n):
@@ -59,3 +64,117 @@ def bell_operator_loop(alice, bob):
         for y in range(n):
             op += coeff[x, y] * np.kron(alice[x], bob[y])
     return op
+
+
+def bell_value_loop(expr, beh):
+    """sum_xy alpha_xy E_xy, one correlator at a time."""
+    total = 0.0
+    for x in range(expr.n):
+        for y in range(expr.n):
+            total += expr.coefficients[x, y] * beh.correlator(x, y)
+    return float(total)
+
+
+_HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
+_P0 = np.diag([1, 0]).astype(complex)
+_P1 = np.diag([0, 1]).astype(complex)
+
+
+def _embed(op, reg, nregs):
+    factors = [I2] * nregs
+    factors[reg] = op
+    return tensor(*factors)
+
+
+def _controlled(control, target, u, nregs):
+    """u on ``target`` when ``control`` is in |1>."""
+    return _embed(_P0, control, nregs) + _embed(_P1, control, nregs) @ _embed(u, target, nregs)
+
+
+def swap_circuit_gates(ops):
+    """Dense gates of the swap circuit on (A, B, A', B'[, A'', B'']), applied in order.
+
+    Hadamard, controlled-Z, Hadamard, controlled-X on each party's first
+    ancilla; for five settings then Hadamard, controlled-(i Y X), Hadamard
+    on the second.
+    """
+    nregs = 4 if ops.n == 3 else 6
+
+    def h(reg):
+        return _embed(_HADAMARD, reg, nregs)
+
+    def c(control, target, u):
+        return _controlled(control, target, u, nregs)
+
+    gates = [h(2), h(3), c(2, 0, ops.z_a), c(3, 1, ops.z_b), h(2), h(3), c(2, 0, ops.x_a), c(3, 1, ops.x_b)]
+    if ops.n == 5:
+        gates += [h(4), h(5), c(4, 0, 1j * ops.y_a @ ops.x_a), c(5, 1, 1j * ops.y_b @ ops.x_b), h(4), h(5)]
+    return gates
+
+
+def _target_operator(setup, ops, target):
+    """4x4 operator a ``run_isometry`` target applies to the physical pair."""
+    named = {"ZA": (ops.z_a, I2), "XA": (ops.x_a, I2), "YA": (ops.y_a, I2),
+             "ZB": (I2, ops.z_b), "XB": (I2, ops.x_b), "YB": (I2, ops.y_b)}
+    if target == "state":
+        return np.eye(4, dtype=complex)
+    if target in named:
+        return np.kron(*named[target])
+    x, y = re.fullmatch(r"(?:A(\d+))?(?:B(\d+))?", target).groups()
+    a = setup.alice[int(x) - 1] if x else I2
+    b = setup.bob[int(y) - 1] if y else I2
+    return np.kron(a, b)
+
+
+def swap_circuit_output(setup, target="state"):
+    """Product of the dense gates applied to (target operator) psi (x) |0...0>."""
+    ops = st.build_selftest_operators(setup)
+    gates = swap_circuit_gates(ops)
+    unitary = np.eye(gates[0].shape[0], dtype=complex)
+    for gate in gates:
+        unitary = gate @ unitary
+    ancillas = np.zeros(gates[0].shape[0] // 4)
+    ancillas[0] = 1.0
+    return unitary @ np.kron(_target_operator(setup, ops, target) @ setup.state, ancillas)
+
+
+def _reference_action(setup, ops, target):
+    """4x4 reference operator a target applies to the extracted pair (A', B')."""
+    named = {"ZA": (SIGMA_Z, I2), "XA": (SIGMA_X, I2), "YA": (SIGMA_Y, I2),
+             "ZB": (I2, SIGMA_Z), "XB": (I2, SIGMA_X), "YB": (I2, SIGMA_Y)}
+    if target == "state":
+        return np.eye(4, dtype=complex)
+    if target in named:
+        return np.kron(*named[target])
+    x, y = re.fullmatch(r"(?:A(\d+))?(?:B(\d+))?", target).groups()
+
+    def frame(op, z, xop):
+        return np.trace(op @ z).real / 2 * SIGMA_Z + np.trace(op @ xop).real / 2 * SIGMA_X
+
+    a = frame(setup.alice[int(x) - 1], ops.z_a, ops.x_a) if x else I2
+    b = frame(setup.bob[int(y) - 1], ops.z_b, ops.x_b) if y else I2
+    return np.kron(a, b)
+
+
+def swap_circuit_expected(setup, target="state"):
+    """Predicted circuit output (unit norm) and its junk factor, from dense vectors.
+
+    The junk is chi = (1 + Z_A) psi / sqrt(2) on (A, B); for five settings it
+    is xi = (1/2) [(1 + M) chi |00> + (1 - M) chi |11>] on (A, B, A'', B'')
+    with Alice's M = i Y X, and sigma_z on A'' for the Y targets.  The
+    expected output is junk (x) reference action on (A', B').
+    """
+    ops = st.build_selftest_operators(setup)
+    anc = _reference_action(setup, ops, target) @ phi_plus()
+    junk = np.kron(ops.z_a + I2, I2) @ setup.state / np.sqrt(2)
+    if ops.n == 5:
+        m = np.kron(1j * ops.y_a @ ops.x_a, I2)
+        e00, e11 = np.eye(4)[0], np.eye(4)[3]
+        junk = 0.5 * (np.kron((np.eye(4) + m) @ junk, e00) + np.kron((np.eye(4) - m) @ junk, e11))
+        if target in ("YA", "YB"):
+            junk = tensor(I2, I2, SIGMA_Z, I2) @ junk
+        # (A, B, A'', B'', A', B') -> (A, B, A', B', A'', B'')
+        expected = np.kron(junk, anc).reshape((2,) * 6).transpose(0, 1, 4, 5, 2, 3).reshape(-1)
+    else:
+        expected = np.kron(junk, anc)
+    return expected / np.linalg.norm(expected), junk

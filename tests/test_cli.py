@@ -186,3 +186,11 @@ def test_non_integer_env_seed_is_usage_error(monkeypatch, capsys):
     code, _, err = run_cli(["optimize", "--n", "3"], capsys)
     assert code == 2
     assert "POGAME_SEED must be an integer, got 'abc'" in err
+
+
+@pytest.mark.parametrize("command", ["certify", "report"])
+@pytest.mark.parametrize("alpha", ["0", "-1", "inf", "nan"])
+def test_nonpositive_alpha_is_usage_error(command, alpha, capsys):
+    code, _, err = run_cli([command, "--n", "3", "--alpha", alpha], capsys)
+    assert code == 2
+    assert "alpha" in err

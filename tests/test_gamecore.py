@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+import oracles
 from pogame import gamecore as gc
 from pogame import observables as obs
 from pogame.qmat import I2, SIGMA_X, SIGMA_Z, phi_plus, proj
@@ -71,6 +72,27 @@ def test_bell_values():
     expr5 = gc.bell_expression(5)
     beh5 = gc.behavior_from_setup(gc.setup_from_family(obs.family_n(5)))
     assert gc.bell_value(expr5, beh5) == pytest.approx(10.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("n", [3, 5, 41])
+def test_bell_value_matches_correlator_loop(n):
+    # Random no-signalling boxes: p = (1 + (-1)^a m_x + (-1)^b m'_y + (-1)^(a+b) E_xy) / 4
+    # with every term in [-1/3, 1/3], so each entry lies in [0, 1/2].
+    rng = np.random.default_rng(n)
+    expr = gc.bell_expression(n)
+    signs = np.array([1.0, -1.0])
+    for _ in range(5):
+        m_a, m_b = rng.uniform(-1 / 3, 1 / 3, size=(2, n))
+        corr = rng.uniform(-1 / 3, 1 / 3, size=(n, n))
+        table = (
+            1
+            + m_a[:, None, None, None] * signs[:, None]
+            + m_b[None, :, None, None] * signs
+            + corr[:, :, None, None] * np.outer(signs, signs)
+        ) / 4
+        beh = gc.Behavior(n=n, table=table)
+        beh.validate()
+        assert abs(gc.bell_value(expr, beh) - oracles.bell_value_loop(expr, beh)) <= 1e-12
 
 
 def test_bell_value_size_mismatch():

@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
 
+from pogame import bounds
+from pogame import gamecore as gc
 from pogame import observables as obs
+from pogame import quantum_opt as qo
 from pogame.qmat import I2, SIGMA_X, SIGMA_Z, operator_norm
 
 ALL_FAMILIES = [
@@ -169,3 +172,28 @@ def test_obs_from_bloch_round_trip():
 def test_obs_from_bloch_rejects_non_unit():
     with pytest.raises(ValueError):
         obs.obs_from_bloch([1.0, 1.0, 0.0])
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda n: obs.ObservableFamily(n, (), ()),
+        obs.family_n,
+        gc.GameSpec,
+        gc.bell_expression,
+        qo.concavity_bound,
+        qo.seesaw,
+    ],
+)
+def test_odd_n_rule_message(call):
+    for n in (1, 4):
+        with pytest.raises(ValueError) as err:
+            call(n)
+        assert str(err.value) == f"n must be odd and >= 3, got {n}"
+
+
+def test_odd_n_rule_message_with_enumeration_cap():
+    for n in (4, bounds.MAX_N + 2):
+        with pytest.raises(ValueError) as err:
+            bounds.local_bound(n)
+        assert str(err.value) == f"n must be odd with 3 <= n <= {bounds.MAX_N}, got {n}"

@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
 
+import oracles
 from pogame import gamecore as gc
 from pogame import observables as obs
 from pogame import selftest as st
 from pogame.qmat import I2, SIGMA_X, SIGMA_Y, SIGMA_Z, tensor
+from pogame.report import _TARGETS_3, _TARGETS_5
 
 
 def trine_setup():
@@ -104,16 +106,49 @@ def test_relations_detect_perturbed_state():
 
 
 def test_circuit_unitarity_and_norm_preservation():
-    for setup in (trine_setup(), five_setup()):
-        ops = st.build_selftest_operators(setup)
-        circuit = st.build_circuit(ops)
-        dim = 2**circuit.nregs
-        for _, gate in circuit.gates:
+    # The staged circuit against the dense gate-by-gate unitary, on canonical,
+    # perturbed and gauge-rotated setups, for the state and every report target.
+    rng = np.random.default_rng(29)
+    cases = []
+    for base in (trine_setup(), five_setup()):
+        perturbed = gc.QuantumSetup(state=st.perturbed_state(0.05), alice=base.alice, bob=base.bob)
+        cases += [base, perturbed]
+    cases += [conjugated_setup(trine_setup(), *random_product_unitary(rng)) for _ in range(3)]
+    for setup in cases:
+        gates = oracles.swap_circuit_gates(st.build_selftest_operators(setup))
+        dim = gates[0].shape[0]
+        for gate in gates:
             assert np.max(np.abs(gate.conj().T @ gate - np.eye(dim))) <= 1e-12
-        u = circuit.unitary()
-        assert np.max(np.abs(u.conj().T @ u - np.eye(dim))) <= 1e-12
-        result = st.run_isometry(setup, "state")
-        assert np.linalg.norm(result.output) == pytest.approx(1.0, abs=1e-12)
+        for target in ("state",) + (_TARGETS_3 if setup.n == 3 else _TARGETS_5):
+            output = st.run_isometry(setup, target).output
+            assert np.max(np.abs(output - oracles.swap_circuit_output(setup, target))) <= 1e-12, target
+            assert np.linalg.norm(output) == pytest.approx(1.0, abs=1e-12), target
+
+
+def test_expected_output_matches_dense_junk_oracle():
+    # Off the optimum, where Bob's i Y X acts on chi differently from Alice's,
+    # the predicted output uses Alice's branches only: a failed Bob relation
+    # must lower the fidelity rather than enter the prediction.
+    rng = np.random.default_rng(31)
+    five = five_setup()
+    b = five.bob
+    flipped_y = gc.QuantumSetup(state=five.state, alice=five.alice, bob=(b[0], b[3], b[4], b[1], b[2]))
+    vec = rng.normal(size=4) + 1j * rng.normal(size=4)
+    random_state = gc.QuantumSetup(state=vec / np.linalg.norm(vec), alice=five.alice, bob=five.bob)
+    gauged = conjugated_setup(trine_setup(), *random_product_unitary(rng))
+    cases = [five, flipped_y, random_state, trine_setup(), gauged]
+    for setup in cases:
+        for target in ("state",) + (_TARGETS_3 if setup.n == 3 else _TARGETS_5):
+            result = st.run_isometry(setup, target)
+            expected, junk = oracles.swap_circuit_expected(setup, target)
+            assert np.max(np.abs(result.expected - expected)) <= 1e-12, target
+            assert result.fidelity == pytest.approx(abs(np.vdot(expected, result.output)) ** 2, abs=1e-12)
+            if result.factorized:
+                overlap = abs(np.vdot(result.junk, junk)) ** 2
+                fid = overlap / (np.linalg.norm(junk) * np.linalg.norm(result.junk)) ** 2
+                assert result.junk_fidelity == pytest.approx(fid, abs=1e-12), target
+    assert st.build_selftest_operators(flipped_y).y_b == pytest.approx(-st.build_selftest_operators(five).y_b)
+    assert st.run_isometry(flipped_y, "state").fidelity < 0.9
 
 
 def test_circuit_register_dimension():
