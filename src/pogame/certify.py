@@ -23,7 +23,18 @@ import numpy as np
 
 from .gamecore import QuantumSetup
 from .observables import ObservableFamily, check_parity_condition
-from .qmat import EPS, I2, SIGMA_X, SIGMA_Y, SIGMA_Z, eig_hermitian, is_hermitian, operator_norm, proj, tensor
+from .qmat import (
+    EPS,
+    I2,
+    SIGMA_X,
+    SIGMA_Y,
+    SIGMA_Z,
+    born_table,
+    eig_hermitian,
+    is_hermitian,
+    operator_norm,
+    outcome_projectors,
+)
 from .quantum_opt import setup_bell_value
 
 
@@ -72,30 +83,18 @@ class PovmStatistics:
 
 
 def povm_statistics(setup: QuantumSetup, povm: PovmSet) -> PovmStatistics:
-    rho = proj(setup.state)
-    k_count = len(povm)
-    n = setup.n
-    table = np.zeros((k_count, n, 2))
-    marg = np.zeros(k_count)
-    for k, el in enumerate(povm.elements):
-        marg[k] = np.trace(tensor(el, I2) @ rho).real
-        for y, by in enumerate(setup.bob):
-            for b in (0, 1):
-                pb = (I2 + (-1) ** b * by) / 2.0
-                table[k, y, b] = np.trace(tensor(el, pb) @ rho).real
-    return PovmStatistics(n_outcomes=k_count, n_settings=n, table=table, marginals=marg)
+    elements = np.array(povm.elements)
+    table = born_table(elements, outcome_projectors(setup.bob), setup.state)
+    marg = born_table(elements, I2, setup.state)
+    return PovmStatistics(n_outcomes=len(povm), n_settings=setup.n, table=table, marginals=marg)
 
 
 def penalty_probabilities(setup: QuantumSetup, povm: PovmSet) -> np.ndarray:
     """Flagged joint probabilities P(k, flagged | extra setting, y = k)."""
     if len(povm) != setup.n:
         raise ValueError("penalty needs one POVM outcome per Bob setting")
-    rho = proj(setup.state)
-    out = np.zeros(setup.n)
-    for k, el in enumerate(povm.elements):
-        flagged = (I2 - setup.bob[k]) / 2.0
-        out[k] = np.trace(tensor(el, flagged) @ rho).real
-    return out
+    flagged = outcome_projectors(setup.bob)[:, 1]
+    return np.diagonal(born_table(np.array(povm.elements), flagged, setup.state)).copy()
 
 
 def shifted_bell_value(setup: QuantumSetup, povm: PovmSet, alpha: float) -> float:
@@ -186,8 +185,7 @@ def randomness_report(setup: QuantumSetup, povm: PovmSet) -> RandomnessReport:
     marginal; otherwise the same number is reported only as the trivial
     bound and the result is flagged as not certified.
     """
-    rho = proj(setup.state)
-    probs = tuple(float(np.trace(tensor(el, I2) @ rho).real) for el in povm.elements)
+    probs = tuple(born_table(np.array(povm.elements), I2, setup.state).tolist())
     extremal = extremality_check(povm)
     guess = max(probs)
     return RandomnessReport(

@@ -12,18 +12,27 @@ different, per-setting convention: the state labeled ``(x, a)`` is the one
 steered by the projector with eigenvalue sign ``(-1)^(x+a)``, so the
 even-parity ensemble always collects the +1 steerings.  Under this labeling
 the operational parity condition is equivalent to ``sum_x A_x = 0``.
+
+Computation
+-----------
+Each party's n observables are stacked into their (n, 2, 2, 2) outcome
+projectors (``qmat.outcome_projectors``), and the behavior table is the
+Born-rule table of Alice's stack against Bob's, one contraction on the 2x2
+form of the state (``qmat.born_table``).  The steered states of all 2n
+projectors come from one einsum on the (2, 2, 2, 2) form of the shared
+density matrix.  No 4x4 Kronecker product is built on either path.
 """
 
 from __future__ import annotations
 
-import io
 import json
 from dataclasses import dataclass
+from itertools import product
 
 import numpy as np
 
 from .observables import ObservableFamily, assert_observable, check_n
-from .qmat import EPS, I2, as_state, operator_norm, partial_trace, phi_plus, proj, tensor
+from .qmat import EPS, I2, as_state, born_table, operator_norm, outcome_projectors, phi_plus, proj
 
 
 @dataclass(frozen=True)
@@ -147,23 +156,10 @@ def setup_from_family(fam: ObservableFamily) -> QuantumSetup:
     return QuantumSetup(state=phi_plus(), alice=fam.alice, bob=fam.bob)
 
 
-def _outcome_projector(observable: np.ndarray, outcome: int) -> np.ndarray:
-    return (I2 + (-1) ** outcome * observable) / 2.0
-
-
 def behavior_from_setup(setup: QuantumSetup) -> Behavior:
-    """Born-rule behavior p(a,b|x,y) = <psi| P_a^x (x) P_b^y |psi>."""
-    n = setup.n
-    rho = proj(setup.state)
-    table = np.empty((n, n, 2, 2))
-    for x, ax in enumerate(setup.alice):
-        for a in (0, 1):
-            pa = _outcome_projector(ax, a)
-            for y, by in enumerate(setup.bob):
-                for b in (0, 1):
-                    pb = _outcome_projector(by, b)
-                    table[x, y, a, b] = np.trace(tensor(pa, pb) @ rho).real
-    beh = Behavior(n=n, table=table)
+    """Born-rule behavior p(a,b|x,y) = <psi| P_a^x (x) P_b^y |psi>, as one ``born_table``."""
+    table = born_table(outcome_projectors(setup.alice), outcome_projectors(setup.bob), setup.state)
+    beh = Behavior(n=setup.n, table=np.ascontiguousarray(table.transpose(0, 2, 1, 3)))
     beh.validate()
     return beh
 
@@ -226,20 +222,19 @@ def steer(rho_ab: np.ndarray, alice: tuple[np.ndarray, ...], tol: float = EPS) -
     return the maximally mixed state flagged as degenerate instead of
     failing.
     """
+    projectors = outcome_projectors(alice)
+    # Bob's unnormalized states tr_A[(P (x) I) rho (P (x) I)] for all 2n projectors.
+    unnorm = np.einsum("xoia,abcd,xoci->xobd", projectors, np.reshape(rho_ab, (2, 2, 2, 2)), projectors)
+    probs = np.trace(unnorm, axis1=-2, axis2=-1).real
     out = []
-    for x0, ax in enumerate(alice):
-        x = x0 + 1
+    for x in range(1, len(alice) + 1):
         for a in (0, 1):
-            sign = (-1) ** (x + a)
-            p_op = (I2 + sign * ax) / 2.0
-            big = tensor(p_op, I2)
-            unnorm = big @ rho_ab @ big
-            p = np.trace(unnorm).real
+            parity = (x + a) % 2  # also the outcome index of the sign (-1)^(x+a)
+            p = probs[x - 1, parity]
             if p < tol:
-                out.append(SteeredState(x, a, (x + a) % 2, I2 / 2.0, 0.0, degenerate=True))
+                out.append(SteeredState(x, a, parity, I2 / 2.0, 0.0, degenerate=True))
                 continue
-            reduced = partial_trace(unnorm, keep=1, dims=[2, 2]) / p
-            out.append(SteeredState(x, a, (x + a) % 2, reduced, float(p)))
+            out.append(SteeredState(x, a, parity, unnorm[x - 1, parity] / p, float(p)))
     return out
 
 
@@ -262,19 +257,15 @@ def check_operational_parity(states: list[SteeredState]) -> float:
 # Floats are written with 17 significant digits so round-trips are bit-exact.
 # ---------------------------------------------------------------------------
 
-def _fmt(v: float) -> str:
-    return format(float(v), ".17g")
+def _entries(beh: Behavior) -> list[float]:
+    """Table entries as Python floats in (x, y, a, b) row-major order."""
+    return np.asarray(beh.table, dtype=float).reshape(-1).tolist()
 
 
 def behavior_to_csv(beh: Behavior) -> str:
-    buf = io.StringIO()
-    buf.write("x,y,a,b,p\n")
-    for x in range(beh.n):
-        for y in range(beh.n):
-            for a in (0, 1):
-                for b in (0, 1):
-                    buf.write(f"{x + 1},{y + 1},{a},{b},{_fmt(beh.table[x, y, a, b])}\n")
-    return buf.getvalue()
+    keys = product(range(1, beh.n + 1), range(1, beh.n + 1), (0, 1), (0, 1))
+    rows = "".join(f"{x},{y},{a},{b},{p:.17g}\n" for (x, y, a, b), p in zip(keys, _entries(beh)))
+    return "x,y,a,b,p\n" + rows
 
 
 def _fill_once(shape: tuple[int, ...], index: np.ndarray, values: np.ndarray, label) -> np.ndarray:
@@ -323,15 +314,13 @@ def behavior_from_csv(text: str) -> Behavior:
 
 
 def behavior_to_json(beh: Behavior) -> str:
-    blocks = []
-    for x in range(beh.n):
-        for y in range(beh.n):
-            block = beh.table[x, y]
-            rendered = ", ".join(
-                "[" + ", ".join(_fmt(block[a, b]) for b in (0, 1)) + "]" for a in (0, 1)
-            )
-            blocks.append(f'"{x + 1},{y + 1}": [{rendered}]')
-    return '{"n": %d, "table": {%s}}' % (beh.n, ", ".join(blocks))
+    p = _entries(beh)
+    keys = product(range(1, beh.n + 1), repeat=2)
+    blocks = ", ".join(
+        f'"{x},{y}": [[{p[i]:.17g}, {p[i + 1]:.17g}], [{p[i + 2]:.17g}, {p[i + 3]:.17g}]]'
+        for (x, y), i in zip(keys, range(0, len(p), 4))
+    )
+    return '{"n": %d, "table": {%s}}' % (beh.n, blocks)
 
 
 def _unique_keys(pairs: list) -> dict:

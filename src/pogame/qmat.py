@@ -2,9 +2,14 @@
 
 Operators are complex128 ndarrays in row-major order; pure states are 1-D
 complex128 ndarrays.  Operators are 2x2 qubit observables or 4x4 two-qubit
-matrices, so dense storage and LAPACK routines are used throughout; local
-operators act on a two-qubit state through its 2x2 form (``apply_local``).
-All functions are pure and never mutate their arguments.
+matrices, so dense storage and LAPACK routines are used throughout.  Local
+operators never meet the state as a 4x4 Kronecker product: they act on the
+2x2 form of a two-qubit state (``apply_local``), and the Born-rule table
+``<psi| E_i (x) F_j |psi>`` of two whole stacks of 2x2 effects is one
+contraction on that form (``born_table``).  The outcome projectors
+``(I + (-1)^a M)/2`` of a stack of observables are built in one place
+(``outcome_projectors``).  All functions are pure and never mutate their
+arguments.
 """
 
 from __future__ import annotations
@@ -84,6 +89,36 @@ def apply_local(a, b, psi) -> np.ndarray:
     which broadcast.
     """
     return a @ np.reshape(psi, (2, 2)) @ np.swapaxes(b, -1, -2)
+
+
+_OUTCOME_SIGNS = np.array([1.0, -1.0])[:, None, None]
+
+
+def outcome_projectors(observables) -> np.ndarray:
+    """Projectors ``(I + (-1)^a M)/2`` of a stack of observables, indexed ``[..., a, :, :]``.
+
+    Outcome ``a`` in {0, 1} is the eigenvalue ``(-1)^a``; a single 2x2
+    observable gives a (2, 2, 2) stack, ``n`` of them an (n, 2, 2, 2) one.
+    """
+    m = np.asarray(observables, dtype=complex)[..., None, :, :]
+    return (I2 + _OUTCOME_SIGNS * m) / 2.0
+
+
+def born_table(alice, bob, psi) -> np.ndarray:
+    """``<psi| E_i (x) F_j |psi>`` for every pair of 2x2 effects of two stacks.
+
+    ``alice`` and ``bob`` are arrays of shape ``(..., 2, 2)``; the result
+    has shape ``alice.shape[:-2] + bob.shape[:-2]`` and is real.  With
+    ``psi2`` the 2x2 form of the state, the entry is
+    ``sum(E_i psi2 * conj(psi2) F_j)``, so the whole table is one matrix
+    product of the two flattened stacks.
+    """
+    a = np.asarray(alice)
+    b = np.asarray(bob)
+    psi2 = np.reshape(psi, (2, 2))
+    left = (a @ psi2).reshape(-1, 4)
+    right = (psi2.conj() @ b).reshape(-1, 4)
+    return (left @ right.T).real.reshape(a.shape[:-2] + b.shape[:-2])
 
 
 def proj(v) -> np.ndarray:

@@ -37,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gamecore import QuantumSetup
-from .qmat import EPS, I2, SIGMA_X, SIGMA_Y, SIGMA_Z, apply_local, operator_norm, phi_plus
+from .qmat import EPS, I2, SIGMA_X, SIGMA_Y, SIGMA_Z, apply_local, operator_norm, outcome_projectors, phi_plus
 
 
 @dataclass(frozen=True, eq=False)
@@ -181,11 +181,6 @@ def _zx_branches(z: np.ndarray, x: np.ndarray) -> np.ndarray:
     return np.array([(I2 + z) / 2, x @ (I2 - z) / 2])
 
 
-def _reflection_branches(m: np.ndarray) -> np.ndarray:
-    """(I + M)/2 and (I - M)/2: Hadamard, controlled-M, Hadamard."""
-    return np.array([(I2 + m) / 2, (I2 - m) / 2])
-
-
 def build_circuit(ops: SelfTestOperators) -> SwapCircuit:
     """Stage list of the swap circuit: (Z, X), then (iYX) when the operators carry y."""
     if ops.n not in (3, 5):
@@ -193,7 +188,8 @@ def build_circuit(ops: SelfTestOperators) -> SwapCircuit:
     stages = [(_zx_branches(ops.z_a, ops.x_a), _zx_branches(ops.z_b, ops.x_b))]
     if ops.y_a is not None:
         stages.append(
-            (_reflection_branches(1j * ops.y_a @ ops.x_a), _reflection_branches(1j * ops.y_b @ ops.x_b))
+            # (I + M)/2 and (I - M)/2: Hadamard, controlled-M, Hadamard.
+            (outcome_projectors(1j * ops.y_a @ ops.x_a), outcome_projectors(1j * ops.y_b @ ops.x_b))
         )
     return SwapCircuit(n=ops.n, nregs=2 + 2 * len(stages), stages=tuple(stages))
 
@@ -282,7 +278,16 @@ def run_isometry(setup: QuantumSetup, target: str = "state", tol: float = EPS) -
     the ancilla pair; fidelities are phase-invariant.
     """
     ops = build_selftest_operators(setup)
-    circuit = build_circuit(ops)
+    return _run_target(setup, ops, build_circuit(ops), target, tol)
+
+
+def _run_target(
+    setup: QuantumSetup, ops: SelfTestOperators, circuit: SwapCircuit, target: str, tol: float = EPS
+) -> IsometryResult:
+    """``run_isometry`` for operators and a circuit already built from ``setup``.
+
+    Lets a caller that runs many targets on one setup build both once.
+    """
     n = setup.n
     kind, args = _parse_target(target, n)
 

@@ -3,10 +3,12 @@
 These are the direct transcriptions of the definitions: a scan of all 3^n
 tuples for the PNC vertices, a per-vertex sort for the symmetric PNC
 bound, the n^2 Kronecker-product sum for the Bell operator, the n^2
-correlator loop for the Bell value of a behavior, the gate-by-gate
-swap circuit as a dense 2^k x 2^k unitary, and its predicted output built
-from the dense junk vectors.  They are exponential or
-quadratic and only meant for small n.
+correlator loop for the Bell value of a behavior, the 4n^2
+``trace(kron(P, Q) @ rho)`` loop for a Born-rule behavior, the per-branch
+steering sandwich, the per-element POVM statistics, the per-entry behavior
+writers, the gate-by-gate swap circuit as a dense 2^k x 2^k unitary, and
+its predicted output built from the dense junk vectors.  They are
+exponential or quadratic and only meant for small n.
 """
 
 import re
@@ -15,7 +17,7 @@ from itertools import product
 import numpy as np
 
 from pogame import bounds, gamecore as gc, selftest as st
-from pogame.qmat import I2, SIGMA_X, SIGMA_Y, SIGMA_Z, phi_plus, tensor
+from pogame.qmat import EPS, I2, SIGMA_X, SIGMA_Y, SIGMA_Z, partial_trace, phi_plus, proj, tensor
 
 
 def pnc_vertices_scan(n):
@@ -73,6 +75,81 @@ def bell_value_loop(expr, beh):
         for y in range(expr.n):
             total += expr.coefficients[x, y] * beh.correlator(x, y)
     return float(total)
+
+
+def _projector(observable, outcome):
+    return (I2 + (-1) ** outcome * observable) / 2.0
+
+
+def behavior_loop(setup):
+    """table[x, y, a, b] = tr((P_a^x (x) P_b^y) rho), one Kronecker product per entry."""
+    n = setup.n
+    rho = proj(setup.state)
+    table = np.empty((n, n, 2, 2))
+    for x, ax in enumerate(setup.alice):
+        for a in (0, 1):
+            for y, by in enumerate(setup.bob):
+                for b in (0, 1):
+                    big = tensor(_projector(ax, a), _projector(by, b))
+                    table[x, y, a, b] = np.trace(big @ rho).real
+    return table
+
+
+def steer_loop(rho_ab, alice, tol=EPS):
+    """[(x, a, parity, rho, probability, degenerate)] from one 4x4 sandwich per branch."""
+    out = []
+    for x0, ax in enumerate(alice):
+        x = x0 + 1
+        for a in (0, 1):
+            big = tensor((I2 + (-1) ** (x + a) * ax) / 2.0, I2)
+            unnorm = big @ rho_ab @ big
+            p = np.trace(unnorm).real
+            if p < tol:
+                out.append((x, a, (x + a) % 2, I2 / 2.0, 0.0, True))
+                continue
+            out.append((x, a, (x + a) % 2, partial_trace(unnorm, keep=1, dims=[2, 2]) / p, float(p), False))
+    return out
+
+
+def povm_statistics_loop(setup, povm):
+    """(table[k, y, b], marginals[k]) with one trace per POVM element and Bob projector."""
+    rho = proj(setup.state)
+    table = np.zeros((len(povm), setup.n, 2))
+    marg = np.zeros(len(povm))
+    for k, el in enumerate(povm.elements):
+        marg[k] = np.trace(tensor(el, I2) @ rho).real
+        for y, by in enumerate(setup.bob):
+            for b in (0, 1):
+                table[k, y, b] = np.trace(tensor(el, _projector(by, b)) @ rho).real
+    return table, marg
+
+
+def _fmt(v):
+    return format(float(v), ".17g")
+
+
+def behavior_to_csv_loop(beh):
+    """The CSV writer formatting one numpy scalar per entry."""
+    lines = ["x,y,a,b,p\n"]
+    for x in range(beh.n):
+        for y in range(beh.n):
+            for a in (0, 1):
+                for b in (0, 1):
+                    lines.append(f"{x + 1},{y + 1},{a},{b},{_fmt(beh.table[x, y, a, b])}\n")
+    return "".join(lines)
+
+
+def behavior_to_json_loop(beh):
+    """The JSON writer formatting one numpy scalar per entry."""
+    blocks = []
+    for x in range(beh.n):
+        for y in range(beh.n):
+            block = beh.table[x, y]
+            rendered = ", ".join(
+                "[" + ", ".join(_fmt(block[a, b]) for b in (0, 1)) + "]" for a in (0, 1)
+            )
+            blocks.append(f'"{x + 1},{y + 1}": [{rendered}]')
+    return '{"n": %d, "table": {%s}}' % (beh.n, ", ".join(blocks))
 
 
 _HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)

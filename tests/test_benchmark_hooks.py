@@ -1,23 +1,33 @@
-"""The benchmark's traced run replaces pogame functions by name; keep those names resolvable."""
+"""The benchmark's hook points and oracles, checked against the current package.
+
+The traced run replaces pogame functions by name, so those names must
+resolve; each workload's ``check`` holds its output oracles, so the
+warm-up ops must pass them.
+"""
 
 import importlib
 import importlib.util
+import sys
 from pathlib import Path
 
+import pytest
+
+import pogame
 from pogame.report import CertificationReport
 
-TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
-def _load_tracing():
-    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+def _load(name):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up here
     spec.loader.exec_module(module)
     return module
 
 
 def test_traced_functions_resolve():
-    tracing = _load_tracing()
+    tracing = _load("tracing")
     assert "build_circuit" in tracing.MODULE_FUNCTIONS["selftest"]
     for mod_name, fns in tracing.MODULE_FUNCTIONS.items():
         module = importlib.import_module(f"pogame.{mod_name}")
@@ -30,3 +40,14 @@ def test_traced_report_methods_resolve():
     for name in ("to_json", "to_csv", "to_text"):
         assert callable(methods.get(name)), name
     assert isinstance(methods.get("from_json"), classmethod)
+
+
+@pytest.fixture(scope="module")
+def behaviors_workload():
+    return _load("workloads").make_workload("behaviors", pogame)
+
+
+@pytest.mark.parametrize("n", [21, 41])
+def test_behaviors_warmup_op_passes_its_check(behaviors_workload, n):
+    op = behaviors_workload.warmup_op(n)
+    assert behaviors_workload.check(op, behaviors_workload.run(op)) is None

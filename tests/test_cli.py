@@ -194,3 +194,25 @@ def test_nonpositive_alpha_is_usage_error(command, alpha, capsys):
     code, _, err = run_cli([command, "--n", "3", "--alpha", alpha], capsys)
     assert code == 2
     assert "alpha" in err
+
+
+@pytest.mark.parametrize("n", ["3", "5"])
+@pytest.mark.parametrize("alpha", ["1", "1e9", "1e20"])
+def test_large_alpha_keeps_a_valid_optimum(n, alpha, capsys):
+    # The flagged probabilities are roundoff at the optimum; alpha times them is not.
+    code, out, _ = run_cli(["certify", "--n", n, "--alpha", alpha], capsys)
+    assert code == 0
+    assert "[PASS] shifted value matches the plain value" in out
+
+
+@pytest.mark.parametrize("total, alpha, passed", [(2e-9, "1e-3", False), (5e-10, "1e20", True)])
+def test_shifted_value_check_reads_the_penalty_total(total, alpha, passed, monkeypatch, capsys):
+    from pogame import certify
+
+    monkeypatch.setattr(certify, "penalty_probabilities", lambda setup, povm: np.array([total, 0.0, 0.0]))
+    code, out, _ = run_cli(["certify", "--n", "3", "--alpha", alpha], capsys)
+    payload, checks = split_payload(out)
+    assert payload["povm"]["penalty_total"] == total
+    assert code == (0 if passed else 1)
+    mark = "[PASS]" if passed else "[FAIL]"
+    assert any(line.startswith(f"{mark} shifted value matches the plain value") for line in checks)

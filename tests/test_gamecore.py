@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import oracles
+from pogame import certify as ct
 from pogame import gamecore as gc
 from pogame import observables as obs
 from pogame.qmat import I2, SIGMA_X, SIGMA_Z, phi_plus, proj
@@ -130,6 +131,79 @@ def test_behaviors_are_no_signaling():
         for _ in range(10):
             beh = gc.behavior_from_setup(random_setup(rng, n))
             assert beh.no_signaling_defect() <= 1e-12
+
+
+def _haar(rng):
+    q, r = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def _assert_steering_matches_oracle(rho, alice):
+    got = gc.steer(rho, alice)
+    want = oracles.steer_loop(rho, alice)
+    assert len(got) == len(want) == 2 * len(alice)
+    for s, (x, a, parity, w_rho, w_p, w_degenerate) in zip(got, want):
+        assert (s.x, s.a, s.parity, s.degenerate) == (x, a, parity, w_degenerate)
+        assert abs(s.probability - w_p) <= 1e-12
+        assert np.max(np.abs(s.rho - w_rho)) <= 1e-12
+
+
+def _assert_povm_routes_match_oracle(setup, povm):
+    stats = ct.povm_statistics(setup, povm)
+    table, marg = oracles.povm_statistics_loop(setup, povm)
+    assert stats.table.shape == table.shape and stats.marginals.shape == marg.shape
+    assert np.max(np.abs(stats.table - table)) <= 1e-12
+    assert np.max(np.abs(stats.marginals - marg)) <= 1e-12
+    penalties = ct.penalty_probabilities(setup, povm)
+    assert np.max(np.abs(penalties - table[np.arange(setup.n), np.arange(setup.n), 1])) <= 1e-12
+    probs = ct.randomness_report(setup, povm).outcome_probabilities
+    assert np.max(np.abs(np.array(probs) - marg)) <= 1e-12
+
+
+@pytest.mark.parametrize("n", [3, 5, 21])
+def test_born_routes_match_loop_oracles(n):
+    rng = np.random.default_rng(100 + n)
+    canonical = gc.setup_from_family(obs.canonical_family(n))
+    randoms = [random_setup(rng, n) for _ in range(3)]
+    # |00> with sigma_z first: the -1 branch of A_1 never fires.
+    product_state = gc.QuantumSetup(
+        state=np.array([1, 0, 0, 0], dtype=complex),
+        alice=(SIGMA_Z,) + randoms[0].alice[1:],
+        bob=randoms[0].bob,
+    )
+    for setup in [canonical, product_state] + randoms:
+        table = gc.behavior_from_setup(setup).table
+        assert np.max(np.abs(table - oracles.behavior_loop(setup))) <= 1e-12
+        _assert_steering_matches_oracle(proj(setup.state), setup.alice)
+    assert any(s.degenerate for s in gc.steered_states(product_state))
+
+    # Mixed shared states: a random two-state mixture and the maximally mixed state.
+    w = rng.uniform(0.2, 0.8)
+    mixture = w * proj(randoms[1].state) + (1 - w) * proj(randoms[2].state)
+    for rho in (mixture, np.eye(4, dtype=complex) / 4):
+        _assert_steering_matches_oracle(rho, randoms[0].alice)
+
+    # The canonical POVM on its own setup, and rotated by a random unitary on random setups.
+    povm = ct.canonical_povm(obs.canonical_family(n))
+    _assert_povm_routes_match_oracle(canonical, povm)
+    for setup in randoms:
+        u = _haar(rng)
+        rotated = ct.PovmSet(tuple(u @ el @ u.conj().T for el in povm.elements))
+        _assert_povm_routes_match_oracle(setup, rotated)
+
+
+@pytest.mark.parametrize("n", [3, 5, 21])
+def test_behavior_writers_match_per_entry_oracle(n):
+    rng = np.random.default_rng(200 + n)
+    specials = [0.0, -0.0, 1.0, 0.1, 1 / 3, 1 - 2**-53, 1e-300, 5e-324, 0.25]
+    for table in (
+        rng.random((n, n, 2, 2)),
+        rng.choice(specials, size=(n, n, 2, 2)),
+        rng.integers(0, 2, size=(n, n, 2, 2)),
+    ):
+        beh = gc.Behavior(n=n, table=table)
+        assert gc.behavior_to_csv(beh) == oracles.behavior_to_csv_loop(beh)
+        assert gc.behavior_to_json(beh) == oracles.behavior_to_json_loop(beh)
 
 
 def test_steered_states_trine_pure_and_complete():

@@ -87,3 +87,14 @@ def test_bell_operator_matches_loop_oracle(pair):
     alice, bob = pair
     got = qo.bell_operator(alice, bob)
     assert np.max(np.abs(got - oracles.bell_operator_loop(alice, bob))) <= 1e-12
+
+
+@PROPERTY_SETTINGS
+@given(observable_pairs(), states, unitaries, unitaries)
+def test_born_rule_behaviors_no_signalling_and_match_oracle(pair, state, u, v):
+    alice, bob = pair
+    random = gc.QuantumSetup(state=state, alice=tuple(alice), bob=tuple(bob))
+    for setup in (random, _rotated(random, u, v)):
+        beh = gc.behavior_from_setup(setup)
+        assert beh.no_signaling_defect() <= 1e-12
+        assert np.max(np.abs(beh.table - oracles.behavior_loop(setup))) <= 1e-12
