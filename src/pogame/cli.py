@@ -45,6 +45,16 @@ def _odd_n(value: str) -> int:
     return n
 
 
+def _seed(value: str) -> int:
+    try:
+        seed = int(value)
+        if seed >= 0:
+            return seed
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"seed must be a non-negative integer, got {value}")
+
+
 def _positive_alpha(value: str) -> float:
     try:
         alpha = float(value)
@@ -68,7 +78,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_opt = sub.add_parser("optimize", help="see-saw value plus certificate")
     p_opt.add_argument("--n", type=_odd_n, required=True)
-    p_opt.add_argument("--seed", type=int, default=None)
+    p_opt.add_argument("--seed", type=_seed, default=None)
     p_opt.add_argument("--restarts", type=int, default=8)
     p_opt.add_argument("--tol", type=float, default=1e-9)
 
@@ -82,7 +92,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_rep = sub.add_parser("report", help="full pipeline report")
     p_rep.add_argument("--n", type=_odd_n, required=True)
-    p_rep.add_argument("--seed", type=int, default=None)
+    p_rep.add_argument("--seed", type=_seed, default=None)
     p_rep.add_argument("--restarts", type=int, default=8)
     p_rep.add_argument("--tol", type=float, default=1e-9)
     p_rep.add_argument("--alpha", type=_positive_alpha, default=1.0)

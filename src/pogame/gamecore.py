@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from itertools import product
+from itertools import product, repeat
 
 import numpy as np
 
@@ -143,8 +143,8 @@ class QuantumSetup:
             raise ValueError("state must be a two-qubit vector of dimension 4")
         if len(self.alice) != len(self.bob):
             raise ValueError("alice and bob must hold the same number of observables")
-        for m in self.alice + self.bob:
-            assert_observable(m)
+        assert_observable(self.alice)
+        assert_observable(self.bob)
 
     @property
     def n(self) -> int:
@@ -293,20 +293,25 @@ def _fill_once(shape: tuple[int, ...], index: np.ndarray, values: np.ndarray, la
 
 
 def behavior_from_csv(text: str) -> Behavior:
+    """Parse the CSV written by ``behavior_to_csv``: all rows are split and converted at once."""
     lines = [ln for ln in text.strip().splitlines() if ln]
-    if lines[0].strip() != "x,y,a,b,p":
+    if not lines or lines[0].strip() != "x,y,a,b,p":
         raise ValueError("CSV header must be 'x,y,a,b,p'")
-    if len(lines) == 1:
+    rows = lines[1:]
+    if not rows:
         raise ValueError("CSV has no data rows")
-    index, probs = [], []
-    for ln in lines[1:]:
-        x, y, a, b, p = ln.split(",")
-        index.append((int(x) - 1, int(y) - 1, int(a), int(b)))
-        probs.append(float(p))
-    index = np.array(index)
+    if set(map(str.count, rows, repeat(","))) != {4}:
+        bad = next(ln for ln in rows if ln.count(",") != 4)
+        raise ValueError(f"CSV row {bad!r} must have the 5 fields x,y,a,b,p, got {bad.count(',') + 1}")
+    fields = ",".join(rows).split(",")
+    index = np.array([fields[0::5], fields[1::5], fields[2::5], fields[3::5]], dtype=np.int64).T
+    index[:, :2] -= 1
     n = int(index[:, 0].max()) + 1
     table = _fill_once(
-        (n, n, 2, 2), index, np.array(probs), lambda x, y, a, b: f"row {x + 1},{y + 1},{a},{b}"
+        (n, n, 2, 2),
+        index,
+        np.array(fields[4::5], dtype=float),
+        lambda x, y, a, b: f"row {x + 1},{y + 1},{a},{b}",
     )
     beh = Behavior(n=n, table=table)
     beh.validate()

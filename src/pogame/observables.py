@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .qmat import EPS, I2, PAULIS, SIGMA_X, SIGMA_Y, SIGMA_Z, is_hermitian, operator_norm
+from .qmat import EPS, I2, PAULIS, SIGMA_X, SIGMA_Y, SIGMA_Z, operator_norm
 
 
 def check_n(n: int, max_n: int | None = None) -> None:
@@ -39,13 +39,20 @@ def bloch_of(m) -> np.ndarray:
 
 
 def assert_observable(m, tol: float = EPS) -> None:
-    """Check the dichotomic-observable contract: Hermitian and m^2 = I."""
-    arr = np.asarray(m, dtype=complex)
-    if arr.shape != (2, 2):
-        raise ValueError(f"expected a 2x2 observable, got shape {arr.shape}")
-    if not is_hermitian(arr, tol):
+    """Check the dichotomic-observable contract, Hermitian and m^2 = I, in one pass.
+
+    ``m`` is one 2x2 matrix or a stack of them (shape (..., 2, 2), or a
+    sequence of 2x2 matrices).
+    """
+    try:
+        arr = np.asarray(m, dtype=complex)
+    except ValueError:  # a ragged sequence: name the first odd shape
+        arr = next(np.asarray(x) for x in m if np.shape(x) != (2, 2))
+    if arr.shape[-2:] != (2, 2):
+        raise ValueError(f"expected a 2x2 observable, got shape {arr.shape[-2:]}")
+    if not np.max(np.abs(arr - np.swapaxes(arr.conj(), -1, -2)), initial=0.0) <= tol:
         raise ValueError("observable is not Hermitian")
-    if np.max(np.abs(arr @ arr - I2)) > tol:
+    if np.max(np.abs(arr @ arr - I2), initial=0.0) > tol:
         raise ValueError("observable does not square to the identity")
 
 
@@ -67,8 +74,8 @@ class ObservableFamily:
         check_n(self.n)
         if len(self.alice) != self.n or len(self.bob) != self.n:
             raise ValueError("family must carry exactly n observables per party")
-        for m in self.alice + self.bob:
-            assert_observable(m)
+        assert_observable(self.alice)
+        assert_observable(self.bob)
 
 
 def _family(n: int, alice: list[np.ndarray], params: dict) -> ObservableFamily:

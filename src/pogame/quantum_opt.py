@@ -14,6 +14,16 @@ the sum-zero set {sum_x a_x = 0, |a_x| = 1}.  Its exact solution is a
 Fermat-Weber point: maximize sum_x t_x . a_x subject to the constraint by
 taking a_x = (t_x - mu)/|t_x - mu| with mu the geometric median of the
 effective Bloch targets t_x.
+
+All restarts run as one stack: the observables are (r, n, 2, 2) arrays, the
+states an (r, 4) array, and every helper takes leading batch axes.  A sweep
+is a fixed sequence of numpy calls on the restarts still running (Bob's
+sign update, Alice's sign or Fermat-Weber update, one ``eigh`` of the
+(r, 4, 4) Bell operators), however many restarts there are; a restart
+leaves the stack once its own trace gains no more than ``tol``.  Each
+restart draws its start from its own ``SeedSequence`` stream, so its trace
+does not depend on the others.  Only the best restart becomes a validated
+``QuantumSetup``.
 """
 
 from __future__ import annotations
@@ -24,7 +34,7 @@ import numpy as np
 
 from .gamecore import GameSpec, QuantumSetup
 from .observables import check_n
-from .qmat import EPS, I2, PAULIS, apply_local, proj
+from .qmat import EPS, I2, PAULIS, apply_local
 
 _PAULI_STACK = np.array(PAULIS)
 
@@ -35,18 +45,20 @@ def bell_operator(alice, bob) -> np.ndarray:
     The coefficient matrix is ``J - 2I`` (all ones minus twice the
     identity), so the double sum collapses to
     ``(sum_x A_x) (x) (sum_y B_y) - 2 sum_x A_x (x) B_x``: one Kronecker
-    product and one contraction instead of n^2 Kronecker products.
+    product and one contraction instead of n^2 Kronecker products.  Stacks
+    of shape (..., n, 2, 2) give one operator per leading index.
     """
     a = np.asarray(alice, dtype=complex)
     b = np.asarray(bob, dtype=complex)
-    GameSpec(len(a))  # validates n
-    pairs = np.einsum("xij,xkl->ikjl", a, b).reshape(4, 4)
-    return np.kron(a.sum(axis=0), b.sum(axis=0)) - 2.0 * pairs
+    GameSpec(a.shape[-3])  # validates n
+    pairs = np.einsum("...xij,...xkl->...ikjl", a, b)
+    kron = np.einsum("...ij,...kl->...ikjl", a.sum(axis=-3), b.sum(axis=-3))
+    return (kron - 2.0 * pairs).reshape(a.shape[:-3] + (4, 4))
 
 
 def _setting_combos(obs: np.ndarray) -> np.ndarray:
-    """Row y of ``J - 2I`` applied to the stack: ``sum_x O_x - 2 O_y`` for every y."""
-    return obs.sum(axis=0) - 2.0 * obs
+    """Row y of ``J - 2I`` applied to each stack: ``sum_x O_x - 2 O_y`` for every y."""
+    return obs.sum(axis=-3, keepdims=True) - 2.0 * obs
 
 
 def setup_bell_value(setup: QuantumSetup) -> float:
@@ -137,66 +149,92 @@ def concavity_bound(n: int) -> float:
 
 
 def _matrix_sign(m: np.ndarray) -> np.ndarray:
-    """Hermitian unit-square maximizer of tr(B m) for each matrix of a (k, 2, 2) stack.
+    """Hermitian unit-square maximizer of tr(B m) for each matrix of a (..., 2, 2) stack.
 
     Flips every eigenvalue to its sign.
     """
     w, v = np.linalg.eigh(m)
     signs = np.where(w >= 0, 1.0, -1.0)
-    return (v * signs[:, None, :]) @ v.conj().transpose(0, 2, 1)
+    return (v * signs[..., None, :]) @ np.swapaxes(v.conj(), -1, -2)
 
 
 def _effective_bob(rho: np.ndarray, combos: np.ndarray) -> np.ndarray:
     """Tr_A[(C_y (x) I) rho] for each C_y, so that tr[(C_y (x) B) rho] = tr(B .)."""
-    return np.einsum("yim,mkil->ykl", combos, rho.reshape(2, 2, 2, 2))
+    return np.einsum("...yim,...mkil->...ykl", combos, rho.reshape(rho.shape[:-2] + (2, 2, 2, 2)))
 
 
 def _effective_alice(rho: np.ndarray, combos: np.ndarray) -> np.ndarray:
     """Tr_B[(I (x) C_x) rho] for each C_x, so that tr[(A (x) C_x) rho] = tr(A .)."""
-    return np.einsum("xkm,imjk->xij", combos, rho.reshape(2, 2, 2, 2))
+    return np.einsum("...xkm,...imjk->...xij", combos, rho.reshape(rho.shape[:-2] + (2, 2, 2, 2)))
+
+
+def _expectations(op: np.ndarray, states: np.ndarray) -> np.ndarray:
+    """<psi| op |psi> for each pair of a (..., 4, 4) operator stack and a (..., 4) state stack."""
+    return np.einsum("...i,...i->...", states.conj(), (op @ states[..., None])[..., 0]).real
 
 
 def _geometric_median(points: np.ndarray, iters: int = 500, tol: float = 1e-14) -> np.ndarray:
-    """Fermat-Weber point of rows of ``points`` by a safeguarded Weiszfeld iteration."""
-    mu = points.mean(axis=0)
+    """Fermat-Weber point of the n rows of each (n, 3) slice of ``points`` (shape (..., n, 3)).
+
+    A safeguarded Weiszfeld iteration runs on all slices at once.  A slice
+    is done when its step falls below ``tol``, or when the median sits on
+    one of its points and the Vardi-Zhang test keeps it there.
+    """
+    points = np.asarray(points, dtype=float)
+    pts = points.reshape((-1,) + points.shape[-2:])
+    mu = pts.mean(axis=1)
+    live, cur = np.arange(len(pts)), mu
+    add = np.add.reduce  # the plain ufunc reduction: this loop is call-bound
     for _ in range(iters):
-        diff = points - mu
-        dist = np.linalg.norm(diff, axis=1)
+        if not len(live):
+            break
+        diff = pts - cur[:, None, :]
+        dist = np.sqrt(add(diff * diff, axis=2))
         at_point = dist < 1e-13
-        if np.any(at_point):
-            # Vardi-Zhang step: stay if the residual pull is inside the unit ball.
-            others = ~at_point
-            r = (diff[others] / dist[others, None]).sum(axis=0)
-            if np.linalg.norm(r) <= 1.0 + 1e-12:
-                return mu
-            mu = mu + (np.linalg.norm(r) - 1.0) / np.linalg.norm(r) * r * 1e-13
-            continue
+        vardi_zhang = np.count_nonzero(at_point) > 0
+        if vardi_zhang:
+            snapped = at_point.any(axis=1)
+            dist[at_point] = 1.0  # the Weiszfeld step is not used on these slices
         w = 1.0 / dist
-        new = (points * w[:, None]).sum(axis=0) / w.sum()
-        if np.linalg.norm(new - mu) < tol:
-            return new
-        mu = new
-    return mu
+        new = add(pts * w[..., None], axis=1) / add(w, axis=1)[:, None]
+        step = new - cur
+        done = np.sqrt(add(step * step, axis=1)) < tol
+        if vardi_zhang:
+            # Stay if the residual pull of the other points is inside the unit ball.
+            pull = add(np.where(at_point[..., None], 0.0, diff / dist[..., None]), axis=1)
+            strength = np.sqrt(add(pull * pull, axis=1))
+            stays = strength <= 1.0 + 1e-12
+            scale = np.where(stays, 0.0, (strength - 1.0) / np.where(stays, 1.0, strength))
+            new = np.where(snapped[:, None], cur + scale[:, None] * pull * 1e-13, new)
+            done = np.where(snapped, stays, done)
+        if np.count_nonzero(done):
+            mu[live[done]] = new[done]
+            live, pts, new = live[~done], pts[~done], new[~done]
+        cur = new
+    else:
+        mu[live] = cur
+    return mu.reshape(points.shape[:-2] + (3,))
 
 
 def _constrained_alice_update(targets: np.ndarray, previous: np.ndarray) -> np.ndarray:
     """Exact argmax of sum_x t_x . a_x over unit Bloch vectors summing to zero.
 
-    Falls back to the previous observables when the Fermat-Weber solution is
-    degenerate (a target coincides with the median), which keeps the sweep
-    monotone.
+    ``targets`` is (..., n, 3) and ``previous`` the matching (..., n, 2, 2)
+    observables.  A stack falls back to its previous observables when its
+    Fermat-Weber solution is degenerate (a target coincides with the
+    median), which keeps the sweep monotone.
     """
-    mu = _geometric_median(targets)
-    diff = targets - mu
-    dist = np.linalg.norm(diff, axis=1)
-    if np.any(dist < 1e-12):
-        return previous
-    return _obs_from_blochs(diff / dist[:, None])
+    diff = targets - _geometric_median(targets)[..., None, :]
+    dist = np.linalg.norm(diff, axis=-1)
+    close = dist < 1e-12
+    units = diff / np.where(close, 1.0, dist)[..., None]
+    degenerate = close.any(axis=-1)[..., None, None, None]
+    return np.where(degenerate, previous, _obs_from_blochs(units))
 
 
 def _obs_from_blochs(bloch: np.ndarray) -> np.ndarray:
-    """Stack of observables v . sigma for the unit rows of ``bloch``."""
-    return np.einsum("xk,kij->xij", bloch.astype(complex), _PAULI_STACK)
+    """Stack of observables v . sigma for the unit rows of ``bloch`` (shape (..., 3))."""
+    return np.einsum("...k,kij->...ij", bloch.astype(complex), _PAULI_STACK)
 
 
 @dataclass(frozen=True, eq=False)
@@ -212,73 +250,30 @@ class SeesawResult:
     best_restart: int
 
 
-def _random_setup(n: int, rng: np.random.Generator, constrained: bool) -> QuantumSetup:
-    def random_units(count):
-        vecs = rng.normal(size=(count, 3))
+def _random_starts(n: int, rngs: list, constrained: bool) -> tuple[np.ndarray, np.ndarray]:
+    """Alice's and Bob's random observables, (len(rngs), n, 2, 2) each, one stream per start.
+
+    Each stream draws Alice's directions, draws them again while their
+    projection onto the sum-zero set is degenerate, then draws Bob's.
+    """
+
+    def units(rng):
+        vecs = rng.normal(size=(n, 3))
         return vecs / np.linalg.norm(vecs, axis=1)[:, None]
 
-    alice_dirs = random_units(n)
+    alice = np.array([units(rng) for rng in rngs]).reshape(-1, n, 3)
     if constrained:
-        mu = _geometric_median(alice_dirs)
-        diff = alice_dirs - mu
-        dist = np.linalg.norm(diff, axis=1)
-        if np.any(dist < 1e-12):  # essentially never; resample deterministically
-            return _random_setup(n, rng, constrained)
-        alice_dirs = diff / dist[:, None]
-    alice = _obs_from_blochs(alice_dirs)
-    bob = _obs_from_blochs(random_units(n))
-    op = bell_operator(alice, bob)
-    _, v = np.linalg.eigh(op)
-    state = v[:, -1]
-    return QuantumSetup(state=state, alice=tuple(alice), bob=tuple(bob))
-
-
-def _seesaw_single(
-    n: int,
-    rng: np.random.Generator,
-    iters: int,
-    tol: float,
-    constrained: bool,
-    init: QuantumSetup | None,
-) -> tuple[QuantumSetup, list[float], bool]:
-    setup = init if init is not None else _random_setup(n, rng, constrained)
-    alice = np.array(setup.alice, dtype=complex)
-    bob = np.array(setup.bob, dtype=complex)
-    state = setup.state.copy()
-
-    def value_of() -> float:
-        op = bell_operator(alice, bob)
-        return float(np.vdot(state, op @ state).real)
-
-    trace = [value_of()]
-    converged = False
-    for _ in range(iters):
-        rho = proj(state)
-        # Bob: exact sign update per setting.
-        bob = _matrix_sign(_effective_bob(rho, _setting_combos(alice)))
-        # Alice: exact sign update, or Fermat-Weber step on the sum-zero set.
-        effective = _effective_alice(rho, _setting_combos(bob))
-        if constrained:
-            # Bloch components tr(M sigma_k) / 2 of each effective operator.
-            targets = np.einsum("xij,kji->xk", effective, _PAULI_STACK).real / 2.0
-            before = value_of()
-            candidate = _constrained_alice_update(targets, alice)
-            saved = alice
-            alice = candidate
-            if value_of() < before - 1e-12:
-                alice = saved
-        else:
-            alice = _matrix_sign(effective)
-        # State: top eigenvector of the Bell operator.
-        op = bell_operator(alice, bob)
-        w, v = np.linalg.eigh(op)
-        state = v[:, -1]
-        trace.append(float(w[-1]))
-        if trace[-1] - trace[-2] <= tol:
-            converged = True
-            break
-    final = QuantumSetup(state=state, alice=tuple(alice), bob=tuple(bob))
-    return final, trace, converged
+        pending = np.arange(len(rngs))
+        while len(pending):
+            diff = alice[pending] - _geometric_median(alice[pending])[:, None, :]
+            dist = np.linalg.norm(diff, axis=2)
+            bad = np.any(dist < 1e-12, axis=1)
+            alice[pending[~bad]] = diff[~bad] / dist[~bad][..., None]
+            pending = pending[bad]
+            for k in pending:  # essentially never; redraw deterministically
+                alice[k] = units(rngs[k])
+    bob = np.array([units(rng) for rng in rngs]).reshape(-1, n, 3)
+    return _obs_from_blochs(alice), _obs_from_blochs(bob)
 
 
 def seesaw(
@@ -301,30 +296,74 @@ def seesaw(
         raise ValueError("iters and restarts must be >= 1")
     if not tol >= 0:
         raise ValueError(f"tol must be >= 0, got {tol}")
+    if not np.isfinite(tol):
+        raise ValueError(f"tol must be finite and >= 0, got {tol}")
+    if init is not None and init.n != n:
+        raise ValueError(f"init has {init.n} settings per party, expected {n}")
     constrained = (n > 3) if constrain_parity is None else bool(constrain_parity)
 
-    streams = np.random.SeedSequence(seed).spawn(restarts)
-    setups, traces, values, flags = [], [], [], []
-    for r in range(restarts):
-        rng = np.random.default_rng(streams[r])
-        start = init if (r == 0 and init is not None) else None
-        final, trace, converged = _seesaw_single(n, rng, iters, tol, constrained, start)
-        setups.append(final)
-        traces.append(tuple(trace))
-        values.append(trace[-1])
-        flags.append(converged)
+    rngs = [np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(restarts)]
+    seeded = 0 if init is None else 1
+    alice, bob = _random_starts(n, rngs[seeded:], constrained)
+    if init is not None:
+        alice = np.concatenate([np.array([init.alice], dtype=complex), alice])
+        bob = np.concatenate([np.array([init.bob], dtype=complex), bob])
+    op = bell_operator(alice, bob)
+    state = np.linalg.eigh(op)[1][..., -1]
+    if init is not None:
+        state[0] = np.ravel(init.state)
 
-    best = int(np.argmax(values))
-    best_setup = setups[best]
-    parity_residual = float(np.linalg.norm(sum(best_setup.alice), 2))
+    # history[s][k] is restart k's value after s sweeps (NaN once it stopped).
+    history = [_expectations(op, state)]
+    sweeps = np.zeros(restarts, dtype=int)
+    converged = np.zeros(restarts, dtype=bool)
+    live = np.arange(restarts)
+    for _ in range(iters):
+        a, psi = alice[live], state[live]
+        rho = psi[:, :, None] * psi.conj()[:, None, :]
+        # Bob: exact sign update per setting.
+        b = _matrix_sign(_effective_bob(rho, _setting_combos(a)))
+        # Alice: exact sign update, or Fermat-Weber step on the sum-zero set.
+        effective = _effective_alice(rho, _setting_combos(b))
+        if constrained:
+            # Bloch components tr(M sigma_k) / 2 of each effective operator.
+            targets = np.einsum("...xij,kji->...xk", effective, _PAULI_STACK).real / 2.0
+            before = bell_operator(a, b)
+            candidate = _constrained_alice_update(targets, a)
+            op = bell_operator(candidate, b)
+            # Keep the previous observables where the update loses value.
+            dropped = _expectations(op, psi) < _expectations(before, psi) - 1e-12
+            a = np.where(dropped[:, None, None, None], a, candidate)
+            op = np.where(dropped[:, None, None], before, op)
+        else:
+            a = _matrix_sign(effective)
+            op = bell_operator(a, b)
+        # State: top eigenvector of the Bell operator.
+        w, v = np.linalg.eigh(op)
+        alice[live], bob[live], state[live] = a, b, v[..., -1]
+        values = np.full(restarts, np.nan)
+        values[live] = w[:, -1]
+        stopped = values[live] - history[-1][live] <= tol
+        history.append(values)
+        sweeps[live] += 1
+        converged[live[stopped]] = True
+        live = live[~stopped]
+        if not len(live):
+            break
+
+    columns = np.array(history).T
+    traces = tuple(tuple(col[: k + 1].tolist()) for col, k in zip(columns, sweeps))
+    restart_values = tuple(trace[-1] for trace in traces)
+    best = int(np.argmax(restart_values))
+    best_setup = QuantumSetup(state=state[best], alice=tuple(alice[best]), bob=tuple(bob[best]))
     return SeesawResult(
         n=n,
-        value=float(values[best]),
+        value=restart_values[best],
         setup=best_setup,
-        restart_values=tuple(float(v) for v in values),
-        traces=tuple(traces),
-        converged=tuple(flags),
+        restart_values=restart_values,
+        traces=traces,
+        converged=tuple(converged.tolist()),
         constrained=constrained,
-        parity_residual=parity_residual,
+        parity_residual=float(np.linalg.norm(alice[best].sum(axis=0), 2)),
         best_restart=best,
     )

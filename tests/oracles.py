@@ -6,9 +6,10 @@ bound, the n^2 Kronecker-product sum for the Bell operator, the n^2
 correlator loop for the Bell value of a behavior, the 4n^2
 ``trace(kron(P, Q) @ rho)`` loop for a Born-rule behavior, the per-branch
 steering sandwich, the per-element POVM statistics, the per-entry behavior
-writers, the gate-by-gate swap circuit as a dense 2^k x 2^k unitary, and
-its predicted output built from the dense junk vectors.  They are
-exponential or quadratic and only meant for small n.
+writers, the gate-by-gate swap circuit as a dense 2^k x 2^k unitary, its
+predicted output built from the dense junk vectors, and the see-saw run
+one restart at a time.  They are exponential or quadratic and only meant
+for small n.
 """
 
 import re
@@ -16,7 +17,7 @@ from itertools import product
 
 import numpy as np
 
-from pogame import bounds, gamecore as gc, selftest as st
+from pogame import bounds, gamecore as gc, quantum_opt as qo, selftest as st
 from pogame.qmat import EPS, I2, SIGMA_X, SIGMA_Y, SIGMA_Z, partial_trace, phi_plus, proj, tensor
 
 
@@ -255,3 +256,93 @@ def swap_circuit_expected(setup, target="state"):
     else:
         expected = np.kron(junk, anc)
     return expected / np.linalg.norm(expected), junk
+
+
+def _random_setup(n, rng, constrained):
+    def random_units(count):
+        vecs = rng.normal(size=(count, 3))
+        return vecs / np.linalg.norm(vecs, axis=1)[:, None]
+
+    alice_dirs = random_units(n)
+    if constrained:
+        mu = qo._geometric_median(alice_dirs)
+        diff = alice_dirs - mu
+        dist = np.linalg.norm(diff, axis=1)
+        if np.any(dist < 1e-12):  # essentially never; resample deterministically
+            return _random_setup(n, rng, constrained)
+        alice_dirs = diff / dist[:, None]
+    alice = qo._obs_from_blochs(alice_dirs)
+    bob = qo._obs_from_blochs(random_units(n))
+    _, v = np.linalg.eigh(qo.bell_operator(alice, bob))
+    return gc.QuantumSetup(state=v[:, -1], alice=tuple(alice), bob=tuple(bob))
+
+
+def _constrained_alice_update(targets, previous):
+    mu = qo._geometric_median(targets)
+    diff = targets - mu
+    dist = np.linalg.norm(diff, axis=1)
+    if np.any(dist < 1e-12):
+        return previous
+    return qo._obs_from_blochs(diff / dist[:, None])
+
+
+def _seesaw_single(n, rng, iters, tol, constrained, init):
+    setup = init if init is not None else _random_setup(n, rng, constrained)
+    alice = np.array(setup.alice, dtype=complex)
+    bob = np.array(setup.bob, dtype=complex)
+    state = setup.state.copy()
+
+    def value_of():
+        return float(np.vdot(state, qo.bell_operator(alice, bob) @ state).real)
+
+    trace = [value_of()]
+    converged = False
+    for _ in range(iters):
+        rho = proj(state)
+        bob = qo._matrix_sign(qo._effective_bob(rho, qo._setting_combos(alice)))
+        effective = qo._effective_alice(rho, qo._setting_combos(bob))
+        if constrained:
+            targets = np.einsum("xij,kji->xk", effective, qo._PAULI_STACK).real / 2.0
+            before = value_of()
+            saved = alice
+            alice = _constrained_alice_update(targets, alice)
+            if value_of() < before - 1e-12:
+                alice = saved
+        else:
+            alice = qo._matrix_sign(effective)
+        w, v = np.linalg.eigh(qo.bell_operator(alice, bob))
+        state = v[:, -1]
+        trace.append(float(w[-1]))
+        if trace[-1] - trace[-2] <= tol:
+            converged = True
+            break
+    final = gc.QuantumSetup(state=state, alice=tuple(alice), bob=tuple(bob))
+    return final, trace, converged
+
+
+def seesaw_loop(n, seed=42, iters=500, tol=1e-9, restarts=8, constrain_parity=None, init=None):
+    """``quantum_opt.seesaw`` with one restart after the other, each a validated setup."""
+    constrained = (n > 3) if constrain_parity is None else bool(constrain_parity)
+    streams = np.random.SeedSequence(seed).spawn(restarts)
+    setups, traces, flags = [], [], []
+    for r in range(restarts):
+        start = init if (r == 0 and init is not None) else None
+        final, trace, converged = _seesaw_single(
+            n, np.random.default_rng(streams[r]), iters, tol, constrained, start
+        )
+        setups.append(final)
+        traces.append(tuple(trace))
+        flags.append(converged)
+    values = [trace[-1] for trace in traces]
+    best = int(np.argmax(values))
+    return qo.SeesawResult(
+        n=n,
+        value=values[best],
+        setup=setups[best],
+        restart_values=tuple(values),
+        traces=tuple(traces),
+        converged=tuple(flags),
+        constrained=constrained,
+        parity_residual=float(np.linalg.norm(sum(setups[best].alice), 2)),
+        best_restart=best,
+    )

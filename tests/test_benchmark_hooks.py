@@ -43,11 +43,21 @@ def test_traced_report_methods_resolve():
 
 
 @pytest.fixture(scope="module")
-def behaviors_workload():
-    return _load("workloads").make_workload("behaviors", pogame)
+def workloads():
+    return _load("workloads")
+
+
+def _warmup_check(workload, n):
+    op = workload.warmup_op(n)
+    return workload.check(op, workload.run(op))
 
 
 @pytest.mark.parametrize("n", [21, 41])
-def test_behaviors_warmup_op_passes_its_check(behaviors_workload, n):
-    op = behaviors_workload.warmup_op(n)
-    assert behaviors_workload.check(op, behaviors_workload.run(op)) is None
+def test_behaviors_warmup_op_passes_its_check(workloads, n):
+    assert _warmup_check(workloads.make_workload("behaviors", pogame), n) is None
+
+
+@pytest.mark.parametrize("n", [3, 5])
+def test_pipeline_small_warmup_op_passes_its_check(workloads, n):
+    # The check holds the quantum value to 2n within 1e-6 and, at n = 3, the min-entropy to log2 3.
+    assert _warmup_check(workloads.make_workload("pipeline-small", pogame), n) is None

@@ -181,6 +181,22 @@ def test_negative_tolerance_is_usage_error(command, capsys):
     assert "tol must be >= 0" in err
 
 
+@pytest.mark.parametrize("command", ["optimize", "report"])
+def test_infinite_tolerance_is_usage_error(command, capsys):
+    code, _, err = run_cli([command, "--n", "3", "--tol", "inf"], capsys)
+    assert code == 2
+    assert "tol must be finite and >= 0, got inf" in err
+
+
+@pytest.mark.parametrize("command", ["optimize", "report"])
+@pytest.mark.parametrize("seed", ["-1", "abc", "1.5"])
+def test_invalid_seed_is_usage_error(command, seed, capsys):
+    code, out, err = run_cli([command, "--n", "3", "--seed", seed], capsys)
+    assert code == 2
+    assert f"seed must be a non-negative integer, got {seed}" in err
+    assert out == ""
+
+
 def test_non_integer_env_seed_is_usage_error(monkeypatch, capsys):
     monkeypatch.setenv(cli.ENV_SEED, "abc")
     code, _, err = run_cli(["optimize", "--n", "3"], capsys)

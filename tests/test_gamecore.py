@@ -319,6 +319,22 @@ def test_csv_rejects_duplicated_and_missing_rows():
         gc.behavior_from_csv("\n".join([header] + rows[:5] + rows[6:]))
 
 
+def test_csv_rejects_row_with_wrong_field_count():
+    # A deterministic box writes its entries as "0" and "1", so a short row
+    # followed by a long one would still split into whole 5-field records.
+    table = np.zeros((3, 3, 2, 2))
+    table[..., 0, 0] = 1.0
+    lines = gc.behavior_to_csv(gc.Behavior(n=3, table=table)).splitlines()
+    assert lines[1:3] == ["1,1,0,0,1", "1,1,0,1,0"]
+    shifted = [lines[0], "1,1,0,0", "1,1,0,1,0,1"] + lines[3:]
+    with pytest.raises(ValueError, match=r"CSV row '1,1,0,0' must have the 5 fields x,y,a,b,p, got 4"):
+        gc.behavior_from_csv("\n".join(shifted))
+    with pytest.raises(ValueError, match=r"CSV row '1,1,0,1,0,7' .* got 6"):
+        gc.behavior_from_csv("\n".join(lines[:2] + ["1,1,0,1,0,7"] + lines[3:]))
+    with pytest.raises(ValueError, match="header"):
+        gc.behavior_from_csv("\n\n")
+
+
 def test_csv_rejects_out_of_range_index():
     text = gc.behavior_to_csv(gc.behavior_from_setup(gc.setup_from_family(obs.trine())))
     with pytest.raises(ValueError, match="out of range"):

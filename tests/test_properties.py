@@ -98,3 +98,25 @@ def test_born_rule_behaviors_no_signalling_and_match_oracle(pair, state, u, v):
         beh = gc.behavior_from_setup(setup)
         assert beh.no_signaling_defect() <= 1e-12
         assert np.max(np.abs(beh.table - oracles.behavior_loop(setup))) <= 1e-12
+
+
+@st.composite
+def seesaw_inits(draw, n):
+    """None, or a random setup whose observables need not sum to zero."""
+    if not draw(st.booleans()):
+        return None
+    alice = draw(st.lists(observables, min_size=n, max_size=n))
+    bob = draw(st.lists(observables, min_size=n, max_size=n))
+    return gc.QuantumSetup(state=draw(states), alice=tuple(alice), bob=tuple(bob))
+
+
+@PROPERTY_SETTINGS
+@given(st.data(), st.integers(0, 2**32 - 1), st.sampled_from([3, 5, 7]), st.integers(1, 8))
+def test_seesaw_traces_monotone_and_value_is_best_restart(data, seed, n, restarts):
+    init = data.draw(seesaw_inits(n))
+    result = qo.seesaw(n, seed=seed, restarts=restarts, init=init)
+    assert len(result.traces) == restarts
+    for trace in result.traces:
+        assert np.all(np.diff(trace) >= -1e-9)
+    assert result.value == max(result.restart_values)
+    assert result.best_restart == result.restart_values.index(result.value)  # earliest of the ties

@@ -169,6 +169,64 @@ def test_geometric_median_collinear_and_generic():
     assert np.linalg.norm(pulls.sum(axis=0)) <= 1e-6
 
 
+def test_geometric_median_batch_matches_per_slice_calls():
+    rng = np.random.default_rng(61)
+    collinear = np.array([[0.0, 0, 0], [1.0, 0, 0], [2.0, 0, 0]])
+    three = [collinear, rng.normal(size=(3, 3)), collinear + 0.5, rng.normal(size=(3, 3)) * 1e-3]
+    # Five points whose mean is the first one (the Vardi-Zhang branch): the
+    # pull of the others is 0 and about 0.71, so the median stays there,
+    # and then about 1.41, so it moves off.
+    five = [
+        np.array([[0.0, 0, 0], [-2, 0, 0], [-1, 0, 0], [1, 0, 0], [2, 0, 0]]),
+        np.array([[0.0, 0, 0], [1, 0, 0.25], [-0.5, 2, 0.25], [-0.5, -2, 0.25], [0, 0, -0.75]]),
+        np.array([[0.0, 0, 0], [3, 0, 0], [-1, 1, 0], [-1, -1, 0], [-1, 0, 0]]),
+        rng.normal(size=(5, 3)),
+    ]
+    for slices in (three, five):
+        count = len(slices[0])
+        batched = qo._geometric_median(np.array(slices).reshape(2, 2, count, 3))
+        assert batched.shape == (2, 2, 3)
+        for got, pts in zip(batched.reshape(-1, 3), slices):
+            assert np.array_equal(got, qo._geometric_median(pts))
+    assert np.array_equal(qo._geometric_median(three[0]), [1.0, 0, 0])
+    assert np.array_equal(qo._geometric_median(np.array(five[:2])), np.zeros((2, 3)))
+    for pts in five[2:]:
+        mu = qo._geometric_median(pts)
+        pulls = (pts - mu) / np.linalg.norm(pts - mu, axis=1)[:, None]
+        assert np.linalg.norm(pulls.sum(axis=0)) <= 1e-6
+
+
+def near_aligned_setup(rng, n, tilt):
+    """sigma_z for every setting of both parties, tilted at random, on a random state."""
+    dirs = np.array([0.0, 0.0, 1.0]) + tilt * rng.normal(size=(n, 3))
+    alice = tuple(qo._obs_from_blochs(dirs / np.linalg.norm(dirs, axis=1)[:, None]))
+    state = rng.normal(size=4) + 1j * rng.normal(size=4)
+    return gc.QuantumSetup(state=state / np.linalg.norm(state), alice=alice, bob=alice)
+
+
+@pytest.mark.parametrize("n", [3, 5, 7, 13])
+def test_seesaw_matches_loop_oracle(n):
+    rng = np.random.default_rng(90 + n)
+    cases = [dict(seed=seed, constrain_parity=cp) for seed in (7, 42, 101) for cp in (None, True, False)]
+    # Starts where Alice's constrained update loses value, or is degenerate
+    # (all targets equal), so that it keeps her previous observables.
+    cases += [dict(seed=8, init=near_aligned_setup(rng, n, tilt), constrain_parity=True) for tilt in (0.0, 0.05)]
+    if n == 3:
+        trine = gc.setup_from_family(obs.trine())
+        cases += [dict(seed=5, init=trine), dict(seed=6, restarts=1, init=trine, tol=0.0)]
+    for case in cases:
+        case.setdefault("restarts", 4)
+        got, want = qo.seesaw(n, **case), oracles.seesaw_loop(n, **case)
+        assert got.converged == want.converged, case
+        assert [len(t) for t in got.traces] == [len(t) for t in want.traces], case
+        for trace, oracle_trace in zip(got.traces, want.traces):
+            assert np.max(np.abs(np.subtract(trace, oracle_trace))) <= 1e-12, case
+        assert np.max(np.abs(np.subtract(got.restart_values, want.restart_values))) <= 1e-12, case
+        assert got.constrained == want.constrained
+        assert abs(got.value - want.value) <= 1e-12, case
+        assert got.value == max(got.restart_values)
+
+
 def random_observables(rng, count):
     """Hermitian unit-square matrices U diag(+-1) U^dag, identity included."""
     out = []
@@ -199,6 +257,13 @@ def test_delta_operator_matches_pairwise_sum():
 def test_bell_operator_rejects_even_n():
     with pytest.raises(ValueError):
         qo.bell_operator([SIGMA_Z] * 4, [SIGMA_X] * 4)
+
+
+def test_seesaw_rejects_infinite_tolerance_and_mismatched_init():
+    with pytest.raises(ValueError, match="tol must be finite and >= 0, got inf"):
+        qo.seesaw(3, tol=float("inf"))
+    with pytest.raises(ValueError, match="init has 3 settings per party, expected 5"):
+        qo.seesaw(5, init=gc.setup_from_family(obs.trine()))
 
 
 def test_seesaw_rejects_negative_tolerance():
