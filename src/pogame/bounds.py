@@ -1,31 +1,32 @@
-"""Local and preparation-non-contextual bounds by exact enumeration.
+"""Local and preparation-non-contextual bounds, exact for every odd n.
 
 For a deterministic strategy (a, b) with entries in {-1, +1} the Bell value
 factors as ``sum_y b_y (s - 2 a_y)`` with ``s = sum_x a_x``, so the best Bob
-response is ``b_y = sign(s - 2 a_y)`` and enumeration over Alice's 2^n sign
-vectors is exact.  The PNC polytope replaces Alice's responses by vectors in
-[-1, 1]^n summing to zero; the objective is linear in them, so the maximum
-sits on a vertex.  For odd n each vertex has one zero entry and balanced
-signs elsewhere, so the enumeration runs directly over those
-n * C(n-1, (n-1)/2) vertices, one zero position (one block) at a time.
+response is ``b_y = sign(s - 2 a_y)``.  The expression ``J - 2I`` does not
+change when both parties' settings are permuted together, so against that
+best response the value of Alice's vector depends only on the multiset of
+its entries, and one representative per orbit makes an exact scan.
 
-Enumeration order is lexicographic with -1 < 0 < +1 and the first maximizer
-wins, so results are reproducible across runs and platforms.
+The local bound scans the n + 1 orbits ``(-1)^(n-k) (+1)^k``, k = 0..n.
+The PNC polytope replaces Alice's responses by vectors in [-1, 1]^n summing
+to zero; the objective is linear in them, so the maximum sits on a vertex.
+For odd n every vertex is a permutation of ``(-1)^h 0 (+1)^h`` with
+h = (n-1)/2: one orbit, whose representative decides both PNC bounds.
+
+Witnesses are the first maximizers in lexicographic order with -1 < 0 < +1,
+so results are reproducible: each representative is the smallest member of
+its orbit, and the local representatives come in increasing order.  The
+2^n sign scan and the per-vertex scan are kept as test oracles.
 """
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
-from itertools import combinations, product
 
 import numpy as np
 
 from . import gamecore
 from .observables import check_n
-
-#: Enumeration is exact but exponential; a verifier has no business beyond this.
-MAX_N = 13
 
 
 @dataclass(frozen=True)
@@ -60,13 +61,12 @@ def _best_bob(a) -> tuple[np.ndarray, float]:
 
 def local_bound(n: int) -> tuple[int, DeterministicStrategy]:
     """Exact maximum over all 2^(2n) deterministic strategies, with witness."""
-    check_n(n, MAX_N)
-    rows = np.array(list(product((-1, 1), repeat=n)), dtype=int)
-    values = np.abs(_bob_coefficients(rows)).sum(axis=1)
-    idx = int(np.argmax(values))  # first maximizer = lexicographically smallest a
-    a = rows[idx]
+    check_n(n)
+    # Row k is (-1)^(n-k) (+1)^k; the first maximizer is the lexicographically smallest a.
+    rows = np.where(np.arange(n) >= n - np.arange(n + 1)[:, None], 1, -1)
+    a = rows[int(np.argmax(np.abs(_bob_coefficients(rows)).sum(axis=1)))]
     b, value = _best_bob(a)
-    return int(round(value)), DeterministicStrategy(tuple(int(v) for v in a), tuple(int(v) for v in b))
+    return int(round(value)), DeterministicStrategy(tuple(a.tolist()), tuple(b.tolist()))
 
 
 def local_bound_closed_form(n: int) -> int:
@@ -75,7 +75,7 @@ def local_bound_closed_form(n: int) -> int:
     The value of the best (a, b) depends on a only through s = sum(a):
     ``(n+s)/2 * |s-2| + (n-s)/2 * |s+2|``.
     """
-    check_n(n, MAX_N)
+    check_n(n)
     best = 0
     for s in range(-n, n + 1, 2):
         k_plus = (n + s) // 2
@@ -84,49 +84,22 @@ def local_bound_closed_form(n: int) -> int:
     return best
 
 
-def _pnc_blocks(n: int):
-    """PNC vertices as one int array per zero position, rows in lexicographic order.
-
-    Block z has its zero at position z and a -1 on each (n-1)/2-subset of
-    the other positions (+1 elsewhere).  Subsets of the minus positions in
-    ``combinations`` order give the rows in ascending lexicographic order.
-    """
-    half = (n - 1) // 2
-    minus = np.array(list(combinations(range(n - 1), half)))
-    signs = np.ones((len(minus), n - 1), dtype=np.int64)
-    signs[np.arange(len(minus))[:, None], minus] = -1
-    for z in range(n):
-        yield np.insert(signs, z, 0, axis=1)
-
-
-def _pnc_vertices(n: int):
-    """Vertices of {a in [-1,1]^n : sum a = 0} in lexicographic order.
-
-    For odd n each vertex has exactly one zero entry and balanced signs on
-    the rest; the blocks of ``_pnc_blocks`` are merged into one order.
-    """
-    yield from heapq.merge(*(map(tuple, block.tolist()) for block in _pnc_blocks(n)))
+def _pnc_representative(n: int) -> np.ndarray:
+    """``(-1)^h 0 (+1)^h``: the lexicographically smallest PNC vertex, as a (1, n) row."""
+    return np.sign(np.arange(n) - (n - 1) // 2)[None, :]
 
 
 def pnc_bound(n: int) -> tuple[int, PncVertex]:
     """Exact maximum over PNC vertices with an unconstrained deterministic Bob."""
-    check_n(n, MAX_N)
-    best_value = None
-    best_a = None
-    for block in _pnc_blocks(n):
-        values = np.abs(_bob_coefficients(block)).sum(axis=1)
-        # First maximizer of the block; blocks interleave in the global order.
-        first = int(np.argmax(values))
-        top, a = int(values[first]), tuple(block[first].tolist())
-        if best_value is None or top > best_value or (top == best_value and a < best_a):
-            best_value, best_a = top, a
-    b, _ = _best_bob(best_a)
-    return best_value, PncVertex(best_a, tuple(int(v) for v in b))
+    check_n(n)
+    a = _pnc_representative(n)[0]
+    b, value = _best_bob(a)
+    return int(round(value)), PncVertex(tuple(a.tolist()), tuple(b.tolist()))
 
 
 def pnc_bound_reduction(n: int) -> int:
     """Closed-form route: with sum a = 0 the value is 2 sum |a_y|, maximal at 2(n-1)."""
-    check_n(n, MAX_N)
+    check_n(n)
     return 2 * (n - 1)
 
 
@@ -153,32 +126,27 @@ def _balanced_values(coeff: np.ndarray) -> np.ndarray:
 def pnc_bound_symmetric(n: int) -> int:
     """PNC bound when Bob's responses are constrained to the same polytope.
 
-    The objective is linear in b on Bob's polytope, so for each Alice vertex
-    it suffices to enumerate Bob's zero position and balance the signs of
-    the remaining entries against the coefficients (``_balanced_values``).
+    The objective is linear in b on Bob's polytope, so it suffices to try
+    each zero position for Bob and balance the signs of the remaining
+    entries against the coefficients (``_balanced_values``).  Bob's
+    polytope is permutation invariant too, so the one PNC orbit still needs
+    one representative.
     """
-    check_n(n, MAX_N)
-    best = 0
-    for block in _pnc_blocks(n):
-        best = max(best, int(_balanced_values(_bob_coefficients(block)).max()))
-    return best
+    check_n(n)
+    return int(_balanced_values(_bob_coefficients(_pnc_representative(n))).max())
 
 
 def strategy_behavior(strategy: DeterministicStrategy | PncVertex, n: int) -> gamecore.Behavior:
     """Behavior realized by a (possibly fuzzy) Alice response and deterministic Bob.
 
     Alice entries in {-1, 0, +1} map to p(a=0|x) = (1 + a_x)/2; Bob entries
-    are deterministic signs.
+    are deterministic signs, b = 0 for +1 and b = 1 for -1.
     """
-    table = np.zeros((n, n, 2, 2))
-    for x in range(n):
-        p0 = (1.0 + strategy.a[x]) / 2.0
-        pa = (p0, 1.0 - p0)
-        for y in range(n):
-            b = 0 if strategy.b[y] == 1 else 1
-            for a in (0, 1):
-                table[x, y, a, b] = pa[a]
-    beh = gamecore.Behavior(n=n, table=table)
+    p0 = (1.0 + np.asarray(strategy.a, dtype=float)) / 2.0
+    alice = np.stack([p0, 1.0 - p0], axis=-1)
+    bob_plus = np.asarray(strategy.b) == 1
+    bob = np.stack([bob_plus, ~bob_plus], axis=-1).astype(float)
+    beh = gamecore.Behavior(n=n, table=alice[:, None, :, None] * bob[None, :, None, :])
     beh.validate()
     return beh
 
@@ -202,7 +170,7 @@ def quantum_gap_report(n: int) -> GapReport:
     ``pnc < quantum`` holds for every n; ``pnc < local < quantum`` only for
     n = 3 (from n = 5 on, unconstrained classical strategies beat 2n).
     """
-    check_n(n, MAX_N)
+    check_n(n)
     local, _ = local_bound(n)
     pnc, _ = pnc_bound(n)
     quantum = 2.0 * n

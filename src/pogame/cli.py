@@ -10,6 +10,7 @@ exits 0 precisely when certification fails in that expected way.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 
@@ -28,9 +29,12 @@ def _default_seed() -> int:
     if raw is None:
         return 42
     try:
-        return int(raw)
+        seed = int(raw)
     except ValueError:
         raise ValueError(f"{ENV_SEED} must be an integer, got {raw!r}") from None
+    if seed < 0:
+        raise ValueError(f"{ENV_SEED} must be a non-negative integer, got {seed}")
+    return seed
 
 
 def _odd_n(value: str) -> int:
@@ -65,7 +69,9 @@ def _positive_alpha(value: str) -> float:
     return alpha
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: parsing leaves no state on it."""
     parser = argparse.ArgumentParser(
         prog="pogame",
         description="Bounds, quantum optimum, self-testing and POVM/randomness "

@@ -17,11 +17,10 @@ import numpy as np
 from .qmat import EPS, I2, PAULIS, SIGMA_X, SIGMA_Y, SIGMA_Z, operator_norm
 
 
-def check_n(n: int, max_n: int | None = None) -> None:
-    """Raise ``ValueError`` unless n is an odd number of settings >= 3 (and <= max_n)."""
-    if n % 2 == 0 or n < 3 or (max_n is not None and n > max_n):
-        rule = "and >= 3" if max_n is None else f"with 3 <= n <= {max_n}"
-        raise ValueError(f"n must be odd {rule}, got {n}")
+def check_n(n: int) -> None:
+    """Raise ``ValueError`` unless n is an odd number of settings >= 3."""
+    if n % 2 == 0 or n < 3:
+        raise ValueError(f"n must be odd and >= 3, got {n}")
 
 
 def obs_from_bloch(vec) -> np.ndarray:

@@ -1,24 +1,36 @@
 """Loop-form oracles for the structured production routes.
 
-These are the direct transcriptions of the definitions: a scan of all 3^n
-tuples for the PNC vertices, a per-vertex sort for the symmetric PNC
-bound, the n^2 Kronecker-product sum for the Bell operator, the n^2
-correlator loop for the Bell value of a behavior, the 4n^2
-``trace(kron(P, Q) @ rho)`` loop for a Born-rule behavior, the per-branch
-steering sandwich, the per-element POVM statistics, the per-entry behavior
-writers, the gate-by-gate swap circuit as a dense 2^k x 2^k unitary, its
-predicted output built from the dense junk vectors, and the see-saw run
-one restart at a time.  They are exponential or quadratic and only meant
-for small n.
+These are the direct transcriptions of the definitions: a scan of all 2^n
+sign vectors for the local bound, a scan of all 3^n tuples for the PNC
+vertices and the same vertices built one zero position at a time, a
+per-vertex sort for the symmetric PNC bound, the per-entry table of a
+deterministic strategy's behavior, the n^2 Kronecker-product sum for the
+Bell operator, the n^2 correlator loop for the Bell value of a behavior,
+the 4n^2 ``trace(kron(P, Q) @ rho)`` loop for a Born-rule behavior, the
+per-branch steering sandwich, the per-element POVM statistics, the
+per-entry behavior writers, the gate-by-gate swap circuit as a dense
+2^k x 2^k unitary, its predicted output built from the dense junk vectors,
+and the see-saw run one restart at a time.  They are exponential or
+quadratic and only meant for small n.
 """
 
+import heapq
 import re
-from itertools import product
+from itertools import combinations, product
 
 import numpy as np
 
 from pogame import bounds, gamecore as gc, quantum_opt as qo, selftest as st
 from pogame.qmat import EPS, I2, SIGMA_X, SIGMA_Y, SIGMA_Z, partial_trace, phi_plus, proj, tensor
+
+
+def local_bound_scan(n):
+    """(value, a, b) of the first maximizer over all 2^n sign vectors a, in product order."""
+    rows = np.array(list(product((-1, 1), repeat=n)), dtype=int)
+    values = np.abs(bounds._bob_coefficients(rows)).sum(axis=1)
+    a = rows[int(np.argmax(values))]
+    b, value = bounds._best_bob(a)
+    return int(round(value)), tuple(int(v) for v in a), tuple(int(v) for v in b)
 
 
 def pnc_vertices_scan(n):
@@ -28,10 +40,30 @@ def pnc_vertices_scan(n):
             yield a
 
 
+def pnc_vertex_blocks(n):
+    """PNC vertices as one int array per zero position, rows in lexicographic order.
+
+    Block z has its zero at position z and a -1 on each (n-1)/2-subset of
+    the other positions (+1 elsewhere).  Subsets of the minus positions in
+    ``combinations`` order give the rows in ascending lexicographic order.
+    """
+    half = (n - 1) // 2
+    minus = np.array(list(combinations(range(n - 1), half)))
+    signs = np.ones((len(minus), n - 1), dtype=np.int64)
+    signs[np.arange(len(minus))[:, None], minus] = -1
+    for z in range(n):
+        yield np.insert(signs, z, 0, axis=1)
+
+
+def pnc_vertices(n):
+    """The vertices of ``pnc_vertex_blocks`` merged into one lexicographic order."""
+    yield from heapq.merge(*(map(tuple, block.tolist()) for block in pnc_vertex_blocks(n)))
+
+
 def pnc_bound_scan(n):
     """(value, a, b) of the first maximizing vertex with the best Bob response."""
     best_value, best_a, best_b = None, None, None
-    for a in pnc_vertices_scan(n):
+    for a in pnc_vertices(n):
         b, value = bounds._best_bob(a)
         value = int(round(value))
         if best_value is None or value > best_value:
@@ -56,6 +88,26 @@ def pnc_bound_symmetric_scan(n):
         arr = np.asarray(a, dtype=float)
         best = max(best, balanced_values_sort(arr.sum() - 2.0 * arr).max())
     return int(round(best))
+
+
+def pnc_bound_symmetric_blocks(n):
+    """Symmetric PNC bound over every vertex, one ``_balanced_values`` call per block."""
+    return max(
+        int(bounds._balanced_values(bounds._bob_coefficients(block)).max()) for block in pnc_vertex_blocks(n)
+    )
+
+
+def strategy_behavior_loop(strategy, n):
+    """table[x, y, a, b] of ``bounds.strategy_behavior``, one entry at a time."""
+    table = np.zeros((n, n, 2, 2))
+    for x in range(n):
+        p0 = (1.0 + strategy.a[x]) / 2.0
+        pa = (p0, 1.0 - p0)
+        for y in range(n):
+            b = 0 if strategy.b[y] == 1 else 1
+            for a in (0, 1):
+                table[x, y, a, b] = pa[a]
+    return table
 
 
 def bell_operator_loop(alice, bob):

@@ -61,3 +61,9 @@ def test_behaviors_warmup_op_passes_its_check(workloads, n):
 def test_pipeline_small_warmup_op_passes_its_check(workloads, n):
     # The check holds the quantum value to 2n within 1e-6 and, at n = 3, the min-entropy to log2 3.
     assert _warmup_check(workloads.make_workload("pipeline-small", pogame), n) is None
+
+
+@pytest.mark.parametrize("n", [11, 13])
+def test_pipeline_large_warmup_op_passes_its_check(workloads, n):
+    # The check holds the local bound to its closed form, the PNC bound to 2n - 2 and the quantum value to 2n.
+    assert _warmup_check(workloads.make_workload("pipeline-large", pogame), n) is None

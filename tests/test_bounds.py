@@ -84,7 +84,7 @@ def test_vertex_count():
     from math import comb
 
     for n in (3, 5, 7):
-        count = sum(1 for _ in bounds._pnc_vertices(n))
+        count = sum(len(block) for block in oracles.pnc_vertex_blocks(n))
         assert count == n * comb(n - 1, (n - 1) // 2)
 
 
@@ -99,11 +99,15 @@ def test_gap_report_orderings():
 
 
 def test_range_validation():
-    for bad in (2, 4, 15, 1):
-        with pytest.raises(ValueError):
-            bounds.local_bound(bad)
-        with pytest.raises(ValueError):
-            bounds.pnc_bound(bad)
+    # Even n and n < 3 are refused; odd n has no upper cap.
+    calls = (bounds.local_bound, bounds.pnc_bound, bounds.pnc_bound_symmetric, bounds.local_bound_closed_form)
+    for bad in (2, 4, 16, 1, -3):
+        for call in calls:
+            with pytest.raises(ValueError, match=f"^n must be odd and >= 3, got {bad}$"):
+                call(bad)
+    for n in (15, 41):
+        assert bounds.local_bound(n)[0] == bounds.local_bound_closed_form(n)
+        assert bounds.pnc_bound(n)[0] == bounds.pnc_bound_symmetric(n) == 2 * n - 2
 
 
 def test_tie_breaking_is_lexicographic():
@@ -119,7 +123,25 @@ def test_tie_breaking_is_lexicographic():
 
 @pytest.mark.parametrize("n", [3, 5, 7, 9])
 def test_pnc_vertices_match_scan_in_order(n):
-    assert list(bounds._pnc_vertices(n)) == list(oracles.pnc_vertices_scan(n))
+    assert list(oracles.pnc_vertices(n)) == list(oracles.pnc_vertices_scan(n))
+
+
+@pytest.mark.parametrize("n", [3, 5, 7, 9, 11, 13])
+def test_orbit_bounds_match_enumeration_oracles(n):
+    # One representative per orbit gives the value and the first maximizer of the full scans.
+    value, witness = bounds.local_bound(n)
+    assert (value, witness.a, witness.b) == oracles.local_bound_scan(n)
+    value, witness = bounds.pnc_bound(n)
+    assert (value, witness.a, witness.b) == oracles.pnc_bound_scan(n)
+    assert bounds.pnc_bound_symmetric(n) == oracles.pnc_bound_symmetric_blocks(n)
+
+
+@pytest.mark.parametrize("n", [3, 5, 13])
+def test_strategy_behavior_matches_loop_oracle(n):
+    for _, witness in (bounds.local_bound(n), bounds.pnc_bound(n)):
+        table = bounds.strategy_behavior(witness, n).table
+        want = oracles.strategy_behavior_loop(witness, n)
+        assert table.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("n", [3, 5, 7, 9])

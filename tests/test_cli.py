@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from pogame import cli
+from pogame import bounds, cli
 from pogame.report import CertificationReport
 
 
@@ -51,9 +51,33 @@ def test_unknown_command_is_usage_error(capsys):
 
 
 def test_out_of_range_n_fails_cleanly(capsys):
-    code, _, err = run_cli(["bounds", "--n", "15"], capsys)
-    assert code == 2
-    assert "error" in err
+    for n in ("1", "-3", "16"):
+        code, out, err = run_cli(["bounds", "--n", n], capsys)
+        assert code == 2
+        assert f"n must be odd and >= 3, got {n}" in err
+        assert out == ""
+
+
+def test_bounds_command_beyond_thirteen(capsys):
+    code, out, _ = run_cli(["bounds", "--n", "15"], capsys)
+    payload, checks = split_payload(out)
+    section = payload["bounds"]
+    assert code == 0
+    assert section["local_bound"] == bounds.local_bound_closed_form(15)
+    assert section["pnc_bound"] == section["pnc_bound_symmetric"] == 2 * 15 - 2
+    assert len(checks) == 5 and all(line.startswith("[PASS]") for line in checks)
+
+
+@pytest.mark.parametrize("n", [15, 21])
+def test_report_beyond_thirteen(n, capsys):
+    code, out, err = run_cli(["report", "--n", str(n), "--seed", "3"], capsys)
+    report = CertificationReport.from_json(out)
+    detail = report.optimization["bounds_detail"]
+    assert code == 0
+    assert report.local_bound == bounds.local_bound_closed_form(n)
+    assert report.pnc_bound == detail["pnc_bound_symmetric"] == 2 * n - 2
+    checks = err.splitlines()
+    assert checks and all(line.startswith("[PASS]") for line in checks)
 
 
 def test_optimize_command(capsys):
@@ -202,6 +226,31 @@ def test_non_integer_env_seed_is_usage_error(monkeypatch, capsys):
     code, _, err = run_cli(["optimize", "--n", "3"], capsys)
     assert code == 2
     assert "POGAME_SEED must be an integer, got 'abc'" in err
+
+
+@pytest.mark.parametrize("command", ["optimize", "report"])
+def test_negative_env_seed_is_usage_error(command, monkeypatch, capsys):
+    monkeypatch.setenv(cli.ENV_SEED, "-1")
+    code, out, err = run_cli([command, "--n", "3"], capsys)
+    assert code == 2
+    assert err == "error: POGAME_SEED must be a non-negative integer, got -1\n"
+    assert out == ""
+
+
+def test_one_process_runs_commands_in_sequence(capsys):
+    # The parser is built once per process; each run must still act as if it were alone.
+    runs = [["bounds", "--n", "5"], ["bounds", "--n", "4"], ["report", "--n", "3", "--format", "csv"]]
+
+    def run_alone_or_not(argv, alone):
+        if alone:
+            cli._build_parser.cache_clear()
+        code, out, err = run_cli(argv, capsys)
+        return code, [line for line in out.splitlines() if not line.startswith("provenance.timestamp,")], err
+
+    in_sequence = [run_alone_or_not(argv, alone=False) for argv in runs]
+    assert cli._build_parser() is cli._build_parser()
+    assert [code for code, _, _ in in_sequence] == [0, 2, 0]
+    assert in_sequence == [run_alone_or_not(argv, alone=True) for argv in runs]
 
 
 @pytest.mark.parametrize("command", ["certify", "report"])

@@ -192,8 +192,9 @@ def test_odd_n_rule_message(call):
         assert str(err.value) == f"n must be odd and >= 3, got {n}"
 
 
-def test_odd_n_rule_message_with_enumeration_cap():
-    for n in (4, bounds.MAX_N + 2):
+def test_bounds_follow_the_odd_n_rule_without_a_cap():
+    for n in (1, 4):
         with pytest.raises(ValueError) as err:
             bounds.local_bound(n)
-        assert str(err.value) == f"n must be odd with 3 <= n <= {bounds.MAX_N}, got {n}"
+        assert str(err.value) == f"n must be odd and >= 3, got {n}"
+    assert bounds.local_bound(15)[0] == bounds.local_bound_closed_form(15)

@@ -6,6 +6,7 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
+from pogame import bounds  # noqa: E402
 from pogame import gamecore as gc  # noqa: E402
 from pogame import quantum_opt as qo  # noqa: E402
 from pogame.observables import canonical_family  # noqa: E402
@@ -120,3 +121,21 @@ def test_seesaw_traces_monotone_and_value_is_best_restart(data, seed, n, restart
         assert np.all(np.diff(trace) >= -1e-9)
     assert result.value == max(result.restart_values)
     assert result.best_restart == result.restart_values.index(result.value)  # earliest of the ties
+
+
+@st.composite
+def alice_vectors_and_permutations(draw):
+    n = draw(odd_n)
+    a = draw(st.lists(st.sampled_from([-1, 0, 1]), min_size=n, max_size=n))
+    return np.array(a), np.array(draw(st.permutations(range(n))))
+
+
+@PROPERTY_SETTINGS
+@given(alice_vectors_and_permutations())
+def test_best_bob_value_is_permutation_invariant(pair):
+    # The orbit scans in ``bounds`` rest on this: permuting Alice's entries permutes Bob's reply.
+    a, perm = pair
+    b, value = bounds._best_bob(a)
+    b_moved, value_moved = bounds._best_bob(a[perm])
+    assert value_moved == value
+    assert np.array_equal(b_moved, b[perm])
