@@ -9,7 +9,7 @@ POVM together with its local randomness.
 
 __version__ = "0.1.0"
 
-from .bounds import local_bound, pnc_bound, quantum_gap_report
+from .bounds import local_bound, pnc_bound
 from .certify import PovmSet, canonical_povm, extremality_check, randomness_report, shifted_bell_value
 from .gamecore import (
     Behavior,
@@ -54,7 +54,6 @@ __all__ = [
     "family_quartets",
     "local_bound",
     "pnc_bound",
-    "quantum_gap_report",
     "randomness_report",
     "run_isometry",
     "seesaw",

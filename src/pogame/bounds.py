@@ -149,32 +149,3 @@ def strategy_behavior(strategy: DeterministicStrategy | PncVertex, n: int) -> ga
     beh = gamecore.Behavior(n=n, table=alice[:, None, :, None] * bob[None, :, None, :])
     beh.validate()
     return beh
-
-
-@dataclass(frozen=True)
-class GapReport:
-    """Classical, PNC and quantum-optimal values of the n-input expression."""
-
-    local: int
-    pnc: int
-    quantum_opt: float
-
-    def __post_init__(self):
-        if not self.pnc < self.quantum_opt:
-            raise ValueError("PNC bound must lie strictly below the quantum optimum")
-
-
-def quantum_gap_report(n: int) -> GapReport:
-    """(local, pnc, 2n) with the orderings asserted.
-
-    ``pnc < quantum`` holds for every n; ``pnc < local < quantum`` only for
-    n = 3 (from n = 5 on, unconstrained classical strategies beat 2n).
-    """
-    check_n(n)
-    local, _ = local_bound(n)
-    pnc, _ = pnc_bound(n)
-    quantum = 2.0 * n
-    report = GapReport(local=local, pnc=pnc, quantum_opt=quantum)
-    if n == 3 and not (pnc < local < quantum):
-        raise RuntimeError("expected strict ordering pnc < local < quantum at n = 3")
-    return report

@@ -97,15 +97,19 @@ def penalty_probabilities(setup: QuantumSetup, povm: PovmSet) -> np.ndarray:
     return np.diagonal(born_table(np.array(povm.elements), flagged, setup.state)).copy()
 
 
+def _shifted(value: float, penalty_total: float, alpha: float) -> float:
+    if alpha < 0:
+        raise ValueError("alpha must be non-negative")
+    return value - alpha * penalty_total
+
+
 def shifted_bell_value(setup: QuantumSetup, povm: PovmSet, alpha: float) -> float:
     """Bell value minus ``alpha`` times the summed flagged probabilities.
 
     Equals the plain Bell value exactly when every flagged probability
     vanishes; ``alpha = 0`` reduces to the plain value.
     """
-    if alpha < 0:
-        raise ValueError("alpha must be non-negative")
-    return setup_bell_value(setup) - alpha * float(penalty_probabilities(setup, povm).sum())
+    return _shifted(setup_bell_value(setup), float(penalty_probabilities(setup, povm).sum()), alpha)
 
 
 def reconstruct_gamma(stats: PovmStatistics) -> np.ndarray:

@@ -10,18 +10,24 @@ exits 0 precisely when certification fails in that expected way.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import os
 import sys
 
-import numpy as np
-
-from . import quantum_opt as qo
 from . import report as report_mod
-from .observables import check_n
+from .gamecore import setup_from_family
+from .observables import canonical_family, check_n
 from .report import CertificationReport, provenance, render_json
+from .selftest import perturbed_state
 
 ENV_SEED = "POGAME_SEED"
+# The library takes any odd n, but the bounds section builds n x n x 2 x 2
+# witness tables (3.2 GB at n = 10001), so the command line caps n.
+MAX_N = 1001
+# Past this the perturbed state is |00> to within 1e-6 in amplitude; far past
+# it (about 1e154) its norm overflows.
+MAX_PERTURB = 1e6
 
 
 def _default_seed() -> int:
@@ -46,6 +52,8 @@ def _odd_n(value: str) -> int:
         check_n(n)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
+    if n > MAX_N:
+        raise argparse.ArgumentTypeError(f"n must be at most {MAX_N}, got {n}")
     return n
 
 
@@ -69,6 +77,16 @@ def _positive_alpha(value: str) -> float:
     return alpha
 
 
+def _perturbation(value: str) -> float:
+    try:
+        delta = float(value)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"perturb must be a number, got {value!r}") from exc
+    if not abs(delta) <= MAX_PERTURB:
+        raise argparse.ArgumentTypeError(f"perturb must be finite with |perturb| <= {MAX_PERTURB:g}, got {delta}")
+    return delta
+
+
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     """The parser, built once per process: parsing leaves no state on it."""
@@ -90,7 +108,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_self = sub.add_parser("selftest", help="swap-circuit relations and extractions")
     p_self.add_argument("--n", type=int, choices=(3, 5), required=True)
-    p_self.add_argument("--perturb", type=float, default=0.0)
+    p_self.add_argument("--perturb", type=_perturbation, default=0.0)
 
     p_cert = sub.add_parser("certify", help="POVM certification and randomness")
     p_cert.add_argument("--n", type=_odd_n, required=True)
@@ -132,17 +150,12 @@ def _cmd_bounds(args) -> int:
 def _cmd_optimize(args) -> int:
     seed = args.seed if args.seed is not None else _default_seed()
     section, checks, result = report_mod.optimization_section(args.n, seed, args.restarts, args.tol)
-    cert = qo.sos_certificate(result.setup)
+    # Only the see-saw checks decide the exit code; the SOS data of the found setup rides along.
+    sos, _ = report_mod.sos_section(result.setup)
     payload = {
         "n": args.n,
         "optimization": section,
-        "sos": {
-            "omegas": [float(w) for w in cert.omegas],
-            "residual_max": float(np.max(cert.residuals)),
-            "gap": cert.gap,
-            "bell_value": cert.bell_value,
-            "delta_expectation": cert.delta_expectation,
-        },
+        "sos": sos,
         "provenance": provenance(seed, args.tol, {"restarts": args.restarts}),
     }
     _print_section(payload)
@@ -150,13 +163,17 @@ def _cmd_optimize(args) -> int:
 
 
 def _cmd_selftest(args) -> int:
-    section, checks = report_mod.selftest_section(args.n, perturb=args.perturb)
+    setup = setup_from_family(canonical_family(args.n))
+    if args.perturb:
+        setup = dataclasses.replace(setup, state=perturbed_state(args.perturb))
+    section, checks = report_mod.selftest_section(setup, perturb=args.perturb)
     _print_section({"n": args.n, "selftest": section})
     return 0 if _emit_checks(checks) else 1
 
 
 def _cmd_certify(args) -> int:
-    povm_sec, rand_sec, checks = report_mod.certify_section(args.n, args.alpha)
+    fam = canonical_family(args.n)
+    povm_sec, rand_sec, checks = report_mod.certify_section(fam, setup_from_family(fam), args.alpha)
     _print_section({"n": args.n, "povm": povm_sec, "randomness": rand_sec})
     return 0 if _emit_checks(checks) else 1
 

@@ -107,13 +107,6 @@ class Behavior:
         block = self.table[x, y]
         return float(block[0, 0] - block[0, 1] - block[1, 0] + block[1, 1])
 
-    def marginal_alice(self, x: int) -> np.ndarray:
-        """p(a|x) from the y = 0 block (no-signaling makes y irrelevant)."""
-        return self.table[x, 0].sum(axis=1)
-
-    def marginal_bob(self, y: int) -> np.ndarray:
-        return self.table[0, y].sum(axis=0)
-
     def no_signaling_defect(self) -> float:
         """Largest variation of either party's marginal across the other's input."""
         t = self.table
@@ -122,11 +115,6 @@ class Behavior:
         d_alice = np.max(np.abs(alice - alice[:, :1, :]))
         d_bob = np.max(np.abs(bob - bob[:1, :, :]))
         return float(max(d_alice, d_bob))
-
-
-def uniform_behavior(n: int) -> Behavior:
-    """Fully random box: p(a,b|x,y) = 1/4 everywhere."""
-    return Behavior(n=n, table=np.full((n, n, 2, 2), 0.25))
 
 
 @dataclass(frozen=True, eq=False)

@@ -90,16 +90,21 @@ def trine() -> ObservableFamily:
     return _family(3, [a1, a2, a3], {})
 
 
-def _default_split(n: int) -> float:
-    # Even split of the transverse weight subject to nu^2 + beta^2 + 1/(n-1)^2 = 1.
-    return np.sqrt((1.0 - 1.0 / (n - 1) ** 2) / 2.0)
+def _split(n: int, nu: float | None, beta: float | None) -> tuple[float, float]:
+    """Transverse weights (nu, beta) of an n-setting family, checked against the normalization.
 
-
-def _check_normalization(n: int, nu: float, beta: float) -> None:
+    With neither given, the weight is split evenly subject to
+    nu^2 + beta^2 + 1/(n-1)^2 = 1.
+    """
+    if nu is None and beta is None:
+        nu = beta = np.sqrt((1.0 - 1.0 / (n - 1) ** 2) / 2.0)
+    elif nu is None or beta is None:
+        raise ValueError("provide both nu and beta, or neither")
     if abs(nu**2 + beta**2 + 1.0 / (n - 1) ** 2 - 1.0) > EPS:
         raise ValueError(
             f"parameters violate nu^2 + beta^2 + 1/(n-1)^2 = 1: nu={nu}, beta={beta}, n={n}"
         )
+    return nu, beta
 
 
 def family_n(n: int, nu: float | None = None, beta: float | None = None) -> ObservableFamily:
@@ -111,12 +116,7 @@ def family_n(n: int, nu: float | None = None, beta: float | None = None) -> Obse
     sums to zero exactly.
     """
     check_n(n)
-    if nu is None and beta is None:
-        nu = beta = _default_split(n)
-    elif nu is None or beta is None:
-        raise ValueError("provide both nu and beta, or neither")
-    _check_normalization(n, nu, beta)
-
+    nu, beta = _split(n, nu, beta)
     z = -1.0 / (n - 1)
     alice = [SIGMA_Z.copy()]
     half = (n - 1) // 2
@@ -138,59 +138,41 @@ def _quartet(nu: float, beta: float, z: float) -> list[np.ndarray]:
 
 
 def family_five(nu: float | None = None, beta: float | None = None) -> ObservableFamily:
-    """Five-setting family with one out-of-plane quartet.
+    """Five-setting family with one out-of-plane quartet: ``family_quartets(5, nu, beta)``.
 
     This is the family whose quartet structure feeds the five-setting
     self-test: summing/differencing the quartet isolates pure sigma_x and
     sigma_y directions.
     """
-    if nu is None and beta is None:
-        nu = beta = _default_split(5)
-    elif nu is None or beta is None:
-        raise ValueError("provide both nu and beta, or neither")
-    _check_normalization(5, nu, beta)
-    alice = [SIGMA_Z.copy()] + _quartet(nu, beta, -0.25)
-    return _family(5, alice, {"nu": float(nu), "beta": float(beta)})
+    return family_quartets(5, nu, beta)
 
 
 def family_quartets(n: int, nu: float | None = None, beta: float | None = None) -> ObservableFamily:
-    """Quartet family for odd n > 5.
+    """Quartet family for odd n >= 5.
 
     Settings 2..n are grouped into (+x,-y)/(-x,-y)/(+x,+y)/(-x,+y) quartets;
     when n = 3 (mod 4) one extra mirrored pair completes the set.  All x and
     y components cancel within each group, so the sum-zero constraint holds
     exactly for any parameters satisfying the per-observable normalization.
     """
-    if n % 2 == 0 or n <= 5:
-        raise ValueError(f"n must be odd and > 5, got {n}")
-    if nu is None and beta is None:
-        nu = beta = _default_split(n)
-    elif nu is None or beta is None:
-        raise ValueError("provide both nu and beta, or neither")
-    _check_normalization(n, nu, beta)
-
+    check_n(n)
+    if n < 5:
+        raise ValueError(f"quartet families need n >= 5, got {n}")
+    nu, beta = _split(n, nu, beta)
     z = -1.0 / (n - 1)
     alice = [SIGMA_Z.copy()]
-    remaining = n - 1
-    while remaining >= 4:
+    for _ in range((n - 1) // 4):
         alice.extend(_quartet(nu, beta, z))
-        remaining -= 4
-    if remaining == 2:
+    if (n - 1) % 4:
         # n = 3 (mod 4): one extra pair with cancelling x and y components.
         alice.append(nu * SIGMA_X - beta * SIGMA_Y + z * SIGMA_Z)
         alice.append(-nu * SIGMA_X + beta * SIGMA_Y + z * SIGMA_Z)
-    elif remaining != 0:
-        raise RuntimeError(f"grouping failed for n={n}")
     return _family(n, alice, {"nu": float(nu), "beta": float(beta)})
 
 
 def canonical_family(n: int) -> ObservableFamily:
-    """Default family used by the pipeline: trine, five-setting, or quartets."""
-    if n == 3:
-        return trine()
-    if n == 5:
-        return family_five()
-    return family_quartets(n)
+    """Default family used by the pipeline: the trine for n = 3, quartets from n = 5 on."""
+    return trine() if n == 3 else family_quartets(n)
 
 
 def check_parity_condition(fam: ObservableFamily) -> float:

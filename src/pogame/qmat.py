@@ -14,8 +14,6 @@ arguments.
 
 from __future__ import annotations
 
-from typing import Sequence
-
 import numpy as np
 
 #: Default absolute tolerance for Hermiticity / unitarity / normalization checks.
@@ -70,16 +68,6 @@ def is_unitary(m, tol: float = EPS) -> bool:
     return np.max(np.abs(dagger(arr) @ arr - np.eye(arr.shape[0]))) <= tol
 
 
-def tensor(*ops) -> np.ndarray:
-    """Kronecker product of one or more matrices (or vectors)."""
-    if not ops:
-        raise ValueError("tensor() needs at least one factor")
-    out = np.asarray(ops[0], dtype=complex)
-    for op in ops[1:]:
-        out = np.kron(out, np.asarray(op, dtype=complex))
-    return out
-
-
 def apply_local(a, b, psi) -> np.ndarray:
     """``(a (x) b) psi`` for a two-qubit state, returned as the 2x2 matrix ``a psi2 b^T``.
 
@@ -130,44 +118,6 @@ def proj(v) -> np.ndarray:
 def phi_plus() -> np.ndarray:
     """Two-qubit maximally entangled state (|00> + |11>)/sqrt(2)."""
     return np.array([1, 0, 0, 1], dtype=complex) / np.sqrt(2)
-
-
-def partial_trace(rho, keep, dims: Sequence[int]) -> np.ndarray:
-    """Trace out all subsystems except the ones in ``keep``.
-
-    Parameters
-    ----------
-    rho : array_like
-        Square matrix on the full tensor-product space.
-    keep : int or sequence of int
-        Indices (into ``dims``) of the subsystems to keep, in order.
-    dims : sequence of int
-        Dimension of each tensor factor; their product must match ``rho``.
-
-    Returns
-    -------
-    np.ndarray
-        Reduced matrix on the kept subsystems; its trace equals ``tr(rho)``.
-    """
-    rho = as_operator(rho)
-    dims = [int(d) for d in dims]
-    if rho.shape[0] != rho.shape[1]:
-        raise ValueError("partial_trace expects a square matrix")
-    total = int(np.prod(dims))
-    if rho.shape[0] != total:
-        raise ValueError(f"dims {dims} inconsistent with matrix of size {rho.shape[0]}")
-    keep_idx = [int(keep)] if np.isscalar(keep) else [int(k) for k in keep]
-    if any(k < 0 or k >= len(dims) for k in keep_idx):
-        raise ValueError(f"keep indices {keep_idx} out of range for {len(dims)} subsystems")
-
-    nsys = len(dims)
-    reshaped = rho.reshape(dims + dims)
-    # Row index of factor k is axis k, column index is axis nsys + k.
-    keep_dim = int(np.prod([dims[k] for k in keep_idx]))
-    row_axes = [i for i in range(nsys)]
-    col_axes = [nsys + i if i in keep_idx else i for i in range(nsys)]
-    reduced = np.einsum(reshaped, row_axes + col_axes)
-    return reduced.reshape(keep_dim, keep_dim)
 
 
 def eig_hermitian(m, tol: float = EPS) -> tuple[np.ndarray, np.ndarray]:

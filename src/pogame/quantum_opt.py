@@ -94,7 +94,13 @@ def _delta_operator(alice: np.ndarray) -> np.ndarray:
 
 
 def sos_certificate(setup: QuantumSetup, tol: float = EPS) -> SosCertificate:
-    """Compute the certificate data (omegas, residuals, gap, delta) for a setup."""
+    """Compute the certificate data (omegas, residuals, gap, delta) for a setup.
+
+    Also verifies ``sum_y omega_y^2 = n^2 + (n-4) <Delta_n>``.  The identity
+    is algebraic (each anticommutator pair appears with weight n-4 when
+    summed over y), so a violation beyond roundoff raises ``RuntimeError``:
+    it signals a computation bug rather than a property of the setup.
+    """
     n = setup.n
     alice = np.array(setup.alice)
     psi = setup.state
@@ -108,6 +114,12 @@ def sos_certificate(setup: QuantumSetup, tol: float = EPS) -> SosCertificate:
             residuals[y] = float(np.linalg.norm(vecs[y] / omegas[y] - bob_vecs[y]))
     value = setup_bell_value(setup)
     delta = float(np.vdot(psi, apply_local(_delta_operator(alice), I2, psi)).real)
+    lhs = float(np.sum(omegas**2))
+    rhs = n * n + (n - 4) * delta
+    if abs(lhs - rhs) > 1e-8 * max(1.0, abs(rhs)):
+        raise RuntimeError(
+            f"anticommutator identity violated: sum omega^2 = {lhs}, n^2 + (n-4)<Delta> = {rhs}"
+        )
     return SosCertificate(
         n=n,
         omegas=omegas,
@@ -119,22 +131,9 @@ def sos_certificate(setup: QuantumSetup, tol: float = EPS) -> SosCertificate:
     )
 
 
-def delta_check(setup: QuantumSetup, tol: float = 1e-8) -> float:
-    """Return <Delta_n> after verifying sum_y omega_y^2 = n^2 + (n-4) <Delta_n>.
-
-    The identity is algebraic (each anticommutator pair appears with weight
-    n-4 when summed over y), so any violation beyond roundoff signals a
-    computation bug rather than a property of the setup.
-    """
-    cert = sos_certificate(setup)
-    n = setup.n
-    lhs = float(np.sum(cert.omegas**2))
-    rhs = n * n + (n - 4) * cert.delta_expectation
-    if abs(lhs - rhs) > tol * max(1.0, abs(rhs)):
-        raise RuntimeError(
-            f"anticommutator identity violated: sum omega^2 = {lhs}, n^2 + (n-4)<Delta> = {rhs}"
-        )
-    return cert.delta_expectation
+def delta_check(setup: QuantumSetup) -> float:
+    """Return <Delta_n>, after ``sos_certificate`` has verified sum_y omega_y^2 = n^2 + (n-4) <Delta_n>."""
+    return sos_certificate(setup).delta_expectation
 
 
 def concavity_bound(n: int) -> float:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import datetime
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -21,7 +21,7 @@ from . import certify as certify_mod
 from . import gamecore as gc
 from . import quantum_opt as qo
 from . import selftest as st
-from .observables import canonical_family
+from .observables import ObservableFamily, canonical_family
 
 
 def _fmt_float(v: float) -> str:
@@ -98,35 +98,11 @@ class CertificationReport:
             raise ValueError("report violates pnc_bound <= quantum_value")
 
     def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "local_bound": self.local_bound,
-            "pnc_bound": self.pnc_bound,
-            "quantum_value": self.quantum_value,
-            "success_probabilities": self.success_probabilities,
-            "sos": self.sos,
-            "optimization": self.optimization,
-            "selftest": self.selftest,
-            "povm": self.povm,
-            "randomness": self.randomness,
-            "provenance": self.provenance,
-        }
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
     @classmethod
     def from_dict(cls, d: dict) -> "CertificationReport":
-        return cls(
-            n=d["n"],
-            local_bound=d["local_bound"],
-            pnc_bound=d["pnc_bound"],
-            quantum_value=d["quantum_value"],
-            success_probabilities=d["success_probabilities"],
-            sos=d["sos"],
-            optimization=d["optimization"],
-            selftest=d["selftest"],
-            povm=d["povm"],
-            randomness=d["randomness"],
-            provenance=d["provenance"],
-        )
+        return cls(**{f.name: d[f.name] for f in fields(cls)})
 
     def to_json(self) -> str:
         return render_json(self.to_dict()) + "\n"
@@ -159,6 +135,8 @@ def provenance(seed: int, tol: float, extra: dict | None = None) -> dict:
 
 # ---------------------------------------------------------------------------
 # Section builders.  Each returns (section dict, list of (check, ok, detail)).
+# The SOS, self-test and certify sections certify the setup their caller
+# passes, so one report certifies one setup.
 # ---------------------------------------------------------------------------
 
 
@@ -211,21 +189,20 @@ def optimization_section(n: int, seed: int, restarts: int, tol: float) -> tuple[
     return section, checks, result
 
 
-def sos_section(n: int) -> tuple[dict, list]:
-    setup = gc.setup_from_family(canonical_family(n))
+def sos_section(setup: gc.QuantumSetup) -> tuple[dict, list]:
     cert = qo.sos_certificate(setup)
-    delta = qo.delta_check(setup)
     section = {
         "omegas": [float(w) for w in cert.omegas],
         "residual_max": float(np.max(cert.residuals)),
         "gap": cert.gap,
         "bell_value": cert.bell_value,
-        "delta_expectation": delta,
+        "delta_expectation": cert.delta_expectation,
     }
+    delta = section["delta_expectation"]
     checks = [
         ("certificate gap closes", abs(cert.gap) <= 1e-9, f"{cert.gap}"),
         ("defect vectors vanish", section["residual_max"] <= 1e-9, ""),
-        ("anticommutator sum at its floor", abs(delta + n) <= 1e-9, f"{delta}"),
+        ("anticommutator sum at its floor", abs(delta + setup.n) <= 1e-9, f"{delta}"),
     ]
     return section, checks
 
@@ -238,20 +215,15 @@ _TARGETS_3 = tuple(
 _TARGETS_5 = ("ZA", "XA", "YA", "ZB", "XB", "YB")
 
 
-def selftest_section(n: int, perturb: float = 0.0) -> tuple[dict | None, list]:
-    if n not in (3, 5):
+def selftest_section(setup: gc.QuantumSetup, perturb: float = 0.0) -> tuple[dict | None, list]:
+    """Self-test of ``setup``; ``perturb`` is the perturbation its state carries, recorded as is."""
+    if setup.n not in (3, 5):
         return None, []
-    fam = canonical_family(n)
-    base = gc.setup_from_family(fam)
-    if perturb:
-        setup = gc.QuantumSetup(state=st.perturbed_state(perturb), alice=base.alice, bob=base.bob)
-    else:
-        setup = base
     ops = st.build_selftest_operators(setup)
     circuit = st.build_circuit(ops)
     residuals = st.verify_relations(ops, setup.state)
     state_run = st._run_target(setup, ops, circuit, "state")
-    targets = _TARGETS_3 if n == 3 else _TARGETS_5
+    targets = _TARGETS_3 if setup.n == 3 else _TARGETS_5
     extraction_errors = {}
     fidelities = {}
     for tgt in targets:
@@ -280,14 +252,13 @@ def selftest_section(n: int, perturb: float = 0.0) -> tuple[dict | None, list]:
     return section, checks
 
 
-def certify_section(n: int, alpha: float) -> tuple[dict, dict, list]:
-    fam = canonical_family(n)
-    setup = gc.setup_from_family(fam)
+def certify_section(fam: ObservableFamily, setup: gc.QuantumSetup, alpha: float) -> tuple[dict, dict, list]:
+    n = setup.n
     povm = certify_mod.canonical_povm(fam)
     stats = certify_mod.povm_statistics(setup, povm)
-    penalties = certify_mod.penalty_probabilities(setup, povm)
-    shifted = certify_mod.shifted_bell_value(setup, povm, alpha)
+    penalty_total = float(certify_mod.penalty_probabilities(setup, povm).sum())
     plain = qo.setup_bell_value(setup)
+    shifted = certify_mod._shifted(plain, penalty_total, alpha)
     spectrum = [[float(w) for w in np.linalg.eigvalsh(el)] for el in povm.elements]
     completeness = float(
         np.linalg.norm(sum(povm.elements) - np.eye(2), 2)
@@ -300,7 +271,7 @@ def certify_section(n: int, alpha: float) -> tuple[dict, dict, list]:
         "element_spectra": spectrum,
         "completeness_deviation": completeness,
         "outcome_probabilities": list(rand.outcome_probabilities),
-        "penalty_total": float(penalties.sum()),
+        "penalty_total": penalty_total,
         "shifted_bell_value": shifted,
         "bell_value": plain,
         "extremal": rand.extremal,
@@ -327,8 +298,8 @@ def certify_section(n: int, alpha: float) -> tuple[dict, dict, list]:
         # Compared through the flagged total, which does not scale with alpha.
         (
             "shifted value matches the plain value",
-            abs(povm_section["penalty_total"]) <= 1e-9,
-            f"penalty total {povm_section['penalty_total']} > 1e-9; {shifted} vs {plain}",
+            abs(penalty_total) <= 1e-9,
+            f"penalty total {penalty_total} > 1e-9; {shifted} vs {plain}",
         ),
         (
             "extremality matches the outcome-count rule",
@@ -361,16 +332,18 @@ def build_report(
     alpha: float = 1.0,
 ) -> tuple[CertificationReport, list]:
     """Full pipeline report plus the list of (check, ok, detail) results."""
+    fam = canonical_family(n)
+    setup = gc.setup_from_family(fam)
     checks: list = []
     bounds_sec, c = bounds_section(n)
     checks.extend(c)
     opt_sec, c, result = optimization_section(n, seed, restarts, tol)
     checks.extend(c)
-    sos_sec, c = sos_section(n)
+    sos_sec, c = sos_section(setup)
     checks.extend(c)
-    self_sec, c = selftest_section(n)
+    self_sec, c = selftest_section(setup)
     checks.extend(c)
-    povm_sec, rand_sec, c = certify_section(n, alpha)
+    povm_sec, rand_sec, c = certify_section(fam, setup, alpha)
     checks.extend(c)
 
     # The bounds detail rides along inside the optimization dict so the

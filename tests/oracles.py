@@ -1,10 +1,11 @@
 """Loop-form oracles for the structured production routes.
 
-These are the direct transcriptions of the definitions: a scan of all 2^n
-sign vectors for the local bound, a scan of all 3^n tuples for the PNC
-vertices and the same vertices built one zero position at a time, a
-per-vertex sort for the symmetric PNC bound, the per-entry table of a
-deterministic strategy's behavior, the n^2 Kronecker-product sum for the
+These are the direct transcriptions of the definitions: the Kronecker
+product of several factors and the partial trace over any subsystems, a
+scan of all 2^n sign vectors for the local bound, a scan of all 3^n tuples
+for the PNC vertices and the same vertices built one zero position at a
+time, a per-vertex sort for the symmetric PNC bound, the per-entry table of
+a deterministic strategy's behavior, the n^2 Kronecker-product sum for the
 Bell operator, the n^2 correlator loop for the Bell value of a behavior,
 the 4n^2 ``trace(kron(P, Q) @ rho)`` loop for a Born-rule behavior, the
 per-branch steering sandwich, the per-element POVM statistics, the
@@ -21,7 +22,55 @@ from itertools import combinations, product
 import numpy as np
 
 from pogame import bounds, gamecore as gc, quantum_opt as qo, selftest as st
-from pogame.qmat import EPS, I2, SIGMA_X, SIGMA_Y, SIGMA_Z, partial_trace, phi_plus, proj, tensor
+from pogame.qmat import EPS, I2, SIGMA_X, SIGMA_Y, SIGMA_Z, as_operator, phi_plus, proj
+
+
+def tensor(*ops) -> np.ndarray:
+    """Kronecker product of one or more matrices (or vectors)."""
+    if not ops:
+        raise ValueError("tensor() needs at least one factor")
+    out = np.asarray(ops[0], dtype=complex)
+    for op in ops[1:]:
+        out = np.kron(out, np.asarray(op, dtype=complex))
+    return out
+
+
+def partial_trace(rho, keep, dims) -> np.ndarray:
+    """Trace out all subsystems except the ones in ``keep``.
+
+    Parameters
+    ----------
+    rho : array_like
+        Square matrix on the full tensor-product space.
+    keep : int or sequence of int
+        Indices (into ``dims``) of the subsystems to keep, in order.
+    dims : sequence of int
+        Dimension of each tensor factor; their product must match ``rho``.
+
+    Returns
+    -------
+    np.ndarray
+        Reduced matrix on the kept subsystems; its trace equals ``tr(rho)``.
+    """
+    rho = as_operator(rho)
+    dims = [int(d) for d in dims]
+    if rho.shape[0] != rho.shape[1]:
+        raise ValueError("partial_trace expects a square matrix")
+    total = int(np.prod(dims))
+    if rho.shape[0] != total:
+        raise ValueError(f"dims {dims} inconsistent with matrix of size {rho.shape[0]}")
+    keep_idx = [int(keep)] if np.isscalar(keep) else [int(k) for k in keep]
+    if any(k < 0 or k >= len(dims) for k in keep_idx):
+        raise ValueError(f"keep indices {keep_idx} out of range for {len(dims)} subsystems")
+
+    nsys = len(dims)
+    reshaped = rho.reshape(dims + dims)
+    # Row index of factor k is axis k, column index is axis nsys + k.
+    keep_dim = int(np.prod([dims[k] for k in keep_idx]))
+    row_axes = [i for i in range(nsys)]
+    col_axes = [nsys + i if i in keep_idx else i for i in range(nsys)]
+    reduced = np.einsum(reshaped, row_axes + col_axes)
+    return reduced.reshape(keep_dim, keep_dim)
 
 
 def local_bound_scan(n):

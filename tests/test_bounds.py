@@ -88,16 +88,6 @@ def test_vertex_count():
         assert count == n * comb(n - 1, (n - 1) // 2)
 
 
-def test_gap_report_orderings():
-    rep3 = bounds.quantum_gap_report(3)
-    assert (rep3.local, rep3.pnc, rep3.quantum_opt) == (5, 4, 6.0)
-    rep5 = bounds.quantum_gap_report(5)
-    assert rep5.pnc == 8 and rep5.quantum_opt == 10.0
-    assert rep5.pnc < rep5.quantum_opt
-    rep7 = bounds.quantum_gap_report(7)
-    assert rep7.pnc == 12 and rep7.quantum_opt == 14.0
-
-
 def test_range_validation():
     # Even n and n < 3 are refused; odd n has no upper cap.
     calls = (bounds.local_bound, bounds.pnc_bound, bounds.pnc_bound_symmetric, bounds.local_bound_closed_form)

@@ -58,6 +58,22 @@ def test_out_of_range_n_fails_cleanly(capsys):
         assert out == ""
 
 
+def test_n_above_the_ceiling_is_usage_error(capsys):
+    assert cli._odd_n(str(cli.MAX_N)) == cli.MAX_N == 1001
+    code, out, err = run_cli(["bounds", "--n", "1003"], capsys)
+    assert code == 2
+    assert "n must be at most 1001, got 1003" in err
+    assert out == ""
+
+
+@pytest.mark.parametrize("perturb", ["nan", "inf", "1e300"])
+def test_non_finite_or_huge_perturbation_is_usage_error(perturb, capsys):
+    code, out, err = run_cli(["selftest", "--n", "3", "--perturb", perturb], capsys)
+    assert code == 2
+    assert "perturb" in err
+    assert out == ""
+
+
 def test_bounds_command_beyond_thirteen(capsys):
     code, out, _ = run_cli(["bounds", "--n", "15"], capsys)
     payload, checks = split_payload(out)

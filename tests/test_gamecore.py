@@ -10,6 +10,11 @@ from pogame import observables as obs
 from pogame.qmat import I2, SIGMA_X, SIGMA_Z, phi_plus, proj
 
 
+def uniform_behavior(n):
+    """Fully random box: p(a,b|x,y) = 1/4 everywhere."""
+    return gc.Behavior(n=n, table=np.full((n, n, 2, 2), 0.25))
+
+
 def random_setup(rng, n):
     def units(count):
         v = rng.normal(size=(count, 3))
@@ -68,7 +73,7 @@ def test_bell_values():
     expr = gc.bell_expression(3)
     trine_beh = gc.behavior_from_setup(gc.setup_from_family(obs.trine()))
     assert gc.bell_value(expr, trine_beh) == pytest.approx(6.0, abs=1e-12)
-    assert gc.bell_value(expr, gc.uniform_behavior(3)) == pytest.approx(0.0, abs=1e-15)
+    assert gc.bell_value(expr, uniform_behavior(3)) == pytest.approx(0.0, abs=1e-15)
 
     expr5 = gc.bell_expression(5)
     beh5 = gc.behavior_from_setup(gc.setup_from_family(obs.family_n(5)))
@@ -98,14 +103,14 @@ def test_bell_value_matches_correlator_loop(n):
 
 def test_bell_value_size_mismatch():
     with pytest.raises(ValueError):
-        gc.bell_value(gc.bell_expression(3), gc.uniform_behavior(5))
+        gc.bell_value(gc.bell_expression(3), uniform_behavior(5))
 
 
 def test_success_probabilities():
     expr = gc.bell_expression(3)
     trine_beh = gc.behavior_from_setup(gc.setup_from_family(obs.trine()))
     assert gc.success_probability(expr, trine_beh) == pytest.approx(5 / 6, abs=1e-12)
-    assert gc.success_probability(expr, gc.uniform_behavior(3)) == pytest.approx(0.5, abs=1e-15)
+    assert gc.success_probability(expr, uniform_behavior(3)) == pytest.approx(0.5, abs=1e-15)
     assert gc.success_probability_at(3, 4.0) == 13 / 18
 
 

@@ -80,9 +80,9 @@ def test_family_rejects_even_n():
 
 
 def test_family_quartets_domain_boundary():
-    with pytest.raises(ValueError):
-        obs.family_quartets(5)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^quartet families need n >= 5, got 3$"):
+        obs.family_quartets(3)
+    with pytest.raises(ValueError, match="^n must be odd and >= 3, got 4$"):
         obs.family_quartets(4)
 
 

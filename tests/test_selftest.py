@@ -5,7 +5,7 @@ import oracles
 from pogame import gamecore as gc
 from pogame import observables as obs
 from pogame import selftest as st
-from pogame.qmat import I2, SIGMA_X, SIGMA_Y, SIGMA_Z, tensor
+from pogame.qmat import I2, SIGMA_X, SIGMA_Y, SIGMA_Z
 from pogame.report import _TARGETS_3, _TARGETS_5
 
 
@@ -27,7 +27,7 @@ def random_product_unitary(rng):
 
 
 def conjugated_setup(setup, ua, ub):
-    state = tensor(ua, ub) @ setup.state
+    state = oracles.tensor(ua, ub) @ setup.state
     alice = tuple(ua @ a @ ua.conj().T for a in setup.alice)
     bob = tuple(ub @ b @ ub.conj().T for b in setup.bob)
     return gc.QuantumSetup(state=state, alice=alice, bob=bob)
@@ -50,7 +50,7 @@ def test_operators_five_setting():
     assert np.allclose(ops.x_b, SIGMA_X, atol=1e-12)
     assert np.allclose(ops.y_b, SIGMA_Y, atol=1e-12)
     psi = five_setup().state
-    assert np.allclose(tensor(ops.y_a, I2) @ psi, -tensor(I2, ops.y_b) @ psi, atol=1e-12)
+    assert np.allclose(oracles.tensor(ops.y_a, I2) @ psi, -oracles.tensor(I2, ops.y_b) @ psi, atol=1e-12)
 
 
 def test_operators_quartet_families_above_five():
@@ -169,7 +169,7 @@ def test_state_extraction_trine():
     assert result.factorized
     assert result.junk_fidelity >= 1 - 1e-10
     # Junk for the canonical optimum is (1 + Z_A)|psi>/sqrt(2).
-    chi = (np.eye(4) + tensor(SIGMA_Z, I2)) @ trine_setup().state / np.sqrt(2)
+    chi = (np.eye(4) + oracles.tensor(SIGMA_Z, I2)) @ trine_setup().state / np.sqrt(2)
     overlap = abs(np.vdot(chi, result.junk)) ** 2
     assert overlap == pytest.approx(1.0, abs=1e-10)
 
@@ -188,7 +188,7 @@ def test_measurement_extractions_trine():
 def test_x_extraction_action_is_sigma_x():
     result = st.run_isometry(trine_setup(), "XA")
     phi = np.array([1, 0, 0, 1], dtype=complex) / np.sqrt(2)
-    expected = tensor(SIGMA_X, I2) @ phi
+    expected = oracles.tensor(SIGMA_X, I2) @ phi
     overlap = abs(np.vdot(expected, result.extracted)) ** 2
     assert overlap == pytest.approx(1.0, abs=1e-10)
 
