@@ -31,13 +31,11 @@ from .observables import check_n
 
 @dataclass(frozen=True)
 class DeterministicStrategy:
-    a: tuple[int, ...]
-    b: tuple[int, ...]
+    """Alice's responses ``a`` and Bob's deterministic signs ``b``.
 
-
-@dataclass(frozen=True)
-class PncVertex:
-    """Alice vertex of {sum a = 0, |a_x| <= 1} plus a deterministic Bob."""
+    A local witness has ``a`` in {-1, +1}^n; a PNC witness has a vertex of
+    {sum a = 0, |a_x| <= 1}, whose zero entry is Alice's unbiased response.
+    """
 
     a: tuple[int, ...]
     b: tuple[int, ...]
@@ -89,12 +87,12 @@ def _pnc_representative(n: int) -> np.ndarray:
     return np.sign(np.arange(n) - (n - 1) // 2)[None, :]
 
 
-def pnc_bound(n: int) -> tuple[int, PncVertex]:
+def pnc_bound(n: int) -> tuple[int, DeterministicStrategy]:
     """Exact maximum over PNC vertices with an unconstrained deterministic Bob."""
     check_n(n)
     a = _pnc_representative(n)[0]
     b, value = _best_bob(a)
-    return int(round(value)), PncVertex(tuple(a.tolist()), tuple(b.tolist()))
+    return int(round(value)), DeterministicStrategy(tuple(a.tolist()), tuple(b.tolist()))
 
 
 def pnc_bound_reduction(n: int) -> int:
@@ -136,7 +134,7 @@ def pnc_bound_symmetric(n: int) -> int:
     return int(_balanced_values(_bob_coefficients(_pnc_representative(n))).max())
 
 
-def strategy_behavior(strategy: DeterministicStrategy | PncVertex, n: int) -> gamecore.Behavior:
+def strategy_behavior(strategy: DeterministicStrategy, n: int) -> gamecore.Behavior:
     """Behavior realized by a (possibly fuzzy) Alice response and deterministic Bob.
 
     Alice entries in {-1, 0, +1} map to p(a=0|x) = (1 + a_x)/2; Bob entries

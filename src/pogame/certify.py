@@ -47,7 +47,7 @@ class PovmSet:
     def __post_init__(self):
         total = np.zeros((2, 2), dtype=complex)
         for el in self.elements:
-            if el.shape != (2, 2) or not is_hermitian(el, EPS):
+            if el.shape != (2, 2) or not is_hermitian(el):
                 raise ValueError("POVM elements must be 2x2 Hermitian matrices")
             w, _ = eig_hermitian(el)
             if w[0] < -EPS:
@@ -95,6 +95,10 @@ def penalty_probabilities(setup: QuantumSetup, povm: PovmSet) -> np.ndarray:
         raise ValueError("penalty needs one POVM outcome per Bob setting")
     flagged = outcome_projectors(setup.bob)[:, 1]
     return np.diagonal(born_table(np.array(povm.elements), flagged, setup.state)).copy()
+
+
+#: Default weight of the flagged probabilities in the shifted Bell value.
+ALPHA = 1.0
 
 
 def _shifted(value: float, penalty_total: float, alpha: float) -> float:
@@ -155,8 +159,8 @@ def _hermitian_coords(m: np.ndarray) -> np.ndarray:
     )
 
 
-def extremality_check(povm: PovmSet, tol: float = EPS) -> bool:
-    """True iff all elements are rank one and linearly independent.
+def extremality_check(povm: PovmSet) -> bool:
+    """True iff all elements are rank one (within ``EPS``) and linearly independent.
 
     On qubits at most four Hermitian matrices can be independent, so any
     set with more than four outcomes fails automatically.
@@ -164,9 +168,9 @@ def extremality_check(povm: PovmSet, tol: float = EPS) -> bool:
     coords = []
     for el in povm.elements:
         w, _ = eig_hermitian(el)
-        if w[1] <= tol:  # zero element: rank 0
+        if w[1] <= EPS:  # zero element: rank 0
             return False
-        if w[0] > tol * w[1]:  # smallest eigenvalue relative to largest
+        if w[0] > EPS * w[1]:  # smallest eigenvalue relative to largest
             return False
         coords.append(_hermitian_coords(el))
     rank = np.linalg.matrix_rank(np.array(coords), tol=1e-10)

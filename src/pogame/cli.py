@@ -15,10 +15,12 @@ import functools
 import os
 import sys
 
+from . import quantum_opt as qo
 from . import report as report_mod
+from .certify import ALPHA
 from .gamecore import setup_from_family
 from .observables import canonical_family, check_n
-from .report import CertificationReport, provenance, render_json
+from .report import Check, provenance, render_json
 from .selftest import perturbed_state
 
 ENV_SEED = "POGAME_SEED"
@@ -28,12 +30,15 @@ MAX_N = 1001
 # Past this the perturbed state is |00> to within 1e-6 in amplitude; far past
 # it (about 1e154) its norm overflows.
 MAX_PERTURB = 1e6
+# The see-saw runs r restarts as (r, n, 2, 2) stacks: at n = 1001, report
+# peaks at 138 MB with 8 or 64 restarts (the bounds dominate), 254 MB with 256.
+MAX_RESTARTS = 64
 
 
 def _default_seed() -> int:
     raw = os.environ.get(ENV_SEED)
     if raw is None:
-        return 42
+        return qo.SEED
     try:
         seed = int(raw)
     except ValueError:
@@ -65,6 +70,16 @@ def _seed(value: str) -> int:
     except ValueError:
         pass
     raise argparse.ArgumentTypeError(f"seed must be a non-negative integer, got {value}")
+
+
+def _restarts(value: str) -> int:
+    try:
+        restarts = int(value)
+        if 1 <= restarts <= MAX_RESTARTS:
+            return restarts
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"restarts must be an integer from 1 to {MAX_RESTARTS}, got {value}")
 
 
 def _positive_alpha(value: str) -> float:
@@ -103,8 +118,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_opt = sub.add_parser("optimize", help="see-saw value plus certificate")
     p_opt.add_argument("--n", type=_odd_n, required=True)
     p_opt.add_argument("--seed", type=_seed, default=None)
-    p_opt.add_argument("--restarts", type=int, default=8)
-    p_opt.add_argument("--tol", type=float, default=1e-9)
+    p_opt.add_argument("--restarts", type=_restarts, default=qo.RESTARTS)
+    p_opt.add_argument("--tol", type=float, default=qo.TOL)
 
     p_self = sub.add_parser("selftest", help="swap-circuit relations and extractions")
     p_self.add_argument("--n", type=int, choices=(3, 5), required=True)
@@ -112,38 +127,32 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_cert = sub.add_parser("certify", help="POVM certification and randomness")
     p_cert.add_argument("--n", type=_odd_n, required=True)
-    p_cert.add_argument("--alpha", type=_positive_alpha, default=1.0)
+    p_cert.add_argument("--alpha", type=_positive_alpha, default=ALPHA)
 
     p_rep = sub.add_parser("report", help="full pipeline report")
     p_rep.add_argument("--n", type=_odd_n, required=True)
     p_rep.add_argument("--seed", type=_seed, default=None)
-    p_rep.add_argument("--restarts", type=int, default=8)
-    p_rep.add_argument("--tol", type=float, default=1e-9)
-    p_rep.add_argument("--alpha", type=_positive_alpha, default=1.0)
+    p_rep.add_argument("--restarts", type=_restarts, default=qo.RESTARTS)
+    p_rep.add_argument("--tol", type=float, default=qo.TOL)
+    p_rep.add_argument("--alpha", type=_positive_alpha, default=ALPHA)
     p_rep.add_argument("--format", choices=("json", "csv", "text"), default="json")
     p_rep.add_argument("--out", default=None)
 
     return parser
 
 
-def _emit_checks(checks: list, to_stderr: bool = False) -> bool:
+def _emit_checks(checks: list[Check], to_stderr: bool = False) -> bool:
+    """Print one line per check, with its value and bound on FAIL; True if all passed."""
     stream = sys.stderr if to_stderr else sys.stdout
-    ok = True
-    for name, passed, detail in checks:
-        mark = "PASS" if passed else "FAIL"
-        suffix = f"  ({detail})" if detail and not passed else ""
-        print(f"[{mark}] {name}{suffix}", file=stream)
-        ok = ok and passed
-    return ok
-
-
-def _print_section(payload: dict) -> None:
-    print(render_json(payload))
+    for c in checks:
+        line = f"[PASS] {c.name}" if c.passed else f"[FAIL] {c.name}  ({c.value} {c.relation} {c.bound})"
+        print(line, file=stream)
+    return all(c.passed for c in checks)
 
 
 def _cmd_bounds(args) -> int:
     section, checks = report_mod.bounds_section(args.n)
-    _print_section({"n": args.n, "bounds": section})
+    print(render_json({"n": args.n, "bounds": section}))
     return 0 if _emit_checks(checks) else 1
 
 
@@ -158,7 +167,7 @@ def _cmd_optimize(args) -> int:
         "sos": sos,
         "provenance": provenance(seed, args.tol, {"restarts": args.restarts}),
     }
-    _print_section(payload)
+    print(render_json(payload))
     return 0 if _emit_checks(checks) else 1
 
 
@@ -167,14 +176,14 @@ def _cmd_selftest(args) -> int:
     if args.perturb:
         setup = dataclasses.replace(setup, state=perturbed_state(args.perturb))
     section, checks = report_mod.selftest_section(setup, perturb=args.perturb)
-    _print_section({"n": args.n, "selftest": section})
+    print(render_json({"n": args.n, "selftest": section}))
     return 0 if _emit_checks(checks) else 1
 
 
 def _cmd_certify(args) -> int:
     fam = canonical_family(args.n)
     povm_sec, rand_sec, checks = report_mod.certify_section(fam, setup_from_family(fam), args.alpha)
-    _print_section({"n": args.n, "povm": povm_sec, "randomness": rand_sec})
+    print(render_json({"n": args.n, "povm": povm_sec, "randomness": rand_sec}))
     return 0 if _emit_checks(checks) else 1
 
 
@@ -183,14 +192,13 @@ def _cmd_report(args) -> int:
     report, checks = report_mod.build_report(
         args.n, seed=seed, restarts=args.restarts, tol=args.tol, alpha=args.alpha
     )
-    rendered = {
-        "json": CertificationReport.to_json,
-        "csv": CertificationReport.to_csv,
-        "text": CertificationReport.to_text,
-    }[args.format](report)
+    rendered = getattr(report, f"to_{args.format}")()  # --format is one of json, csv, text
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(rendered)
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(rendered)
+        except OSError as exc:
+            raise ValueError(f"cannot write the report to {args.out}: {exc.strerror}") from None
     else:
         sys.stdout.write(rendered)
     return 0 if _emit_checks(checks, to_stderr=True) else 1

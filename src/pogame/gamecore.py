@@ -90,16 +90,16 @@ class Behavior:
         if t.shape != (self.n, self.n, 2, 2):
             raise ValueError(f"table must have shape (n, n, 2, 2), got {t.shape}")
 
-    def validate(self, tol: float = EPS) -> None:
+    def validate(self) -> None:
         t = self.table
         if not np.all(np.isfinite(t)):
             raise ValueError("probabilities must be finite")
-        if np.min(t) < -tol or np.max(t) > 1 + tol:
+        if np.min(t) < -EPS or np.max(t) > 1 + EPS:
             raise ValueError("probabilities must lie in [0, 1]")
         sums = t.sum(axis=(2, 3))
-        if np.max(np.abs(sums - 1.0)) > tol:
+        if np.max(np.abs(sums - 1.0)) > EPS:
             raise ValueError("each setting pair must be normalized")
-        if self.no_signaling_defect() > tol:
+        if self.no_signaling_defect() > EPS:
             raise ValueError("behavior is signaling")
 
     def correlator(self, x: int, y: int) -> float:
@@ -202,12 +202,12 @@ class SteeredState:
     degenerate: bool = False
 
 
-def steer(rho_ab: np.ndarray, alice: tuple[np.ndarray, ...], tol: float = EPS) -> list[SteeredState]:
+def steer(rho_ab: np.ndarray, alice: tuple[np.ndarray, ...]) -> list[SteeredState]:
     """Steered states of Bob for a shared density matrix.
 
     The label (x, a) maps to the projector with eigenvalue sign
-    ``(-1)^(x+a)`` (see module docstring).  Zero-probability branches
-    return the maximally mixed state flagged as degenerate instead of
+    ``(-1)^(x+a)`` (see module docstring).  Branches of probability below
+    ``EPS`` return the maximally mixed state flagged as degenerate instead of
     failing.
     """
     projectors = outcome_projectors(alice)
@@ -219,7 +219,7 @@ def steer(rho_ab: np.ndarray, alice: tuple[np.ndarray, ...], tol: float = EPS) -
         for a in (0, 1):
             parity = (x + a) % 2  # also the outcome index of the sign (-1)^(x+a)
             p = probs[x - 1, parity]
-            if p < tol:
+            if p < EPS:
                 out.append(SteeredState(x, a, parity, I2 / 2.0, 0.0, degenerate=True))
                 continue
             out.append(SteeredState(x, a, parity, unnorm[x - 1, parity] / p, float(p)))

@@ -37,8 +37,8 @@ def bloch_of(m) -> np.ndarray:
     return np.array([np.trace(arr @ p).real / 2.0 for p in PAULIS])
 
 
-def assert_observable(m, tol: float = EPS) -> None:
-    """Check the dichotomic-observable contract, Hermitian and m^2 = I, in one pass.
+def assert_observable(m) -> None:
+    """Check the dichotomic-observable contract, Hermitian and m^2 = I within ``EPS``, in one pass.
 
     ``m`` is one 2x2 matrix or a stack of them (shape (..., 2, 2), or a
     sequence of 2x2 matrices).
@@ -49,9 +49,9 @@ def assert_observable(m, tol: float = EPS) -> None:
         arr = next(np.asarray(x) for x in m if np.shape(x) != (2, 2))
     if arr.shape[-2:] != (2, 2):
         raise ValueError(f"expected a 2x2 observable, got shape {arr.shape[-2:]}")
-    if not np.max(np.abs(arr - np.swapaxes(arr.conj(), -1, -2)), initial=0.0) <= tol:
+    if not np.max(np.abs(arr - np.swapaxes(arr.conj(), -1, -2)), initial=0.0) <= EPS:
         raise ValueError("observable is not Hermitian")
-    if np.max(np.abs(arr @ arr - I2), initial=0.0) > tol:
+    if np.max(np.abs(arr @ arr - I2), initial=0.0) > EPS:
         raise ValueError("observable does not square to the identity")
 
 

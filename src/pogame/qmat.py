@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
-#: Default absolute tolerance for Hermiticity / unitarity / normalization checks.
+#: Absolute tolerance of every Hermiticity, unitarity, normalization and observable check.
 EPS = 1e-9
 
 I2 = np.eye(2, dtype=complex)
@@ -40,13 +40,13 @@ def as_operator(m) -> np.ndarray:
     return arr
 
 
-def as_state(v, tol: float = EPS) -> np.ndarray:
-    """Coerce to a normalized 1-D complex state vector."""
+def as_state(v) -> np.ndarray:
+    """Coerce to a 1-D complex state vector normalized within ``EPS``."""
     arr = np.asarray(v, dtype=complex).reshape(-1)
     if not _all_finite(arr):
         raise ValueError("state contains non-finite entries")
     norm = np.linalg.norm(arr)
-    if abs(norm - 1.0) > tol:
+    if abs(norm - 1.0) > EPS:
         raise ValueError(f"state is not normalized: |v| = {norm}")
     return arr
 
@@ -56,16 +56,16 @@ def dagger(m) -> np.ndarray:
     return np.conj(np.asarray(m)).T
 
 
-def is_hermitian(m, tol: float = EPS) -> bool:
+def is_hermitian(m) -> bool:
     arr = np.asarray(m, dtype=complex)
-    return arr.shape[0] == arr.shape[1] and np.max(np.abs(arr - dagger(arr))) <= tol
+    return arr.shape[0] == arr.shape[1] and np.max(np.abs(arr - dagger(arr))) <= EPS
 
 
-def is_unitary(m, tol: float = EPS) -> bool:
+def is_unitary(m) -> bool:
     arr = np.asarray(m, dtype=complex)
     if arr.shape[0] != arr.shape[1]:
         return False
-    return np.max(np.abs(dagger(arr) @ arr - np.eye(arr.shape[0]))) <= tol
+    return np.max(np.abs(dagger(arr) @ arr - np.eye(arr.shape[0]))) <= EPS
 
 
 def apply_local(a, b, psi) -> np.ndarray:
@@ -120,18 +120,17 @@ def phi_plus() -> np.ndarray:
     return np.array([1, 0, 0, 1], dtype=complex) / np.sqrt(2)
 
 
-def eig_hermitian(m, tol: float = EPS) -> tuple[np.ndarray, np.ndarray]:
+def eig_hermitian(m) -> tuple[np.ndarray, np.ndarray]:
     """Eigendecomposition of a Hermitian matrix.
 
     Returns ``(w, V)`` with eigenvalues ``w`` ascending and eigenvectors as
     the columns of ``V``, so that ``m = V @ diag(w) @ V.conj().T``.  Raises
-    ``ValueError`` when ``m`` is not Hermitian within ``tol``.
+    ``ValueError`` when ``m`` is not Hermitian within ``EPS``.
     """
     arr = as_operator(m)
-    if not is_hermitian(arr, tol):
+    if not is_hermitian(arr):
         raise ValueError("matrix is not Hermitian within tolerance")
-    w, v = np.linalg.eigh(arr)
-    return w, v
+    return np.linalg.eigh(arr)
 
 
 def operator_norm(m) -> float:

@@ -38,6 +38,14 @@ from .qmat import EPS, I2, PAULIS, apply_local
 
 _PAULI_STACK = np.array(PAULIS)
 
+#: See-saw defaults: the root seed of the restart streams, the number of
+#: restarts and the tolerance on one sweep's gain below which a restart
+#: stops.  A restart also stops after ``_MAX_SWEEPS`` sweeps.
+SEED = 42
+RESTARTS = 8
+TOL = 1e-9
+_MAX_SWEEPS = 500
+
 
 def bell_operator(alice, bob) -> np.ndarray:
     """4x4 Bell operator sum_xy alpha_xy A_x (x) B_y (alpha = -1 on diagonal).
@@ -74,7 +82,7 @@ class SosCertificate:
     ``gap = sum(omegas) - <B>`` is the certificate slack (non-negative up to
     roundoff); ``residuals`` are the norms of the defect vectors, which all
     vanish exactly at the optimum.  ``degenerate`` flags settings whose
-    omega fell below tolerance, where the residual reports the raw defect
+    omega fell below ``EPS``, where the residual reports the raw defect
     norm instead of the normalized one.
     """
 
@@ -93,7 +101,7 @@ def _delta_operator(alice: np.ndarray) -> np.ndarray:
     return total @ total - np.einsum("xij,xjk->ik", alice, alice)
 
 
-def sos_certificate(setup: QuantumSetup, tol: float = EPS) -> SosCertificate:
+def sos_certificate(setup: QuantumSetup) -> SosCertificate:
     """Compute the certificate data (omegas, residuals, gap, delta) for a setup.
 
     Also verifies ``sum_y omega_y^2 = n^2 + (n-4) <Delta_n>``.  The identity
@@ -108,7 +116,7 @@ def sos_certificate(setup: QuantumSetup, tol: float = EPS) -> SosCertificate:
     bob_vecs = apply_local(I2, np.array(setup.bob), psi).reshape(n, 4)
     omegas = np.linalg.norm(vecs, axis=1)
     residuals = omegas.copy()
-    degenerate = tuple(bool(w < tol) for w in omegas)
+    degenerate = tuple(bool(w < EPS) for w in omegas)
     for y in range(n):
         if not degenerate[y]:
             residuals[y] = float(np.linalg.norm(vecs[y] / omegas[y] - bob_vecs[y]))
@@ -172,19 +180,19 @@ def _expectations(op: np.ndarray, states: np.ndarray) -> np.ndarray:
     return np.einsum("...i,...i->...", states.conj(), (op @ states[..., None])[..., 0]).real
 
 
-def _geometric_median(points: np.ndarray, iters: int = 500, tol: float = 1e-14) -> np.ndarray:
+def _geometric_median(points: np.ndarray) -> np.ndarray:
     """Fermat-Weber point of the n rows of each (n, 3) slice of ``points`` (shape (..., n, 3)).
 
-    A safeguarded Weiszfeld iteration runs on all slices at once.  A slice
-    is done when its step falls below ``tol``, or when the median sits on
-    one of its points and the Vardi-Zhang test keeps it there.
+    A safeguarded Weiszfeld iteration runs on all slices at once for up to
+    500 steps.  A slice is done when its step falls below 1e-14, or when the
+    median sits on one of its points and the Vardi-Zhang test keeps it there.
     """
     points = np.asarray(points, dtype=float)
     pts = points.reshape((-1,) + points.shape[-2:])
     mu = pts.mean(axis=1)
     live, cur = np.arange(len(pts)), mu
     add = np.add.reduce  # the plain ufunc reduction: this loop is call-bound
-    for _ in range(iters):
+    for _ in range(500):
         if not len(live):
             break
         diff = pts - cur[:, None, :]
@@ -197,7 +205,7 @@ def _geometric_median(points: np.ndarray, iters: int = 500, tol: float = 1e-14) 
         w = 1.0 / dist
         new = add(pts * w[..., None], axis=1) / add(w, axis=1)[:, None]
         step = new - cur
-        done = np.sqrt(add(step * step, axis=1)) < tol
+        done = np.sqrt(add(step * step, axis=1)) < 1e-14
         if vardi_zhang:
             # Stay if the residual pull of the other points is inside the unit ball.
             pull = add(np.where(at_point[..., None], 0.0, diff / dist[..., None]), axis=1)
@@ -215,6 +223,14 @@ def _geometric_median(points: np.ndarray, iters: int = 500, tol: float = 1e-14) 
     return mu.reshape(points.shape[:-2] + (3,))
 
 
+def _sum_zero_units(targets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Unit directions from the geometric median to (..., n, 3) targets; flags stacks with a target on it."""
+    diff = targets - _geometric_median(targets)[..., None, :]
+    dist = np.linalg.norm(diff, axis=-1)
+    close = dist < 1e-12
+    return diff / np.where(close, 1.0, dist)[..., None], close.any(axis=-1)
+
+
 def _constrained_alice_update(targets: np.ndarray, previous: np.ndarray) -> np.ndarray:
     """Exact argmax of sum_x t_x . a_x over unit Bloch vectors summing to zero.
 
@@ -223,12 +239,8 @@ def _constrained_alice_update(targets: np.ndarray, previous: np.ndarray) -> np.n
     Fermat-Weber solution is degenerate (a target coincides with the
     median), which keeps the sweep monotone.
     """
-    diff = targets - _geometric_median(targets)[..., None, :]
-    dist = np.linalg.norm(diff, axis=-1)
-    close = dist < 1e-12
-    units = diff / np.where(close, 1.0, dist)[..., None]
-    degenerate = close.any(axis=-1)[..., None, None, None]
-    return np.where(degenerate, previous, _obs_from_blochs(units))
+    units, degenerate = _sum_zero_units(targets)
+    return np.where(degenerate[..., None, None, None], previous, _obs_from_blochs(units))
 
 
 def _obs_from_blochs(bloch: np.ndarray) -> np.ndarray:
@@ -264,10 +276,8 @@ def _random_starts(n: int, rngs: list, constrained: bool) -> tuple[np.ndarray, n
     if constrained:
         pending = np.arange(len(rngs))
         while len(pending):
-            diff = alice[pending] - _geometric_median(alice[pending])[:, None, :]
-            dist = np.linalg.norm(diff, axis=2)
-            bad = np.any(dist < 1e-12, axis=1)
-            alice[pending[~bad]] = diff[~bad] / dist[~bad][..., None]
+            projected, bad = _sum_zero_units(alice[pending])
+            alice[pending[~bad]] = projected[~bad]
             pending = pending[bad]
             for k in pending:  # essentially never; redraw deterministically
                 alice[k] = units(rngs[k])
@@ -277,10 +287,9 @@ def _random_starts(n: int, rngs: list, constrained: bool) -> tuple[np.ndarray, n
 
 def seesaw(
     n: int,
-    seed: int = 42,
-    iters: int = 500,
-    tol: float = 1e-9,
-    restarts: int = 8,
+    seed: int = SEED,
+    tol: float = TOL,
+    restarts: int = RESTARTS,
     constrain_parity: bool | None = None,
     init: QuantumSetup | None = None,
 ) -> SeesawResult:
@@ -291,8 +300,8 @@ def seesaw(
     resolve to the earliest one.
     """
     check_n(n)
-    if iters < 1 or restarts < 1:
-        raise ValueError("iters and restarts must be >= 1")
+    if restarts < 1:
+        raise ValueError(f"restarts must be >= 1, got {restarts}")
     if not tol >= 0:
         raise ValueError(f"tol must be >= 0, got {tol}")
     if not np.isfinite(tol):
@@ -317,7 +326,7 @@ def seesaw(
     sweeps = np.zeros(restarts, dtype=int)
     converged = np.zeros(restarts, dtype=bool)
     live = np.arange(restarts)
-    for _ in range(iters):
+    for _ in range(_MAX_SWEEPS):
         a, psi = alice[live], state[live]
         rho = psi[:, :, None] * psi.conj()[:, None, :]
         # Bob: exact sign update per setting.

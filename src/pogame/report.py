@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import datetime
 import json
+import operator
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -133,8 +134,28 @@ def provenance(seed: int, tol: float, extra: dict | None = None) -> dict:
     return out
 
 
+_RELATIONS = {"<": operator.lt, "<=": operator.le, ">=": operator.ge, "==": operator.eq}
+
+#: How far a see-saw value may sit from the quantum ceiling and still count as the optimum.
+OPTIMUM_TOL = 1e-6
+
+
+@dataclass(frozen=True)
+class Check:
+    """One certified invariant: ``value relation bound``, e.g. ``gap <= 1e-9``."""
+
+    name: str
+    value: float | int | bool
+    relation: str  # one of "<", "<=", ">=", "=="
+    bound: float | int | bool
+
+    @property
+    def passed(self) -> bool:
+        return bool(_RELATIONS[self.relation](self.value, self.bound))
+
+
 # ---------------------------------------------------------------------------
-# Section builders.  Each returns (section dict, list of (check, ok, detail)).
+# Section builders.  Each returns its section dict and a list of Checks.
 # The SOS, self-test and certify sections certify the setup their caller
 # passes, so one report certifies one setup.
 # ---------------------------------------------------------------------------
@@ -156,11 +177,11 @@ def bounds_section(n: int) -> tuple[dict, list]:
     local_replay = gc.bell_value(expr, bounds_mod.strategy_behavior(local_w, n))
     pnc_replay = gc.bell_value(expr, bounds_mod.strategy_behavior(pnc_w, n))
     checks = [
-        ("local witness replays its bound", abs(local_replay - local) < 1e-12, f"{local_replay} vs {local}"),
-        ("pnc witness replays its bound", abs(pnc_replay - pnc) < 1e-12, f"{pnc_replay} vs {pnc}"),
-        ("pnc bound equals 2n-2", pnc == 2 * n - 2, f"{pnc}"),
-        ("closed form matches enumeration", section["local_bound_closed_form"] == local, ""),
-        ("local dominates pnc", local >= pnc, ""),
+        Check("local witness replays its bound", abs(local_replay - local), "<", 1e-12),
+        Check("pnc witness replays its bound", abs(pnc_replay - pnc), "<", 1e-12),
+        Check("pnc bound equals 2n-2", pnc, "==", 2 * n - 2),
+        Check("closed form matches enumeration", section["local_bound_closed_form"], "==", local),
+        Check("local dominates pnc", local, ">=", pnc),
     ]
     return section, checks
 
@@ -168,7 +189,7 @@ def bounds_section(n: int) -> tuple[dict, list]:
 def optimization_section(n: int, seed: int, restarts: int, tol: float) -> tuple[dict, list, qo.SeesawResult]:
     result = qo.seesaw(n, seed=seed, restarts=restarts, tol=tol)
     target = qo.concavity_bound(n)
-    hits = sum(1 for v in result.restart_values if abs(v - target) <= 1e-6)
+    hits = sum(1 for v in result.restart_values if abs(v - target) <= OPTIMUM_TOL)
     section = {
         "value": result.value,
         "target": target,
@@ -179,12 +200,10 @@ def optimization_section(n: int, seed: int, restarts: int, tol: float) -> tuple[
         "converged": all(result.converged),
         "best_restart": result.best_restart,
     }
-    monotone = all(
-        all(b - a >= -1e-9 for a, b in zip(trace, trace[1:])) for trace in result.traces
-    )
+    steps = np.concatenate([np.diff(trace) for trace in result.traces])
     checks = [
-        ("see-saw reaches the quantum ceiling", abs(result.value - target) <= 1e-6, f"{result.value}"),
-        ("see-saw traces are monotone", monotone, ""),
+        Check("see-saw reaches the quantum ceiling", abs(result.value - target), "<=", OPTIMUM_TOL),
+        Check("see-saw traces are monotone", float(steps.min()) if steps.size else 0.0, ">=", -1e-9),
     ]
     return section, checks, result
 
@@ -198,11 +217,10 @@ def sos_section(setup: gc.QuantumSetup) -> tuple[dict, list]:
         "bell_value": cert.bell_value,
         "delta_expectation": cert.delta_expectation,
     }
-    delta = section["delta_expectation"]
     checks = [
-        ("certificate gap closes", abs(cert.gap) <= 1e-9, f"{cert.gap}"),
-        ("defect vectors vanish", section["residual_max"] <= 1e-9, ""),
-        ("anticommutator sum at its floor", abs(delta + setup.n) <= 1e-9, f"{delta}"),
+        Check("certificate gap closes", abs(cert.gap), "<=", 1e-9),
+        Check("defect vectors vanish", section["residual_max"], "<=", 1e-9),
+        Check("anticommutator sum at its floor", abs(cert.delta_expectation + setup.n), "<=", 1e-9),
     ]
     return section, checks
 
@@ -224,12 +242,8 @@ def selftest_section(setup: gc.QuantumSetup, perturb: float = 0.0) -> tuple[dict
     residuals = st.verify_relations(ops, setup.state)
     state_run = st._run_target(setup, ops, circuit, "state")
     targets = _TARGETS_3 if setup.n == 3 else _TARGETS_5
-    extraction_errors = {}
-    fidelities = {}
-    for tgt in targets:
-        run = st._run_target(setup, ops, circuit, tgt)
-        extraction_errors[tgt] = run.max_entry_error
-        fidelities[tgt] = run.fidelity
+    runs = {tgt: st._run_target(setup, ops, circuit, tgt) for tgt in targets}
+    extraction_errors = {tgt: run.max_entry_error for tgt, run in runs.items()}
     section = {
         "perturbation": perturb,
         "relation_residuals": {k: float(v) for k, v in residuals.items()},
@@ -237,17 +251,13 @@ def selftest_section(setup: gc.QuantumSetup, perturb: float = 0.0) -> tuple[dict
         "state_fidelity": state_run.fidelity,
         "junk_fidelity": state_run.junk_fidelity,
         "extraction_entry_errors": extraction_errors,
-        "extraction_fidelities": fidelities,
+        "extraction_fidelities": {tgt: run.fidelity for tgt, run in runs.items()},
         "extraction_entry_error_max": float(max(extraction_errors.values())),
     }
     checks = [
-        ("optimum relations hold", section["residual_max"] <= 1e-9, f"{section['residual_max']}"),
-        ("state extraction is exact", state_run.fidelity >= 1 - 1e-10, f"{state_run.fidelity}"),
-        (
-            "measurement extractions are exact",
-            section["extraction_entry_error_max"] <= 1e-9,
-            f"{section['extraction_entry_error_max']}",
-        ),
+        Check("optimum relations hold", section["residual_max"], "<=", 1e-9),
+        Check("state extraction is exact", state_run.fidelity, ">=", 1 - 1e-10),
+        Check("measurement extractions are exact", section["extraction_entry_error_max"], "<=", 1e-9),
     ]
     return section, checks
 
@@ -260,9 +270,7 @@ def certify_section(fam: ObservableFamily, setup: gc.QuantumSetup, alpha: float)
     plain = qo.setup_bell_value(setup)
     shifted = certify_mod._shifted(plain, penalty_total, alpha)
     spectrum = [[float(w) for w in np.linalg.eigvalsh(el)] for el in povm.elements]
-    completeness = float(
-        np.linalg.norm(sum(povm.elements) - np.eye(2), 2)
-    )
+    completeness = float(np.linalg.norm(sum(povm.elements) - np.eye(2), 2))
     rand = certify_mod.randomness_report(setup, povm)
     recon_dev = certify_mod.reconstruction_deviation(stats, povm) if n == 3 else None
 
@@ -283,68 +291,38 @@ def certify_section(fam: ObservableFamily, setup: gc.QuantumSetup, alpha: float)
         "certified": rand.certified,
     }
     expected_extremal = n == 3
+    spectrum_deviation = float(np.max(np.abs(np.array(spectrum) - [0.0, 2.0 / n])))
+    uniform_deviation = float(np.max(np.abs(np.array(rand.outcome_probabilities) - 1.0 / n)))
     checks = [
-        (
-            "POVM spectra are {0, 2/n}",
-            all(abs(s[0]) <= 1e-9 and abs(s[1] - 2.0 / n) <= 1e-9 for s in spectrum),
-            "",
-        ),
-        ("POVM is complete", completeness <= 1e-9, f"{completeness}"),
-        (
-            "outcome probabilities are uniform",
-            all(abs(p - 1.0 / n) <= 1e-9 for p in rand.outcome_probabilities),
-            "",
-        ),
+        Check("POVM spectra are {0, 2/n}", spectrum_deviation, "<=", 1e-9),
+        Check("POVM is complete", completeness, "<=", 1e-9),
+        Check("outcome probabilities are uniform", uniform_deviation, "<=", 1e-9),
         # Compared through the flagged total, which does not scale with alpha.
-        (
-            "shifted value matches the plain value",
-            abs(penalty_total) <= 1e-9,
-            f"penalty total {penalty_total} > 1e-9; {shifted} vs {plain}",
-        ),
-        (
-            "extremality matches the outcome-count rule",
-            rand.extremal == expected_extremal,
-            f"extremal={rand.extremal}",
-        ),
-        (
-            "randomness certification matches extremality",
-            rand.certified == expected_extremal,
-            "",
-        ),
+        Check("shifted value matches the plain value", abs(penalty_total), "<=", 1e-9),
+        Check("extremality matches the outcome-count rule", rand.extremal, "==", expected_extremal),
+        Check("randomness certification matches extremality", rand.certified, "==", expected_extremal),
     ]
     if n == 3:
-        checks.append(("gamma reconstruction round-trips", recon_dev <= 1e-8, f"{recon_dev}"))
-        checks.append(
-            (
-                "min-entropy equals log2(3)",
-                abs(rand.min_entropy_bits - 1.584962500721156) <= 1e-9,
-                f"{rand.min_entropy_bits}",
-            )
-        )
+        checks.append(Check("gamma reconstruction round-trips", recon_dev, "<=", 1e-8))
+        checks.append(Check("min-entropy equals log2(3)", abs(rand.min_entropy_bits - np.log2(3)), "<=", 1e-9))
     return povm_section, randomness_section, checks
 
 
 def build_report(
     n: int,
-    seed: int = 42,
-    restarts: int = 8,
-    tol: float = 1e-9,
-    alpha: float = 1.0,
-) -> tuple[CertificationReport, list]:
-    """Full pipeline report plus the list of (check, ok, detail) results."""
+    seed: int = qo.SEED,
+    restarts: int = qo.RESTARTS,
+    tol: float = qo.TOL,
+    alpha: float = certify_mod.ALPHA,
+) -> tuple[CertificationReport, list[Check]]:
+    """Full pipeline report plus the Checks of every section, in pipeline order."""
     fam = canonical_family(n)
     setup = gc.setup_from_family(fam)
-    checks: list = []
-    bounds_sec, c = bounds_section(n)
-    checks.extend(c)
-    opt_sec, c, result = optimization_section(n, seed, restarts, tol)
-    checks.extend(c)
-    sos_sec, c = sos_section(setup)
-    checks.extend(c)
-    self_sec, c = selftest_section(setup)
-    checks.extend(c)
-    povm_sec, rand_sec, c = certify_section(fam, setup, alpha)
-    checks.extend(c)
+    bounds_sec, bounds_checks = bounds_section(n)
+    opt_sec, opt_checks, result = optimization_section(n, seed, restarts, tol)
+    sos_sec, sos_checks = sos_section(setup)
+    self_sec, self_checks = selftest_section(setup)
+    povm_sec, rand_sec, certify_checks = certify_section(fam, setup, alpha)
 
     # The bounds detail rides along inside the optimization dict so the
     # top-level schema stays stable across n.
@@ -367,4 +345,4 @@ def build_report(
         randomness=rand_sec,
         provenance=provenance(seed, tol, {"restarts": restarts, "alpha": alpha}),
     )
-    return report, checks
+    return report, bounds_checks + opt_checks + sos_checks + self_checks + certify_checks

@@ -39,6 +39,9 @@ import numpy as np
 from .gamecore import QuantumSetup
 from .qmat import EPS, I2, SIGMA_X, SIGMA_Y, SIGMA_Z, apply_local, operator_norm, outcome_projectors, phi_plus
 
+# Largest leftover accepted by the frame-span check and by the Schmidt split of the output.
+_SPAN_TOL = 1e-8
+
 
 @dataclass(frozen=True, eq=False)
 class SelfTestOperators:
@@ -63,7 +66,7 @@ def _quartet_combo(items, signs) -> np.ndarray:
     return out
 
 
-def build_selftest_operators(setup: QuantumSetup, tol: float = EPS) -> SelfTestOperators:
+def build_selftest_operators(setup: QuantumSetup) -> SelfTestOperators:
     """Swap operators (Z, X-tilde and, from five settings on, Y-tilde).
 
     Normalization divisors are the state norms ``||X psi||`` so the
@@ -79,7 +82,7 @@ def build_selftest_operators(setup: QuantumSetup, tol: float = EPS) -> SelfTestO
     def normalized(op: np.ndarray, side: str) -> tuple[np.ndarray, float]:
         on_state = apply_local(op, I2, psi) if side == "a" else apply_local(I2, op, psi)
         norm = float(np.linalg.norm(on_state))
-        if norm < tol:
+        if norm < EPS:
             raise ValueError("swap operator has vanishing norm on the state")
         normed = op / norm
         if operator_norm(normed @ normed - I2) > 1e-6:
@@ -214,11 +217,11 @@ class IsometryResult:
     max_entry_error: float
 
 
-def _schmidt_split(state: np.ndarray, tol: float):
+def _schmidt_split(state: np.ndarray):
     """Rank-1 factorization of a register tensor across (rest | A', B'), if it exists."""
     mat = np.moveaxis(state, (2, 3), (-2, -1)).reshape(-1, 4)
     u, s, vh = np.linalg.svd(mat)
-    factorized = bool(s[0] > 0 and (len(s) == 1 or s[1] < tol))
+    factorized = bool(s[0] > 0 and (len(s) == 1 or s[1] < _SPAN_TOL))
     junk = u[:, 0] * s[0]
     extracted = vh[0]
     return factorized, junk, extracted
@@ -231,11 +234,11 @@ def _fidelity(a: np.ndarray, b: np.ndarray) -> float:
     return float(abs(np.vdot(a, b)) ** 2 / (na**2 * nb**2))
 
 
-def _frame_coefficients(op: np.ndarray, z: np.ndarray, x: np.ndarray, tol: float) -> tuple[float, float]:
+def _frame_coefficients(op: np.ndarray, z: np.ndarray, x: np.ndarray) -> tuple[float, float]:
     """Coefficients of ``op`` in the (z, x) swap frame, with a span check."""
     cz = float(np.trace(op @ z).real / 2.0)
     cx = float(np.trace(op @ x).real / 2.0)
-    if operator_norm(op - cz * z - cx * x) > max(tol, 1e-8):
+    if operator_norm(op - cz * z - cx * x) > _SPAN_TOL:
         raise ValueError("observable does not lie in the span of the swap frame")
     return cz, cx
 
@@ -268,7 +271,7 @@ def _parse_target(target: str, n: int) -> tuple[str, tuple]:
 _REFERENCE = {"Z": SIGMA_Z, "X": SIGMA_X, "Y": SIGMA_Y}
 
 
-def run_isometry(setup: QuantumSetup, target: str = "state", tol: float = EPS) -> IsometryResult:
+def run_isometry(setup: QuantumSetup, target: str = "state") -> IsometryResult:
     """Apply the swap circuit and compare with the predicted factorized output.
 
     ``target`` selects the operator applied to the physical state before the
@@ -278,11 +281,11 @@ def run_isometry(setup: QuantumSetup, target: str = "state", tol: float = EPS) -
     the ancilla pair; fidelities are phase-invariant.
     """
     ops = build_selftest_operators(setup)
-    return _run_target(setup, ops, build_circuit(ops), target, tol)
+    return _run_target(setup, ops, build_circuit(ops), target)
 
 
 def _run_target(
-    setup: QuantumSetup, ops: SelfTestOperators, circuit: SwapCircuit, target: str, tol: float = EPS
+    setup: QuantumSetup, ops: SelfTestOperators, circuit: SwapCircuit, target: str
 ) -> IsometryResult:
     """``run_isometry`` for operators and a circuit already built from ``setup``.
 
@@ -308,11 +311,11 @@ def _run_target(
             raise ValueError("raw observable targets are supported by the three-setting circuit")
         if kind in ("a", "ab"):
             a_op = setup.alice[args[0]]
-            cz, cx = _frame_coefficients(a_op, ops.z_a, ops.x_a, tol)
+            cz, cx = _frame_coefficients(a_op, ops.z_a, ops.x_a)
             a_ref = cz * SIGMA_Z + cx * SIGMA_X
         if kind in ("b", "ab"):
             b_op = setup.bob[args[-1]]
-            dz, dx = _frame_coefficients(b_op, ops.z_b, ops.x_b, tol)
+            dz, dx = _frame_coefficients(b_op, ops.z_b, ops.x_b)
             b_ref = dz * SIGMA_Z + dx * SIGMA_X
 
     out = apply_local(a_op, b_op, setup.state)
@@ -346,7 +349,7 @@ def _run_target(
     phase = overlap / abs(overlap) if abs(overlap) > 0 else 1.0
     max_entry_error = float(np.max(np.abs(output - phase * expected_unit)))
 
-    factorized, junk, extracted = _schmidt_split(out, max(tol, 1e-8))
+    factorized, junk, extracted = _schmidt_split(out)
     junk_fid = _fidelity(junk, junk_expected) if factorized else 0.0
     extracted_fid = _fidelity(extracted, anc_expected) if factorized else 0.0
 

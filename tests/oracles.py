@@ -197,7 +197,7 @@ def behavior_loop(setup):
     return table
 
 
-def steer_loop(rho_ab, alice, tol=EPS):
+def steer_loop(rho_ab, alice):
     """[(x, a, parity, rho, probability, degenerate)] from one 4x4 sandwich per branch."""
     out = []
     for x0, ax in enumerate(alice):
@@ -206,7 +206,7 @@ def steer_loop(rho_ab, alice, tol=EPS):
             big = tensor((I2 + (-1) ** (x + a) * ax) / 2.0, I2)
             unnorm = big @ rho_ab @ big
             p = np.trace(unnorm).real
-            if p < tol:
+            if p < EPS:
                 out.append((x, a, (x + a) % 2, I2 / 2.0, 0.0, True))
                 continue
             out.append((x, a, (x + a) % 2, partial_trace(unnorm, keep=1, dims=[2, 2]) / p, float(p), False))
@@ -387,7 +387,7 @@ def _constrained_alice_update(targets, previous):
     return qo._obs_from_blochs(diff / dist[:, None])
 
 
-def _seesaw_single(n, rng, iters, tol, constrained, init):
+def _seesaw_single(n, rng, tol, constrained, init):
     setup = init if init is not None else _random_setup(n, rng, constrained)
     alice = np.array(setup.alice, dtype=complex)
     bob = np.array(setup.bob, dtype=complex)
@@ -398,7 +398,7 @@ def _seesaw_single(n, rng, iters, tol, constrained, init):
 
     trace = [value_of()]
     converged = False
-    for _ in range(iters):
+    for _ in range(qo._MAX_SWEEPS):
         rho = proj(state)
         bob = qo._matrix_sign(qo._effective_bob(rho, qo._setting_combos(alice)))
         effective = qo._effective_alice(rho, qo._setting_combos(bob))
@@ -421,7 +421,7 @@ def _seesaw_single(n, rng, iters, tol, constrained, init):
     return final, trace, converged
 
 
-def seesaw_loop(n, seed=42, iters=500, tol=1e-9, restarts=8, constrain_parity=None, init=None):
+def seesaw_loop(n, seed=qo.SEED, tol=qo.TOL, restarts=qo.RESTARTS, constrain_parity=None, init=None):
     """``quantum_opt.seesaw`` with one restart after the other, each a validated setup."""
     constrained = (n > 3) if constrain_parity is None else bool(constrain_parity)
     streams = np.random.SeedSequence(seed).spawn(restarts)
@@ -429,7 +429,7 @@ def seesaw_loop(n, seed=42, iters=500, tol=1e-9, restarts=8, constrain_parity=No
     for r in range(restarts):
         start = init if (r == 0 and init is not None) else None
         final, trace, converged = _seesaw_single(
-            n, np.random.default_rng(streams[r]), iters, tol, constrained, start
+            n, np.random.default_rng(streams[r]), tol, constrained, start
         )
         setups.append(final)
         traces.append(tuple(trace))

@@ -1,5 +1,7 @@
 """The public names of ``pogame``: any change to an export must change this file."""
 
+import inspect
+
 import pogame
 
 EXPORTS = [
@@ -40,6 +42,45 @@ EXPORTS = [
 ]
 
 
+# Parameter names of every exported callable (a class lists its constructor's).
+PARAMETERS = {
+    "Behavior": "n, table",
+    "BellExpression": "n, coefficients",
+    "CertificationReport": "n, local_bound, pnc_bound, quantum_value, success_probabilities, sos, "
+    "optimization, selftest, povm, randomness, provenance",
+    "GameSpec": "n",
+    "ObservableFamily": "n, alice, bob, params",
+    "PovmSet": "elements",
+    "QuantumSetup": "state, alice, bob",
+    "behavior_from_setup": "setup",
+    "bell_expression": "n",
+    "bell_value": "expr, beh",
+    "build_report": "n, seed, restarts, tol, alpha",
+    "build_selftest_operators": "setup",
+    "canonical_family": "n",
+    "canonical_povm": "fam",
+    "check_operational_parity": "states",
+    "concavity_bound": "n",
+    "delta_check": "setup",
+    "extremality_check": "povm",
+    "family_five": "nu, beta",
+    "family_n": "n, nu, beta",
+    "family_quartets": "n, nu, beta",
+    "local_bound": "n",
+    "pnc_bound": "n",
+    "randomness_report": "setup, povm",
+    "run_isometry": "setup, target",
+    "seesaw": "n, seed, tol, restarts, constrain_parity, init",
+    "setup_from_family": "fam",
+    "shifted_bell_value": "setup, povm, alpha",
+    "sos_certificate": "setup",
+    "steered_states": "setup",
+    "success_probability": "expr, beh",
+    "trine": "",
+    "verify_relations": "ops, state",
+}
+
+
 def test_exports_are_pinned():
     assert pogame.__all__ == EXPORTS
 
@@ -47,3 +88,11 @@ def test_exports_are_pinned():
 def test_every_export_resolves():
     for name in pogame.__all__:
         assert getattr(pogame, name) is not None, name
+
+
+def test_parameters_of_every_export_are_pinned():
+    callables = [name for name in pogame.__all__ if callable(getattr(pogame, name))]
+    assert list(PARAMETERS) == callables
+    for name in callables:
+        params = ", ".join(inspect.signature(getattr(pogame, name)).parameters)
+        assert params == PARAMETERS[name], name

@@ -3,8 +3,8 @@ import json
 import numpy as np
 import pytest
 
-from pogame import bounds, cli
-from pogame.report import CertificationReport
+from pogame import bounds, cli, quantum_opt
+from pogame.report import CertificationReport, Check
 
 
 def run_cli(argv, capsys):
@@ -114,11 +114,37 @@ def test_selftest_command(capsys):
 
 
 def test_selftest_perturbed_fails_certification(capsys):
-    code, out, _ = run_cli(["selftest", "--n", "3", "--perturb", "0.05"], capsys)
-    payload, checks = split_payload(out)
-    assert code == 1
-    assert payload["selftest"]["residual_max"] > 1e-3
-    assert any(line.startswith("[FAIL]") for line in checks)
+    for n in ("3", "5"):
+        code, out, _ = run_cli(["selftest", "--n", n, "--perturb", "0.05"], capsys)
+        payload, checks = split_payload(out)
+        section = payload["selftest"]
+        assert code == 1
+        assert section["residual_max"] > 1e-3
+        # Each FAIL line names the failing value, the relation and the threshold.
+        assert checks == [
+            f"[FAIL] optimum relations hold  ({section['residual_max']} <= 1e-09)",
+            f"[FAIL] state extraction is exact  ({section['state_fidelity']} >= 0.9999999999)",
+            f"[FAIL] measurement extractions are exact  ({section['extraction_entry_error_max']} <= 1e-09)",
+        ]
+
+
+@pytest.mark.parametrize(
+    "relation, below, at, above",
+    [("<", True, False, False), ("<=", True, True, False), (">=", False, True, True), ("==", False, True, False)],
+)
+def test_check_relation_on_both_sides_of_its_bound(relation, below, at, above):
+    assert Check("c", 0.5, relation, 1.0).passed is below
+    assert Check("c", 1.0, relation, 1.0).passed is at
+    assert Check("c", 1.5, relation, 1.0).passed is above
+    assert Check("c", float("nan"), relation, 1.0).passed is False
+
+
+def test_emit_checks_prints_value_relation_and_bound_on_fail(capsys):
+    checks = [Check("gap closes", 2e-12, "<=", 1e-9), Check("extremal", False, "==", True), Check("x", 3, "<", 3)]
+    assert cli._emit_checks(checks) is False
+    assert capsys.readouterr().out == "[PASS] gap closes\n[FAIL] extremal  (False == True)\n[FAIL] x  (3 < 3)\n"
+    assert cli._emit_checks(checks[:1], to_stderr=True) is True
+    assert capsys.readouterr() == ("", "[PASS] gap closes\n")
 
 
 def test_certify_three_and_five(capsys):
@@ -196,6 +222,28 @@ def test_report_depends_only_on_seed(tmp_path, capsys):
     assert d1["provenance"]["seed"] == 9
     assert d2["provenance"]["seed"] == 10
     assert d1["optimization"]["restart_values"] != d2["optimization"]["restart_values"]
+
+
+def test_unwritable_out_path_is_usage_error(tmp_path, capsys):
+    path = tmp_path / "missing" / "x.json"
+    code, out, err = run_cli(["report", "--n", "3", "--out", str(path)], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: cannot write the report to {path}: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", ["optimize", "report"])
+@pytest.mark.parametrize("restarts", ["0", "-1", "abc", str(cli.MAX_RESTARTS + 1)])
+def test_invalid_restarts_is_usage_error(command, restarts, capsys):
+    code, out, err = run_cli([command, "--n", "3", "--restarts", restarts], capsys)
+    assert code == 2
+    assert f"restarts must be an integer from 1 to {cli.MAX_RESTARTS}, got {restarts}" in err
+    assert out == ""
+
+
+def test_restarts_range_ends_at_the_ceiling():
+    assert cli._restarts("1") == 1
+    assert cli._restarts(str(cli.MAX_RESTARTS)) == cli.MAX_RESTARTS >= quantum_opt.RESTARTS
 
 
 def test_env_variable_overrides_default_seed(monkeypatch, capsys):

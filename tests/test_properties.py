@@ -4,14 +4,14 @@ import numpy as np
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st  # noqa: E402
+from hypothesis import Phase, given, settings, strategies as st  # noqa: E402
 
 from pogame import bounds  # noqa: E402
 from pogame import gamecore as gc  # noqa: E402
 from pogame import quantum_opt as qo  # noqa: E402
 from pogame.observables import canonical_family  # noqa: E402
 from pogame.report import CertificationReport, build_report, flatten  # noqa: E402
-from pogame.qmat import I2, SIGMA_X, SIGMA_Y, SIGMA_Z  # noqa: E402
+from pogame.qmat import I2, SIGMA_X, SIGMA_Y, SIGMA_Z, apply_local, phi_plus  # noqa: E402
 
 import oracles  # noqa: E402
 
@@ -153,3 +153,20 @@ def test_report_round_trips(n, seed):
     assert CertificationReport.from_dict(report.to_dict()) == report
     csv_keys = [line.split(",", 1)[0] for line in report.to_csv().splitlines()[1:]]
     assert csv_keys == [key for key, _ in flatten(report.to_dict())]
+
+
+# No shrink phase: a failing (n, u, v) is readable as drawn, and shrinking its
+# eight angles can take minutes where the unshrunk failure takes seconds.
+@settings(max_examples=25, deadline=None, database=None, phases=[Phase.generate])
+@given(st.integers(1, 20).map(lambda k: 2 * k + 1), unitaries, unitaries)
+def test_behavior_round_trips_bit_for_bit(n, u, v):
+    # The canonical family measured on phi+ turned by random local unitaries.
+    setup = gc.setup_from_family(canonical_family(n))
+    setup = gc.QuantumSetup(state=apply_local(u, v, phi_plus()).reshape(-1), alice=setup.alice, bob=setup.bob)
+    beh = gc.behavior_from_setup(setup)
+    csv, doc = gc.behavior_to_csv(beh), gc.behavior_to_json(beh)
+    assert csv == oracles.behavior_to_csv_loop(beh)
+    assert doc == oracles.behavior_to_json_loop(beh)
+    for back in (gc.behavior_from_csv(csv), gc.behavior_from_json(doc)):
+        assert back.n == n
+        assert back.table.tobytes() == beh.table.tobytes()
