@@ -82,6 +82,17 @@ def _restarts(value: str) -> int:
     raise argparse.ArgumentTypeError(f"restarts must be an integer from 1 to {MAX_RESTARTS}, got {value}")
 
 
+def _tol(value: str) -> float:
+    try:
+        tol = float(value)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"tol must be a number, got {value!r}") from exc
+    try:
+        return qo.check_tol(tol)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
 def _positive_alpha(value: str) -> float:
     try:
         alpha = float(value)
@@ -119,7 +130,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_opt.add_argument("--n", type=_odd_n, required=True)
     p_opt.add_argument("--seed", type=_seed, default=None)
     p_opt.add_argument("--restarts", type=_restarts, default=qo.RESTARTS)
-    p_opt.add_argument("--tol", type=float, default=qo.TOL)
+    p_opt.add_argument("--tol", type=_tol, default=qo.TOL)
 
     p_self = sub.add_parser("selftest", help="swap-circuit relations and extractions")
     p_self.add_argument("--n", type=int, choices=(3, 5), required=True)
@@ -133,7 +144,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_rep.add_argument("--n", type=_odd_n, required=True)
     p_rep.add_argument("--seed", type=_seed, default=None)
     p_rep.add_argument("--restarts", type=_restarts, default=qo.RESTARTS)
-    p_rep.add_argument("--tol", type=float, default=qo.TOL)
+    p_rep.add_argument("--tol", type=_tol, default=qo.TOL)
     p_rep.add_argument("--alpha", type=_positive_alpha, default=ALPHA)
     p_rep.add_argument("--format", choices=("json", "csv", "text"), default="json")
     p_rep.add_argument("--out", default=None)
@@ -187,8 +198,29 @@ def _cmd_certify(args) -> int:
     return 0 if _emit_checks(checks) else 1
 
 
+def _cannot_write(path: str, exc: OSError) -> ValueError:
+    return ValueError(f"cannot write the report to {path}: {exc.strerror}")
+
+
+def _check_writable(path: str) -> None:
+    """Fail before the pipeline runs if ``path`` cannot be opened for writing.
+
+    Append mode leaves an existing file's bytes alone; a file this check
+    creates is removed again, so a run that fails later leaves nothing behind.
+    """
+    existed = os.path.lexists(path)
+    try:
+        open(path, "a", encoding="utf-8").close()
+    except OSError as exc:
+        raise _cannot_write(path, exc) from None
+    if not existed:
+        os.remove(path)
+
+
 def _cmd_report(args) -> int:
     seed = args.seed if args.seed is not None else _default_seed()
+    if args.out:
+        _check_writable(args.out)
     report, checks = report_mod.build_report(
         args.n, seed=seed, restarts=args.restarts, tol=args.tol, alpha=args.alpha
     )
@@ -198,7 +230,7 @@ def _cmd_report(args) -> int:
             with open(args.out, "w", encoding="utf-8") as fh:
                 fh.write(rendered)
         except OSError as exc:
-            raise ValueError(f"cannot write the report to {args.out}: {exc.strerror}") from None
+            raise _cannot_write(args.out, exc) from None
     else:
         sys.stdout.write(rendered)
     return 0 if _emit_checks(checks, to_stderr=True) else 1

@@ -26,8 +26,9 @@ density matrix.  No 4x4 Kronecker product is built on either path.
 from __future__ import annotations
 
 import json
+import warnings
 from dataclasses import dataclass
-from itertools import product, repeat
+from itertools import product
 
 import numpy as np
 
@@ -49,8 +50,11 @@ class GameSpec:
         return 1.0 / self.n
 
     def winning_output(self, x: int, y: int, a: int) -> int:
-        """Bob's required output for inputs (x, y) and Alice outcome a."""
-        return (1 if x == y else 0) ^ (a & 1)
+        """Bob's required output for inputs (x, y) and Alice outcome a.
+
+        Also works elementwise on integer setting arrays.
+        """
+        return (x == y) ^ (a & 1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -170,19 +174,15 @@ def success_probability(expr: BellExpression, beh: Behavior) -> float:
 def success_probability_direct(spec: GameSpec, beh: Behavior) -> float:
     """Predicate-averaged success probability, independent of the Bell route.
 
-    Averages p(b = [x==y] xor a | x, y) over uniform inputs by direct
-    enumeration of the table; used as the oracle for ``success_probability``.
+    Averages p(b = [x==y] xor a | x, y) over uniform inputs by gathering the
+    winning entries ``table[x, y, a, b]`` of the table, with ``b`` from
+    ``GameSpec.winning_output``; used as the oracle for ``success_probability``.
     """
     if spec.n != beh.n:
         raise ValueError("size mismatch between game and behavior")
     n = spec.n
-    total = 0.0
-    for x in range(n):
-        for y in range(n):
-            for a in (0, 1):
-                b = spec.winning_output(x + 1, y + 1, a)
-                total += beh.table[x, y, a, b]
-    return total / (n * n)
+    x, y, a = np.ogrid[:n, :n, :2]
+    return float(beh.table[x, y, a, spec.winning_output(x + 1, y + 1, a)].sum()) / (n * n)
 
 
 def success_probability_at(n: int, value: float) -> float:
@@ -243,17 +243,56 @@ def check_operational_parity(states: list[SteeredState]) -> float:
 # ---------------------------------------------------------------------------
 # Behavior serialization (CSV with header x,y,a,b,p and JSON keyed "x,y").
 # Floats are written with 17 significant digits so round-trips are bit-exact.
+# Each writer fills one ``%`` template, with a ``%.17g`` slot per entry, in a
+# single format call; each reader converts its rows or keys with one ``np.loadtxt``.
 # ---------------------------------------------------------------------------
 
-def _entries(beh: Behavior) -> list[float]:
+# One CSV data row, and one JSON table key.
+_CSV_ROW = np.dtype([("x", np.int64), ("y", np.int64), ("a", np.int64), ("b", np.int64), ("p", float)])
+_JSON_KEY = np.dtype([("x", np.int64), ("y", np.int64)])
+
+
+def _entries(beh: Behavior) -> tuple[float, ...]:
     """Table entries as Python floats in (x, y, a, b) row-major order."""
-    return np.asarray(beh.table, dtype=float).reshape(-1).tolist()
+    return tuple(np.asarray(beh.table, dtype=float).reshape(-1).tolist())
 
 
 def behavior_to_csv(beh: Behavior) -> str:
-    keys = product(range(1, beh.n + 1), range(1, beh.n + 1), (0, 1), (0, 1))
-    rows = "".join(f"{x},{y},{a},{b},{p:.17g}\n" for (x, y, a, b), p in zip(keys, _entries(beh)))
-    return "x,y,a,b,p\n" + rows
+    rows = [
+        f"{x},{y},0,0,%.17g\n{x},{y},0,1,%.17g\n{x},{y},1,0,%.17g\n{x},{y},1,1,%.17g\n"
+        for x, y in product(map(str, range(1, beh.n + 1)), repeat=2)
+    ]
+    return ("x,y,a,b,p\n" + "".join(rows)) % _entries(beh)
+
+
+def _load_records(lines: list[str], dtype: np.dtype, what: str) -> np.ndarray:
+    """One ``dtype`` record per comma-separated line, parsed in one ``np.loadtxt`` call.
+
+    ``comments=None`` keeps a ``#`` from silently cutting a line short.  A
+    DeprecationWarning is raised as an error whatever the caller's filters:
+    numpy releases that only warn on a float such as ``1.7`` in an int
+    field would otherwise truncate it.  On failure the first line without
+    one field per name of ``dtype`` is named; loadtxt skips blank lines, so
+    a record count short of ``len(lines)`` is such a failure too.
+    Otherwise loadtxt's conversion error stands.
+    """
+    error = None
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", DeprecationWarning)
+            records = np.loadtxt(lines, delimiter=",", dtype=dtype, comments=None, ndmin=1)
+    except ValueError as exc:
+        error = exc
+    else:
+        if len(records) == len(lines):
+            return records
+    width = len(dtype.names)
+    bad = next((ln for ln in lines if ln.count(",") != width - 1), None)
+    if bad is None:
+        raise error
+    fields = ",".join(dtype.names)
+    got = bad.count(",") + 1
+    raise ValueError(f"{what} {bad!r} must have the {width} fields {fields}, got {got}") from None
 
 
 def _fill_once(shape: tuple[int, ...], index: np.ndarray, values: np.ndarray, label) -> np.ndarray:
@@ -281,24 +320,20 @@ def _fill_once(shape: tuple[int, ...], index: np.ndarray, values: np.ndarray, la
 
 
 def behavior_from_csv(text: str) -> Behavior:
-    """Parse the CSV written by ``behavior_to_csv``: all rows are split and converted at once."""
-    lines = [ln for ln in text.strip().splitlines() if ln]
+    """Parse the CSV written by ``behavior_to_csv``: all rows are converted in one ``np.loadtxt``."""
+    lines = list(filter(None, text.strip().splitlines()))
     if not lines or lines[0].strip() != "x,y,a,b,p":
         raise ValueError("CSV header must be 'x,y,a,b,p'")
     rows = lines[1:]
     if not rows:
         raise ValueError("CSV has no data rows")
-    if set(map(str.count, rows, repeat(","))) != {4}:
-        bad = next(ln for ln in rows if ln.count(",") != 4)
-        raise ValueError(f"CSV row {bad!r} must have the 5 fields x,y,a,b,p, got {bad.count(',') + 1}")
-    fields = ",".join(rows).split(",")
-    index = np.array([fields[0::5], fields[1::5], fields[2::5], fields[3::5]], dtype=np.int64).T
-    index[:, :2] -= 1
+    records = _load_records(rows, _CSV_ROW, "CSV row")
+    index = np.stack([records["x"] - 1, records["y"] - 1, records["a"], records["b"]], axis=1)
     n = int(index[:, 0].max()) + 1
     table = _fill_once(
         (n, n, 2, 2),
         index,
-        np.array(fields[4::5], dtype=float),
+        records["p"],
         lambda x, y, a, b: f"row {x + 1},{y + 1},{a},{b}",
     )
     beh = Behavior(n=n, table=table)
@@ -307,13 +342,11 @@ def behavior_from_csv(text: str) -> Behavior:
 
 
 def behavior_to_json(beh: Behavior) -> str:
-    p = _entries(beh)
-    keys = product(range(1, beh.n + 1), repeat=2)
-    blocks = ", ".join(
-        f'"{x},{y}": [[{p[i]:.17g}, {p[i + 1]:.17g}], [{p[i + 2]:.17g}, {p[i + 3]:.17g}]]'
-        for (x, y), i in zip(keys, range(0, len(p), 4))
-    )
-    return '{"n": %d, "table": {%s}}' % (beh.n, blocks)
+    blocks = [
+        f'"{x},{y}": [[%.17g, %.17g], [%.17g, %.17g]]'
+        for x, y in product(map(str, range(1, beh.n + 1)), repeat=2)
+    ]
+    return ('{"n": %d, "table": {' + ", ".join(blocks) + "}}") % (beh.n, *_entries(beh))
 
 
 def _unique_keys(pairs: list) -> dict:
@@ -327,16 +360,15 @@ def _unique_keys(pairs: list) -> dict:
 
 
 def behavior_from_json(text: str) -> Behavior:
+    """Parse the JSON written by ``behavior_to_json``: all "x,y" keys are converted in one ``np.loadtxt``."""
     obj = json.loads(text, object_pairs_hook=_unique_keys)
     n = int(obj["n"])
-    index = []
-    for key in obj["table"]:
-        x, y = key.split(",")
-        index.append((int(x) - 1, int(y) - 1))
-    index = np.array(index, dtype=int).reshape(-1, 2)
+    keys = list(obj["table"])
     blocks = np.array(list(obj["table"].values()), dtype=float)
-    if blocks.shape != (len(index), 2, 2):
+    if blocks.shape != (len(keys), 2, 2):
         raise ValueError("every table block must be a 2x2 array")
+    records = _load_records(keys, _JSON_KEY, "JSON key")
+    index = np.stack([records["x"] - 1, records["y"] - 1], axis=1)
     table = _fill_once((n, n, 2, 2), index, blocks, lambda x, y: f'block "{x + 1},{y + 1}"')
     beh = Behavior(n=n, table=table)
     beh.validate()

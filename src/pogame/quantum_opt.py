@@ -285,6 +285,15 @@ def _random_starts(n: int, rngs: list, constrained: bool) -> tuple[np.ndarray, n
     return _obs_from_blochs(alice), _obs_from_blochs(bob)
 
 
+def check_tol(tol: float) -> float:
+    """The see-saw stopping tolerance ``tol``, rejected unless finite and >= 0."""
+    if not tol >= 0:
+        raise ValueError(f"tol must be >= 0, got {tol}")
+    if not np.isfinite(tol):
+        raise ValueError(f"tol must be finite and >= 0, got {tol}")
+    return tol
+
+
 def seesaw(
     n: int,
     seed: int = SEED,
@@ -302,10 +311,7 @@ def seesaw(
     check_n(n)
     if restarts < 1:
         raise ValueError(f"restarts must be >= 1, got {restarts}")
-    if not tol >= 0:
-        raise ValueError(f"tol must be >= 0, got {tol}")
-    if not np.isfinite(tol):
-        raise ValueError(f"tol must be finite and >= 0, got {tol}")
+    check_tol(tol)
     if init is not None and init.n != n:
         raise ValueError(f"init has {init.n} settings per party, expected {n}")
     constrained = (n > 3) if constrain_parity is None else bool(constrain_parity)

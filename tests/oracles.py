@@ -7,7 +7,8 @@ for the PNC vertices and the same vertices built one zero position at a
 time, a per-vertex sort for the symmetric PNC bound, the per-entry table of
 a deterministic strategy's behavior, the n^2 Kronecker-product sum for the
 Bell operator, the n^2 correlator loop for the Bell value of a behavior,
-the 4n^2 ``trace(kron(P, Q) @ rho)`` loop for a Born-rule behavior, the
+the 2n^2 winning-entry sum for the success probability, the 4n^2
+``trace(kron(P, Q) @ rho)`` loop for a Born-rule behavior, the
 per-branch steering sandwich, the per-element POVM statistics, the
 per-entry behavior writers, the gate-by-gate swap circuit as a dense
 2^k x 2^k unitary, its predicted output built from the dense junk vectors,
@@ -177,6 +178,17 @@ def bell_value_loop(expr, beh):
         for y in range(expr.n):
             total += expr.coefficients[x, y] * beh.correlator(x, y)
     return float(total)
+
+
+def success_probability_loop(spec, beh):
+    """``gamecore.success_probability_direct`` summed one winning entry at a time."""
+    n = spec.n
+    total = 0.0
+    for x in range(n):
+        for y in range(n):
+            for a in (0, 1):
+                total += beh.table[x, y, a, spec.winning_output(x + 1, y + 1, a)]
+    return total / (n * n)
 
 
 def _projector(observable, outcome):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from pogame import bounds, cli, quantum_opt
+from pogame import report as report_mod
 from pogame.report import CertificationReport, Check
 
 
@@ -14,6 +15,17 @@ def run_cli(argv, capsys):
         code = exc.code
     out, err = capsys.readouterr()
     return code, out, err
+
+
+@pytest.fixture
+def no_pipeline(monkeypatch):
+    """Fail the test if the report or see-saw pipeline starts."""
+
+    def fail(*args, **kwargs):
+        raise AssertionError("the pipeline ran before the usage error was found")
+
+    monkeypatch.setattr(report_mod, "build_report", fail)
+    monkeypatch.setattr(report_mod, "optimization_section", fail)
 
 
 def split_payload(text):
@@ -224,12 +236,28 @@ def test_report_depends_only_on_seed(tmp_path, capsys):
     assert d1["optimization"]["restart_values"] != d2["optimization"]["restart_values"]
 
 
-def test_unwritable_out_path_is_usage_error(tmp_path, capsys):
+def test_unwritable_out_path_is_usage_error(tmp_path, capsys, no_pipeline):
     path = tmp_path / "missing" / "x.json"
     code, out, err = run_cli(["report", "--n", "3", "--out", str(path)], capsys)
     assert code == 2
     assert out == ""
-    assert err.startswith(f"error: cannot write the report to {path}: ") and err.count("\n") == 1
+    assert err == f"error: cannot write the report to {path}: No such file or directory\n"
+    code, out, err = run_cli(["report", "--n", "3", "--out", str(tmp_path)], capsys)
+    assert (code, out, err) == (2, "", f"error: cannot write the report to {tmp_path}: Is a directory\n")
+
+
+def test_failed_report_leaves_out_path_as_it_was(tmp_path, monkeypatch, capsys):
+    def fail(*args, **kwargs):
+        raise ValueError("stage failed")
+
+    monkeypatch.setattr(report_mod, "build_report", fail)
+    kept, fresh = tmp_path / "kept.json", tmp_path / "fresh.json"
+    kept.write_text("earlier report")
+    for path in (kept, fresh):
+        code, out, err = run_cli(["report", "--n", "3", "--out", str(path)], capsys)
+        assert (code, out, err) == (2, "", "error: stage failed\n")
+    assert kept.read_text() == "earlier report"
+    assert not fresh.exists()
 
 
 @pytest.mark.parametrize("command", ["optimize", "report"])
@@ -263,17 +291,29 @@ def test_explicit_seed_beats_env_variable(monkeypatch, capsys):
 
 
 @pytest.mark.parametrize("command", ["optimize", "report"])
-def test_negative_tolerance_is_usage_error(command, capsys):
+def test_negative_tolerance_is_usage_error(command, capsys, no_pipeline):
     code, _, err = run_cli([command, "--n", "3", "--tol", "-1"], capsys)
     assert code == 2
     assert "tol must be >= 0" in err
 
 
 @pytest.mark.parametrize("command", ["optimize", "report"])
-def test_infinite_tolerance_is_usage_error(command, capsys):
+def test_infinite_tolerance_is_usage_error(command, capsys, no_pipeline):
     code, _, err = run_cli([command, "--n", "3", "--tol", "inf"], capsys)
     assert code == 2
     assert "tol must be finite and >= 0, got inf" in err
+
+
+@pytest.mark.parametrize("command", ["optimize", "report"])
+@pytest.mark.parametrize(
+    "tol, message",
+    [("nan", "tol must be >= 0, got nan"), ("abc", "tol must be a number, got 'abc'")],
+    ids=["nan", "abc"],
+)
+def test_invalid_tolerance_is_rejected_at_parse_time(command, tol, message, capsys, no_pipeline):
+    code, out, err = run_cli([command, "--n", "1001", "--tol", tol], capsys)
+    assert (code, out) == (2, "")
+    assert err.endswith(f"error: argument --tol: {message}\n")
 
 
 @pytest.mark.parametrize("command", ["optimize", "report"])

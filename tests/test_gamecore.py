@@ -130,6 +130,23 @@ def test_success_probability_two_routes_agree():
     ) <= 1e-12
 
 
+@pytest.mark.parametrize("n", range(3, 42, 2))
+def test_success_probability_gather_matches_loop_oracle(n):
+    rng = np.random.default_rng(300 + n)
+    spec = gc.GameSpec(n)
+
+    def gap(beh):
+        return abs(gc.success_probability_direct(spec, beh) - oracles.success_probability_loop(spec, beh))
+
+    # Entries on a 2^-20 grid sum exactly in any order, so both routes must
+    # give the same bits.
+    assert gap(gc.Behavior(n=n, table=rng.integers(0, 2**20, size=(n, n, 2, 2)) / 2**20)) == 0.0
+    # On a Born-rule table the loop sums left to right and the gather pairwise.
+    # The 2n^2 winning entries total at most n^2, so the two differ by at most
+    # 2n^2 + log2(2n^2) rounding units of 2^-53 after the division by n^2.
+    assert gap(gc.behavior_from_setup(random_setup(rng, n))) <= 2 * n * n * np.finfo(float).eps
+
+
 def test_behaviors_are_no_signaling():
     rng = np.random.default_rng(29)
     for n in (3, 5):
@@ -340,6 +357,39 @@ def test_csv_rejects_row_with_wrong_field_count():
         gc.behavior_from_csv("\n\n")
 
 
+def _trine_csv_lines():
+    return gc.behavior_to_csv(gc.behavior_from_setup(gc.setup_from_family(obs.trine()))).splitlines()
+
+
+# With DeprecationWarning at the library's default filter, so that the reader,
+# not this suite's error::DeprecationWarning rule, must reject a float key.
+@pytest.mark.filterwarnings("default::DeprecationWarning")
+@pytest.mark.parametrize(
+    "edit, match",
+    [
+        # Each edit keeps the row's numbers, so a reader that cut a comment,
+        # stripped quotes or truncated a float key would accept the table.
+        (lambda row: row + "#x", "#x'"),
+        (lambda row: '"1"' + row[1:], "'\"1\"'"),
+        (lambda row: "1.0" + row[1:], "'1.0'"),
+        (lambda row: "   ", r"CSV row '   ' must have the 5 fields x,y,a,b,p, got 1"),
+    ],
+    ids=["comment", "quoted", "float-key", "whitespace"],
+)
+def test_csv_rejects_rows_the_writer_never_writes(edit, match):
+    lines = _trine_csv_lines()
+    assert lines[1].startswith("1,1,0,0,")
+    with pytest.raises(ValueError, match=match):
+        gc.behavior_from_csv("\n".join(lines[:1] + [edit(lines[1])] + lines[2:]))
+
+
+def test_csv_accepts_blank_lines_and_crlf():
+    lines = _trine_csv_lines()
+    want = gc.behavior_from_csv("\n".join(lines)).table
+    spaced = "\r\n".join(lines[:4] + ["", ""] + lines[4:]) + "\r\n\r\n"
+    assert np.array_equal(gc.behavior_from_csv(spaced).table, want)
+
+
 def test_csv_rejects_out_of_range_index():
     text = gc.behavior_to_csv(gc.behavior_from_setup(gc.setup_from_family(obs.trine())))
     with pytest.raises(ValueError, match="out of range"):
@@ -365,3 +415,23 @@ def test_behavior_validation_rejects_nan():
     table[1, 2, 0, 1] = np.nan
     with pytest.raises(ValueError, match="finite"):
         gc.Behavior(n=3, table=table).validate()
+
+
+@pytest.mark.filterwarnings("default::DeprecationWarning")
+def test_json_rejects_keys_the_writer_never_writes():
+    text = gc.behavior_to_json(gc.behavior_from_setup(gc.setup_from_family(obs.trine())))
+    # "1,1,1" then "2" would join and split into the valid pairs 1,1 and 1,2.
+    with pytest.raises(ValueError, match=r"JSON key '1,1,1' must have the 2 fields x,y, got 3"):
+        gc.behavior_from_json(text.replace('"1,1"', '"1,1,1"').replace('"1,2"', '"2"'))
+    with pytest.raises(ValueError, match="'1.0'"):
+        gc.behavior_from_json(text.replace('"1,1"', '"1.0,1"'))
+    # "01,1" is a key of its own to the JSON parser but the entry 1,1 to the table.
+    with pytest.raises(ValueError, match='duplicate block "1,1"'):
+        gc.behavior_from_json(text.replace('"1,2"', '"01,1"'))
+
+
+def test_json_rejects_block_that_is_not_2x2():
+    doc = json.loads(gc.behavior_to_json(gc.behavior_from_setup(gc.setup_from_family(obs.trine()))))
+    doc["table"] = {key: sum(block, []) for key, block in doc["table"].items()}  # flat [p00, p01, p10, p11]
+    with pytest.raises(ValueError, match="every table block must be a 2x2 array"):
+        gc.behavior_from_json(json.dumps(doc))
