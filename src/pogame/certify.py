@@ -17,7 +17,7 @@ certified.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -30,8 +30,6 @@ from .qmat import (
     SIGMA_Y,
     SIGMA_Z,
     born_table,
-    eig_hermitian,
-    is_hermitian,
     operator_norm,
     outcome_projectors,
 )
@@ -40,21 +38,31 @@ from .quantum_opt import setup_bell_value
 
 @dataclass(frozen=True, eq=False)
 class PovmSet:
-    """Positive elements summing to the identity."""
+    """Positive elements summing to the identity.
+
+    ``spectra[k]`` holds the ascending eigenvalues of element k, from one
+    ``eigvalsh`` of the (n, 2, 2) stack that the validation, the
+    extremality test and the report all read.
+    """
 
     elements: tuple[np.ndarray, ...]
+    spectra: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        total = np.zeros((2, 2), dtype=complex)
-        for el in self.elements:
-            if el.shape != (2, 2) or not is_hermitian(el):
-                raise ValueError("POVM elements must be 2x2 Hermitian matrices")
-            w, _ = eig_hermitian(el)
-            if w[0] < -EPS:
-                raise ValueError(f"POVM element is not positive semidefinite: min eig {w[0]}")
-            total = total + el
-        if operator_norm(total - I2) > EPS:
+        try:
+            stack = np.array(self.elements, dtype=complex) if self.elements else np.zeros((0, 2, 2), complex)
+        except ValueError:  # elements of different shapes
+            stack = None
+        hermitian = stack is not None and stack.shape[1:] == (2, 2)
+        if not (hermitian and np.all(np.abs(stack - stack.conj().swapaxes(1, 2)) <= EPS)):
+            raise ValueError("POVM elements must be 2x2 Hermitian matrices")
+        spectra = np.linalg.eigvalsh(stack)
+        negative = np.flatnonzero(spectra[:, 0] < -EPS)
+        if len(negative):
+            raise ValueError(f"POVM element is not positive semidefinite: min eig {spectra[negative[0], 0]}")
+        if operator_norm(stack.sum(axis=0) - I2) > EPS:
             raise ValueError("POVM elements must sum to the identity")
+        object.__setattr__(self, "spectra", spectra)
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -153,28 +161,19 @@ def reconstruction_deviation(stats: PovmStatistics, povm: PovmSet) -> float:
     return max(operator_norm(r - el) for r, el in zip(rebuilt, povm.elements))
 
 
-def _hermitian_coords(m: np.ndarray) -> np.ndarray:
-    return np.array(
-        [m[0, 0].real, m[1, 1].real, m[0, 1].real, m[0, 1].imag]
-    )
-
-
 def extremality_check(povm: PovmSet) -> bool:
     """True iff all elements are rank one (within ``EPS``) and linearly independent.
 
     On qubits at most four Hermitian matrices can be independent, so any
     set with more than four outcomes fails automatically.
     """
-    coords = []
-    for el in povm.elements:
-        w, _ = eig_hermitian(el)
-        if w[1] <= EPS:  # zero element: rank 0
-            return False
-        if w[0] > EPS * w[1]:  # smallest eigenvalue relative to largest
-            return False
-        coords.append(_hermitian_coords(el))
-    rank = np.linalg.matrix_rank(np.array(coords), tol=1e-10)
-    return bool(rank == len(povm))
+    smallest, largest = povm.spectra[:, 0], povm.spectra[:, 1]
+    # A zero element has rank 0; otherwise the smallest eigenvalue is read relative to the largest.
+    if np.any(largest <= EPS) or np.any(smallest > EPS * largest):
+        return False
+    stack = np.array(povm.elements)
+    coords = np.stack([stack[:, 0, 0].real, stack[:, 1, 1].real, stack[:, 0, 1].real, stack[:, 0, 1].imag], axis=1)
+    return bool(np.linalg.matrix_rank(coords, tol=1e-10) == len(povm))
 
 
 @dataclass(frozen=True)

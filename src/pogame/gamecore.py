@@ -26,6 +26,7 @@ density matrix.  No 4x4 Kronecker product is built on either path.
 from __future__ import annotations
 
 import json
+import math
 import warnings
 from dataclasses import dataclass
 from itertools import product
@@ -296,27 +297,47 @@ def _load_records(lines: list[str], dtype: np.dtype, what: str) -> np.ndarray:
 
 
 def _fill_once(shape: tuple[int, ...], index: np.ndarray, values: np.ndarray, label) -> np.ndarray:
-    """Table of ``shape``, starting from NaN, with ``values`` placed at ``index``.
+    """Table of ``shape`` with ``values`` placed at ``index``, built only once every entry is found.
 
     ``index`` holds one row of 0-based indices into the leading axes of
     ``shape`` per value.  Every keyed entry must be given exactly once; the
-    error names the first out-of-range, duplicate or missing entry, formatted
-    by ``label(*indices)``.
+    error names the first out-of-range entry, or else the first duplicate or
+    missing one in row-major order, formatted by ``label(*indices)``.  Every
+    step takes memory in proportion to the input, not to ``shape``: the
+    table is counted and filled only when the input has one row per keyed
+    entry, and otherwise ``_first_gap`` names the entry at fault.
     """
     keyed = shape[: index.shape[1]]
     outside = np.any((index < 0) | (index >= np.array(keyed)), axis=1)
     if np.any(outside):
         raise ValueError(f"{label(*index[np.argmax(outside)])} is out of range for n={shape[0]}")
-    flat = np.ravel_multi_index(tuple(index.T), keyed)
-    counts = np.bincount(flat, minlength=int(np.prod(keyed)))
-    wrong = np.flatnonzero(counts != 1)
-    if len(wrong):
-        kind = "duplicate" if counts[wrong[0]] > 1 else "missing"
-        where = label(*np.unravel_index(wrong[0], keyed))
-        raise ValueError(f"{kind} {where}: every entry must appear exactly once")
-    table = np.full(shape, np.nan)
-    table.reshape((-1,) + shape[index.shape[1] :])[flat] = values
-    return table
+    if len(index) == math.prod(keyed):
+        flat = np.ravel_multi_index(tuple(index.T), keyed)
+        if np.all(np.bincount(flat, minlength=len(index)) == 1):
+            table = np.empty(shape)
+            table.reshape((-1,) + shape[index.shape[1] :])[flat] = values
+            return table
+    kind, where = _first_gap(index, keyed)
+    raise ValueError(f"{kind} {label(*where)}: every entry must appear exactly once")
+
+
+def _first_gap(index: np.ndarray, keyed: tuple[int, ...]) -> tuple[str, np.ndarray]:
+    """First duplicate or missing key in row-major order, from the sorted rows of ``index``.
+
+    Row k of the sorted index must be the k-th key.  Only the first
+    ``len(index) + 1`` keys are built, so an axis longer than that divides
+    their ranks as its clipped length does.
+    """
+    found = index[np.lexsort(index.T[::-1])]
+    rank = np.arange(len(index) + 1)
+    want = np.empty((len(rank), len(keyed)), dtype=index.dtype)
+    for axis in reversed(range(len(keyed))):
+        rank, want[:, axis] = np.divmod(rank, min(keyed[axis], len(rank)))
+    wrong = np.flatnonzero(np.any(found != want[:-1], axis=1))
+    first = wrong[0] if len(wrong) else len(index)
+    if 0 < first < len(index) and np.array_equal(found[first], found[first - 1]):
+        return "duplicate", found[first]
+    return "missing", want[first]
 
 
 def behavior_from_csv(text: str) -> Behavior:
@@ -362,7 +383,9 @@ def _unique_keys(pairs: list) -> dict:
 def behavior_from_json(text: str) -> Behavior:
     """Parse the JSON written by ``behavior_to_json``: all "x,y" keys are converted in one ``np.loadtxt``."""
     obj = json.loads(text, object_pairs_hook=_unique_keys)
-    n = int(obj["n"])
+    n = obj["n"]
+    if type(n) is not int or n < 1:  # not a bool, a float such as 3.0 or a string
+        raise ValueError(f'"n" must be a positive JSON integer, got {json.dumps(n)}')
     keys = list(obj["table"])
     blocks = np.array(list(obj["table"].values()), dtype=float)
     if blocks.shape != (len(keys), 2, 2):

@@ -240,10 +240,9 @@ def selftest_section(setup: gc.QuantumSetup, perturb: float = 0.0) -> tuple[dict
     ops = st.build_selftest_operators(setup)
     circuit = st.build_circuit(ops)
     residuals = st.verify_relations(ops, setup.state)
-    state_run = st._run_target(setup, ops, circuit, "state")
     targets = _TARGETS_3 if setup.n == 3 else _TARGETS_5
-    runs = {tgt: st._run_target(setup, ops, circuit, tgt) for tgt in targets}
-    extraction_errors = {tgt: run.max_entry_error for tgt, run in runs.items()}
+    state_run, *runs = st.run_targets(setup, ops, circuit, ("state",) + targets)
+    extraction_errors = {run.target: run.max_entry_error for run in runs}
     section = {
         "perturbation": perturb,
         "relation_residuals": {k: float(v) for k, v in residuals.items()},
@@ -251,7 +250,7 @@ def selftest_section(setup: gc.QuantumSetup, perturb: float = 0.0) -> tuple[dict
         "state_fidelity": state_run.fidelity,
         "junk_fidelity": state_run.junk_fidelity,
         "extraction_entry_errors": extraction_errors,
-        "extraction_fidelities": {tgt: run.fidelity for tgt, run in runs.items()},
+        "extraction_fidelities": {run.target: run.fidelity for run in runs},
         "extraction_entry_error_max": float(max(extraction_errors.values())),
     }
     checks = [
@@ -269,7 +268,7 @@ def certify_section(fam: ObservableFamily, setup: gc.QuantumSetup, alpha: float)
     penalty_total = float(certify_mod.penalty_probabilities(setup, povm).sum())
     plain = qo.setup_bell_value(setup)
     shifted = certify_mod._shifted(plain, penalty_total, alpha)
-    spectrum = [[float(w) for w in np.linalg.eigvalsh(el)] for el in povm.elements]
+    spectrum = povm.spectra.tolist()
     completeness = float(np.linalg.norm(sum(povm.elements) - np.eye(2), 2))
     rand = certify_mod.randomness_report(setup, povm)
     recon_dev = certify_mod.reconstruction_deviation(stats, povm) if n == 3 else None

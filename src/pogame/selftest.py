@@ -28,6 +28,16 @@ four registers and the five-setting one six.  The first stage's pair
 pair and the later ancillas.  At the optimum each later stage leaves its
 ancilla pair correlated, so the predicted junk is built from Alice's
 branches alone: ``xi = sum_j (K_j chi) |jj>``.
+
+All targets of a setup run as one stack (``run_targets``).  Each target
+names one operator per party from a menu (identity, raw observables, the
+swap operators Z, X, Y), so the targets' operators and their reference
+actions on the extracted pair are (T, 2, 2) stacks.  The circuit then runs
+once on a (T, 2, 2, ...) state stack, every Schmidt split is one batched
+SVD, the junk prediction is built once and sigma_z dressed only on the y
+targets' rows, and the fidelities and entry errors are computed row-wise,
+rounding each row as a single target's computation would.
+``run_isometry`` is a stack of one target.
 """
 
 from __future__ import annotations
@@ -197,10 +207,10 @@ def build_circuit(ops: SelfTestOperators) -> SwapCircuit:
     return SwapCircuit(n=ops.n, nregs=2 + 2 * len(stages), stages=tuple(stages))
 
 
-def _apply_stage(stage: tuple[np.ndarray, np.ndarray], state: np.ndarray) -> np.ndarray:
-    """One stage on a (2, 2, ...) state tensor; its ancilla pair becomes the last two axes."""
+def _apply_stage(stage: tuple[np.ndarray, np.ndarray], states: np.ndarray) -> np.ndarray:
+    """One stage on a (T, 2, 2, ...) stack of state tensors; its ancilla pair becomes the last two axes."""
     alice, bob = stage
-    return np.einsum("jac,kbd,cd...->ab...jk", alice, bob, state)
+    return np.einsum("jac,kbd,tcd...->tab...jk", alice, bob, states)
 
 
 @dataclass(frozen=True, eq=False)
@@ -217,58 +227,88 @@ class IsometryResult:
     max_entry_error: float
 
 
-def _schmidt_split(state: np.ndarray):
-    """Rank-1 factorization of a register tensor across (rest | A', B'), if it exists."""
-    mat = np.moveaxis(state, (2, 3), (-2, -1)).reshape(-1, 4)
-    u, s, vh = np.linalg.svd(mat)
-    factorized = bool(s[0] > 0 and (len(s) == 1 or s[1] < _SPAN_TOL))
-    junk = u[:, 0] * s[0]
-    extracted = vh[0]
-    return factorized, junk, extracted
+def _norms(a: np.ndarray) -> np.ndarray:
+    """Row-wise ``|a|``, summed as ``np.linalg.norm`` sums a single vector."""
+    return np.sqrt(np.vecdot(a.real, a.real) + np.vecdot(a.imag, a.imag))
 
 
-def _fidelity(a: np.ndarray, b: np.ndarray) -> float:
-    na, nb = np.linalg.norm(a), np.linalg.norm(b)
-    if na == 0 or nb == 0:
-        return 0.0
-    return float(abs(np.vdot(a, b)) ** 2 / (na**2 * nb**2))
+def _fidelities(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise ``|<a|b>|^2 / (|a|^2 |b|^2)``, zero where either row vanishes.
+
+    Each step rounds as it does on one pair of vectors: ``hypot`` is
+    ``abs`` of a complex scalar and ``float_power`` is ``**`` of a float
+    scalar, so a row equals the fidelity of that pair computed alone.
+    """
+    norms = np.float_power(_norms(a), 2) * np.float_power(_norms(b), 2)
+    overlaps = np.vecdot(a, b)
+    moduli = np.float_power(np.hypot(overlaps.real, overlaps.imag), 2)
+    return np.where(norms > 0, moduli / np.where(norms > 0, norms, 1.0), 0.0)
 
 
-def _frame_coefficients(op: np.ndarray, z: np.ndarray, x: np.ndarray) -> tuple[float, float]:
-    """Coefficients of ``op`` in the (z, x) swap frame, with a span check."""
-    cz = float(np.trace(op @ z).real / 2.0)
-    cx = float(np.trace(op @ x).real / 2.0)
-    if operator_norm(op - cz * z - cx * x) > _SPAN_TOL:
-        raise ValueError("observable does not lie in the span of the swap frame")
-    return cz, cx
+def _frame_coefficients(stack: np.ndarray, z: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Reference actions ``cz sigma_z + cx sigma_x`` of a stack of observables in the (z, x) swap frame.
+
+    Also returns each observable's leftover outside the frame, as one
+    batched spectral norm, for the span check of the targets that use it.
+    """
+    cz = np.trace(stack @ z, axis1=1, axis2=2).real[:, None, None] / 2.0
+    cx = np.trace(stack @ x, axis1=1, axis2=2).real[:, None, None] / 2.0
+    leftover = np.linalg.norm(stack - cz * z - cx * x, 2, axis=(1, 2))
+    return cz * SIGMA_Z + cx * SIGMA_X, leftover
 
 
-def _parse_target(target: str, n: int) -> tuple[str, tuple]:
+def _parse_target(target: str, n: int) -> tuple[int, int]:
+    """Positions of the operators Alice and Bob apply for ``target`` in their menus.
+
+    A party's menu (``_menu``) is the identity at 0, its raw observables at
+    1..n and the swap operators Z, X, Y at n + 1, n + 2, n + 3.
+    """
     if target == "state":
-        return "state", ()
+        return 0, 0
     named = {"ZA", "XA", "YA", "ZB", "XB", "YB"}
     if target in named:
-        return "named", (target,)
+        pos = n + 1 + "ZXY".index(target[0])
+        return (pos, 0) if target[1] == "A" else (0, pos)
     if target.startswith("A") and "B" in target[1:]:
         xs, ys = target[1:].split("B")
         x, y = int(xs), int(ys)
         if not (1 <= x <= n and 1 <= y <= n):
             raise ValueError(f"target indices out of range: {target}")
-        return "ab", (x - 1, y - 1)
+        return x, y
     if target.startswith("A"):
         x = int(target[1:])
         if not 1 <= x <= n:
             raise ValueError(f"target index out of range: {target}")
-        return "a", (x - 1,)
+        return x, 0
     if target.startswith("B"):
         y = int(target[1:])
         if not 1 <= y <= n:
             raise ValueError(f"target index out of range: {target}")
-        return "b", (y - 1,)
+        return 0, y
     raise ValueError(f"unrecognized isometry target: {target}")
 
 
-_REFERENCE = {"Z": SIGMA_Z, "X": SIGMA_X, "Y": SIGMA_Y}
+# Reference actions of the swap operators Z, X, Y on the extracted pair.
+_REFERENCE = np.array([SIGMA_Z, SIGMA_X, SIGMA_Y])
+
+
+def _menu(observables, z, x, y, pos: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """One party's operators and reference actions for the menu positions ``pos``, as (T, 2, 2) stacks.
+
+    A raw observable's reference action is its (z, x) frame part; every
+    observable a target uses must lie in that frame.
+    """
+    stack = np.asarray(observables)
+    raw = (pos >= 1) & (pos <= len(stack))
+    refs = np.zeros_like(stack)  # only read at the positions of raw observables
+    if np.any(raw):
+        refs, leftover = _frame_coefficients(stack, z, x)
+        if np.any(leftover[pos[raw] - 1] > _SPAN_TOL):
+            raise ValueError("observable does not lie in the span of the swap frame")
+    named = (z, x) if y is None else (z, x, y)
+    ops = np.concatenate([I2[None], stack, named])
+    refs = np.concatenate([I2[None], refs, _REFERENCE[: len(named)]])
+    return ops[pos], refs[pos]
 
 
 def run_isometry(setup: QuantumSetup, target: str = "state") -> IsometryResult:
@@ -281,89 +321,85 @@ def run_isometry(setup: QuantumSetup, target: str = "state") -> IsometryResult:
     the ancilla pair; fidelities are phase-invariant.
     """
     ops = build_selftest_operators(setup)
-    return _run_target(setup, ops, build_circuit(ops), target)
+    return run_targets(setup, ops, build_circuit(ops), (target,))[0]
 
 
-def _run_target(
-    setup: QuantumSetup, ops: SelfTestOperators, circuit: SwapCircuit, target: str
-) -> IsometryResult:
-    """``run_isometry`` for operators and a circuit already built from ``setup``.
+def run_targets(
+    setup: QuantumSetup, ops: SelfTestOperators, circuit: SwapCircuit, targets
+) -> tuple[IsometryResult, ...]:
+    """``run_isometry`` for every target at once, with operators and a circuit already built from ``setup``.
 
-    Lets a caller that runs many targets on one setup build both once.
+    The targets' operators and reference actions are (T, 2, 2) stacks, so
+    the circuit, the expected vectors, the Schmidt splits (one batched SVD)
+    and the fidelities each run once on a leading target axis.
     """
     n = setup.n
-    kind, args = _parse_target(target, n)
-
-    # Local operators applied before the circuit, and their reference action
-    # on the extracted pair.
-    a_op, b_op, a_ref, b_ref = I2, I2, I2, I2
-    if kind == "named":
-        (name,) = args
-        op = getattr(ops, f"{name[0].lower()}_{name[1].lower()}")  # "ZA" -> ops.z_a
-        if op is None:
-            raise ValueError(f"target {name} requires the five-setting operators")
-        if name[1] == "A":
-            a_op, a_ref = op, _REFERENCE[name[0]]
-        else:
-            b_op, b_ref = op, _REFERENCE[name[0]]
-    elif kind != "state":
-        if n != 3:
-            raise ValueError("raw observable targets are supported by the three-setting circuit")
-        if kind in ("a", "ab"):
-            a_op = setup.alice[args[0]]
-            cz, cx = _frame_coefficients(a_op, ops.z_a, ops.x_a)
-            a_ref = cz * SIGMA_Z + cx * SIGMA_X
-        if kind in ("b", "ab"):
-            b_op = setup.bob[args[-1]]
-            dz, dx = _frame_coefficients(b_op, ops.z_b, ops.x_b)
-            b_ref = dz * SIGMA_Z + dx * SIGMA_X
+    targets = tuple(targets)
+    if not targets:
+        return ()
+    pos = np.array([_parse_target(target, n) for target in targets])
+    wants_y = np.any(pos == n + 3, axis=1)
+    if ops.y_a is None and np.any(wants_y):
+        raise ValueError(f"target {targets[np.argmax(wants_y)]} requires the five-setting operators")
+    if n != 3 and np.any((pos >= 1) & (pos <= n)):
+        raise ValueError("raw observable targets are supported by the three-setting circuit")
+    a_op, a_ref = _menu(setup.alice, ops.z_a, ops.x_a, ops.y_a, pos[:, 0])
+    b_op, b_ref = _menu(setup.bob, ops.z_b, ops.x_b, ops.y_b, pos[:, 1])
 
     out = apply_local(a_op, b_op, setup.state)
     for stage in circuit.stages:
         out = _apply_stage(stage, out)
-    output = out.reshape(-1)
+    count = len(targets)
+    output = out.reshape(count, -1)
 
     # Expected output: the junk is chi = (1 + Z_A) psi / sqrt(2) after the
     # first stage; each later stage takes it to sum_j (K_j chi) |jj> with
     # Alice's branches K_j only, so a failed relation on Bob's side lowers
-    # the fidelity instead of entering the prediction.  The junk times the
-    # reference action on (A', B') is the expected output.
+    # the fidelity instead of entering the prediction.  The junk, sigma_z
+    # dressed on A'' for the y targets, times the reference action on
+    # (A', B') is the expected output.
     anc_expected = apply_local(a_ref, b_ref, phi_plus())
-    junk_expected = apply_local(I2 + ops.z_a, I2, setup.state) / np.sqrt(2)
+    junk = apply_local(I2 + ops.z_a, I2, setup.state) / np.sqrt(2)
     for alice, _ in circuit.stages[1:]:
-        junk_expected = np.einsum("jac,cb...,jk->ab...jk", alice, junk_expected, I2)
-    if target in ("YA", "YB"):
-        junk_expected = np.einsum("il,abl...->abi...", SIGMA_Z, junk_expected)  # sigma_z on A''
-    expected = np.einsum("ab...,jk->abjk...", junk_expected, anc_expected).reshape(-1)
-    junk_expected = junk_expected.reshape(-1)
-    anc_expected = anc_expected.reshape(-1)
+        junk = np.einsum("jac,cb...,jk->ab...jk", alice, junk, I2)
+    junk_expected = np.repeat(junk[None], count, axis=0)
+    if np.any(wants_y):
+        junk_expected[wants_y, :, :, 1] *= -1  # sigma_z on A''
+    expected = np.einsum("tab...,tjk->tabjk...", junk_expected, anc_expected).reshape(count, -1)
+    junk_expected = junk_expected.reshape(count, -1)
+    anc_expected = anc_expected.reshape(count, -1)
 
-    exp_norm = np.linalg.norm(expected)
-    if exp_norm > 0:
-        expected_unit = expected / exp_norm
-    else:
-        expected_unit = expected
-    fid = _fidelity(output, expected)
+    exp_norm = _norms(expected)[:, None]
+    expected_unit = expected / np.where(exp_norm > 0, exp_norm, 1.0)
+    fidelity = _fidelities(output, expected)
+    overlap = np.vecdot(expected_unit, output)[:, None]
+    size = np.hypot(overlap.real, overlap.imag)
+    phase = np.where(size > 0, overlap, 1.0) / np.where(size > 0, size, 1.0)
+    max_entry_error = np.max(np.abs(output - phase * expected_unit), axis=1)
 
-    overlap = np.vdot(expected_unit, output)
-    phase = overlap / abs(overlap) if abs(overlap) > 0 else 1.0
-    max_entry_error = float(np.max(np.abs(output - phase * expected_unit)))
+    # Schmidt split of each output across (rest | A', B'): rank one within _SPAN_TOL.
+    u, s, vh = np.linalg.svd(np.moveaxis(out, (3, 4), (-2, -1)).reshape(count, -1, 4), full_matrices=False)
+    factorized = (s[:, 0] > 0) & (s[:, 1] < _SPAN_TOL)
+    junk_found = u[:, :, 0] * s[:, :1]
+    extracted = vh[:, 0]
+    junk_fidelity = np.where(factorized, _fidelities(junk_found, junk_expected), 0.0)
+    extracted_fidelity = np.where(factorized, _fidelities(extracted, anc_expected), 0.0)
 
-    factorized, junk, extracted = _schmidt_split(out)
-    junk_fid = _fidelity(junk, junk_expected) if factorized else 0.0
-    extracted_fid = _fidelity(extracted, anc_expected) if factorized else 0.0
-
-    return IsometryResult(
-        target=target,
-        output=output,
-        expected=expected_unit,
-        fidelity=fid,
-        junk=junk if factorized else None,
-        extracted=extracted if factorized else None,
-        junk_fidelity=junk_fid,
-        extracted_fidelity=extracted_fid,
-        factorized=factorized,
-        max_entry_error=max_entry_error,
+    rows = zip(
+        targets,
+        output,
+        expected_unit,
+        fidelity.tolist(),
+        junk_found,
+        extracted,
+        junk_fidelity.tolist(),
+        extracted_fidelity.tolist(),
+        factorized.tolist(),
+        max_entry_error.tolist(),
+    )
+    return tuple(
+        IsometryResult(target, out_t, exp_t, fid, junk_t if fact else None, ext_t if fact else None, jf, ef, fact, err)
+        for target, out_t, exp_t, fid, junk_t, ext_t, jf, ef, fact, err in rows
     )
 
 

@@ -12,8 +12,8 @@ the 2n^2 winning-entry sum for the success probability, the 4n^2
 per-branch steering sandwich, the per-element POVM statistics, the
 per-entry behavior writers, the gate-by-gate swap circuit as a dense
 2^k x 2^k unitary, its predicted output built from the dense junk vectors,
-and the see-saw run one restart at a time.  They are exponential or
-quadratic and only meant for small n.
+the self-test run one target at a time, and the see-saw run one restart
+at a time.  They are exponential or quadratic and only meant for small n.
 """
 
 import heapq
@@ -369,6 +369,140 @@ def swap_circuit_expected(setup, target="state"):
     else:
         expected = np.kron(junk, anc)
     return expected / np.linalg.norm(expected), junk
+
+
+def _parse_target_loop(target, n):
+    if target == "state":
+        return "state", ()
+    if target in {"ZA", "XA", "YA", "ZB", "XB", "YB"}:
+        return "named", (target,)
+    if target.startswith("A") and "B" in target[1:]:
+        xs, ys = target[1:].split("B")
+        x, y = int(xs), int(ys)
+        if not (1 <= x <= n and 1 <= y <= n):
+            raise ValueError(f"target indices out of range: {target}")
+        return "ab", (x - 1, y - 1)
+    if target.startswith("A"):
+        x = int(target[1:])
+        if not 1 <= x <= n:
+            raise ValueError(f"target index out of range: {target}")
+        return "a", (x - 1,)
+    if target.startswith("B"):
+        y = int(target[1:])
+        if not 1 <= y <= n:
+            raise ValueError(f"target index out of range: {target}")
+        return "b", (y - 1,)
+    raise ValueError(f"unrecognized isometry target: {target}")
+
+
+def _fidelity_pair(a, b):
+    na, nb = np.linalg.norm(a), np.linalg.norm(b)
+    if na == 0 or nb == 0:
+        return 0.0
+    return float(abs(np.vdot(a, b)) ** 2 / (na**2 * nb**2))
+
+
+def _frame_coefficients_single(op, z, x):
+    cz = float(np.trace(op @ z).real / 2.0)
+    cx = float(np.trace(op @ x).real / 2.0)
+    if np.linalg.norm(op - cz * z - cx * x, 2) > 1e-8:
+        raise ValueError("observable does not lie in the span of the swap frame")
+    return cz, cx
+
+
+def _run_target_loop(setup, ops, circuit, target):
+    """One target: its operators, the circuit stage by stage, one SVD and the fidelities."""
+    n = setup.n
+    kind, args = _parse_target_loop(target, n)
+    reference = {"Z": SIGMA_Z, "X": SIGMA_X, "Y": SIGMA_Y}
+    a_op, b_op, a_ref, b_ref = I2, I2, I2, I2
+    if kind == "named":
+        (name,) = args
+        op = getattr(ops, f"{name[0].lower()}_{name[1].lower()}")
+        if op is None:
+            raise ValueError(f"target {name} requires the five-setting operators")
+        if name[1] == "A":
+            a_op, a_ref = op, reference[name[0]]
+        else:
+            b_op, b_ref = op, reference[name[0]]
+    elif kind != "state":
+        if n != 3:
+            raise ValueError("raw observable targets are supported by the three-setting circuit")
+        if kind in ("a", "ab"):
+            a_op = setup.alice[args[0]]
+            cz, cx = _frame_coefficients_single(a_op, ops.z_a, ops.x_a)
+            a_ref = cz * SIGMA_Z + cx * SIGMA_X
+        if kind in ("b", "ab"):
+            b_op = setup.bob[args[-1]]
+            dz, dx = _frame_coefficients_single(b_op, ops.z_b, ops.x_b)
+            b_ref = dz * SIGMA_Z + dx * SIGMA_X
+
+    out = a_op @ setup.state.reshape(2, 2) @ b_op.T
+    for alice, bob in circuit.stages:
+        out = np.einsum("jac,kbd,cd...->ab...jk", alice, bob, out)
+    output = out.reshape(-1)
+
+    anc_expected = a_ref @ phi_plus().reshape(2, 2) @ b_ref.T
+    junk_expected = (I2 + ops.z_a) @ setup.state.reshape(2, 2) / np.sqrt(2)
+    for alice, _ in circuit.stages[1:]:
+        junk_expected = np.einsum("jac,cb...,jk->ab...jk", alice, junk_expected, I2)
+    if target in ("YA", "YB"):
+        junk_expected = np.einsum("il,abl...->abi...", SIGMA_Z, junk_expected)
+    expected = np.einsum("ab...,jk->abjk...", junk_expected, anc_expected).reshape(-1)
+    junk_expected = junk_expected.reshape(-1)
+    anc_expected = anc_expected.reshape(-1)
+
+    exp_norm = np.linalg.norm(expected)
+    expected_unit = expected / exp_norm if exp_norm > 0 else expected
+    overlap = np.vdot(expected_unit, output)
+    phase = overlap / abs(overlap) if abs(overlap) > 0 else 1.0
+
+    u, s, vh = np.linalg.svd(np.moveaxis(out, (2, 3), (-2, -1)).reshape(-1, 4))
+    factorized = bool(s[0] > 0 and s[1] < 1e-8)
+    junk = u[:, 0] * s[0]
+    return st.IsometryResult(
+        target=target,
+        output=output,
+        expected=expected_unit,
+        fidelity=_fidelity_pair(output, expected),
+        junk=junk if factorized else None,
+        extracted=vh[0] if factorized else None,
+        junk_fidelity=_fidelity_pair(junk, junk_expected) if factorized else 0.0,
+        extracted_fidelity=_fidelity_pair(vh[0], anc_expected) if factorized else 0.0,
+        factorized=factorized,
+        max_entry_error=float(np.max(np.abs(output - phase * expected_unit))),
+    )
+
+
+def run_targets_loop(setup, targets):
+    """``selftest.run_targets`` one target at a time, each with its own circuit pass and SVD."""
+    ops = st.build_selftest_operators(setup)
+    circuit = st.build_circuit(ops)
+    return tuple(_run_target_loop(setup, ops, circuit, target) for target in targets)
+
+
+def assert_stacked_selftest_matches(setup, targets):
+    """``selftest.run_targets`` against ``run_targets_loop`` and the dense gate-by-gate circuit.
+
+    Outputs, expected vectors and Schmidt factors agree within 1e-14, the
+    fidelities and entry errors within 1e-15.
+    """
+    ops = st.build_selftest_operators(setup)
+    stacked = st.run_targets(setup, ops, st.build_circuit(ops), targets)
+    assert [run.target for run in stacked] == list(targets)
+    for run, loop in zip(stacked, run_targets_loop(setup, targets)):
+        target = run.target
+        assert np.max(np.abs(run.output - loop.output)) <= 1e-14, target
+        assert np.max(np.abs(run.output - swap_circuit_output(setup, target))) <= 1e-14, target
+        assert np.max(np.abs(run.expected - loop.expected)) <= 1e-14, target
+        for field in ("fidelity", "junk_fidelity", "extracted_fidelity", "max_entry_error"):
+            assert abs(getattr(run, field) - getattr(loop, field)) <= 1e-15, (target, field)
+        assert run.factorized == loop.factorized, target
+        if run.factorized:
+            assert np.max(np.abs(run.junk - loop.junk)) <= 1e-14, target
+            assert np.max(np.abs(run.extracted - loop.extracted)) <= 1e-14, target
+        else:
+            assert run.junk is None and run.extracted is None, target
 
 
 def _random_setup(n, rng, constrained):

@@ -177,3 +177,29 @@ def test_negative_alpha_rejected():
     setup, povm = trine_pieces()
     with pytest.raises(ValueError):
         ct.shifted_bell_value(setup, povm, -1.0)
+
+
+@pytest.mark.parametrize("n", [3, 5, 7, 13])
+def test_povm_spectra_equal_each_element_spectrum(n):
+    # The report's element_spectra read the stacked eigvalsh, so they must be the per-element values bit for bit.
+    povm = ct.canonical_povm(obs.canonical_family(n))
+    assert povm.spectra.shape == (n, 2)
+    for el, spectrum in zip(povm.elements, povm.spectra):
+        assert np.array_equal(spectrum, np.linalg.eigvalsh(el))
+
+
+@pytest.mark.parametrize(
+    "elements, message",
+    [
+        ((I2 / 2, I2 / 4), "POVM elements must sum to the identity"),
+        ((), "POVM elements must sum to the identity"),
+        ((1.5 * I2, -0.5 * I2), "POVM element is not positive semidefinite: min eig -0.5"),
+        ((np.array([[0, 1], [0, 0]], dtype=complex), I2), "POVM elements must be 2x2 Hermitian matrices"),
+        ((I2, np.eye(3)), "POVM elements must be 2x2 Hermitian matrices"),
+        ((np.full((2, 2), np.nan),), "POVM elements must be 2x2 Hermitian matrices"),
+    ],
+    ids=["incomplete", "empty", "negative", "non-hermitian", "ragged", "nan"],
+)
+def test_povm_set_error_messages(elements, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        ct.PovmSet(elements)

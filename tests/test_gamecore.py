@@ -1,4 +1,6 @@
 import json
+import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -435,3 +437,50 @@ def test_json_rejects_block_that_is_not_2x2():
     doc["table"] = {key: sum(block, []) for key, block in doc["table"].items()}  # flat [p00, p01, p10, p11]
     with pytest.raises(ValueError, match="every table block must be a 2x2 array"):
         gc.behavior_from_json(json.dumps(doc))
+
+
+def _peak_bytes(call):
+    """Peak traced allocation while ``call`` runs, in bytes."""
+    tracemalloc.start()
+    try:
+        call()
+    finally:
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+    return peak
+
+
+@pytest.mark.parametrize(
+    "read, text, match",
+    [
+        # Sized from its largest index, a 2001-setting table would take over 100 MB.
+        (gc.behavior_from_csv, "x,y,a,b,p\n2001,1,0,0,1", "missing row 1,1,0,0"),
+        (gc.behavior_from_csv, "x,y,a,b,p\n9000000000000000000,1,0,0,1", "missing row 1,1,0,0"),
+        (gc.behavior_from_json, '{"n": 2001, "table": {"1,1": [[1, 0], [0, 0]]}}', 'missing block "1,2"'),
+        (gc.behavior_from_json, '{"n": 10000000000000000000000, "table": {"2,1": [[1, 0], [0, 0]]}}', 'missing block "1,1"'),
+    ],
+    ids=["csv-2001", "csv-int64-max", "json-2001", "json-beyond-int64"],
+)
+def test_short_input_is_rejected_in_memory_of_its_own_size(read, text, match):
+    def call():
+        with pytest.raises(ValueError, match=f"^{match}: every entry must appear exactly once$"):
+            read(text)
+
+    assert _peak_bytes(call) < 200_000
+
+
+def test_csv_with_one_row_too_many_names_the_duplicate():
+    lines = _trine_csv_lines()
+    assert lines[7].startswith("1,2,1,0,")
+    with pytest.raises(ValueError, match="duplicate row 1,2,1,0"):
+        gc.behavior_from_csv("\n".join(lines + [lines[7]]))
+    with pytest.raises(ValueError, match="duplicate row 3,3,1,1"):
+        gc.behavior_from_csv("\n".join(lines + [lines[-1]]))
+
+
+@pytest.mark.parametrize("n", ["3.9", '"3"', "true", "3.0", "0", "-3", "null"])
+def test_json_n_must_be_a_positive_json_integer(n):
+    text = gc.behavior_to_json(gc.behavior_from_setup(gc.setup_from_family(obs.trine())))
+    assert text.startswith('{"n": 3, ')
+    with pytest.raises(ValueError, match=f'^"n" must be a positive JSON integer, got {re.escape(n)}$'):
+        gc.behavior_from_json(text.replace('"n": 3', f'"n": {n}', 1))

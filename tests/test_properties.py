@@ -10,7 +10,8 @@ from pogame import bounds  # noqa: E402
 from pogame import gamecore as gc  # noqa: E402
 from pogame import quantum_opt as qo  # noqa: E402
 from pogame.observables import canonical_family  # noqa: E402
-from pogame.report import CertificationReport, build_report, flatten  # noqa: E402
+from pogame.report import _TARGETS_3, _TARGETS_5, CertificationReport, build_report, flatten  # noqa: E402
+from pogame.selftest import perturbed_state  # noqa: E402
 from pogame.qmat import I2, SIGMA_X, SIGMA_Y, SIGMA_Z, apply_local, phi_plus  # noqa: E402
 
 import oracles  # noqa: E402
@@ -170,3 +171,13 @@ def test_behavior_round_trips_bit_for_bit(n, u, v):
     for back in (gc.behavior_from_csv(csv), gc.behavior_from_json(doc)):
         assert back.n == n
         assert back.table.tobytes() == beh.table.tobytes()
+
+
+@PROPERTY_SETTINGS
+@given(st.sampled_from([3, 5]), st.sampled_from([0.0, 0.05]), unitaries, unitaries)
+def test_stacked_selftest_matches_loop_oracle_under_local_unitaries(n, delta, u, v):
+    canonical = gc.setup_from_family(canonical_family(n))
+    state = perturbed_state(delta) if delta else canonical.state
+    setup = _rotated(gc.QuantumSetup(state=state, alice=canonical.alice, bob=canonical.bob), u, v)
+    targets = ("state",) + (_TARGETS_3 if n == 3 else _TARGETS_5)
+    oracles.assert_stacked_selftest_matches(setup, targets)

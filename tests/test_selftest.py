@@ -4,6 +4,7 @@ import pytest
 import oracles
 from pogame import gamecore as gc
 from pogame import observables as obs
+from pogame import report
 from pogame import selftest as st
 from pogame.qmat import I2, SIGMA_X, SIGMA_Y, SIGMA_Z
 from pogame.report import _TARGETS_3, _TARGETS_5
@@ -253,3 +254,47 @@ def test_unknown_target_rejected():
         st.run_isometry(trine_setup(), "A4")
     with pytest.raises(ValueError):
         st.run_isometry(trine_setup(), "YA")  # needs the five-setting operators
+
+
+def _report_targets(n):
+    return ("state",) + (_TARGETS_3 if n == 3 else _TARGETS_5)
+
+
+@pytest.mark.parametrize("delta", [0.0, 0.05], ids=["canonical", "perturbed"])
+@pytest.mark.parametrize("n", [3, 5])
+def test_stacked_runner_matches_loop_oracle(n, delta):
+    base = gc.setup_from_family(obs.canonical_family(n))
+    state = st.perturbed_state(delta) if delta else base.state
+    oracles.assert_stacked_selftest_matches(gc.QuantumSetup(state=state, alice=base.alice, bob=base.bob), _report_targets(n))
+
+
+@pytest.mark.parametrize(
+    "target, message",
+    [
+        ("C1", "unrecognized isometry target: C1"),
+        ("A4", "target index out of range: A4"),
+        ("YA", "target YA requires the five-setting operators"),
+    ],
+)
+def test_stacked_runner_rejects_bad_targets_as_the_loop_did(target, message):
+    setup = trine_setup()
+    ops = st.build_selftest_operators(setup)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        oracles.run_targets_loop(setup, (target,))
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        st.run_isometry(setup, target)
+    # A bad target among good ones fails the whole stack.
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        st.run_targets(setup, ops, st.build_circuit(ops), ("state", "A1", target, "B2"))
+
+
+def test_selftest_section_runs_every_target_in_one_stack(monkeypatch):
+    calls = []
+    run_targets = st.run_targets
+    monkeypatch.setattr(st, "run_targets", lambda *args: calls.append(args[3]) or run_targets(*args))
+    monkeypatch.setattr(st, "run_isometry", None)  # the section must not run targets one by one
+    for n in (3, 5):
+        section, _ = report.selftest_section(gc.setup_from_family(obs.canonical_family(n)))
+        assert calls[-1] == _report_targets(n)
+        assert set(section["extraction_fidelities"]) == set(_report_targets(n)[1:])
+    assert len(calls) == 2
