@@ -95,12 +95,6 @@ def pnc_bound(n: int) -> tuple[int, DeterministicStrategy]:
     return int(round(value)), DeterministicStrategy(tuple(a.tolist()), tuple(b.tolist()))
 
 
-def pnc_bound_reduction(n: int) -> int:
-    """Closed-form route: with sum a = 0 the value is 2 sum |a_y|, maximal at 2(n-1)."""
-    check_n(n)
-    return 2 * (n - 1)
-
-
 def _balanced_values(coeff: np.ndarray) -> np.ndarray:
     """Best balanced Bob value per coefficient row (length 2h+1) and dropped entry.
 

@@ -133,7 +133,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_opt.add_argument("--tol", type=_tol, default=qo.TOL)
 
     p_self = sub.add_parser("selftest", help="swap-circuit relations and extractions")
-    p_self.add_argument("--n", type=int, choices=(3, 5), required=True)
+    p_self.add_argument("--n", type=_odd_n, required=True)
     p_self.add_argument("--perturb", type=_perturbation, default=0.0)
 
     p_cert = sub.add_parser("certify", help="POVM certification and randomness")

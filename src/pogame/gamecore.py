@@ -383,6 +383,8 @@ def _unique_keys(pairs: list) -> dict:
 def behavior_from_json(text: str) -> Behavior:
     """Parse the JSON written by ``behavior_to_json``: all "x,y" keys are converted in one ``np.loadtxt``."""
     obj = json.loads(text, object_pairs_hook=_unique_keys)
+    if not (isinstance(obj, dict) and "n" in obj and isinstance(obj.get("table"), dict)):
+        raise ValueError('behavior JSON must be an object with "n" and a "table" object')
     n = obj["n"]
     if type(n) is not int or n < 1:  # not a bool, a float such as 3.0 or a string
         raise ValueError(f'"n" must be a positive JSON integer, got {json.dumps(n)}')

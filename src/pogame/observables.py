@@ -140,9 +140,8 @@ def _quartet(nu: float, beta: float, z: float) -> list[np.ndarray]:
 def family_five(nu: float | None = None, beta: float | None = None) -> ObservableFamily:
     """Five-setting family with one out-of-plane quartet: ``family_quartets(5, nu, beta)``.
 
-    This is the family whose quartet structure feeds the five-setting
-    self-test: summing/differencing the quartet isolates pure sigma_x and
-    sigma_y directions.
+    It is the smallest canonical family that is not planar, so its swap
+    frame (``selftest.build_selftest_operators``) has a y direction.
     """
     return family_quartets(5, nu, beta)
 
@@ -154,6 +153,8 @@ def family_quartets(n: int, nu: float | None = None, beta: float | None = None) 
     when n = 3 (mod 4) one extra mirrored pair completes the set.  All x and
     y components cancel within each group, so the sum-zero constraint holds
     exactly for any parameters satisfying the per-observable normalization.
+    The self-test does not use the grouping: it reads its swap frame from
+    the correlations of any family.
     """
     check_n(n)
     if n < 5:

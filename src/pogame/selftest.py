@@ -4,6 +4,14 @@ A two-qubit state ``psi`` is handled as the 2x2 matrix ``psi2`` with
 Alice's index on rows and Bob's on columns, so every local operator acts as
 ``(M (x) N) psi = M psi2 N^T`` (``qmat.apply_local``).
 
+The swap operators come from one Gram-Schmidt construction on the state,
+the same for every n (``build_selftest_operators``): Z is the first
+setting, X the normalized part of another setting orthogonal to Z, and Y
+the largest remainder left after the Z and X parts, present only when the
+observables are not planar.  The construction reads only the correlations
+``Re<A_j psi, A_k psi>``, as in the SWAP-isometry self-test of McKague,
+Yang and Scarani (J. Phys. A 45, 455304, 2012).
+
 The swap circuit is a list of stages.  Each stage adds one ancilla per
 party, starts both in |0> and leaves one branch operator per party for each
 ancilla value: the physical pair goes to ``sum_jk (K_j (x) L_k) psi |j>|k>``
@@ -11,9 +19,9 @@ with Alice's branches ``K_j`` and Bob's ``L_k``.  There are two stages:
 
 - (Z, X): a Hadamard sandwich around controlled-Z, then controlled-X,
   leaves ``(I + Z)/2`` and ``X (I - Z)/2``;
-- (iYX), present when the operators carry a y direction (five settings): a
-  Hadamard sandwich around controlled ``M = i Y X`` leaves ``(I + M)/2``
-  and ``(I - M)/2``.
+- (iYX), present when the swap frame has a y direction: a Hadamard
+  sandwich around controlled ``M = i Y X`` leaves ``(I + M)/2`` and
+  ``(I - M)/2``.
 
 The second stage controls the single unitary ``i Y X`` (phase included):
 with the product operator the cross branches cancel against the optimum
@@ -22,8 +30,8 @@ direction is only ever extracted up to the sigma_z dressing of the junk
 state, reflecting the complex-conjugation equivalence of the correlations.
 
 Registers are ordered ``(A, B, A', B', A'', B'')``: the physical pair
-first, then one ancilla pair per stage, so the three-setting circuit has
-four registers and the five-setting one six.  The first stage's pair
+first, then one ancilla pair per stage, so a planar frame's circuit has
+four registers and one with a y direction six.  The first stage's pair
 (A', B') receives the extracted state; the junk is left on the physical
 pair and the later ancillas.  At the optimum each later stage leaves its
 ancilla pair correlated, so the predicted junk is built from Alice's
@@ -47,15 +55,20 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gamecore import QuantumSetup
-from .qmat import EPS, I2, SIGMA_X, SIGMA_Y, SIGMA_Z, apply_local, operator_norm, outcome_projectors, phi_plus
+from .qmat import EPS, I2, SIGMA_X, SIGMA_Y, SIGMA_Z, apply_local, outcome_projectors, phi_plus
 
-# Largest leftover accepted by the frame-span check and by the Schmidt split of the output.
+# Largest leftover accepted by the frame-span check, by the Schmidt split of
+# the output, and below which the swap frame has no y direction.
 _SPAN_TOL = 1e-8
 
 
 @dataclass(frozen=True, eq=False)
 class SelfTestOperators:
-    """Normalized swap operators built from a setup's observables."""
+    """Normalized swap operators built from a setup's observables.
+
+    ``y_a`` and ``y_b`` are None when the observables are planar on the
+    state; ``norms`` holds the state norm each operator was divided by.
+    """
 
     n: int
     alice: tuple[np.ndarray, ...]
@@ -69,111 +82,101 @@ class SelfTestOperators:
     norms: dict | None = None
 
 
-def _quartet_combo(items, signs) -> np.ndarray:
-    out = np.zeros((2, 2), dtype=complex)
-    for m, s in zip(items, signs):
-        out = out + s * m
-    return out
+def _norms(a: np.ndarray) -> np.ndarray:
+    """Row-wise ``|a|``, summed as ``np.linalg.norm`` sums a single vector."""
+    return np.sqrt(np.vecdot(a.real, a.real) + np.vecdot(a.imag, a.imag))
+
+
+def _first_largest(values: np.ndarray) -> int:
+    """Index of the first value within ``_SPAN_TOL`` of the largest, so roundoff cannot break a tie."""
+    return int(np.argmax(values >= values.max() - _SPAN_TOL))
+
+
+def _normalized(alice_op: np.ndarray, bob_op: np.ndarray, psi) -> tuple[np.ndarray, list[float]]:
+    """Both operators divided by their state norms ``|(alice_op (x) I) psi|`` and ``|(I (x) bob_op) psi|``."""
+    on_state = apply_local(np.array([alice_op, I2]), np.array([I2, bob_op]), psi)
+    norms = _norms(on_state.reshape(2, 4))
+    if norms.min() < EPS:
+        raise ValueError("swap operator has vanishing norm on the state")
+    return np.array([alice_op, bob_op]) / norms[:, None, None], norms.tolist()
 
 
 def build_selftest_operators(setup: QuantumSetup) -> SelfTestOperators:
-    """Swap operators (Z, X-tilde and, from five settings on, Y-tilde).
+    """Swap operators (Z, X-tilde and, for non-planar observables, Y-tilde) by Gram-Schmidt on the state.
 
-    Normalization divisors are the state norms ``||X psi||`` so the
-    construction only uses quantities available from the correlations.  For
-    more than five settings the x/y directions are isolated by signed sums
-    over the quartets; a trailing mirrored pair (n = 3 mod 4) carries mixed
-    transverse components and is left out of the combinations.
+    With ``G_jk = Re<A_j psi, A_k psi>`` and ``c_j = G_1j``:
+
+    - ``Z_A = A_1`` and ``Z_B = -B_1``;
+    - X uses the first j maximizing ``G_jj - c_j^2`` (ties within ``_SPAN_TOL``):
+      ``X_A = (A_j - c_j A_1)/||.psi||`` and ``X_B = -(B_j - c_j B_1)/||.psi||``;
+    - Y uses the largest remainder ``R_k = A_k - c_k A_1 - d_k X_A``, with
+      ``d_k = Re<X_A psi, A_k psi>``: ``Y_A = R_k/||R_k psi||`` and
+      ``Y_B = (B_k - c_k B_1 + d_k X_B)/||.psi||``, so ``Y_A psi = -Y_B psi``
+      at the optimum.  It is present only when ``||R_k psi|| > _SPAN_TOL``.
+
+    Every divisor is a state norm, so the construction only uses quantities
+    available from the correlations.
     """
-    n = setup.n
     psi = setup.state
-    alice, bob = setup.alice, setup.bob
+    alice, bob = np.asarray(setup.alice), np.asarray(setup.bob)
 
-    def normalized(op: np.ndarray, side: str) -> tuple[np.ndarray, float]:
-        on_state = apply_local(op, I2, psi) if side == "a" else apply_local(I2, op, psi)
-        norm = float(np.linalg.norm(on_state))
-        if norm < EPS:
-            raise ValueError("swap operator has vanishing norm on the state")
-        normed = op / norm
-        if operator_norm(normed @ normed - I2) > 1e-6:
-            raise ValueError("normalized swap operator does not square to the identity")
-        return normed, norm
-
-    z_a = alice[0]
-    z_b = -bob[0]
+    on_state = apply_local(alice, I2, psi).reshape(len(alice), 4)
+    gram = (on_state.conj() @ on_state.T).real
+    c = gram[0]
+    j = _first_largest(np.diag(gram) - c**2)
     norms: dict[str, float] = {}
+    (x_a, x_b), (norms["x_a"], norms["x_b"]) = _normalized(alice[j] - c[j] * alice[0], -(bob[j] - c[j] * bob[0]), psi)
+    frame = [x_a, x_b]
 
-    if n == 3:
-        x_a, norms["x_a"] = normalized(alice[2] - alice[1], "a")
-        x_b, norms["x_b"] = normalized(bob[1] - bob[2], "b")
-        return SelfTestOperators(n, alice, bob, z_a, x_a, z_b, x_b, norms=norms)
-
-    if n < 5 or (n - 1) % 4 not in (0, 2):
-        raise ValueError(f"self-test operators are defined for n = 3 or odd n >= 5, got {n}")
-
-    x_a_raw = np.zeros((2, 2), dtype=complex)
-    y_a_raw = np.zeros((2, 2), dtype=complex)
-    x_b_raw = np.zeros((2, 2), dtype=complex)
-    y_b_raw = np.zeros((2, 2), dtype=complex)
-    pos = 1
-    while pos + 4 <= n:
-        quartet_a = alice[pos : pos + 4]
-        quartet_b = bob[pos : pos + 4]
-        x_a_raw += _quartet_combo(quartet_a, (1, -1, 1, -1))
-        y_a_raw += _quartet_combo(quartet_a, (-1, -1, 1, 1))
-        x_b_raw += _quartet_combo(quartet_b, (-1, 1, -1, 1))
-        y_b_raw += _quartet_combo(quartet_b, (-1, -1, 1, 1))
-        pos += 4
-    # Any trailing mirrored pair is skipped: its x and y parts do not separate.
-
-    x_a, norms["x_a"] = normalized(x_a_raw, "a")
-    y_a, norms["y_a"] = normalized(y_a_raw, "a")
-    x_b, norms["x_b"] = normalized(x_b_raw, "b")
-    y_b, norms["y_b"] = normalized(y_b_raw, "b")
-    return SelfTestOperators(n, alice, bob, z_a, x_a, z_b, x_b, y_a=y_a, y_b=y_b, norms=norms)
+    d = (apply_local(x_a, I2, psi).reshape(4).conj() @ on_state.T).real
+    remainders = alice - c[:, None, None] * alice[0] - d[:, None, None] * x_a
+    remainder_norms = _norms(apply_local(remainders, I2, psi).reshape(len(alice), 4))
+    k = _first_largest(remainder_norms)
+    y_a = y_b = None
+    if remainder_norms[k] > _SPAN_TOL:
+        (y_a, y_b), (norms["y_a"], norms["y_b"]) = _normalized(remainders[k], bob[k] - c[k] * bob[0] + d[k] * x_b, psi)
+        frame += [y_a, y_b]
+    frame = np.array(frame)
+    if np.max(np.linalg.norm(frame @ frame - I2, 2, axis=(1, 2))) > 1e-6:
+        raise ValueError("normalized swap operator does not square to the identity")
+    return SelfTestOperators(setup.n, setup.alice, setup.bob, alice[0], x_a, -bob[0], x_b, y_a, y_b, norms)
 
 
 def verify_relations(ops: SelfTestOperators, state) -> dict[str, float]:
-    """Residual norms of the optimum relations, all zero at the exact optimum."""
+    """Residual norms of the optimum relations, all zero at the exact optimum.
+
+    Each relation is ``|(L1 (x) R1) psi + (L2 (x) R2) psi|``: the n diagonal
+    anticorrelations, the Z/X relations, ``sum_zero = |(sum_x A_x (x) I) psi|``
+    (with the diagonal relations it implies every pairwise sum relation) and,
+    when the frame has a y direction, the Y relations.  All of them are one
+    ``apply_local`` on an (R, 2, 2, 2) stack of term pairs and one row-wise norm.
+    """
     psi = np.asarray(state, dtype=complex).reshape(2, 2)
-    res: dict[str, float] = {}
-
-    def rec(name: str, vec: np.ndarray) -> None:
-        res[name] = float(np.linalg.norm(vec))
-
-    for x in range(ops.n):
-        rec(f"diag_anticorrelation_{x + 1}", apply_local(ops.alice[x], ops.bob[x], psi) + psi)
-
-    rec("z_equal", apply_local(ops.z_a, I2, psi) - apply_local(I2, ops.z_b, psi))
-    rec("x_equal", apply_local(ops.x_a, I2, psi) - apply_local(I2, ops.x_b, psi))
-    rec("zx_anticommute_a", apply_local(ops.z_a @ ops.x_a + ops.x_a @ ops.z_a, I2, psi))
-    rec("zx_anticommute_b", apply_local(I2, ops.z_b @ ops.x_b + ops.x_b @ ops.z_b, psi))
-
-    if ops.n == 3:
-        # Pairwise sum relations implied by the vanishing observable sums.
-        pairs = [
-            ("a1_b2_b3", ops.alice[0], ops.bob[1] + ops.bob[2]),
-            ("a2_b1_b3", ops.alice[1], ops.bob[0] + ops.bob[2]),
-            ("a3_b1_b2", ops.alice[2], ops.bob[0] + ops.bob[1]),
-            ("a2_a3_b1", ops.alice[1] + ops.alice[2], ops.bob[0]),
-            ("a1_a3_b2", ops.alice[0] + ops.alice[2], ops.bob[1]),
-            ("a2_a1_b3", ops.alice[1] + ops.alice[0], ops.bob[2]),
-        ]
-        for name, a, b in pairs:
-            rec(f"pair_{name}", apply_local(a, b, psi) - psi)
-        return res
-
-    assert ops.y_a is not None and ops.y_b is not None
-    yx_a = ops.y_a @ ops.x_a
-    yx_b = ops.y_b @ ops.x_b
-    rec("y_opposite", apply_local(ops.y_a, I2, psi) + apply_local(I2, ops.y_b, psi))
-    rec("yx_anticommute_a", apply_local(yx_a + ops.x_a @ ops.y_a, I2, psi))
-    rec("yx_anticommute_b", apply_local(I2, yx_b + ops.x_b @ ops.y_b, psi))
-    rec("zy_anticommute_a", apply_local(ops.z_a @ ops.y_a + ops.y_a @ ops.z_a, I2, psi))
-    rec("zy_anticommute_b", apply_local(I2, ops.z_b @ ops.y_b + ops.y_b @ ops.z_b, psi))
-    rec("yx_product_equal", apply_local(yx_a, I2, psi) - apply_local(I2, yx_b, psi))
-    rec("yx_yx_minus_one", apply_local(yx_a, yx_b, psi) + psi)
-    return res
+    zero = np.zeros((2, 2), dtype=complex)
+    z_a, x_a, z_b, x_b = ops.z_a, ops.x_a, ops.z_b, ops.x_b
+    terms = {f"diag_anticorrelation_{x + 1}": ((a, b), (I2, I2)) for x, (a, b) in enumerate(zip(ops.alice, ops.bob))}
+    terms |= {
+        "z_equal": ((z_a, I2), (I2, -z_b)),
+        "x_equal": ((x_a, I2), (I2, -x_b)),
+        "zx_anticommute_a": ((z_a @ x_a + x_a @ z_a, I2), (zero, zero)),
+        "zx_anticommute_b": ((I2, z_b @ x_b + x_b @ z_b), (zero, zero)),
+        "sum_zero": ((np.sum(ops.alice, axis=0), I2), (zero, zero)),
+    }
+    if ops.y_a is not None:
+        y_a, y_b = ops.y_a, ops.y_b
+        yx_a, yx_b = y_a @ x_a, y_b @ x_b
+        terms |= {
+            "y_opposite": ((y_a, I2), (I2, y_b)),
+            "yx_anticommute_a": ((yx_a + x_a @ y_a, I2), (zero, zero)),
+            "yx_anticommute_b": ((I2, yx_b + x_b @ y_b), (zero, zero)),
+            "zy_anticommute_a": ((z_a @ y_a + y_a @ z_a, I2), (zero, zero)),
+            "zy_anticommute_b": ((I2, z_b @ y_b + y_b @ z_b), (zero, zero)),
+            "yx_product_equal": ((yx_a, I2), (I2, -yx_b)),
+            "yx_yx_minus_one": ((yx_a, yx_b), (I2, I2)),
+        }
+    stack = np.array(list(terms.values()))  # (R, term, party, 2, 2)
+    vectors = apply_local(stack[:, :, 0], stack[:, :, 1], psi).sum(axis=1)
+    return dict(zip(terms, _norms(vectors.reshape(len(terms), 4)).tolist()))
 
 
 @dataclass(frozen=True, eq=False)
@@ -195,9 +198,7 @@ def _zx_branches(z: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 
 def build_circuit(ops: SelfTestOperators) -> SwapCircuit:
-    """Stage list of the swap circuit: (Z, X), then (iYX) when the operators carry y."""
-    if ops.n not in (3, 5):
-        raise ValueError(f"isometry circuits are implemented for n = 3 and n = 5, got {ops.n}")
+    """Stage list of the swap circuit: (Z, X), then (iYX) when the frame has a y direction."""
     stages = [(_zx_branches(ops.z_a, ops.x_a), _zx_branches(ops.z_b, ops.x_b))]
     if ops.y_a is not None:
         stages.append(
@@ -225,11 +226,6 @@ class IsometryResult:
     extracted_fidelity: float
     factorized: bool
     max_entry_error: float
-
-
-def _norms(a: np.ndarray) -> np.ndarray:
-    """Row-wise ``|a|``, summed as ``np.linalg.norm`` sums a single vector."""
-    return np.sqrt(np.vecdot(a.real, a.real) + np.vecdot(a.imag, a.imag))
 
 
 def _fidelities(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -315,10 +311,10 @@ def run_isometry(setup: QuantumSetup, target: str = "state") -> IsometryResult:
     """Apply the swap circuit and compare with the predicted factorized output.
 
     ``target`` selects the operator applied to the physical state before the
-    circuit: "state" (none), "A<x>", "B<y>", "A<x>B<y>" (three-setting
-    circuit) or one of "ZA", "XA", "YA", "ZB", "XB", "YB".  The expected
-    vector is the junk factor times the corresponding reference action on
-    the ancilla pair; fidelities are phase-invariant.
+    circuit: "state" (none), "A<x>", "B<y>", "A<x>B<y>" (observables in the
+    (Z, X) frame) or one of "ZA", "XA", "YA", "ZB", "XB", "YB".  The
+    expected vector is the junk factor times the corresponding reference
+    action on the ancilla pair; fidelities are phase-invariant.
     """
     ops = build_selftest_operators(setup)
     return run_targets(setup, ops, build_circuit(ops), (target,))[0]
@@ -340,9 +336,7 @@ def run_targets(
     pos = np.array([_parse_target(target, n) for target in targets])
     wants_y = np.any(pos == n + 3, axis=1)
     if ops.y_a is None and np.any(wants_y):
-        raise ValueError(f"target {targets[np.argmax(wants_y)]} requires the five-setting operators")
-    if n != 3 and np.any((pos >= 1) & (pos <= n)):
-        raise ValueError("raw observable targets are supported by the three-setting circuit")
+        raise ValueError(f"target {targets[np.argmax(wants_y)]} requires a y direction in the swap frame")
     a_op, a_ref = _menu(setup.alice, ops.z_a, ops.x_a, ops.y_a, pos[:, 0])
     b_op, b_ref = _menu(setup.bob, ops.z_b, ops.x_b, ops.y_b, pos[:, 1])
 

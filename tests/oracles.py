@@ -23,6 +23,7 @@ from itertools import combinations, product
 import numpy as np
 
 from pogame import bounds, gamecore as gc, quantum_opt as qo, selftest as st
+from pogame.observables import check_n
 from pogame.qmat import EPS, I2, SIGMA_X, SIGMA_Y, SIGMA_Z, as_operator, phi_plus, proj
 
 
@@ -119,6 +120,12 @@ def pnc_bound_scan(n):
         if best_value is None or value > best_value:
             best_value, best_a, best_b = value, a, tuple(int(v) for v in b)
     return best_value, best_a, best_b
+
+
+def pnc_bound_reduction(n):
+    """Closed-form route: with sum a = 0 the value is 2 sum |a_y|, maximal at 2(n-1)."""
+    check_n(n)
+    return 2 * (n - 1)
 
 
 def balanced_values_sort(coeff_row):
@@ -286,10 +293,10 @@ def swap_circuit_gates(ops):
     """Dense gates of the swap circuit on (A, B, A', B'[, A'', B'']), applied in order.
 
     Hadamard, controlled-Z, Hadamard, controlled-X on each party's first
-    ancilla; for five settings then Hadamard, controlled-(i Y X), Hadamard
-    on the second.
+    ancilla; when the swap frame has a y direction then Hadamard,
+    controlled-(i Y X), Hadamard on the second.
     """
-    nregs = 4 if ops.n == 3 else 6
+    nregs = 4 if ops.y_a is None else 6
 
     def h(reg):
         return _embed(_HADAMARD, reg, nregs)
@@ -298,7 +305,7 @@ def swap_circuit_gates(ops):
         return _controlled(control, target, u, nregs)
 
     gates = [h(2), h(3), c(2, 0, ops.z_a), c(3, 1, ops.z_b), h(2), h(3), c(2, 0, ops.x_a), c(3, 1, ops.x_b)]
-    if ops.n == 5:
+    if ops.y_a is not None:
         gates += [h(4), h(5), c(4, 0, 1j * ops.y_a @ ops.x_a), c(5, 1, 1j * ops.y_b @ ops.x_b), h(4), h(5)]
     return gates
 
@@ -350,7 +357,7 @@ def _reference_action(setup, ops, target):
 def swap_circuit_expected(setup, target="state"):
     """Predicted circuit output (unit norm) and its junk factor, from dense vectors.
 
-    The junk is chi = (1 + Z_A) psi / sqrt(2) on (A, B); for five settings it
+    The junk is chi = (1 + Z_A) psi / sqrt(2) on (A, B); with a y direction it
     is xi = (1/2) [(1 + M) chi |00> + (1 - M) chi |11>] on (A, B, A'', B'')
     with Alice's M = i Y X, and sigma_z on A'' for the Y targets.  The
     expected output is junk (x) reference action on (A', B').
@@ -358,7 +365,7 @@ def swap_circuit_expected(setup, target="state"):
     ops = st.build_selftest_operators(setup)
     anc = _reference_action(setup, ops, target) @ phi_plus()
     junk = np.kron(ops.z_a + I2, I2) @ setup.state / np.sqrt(2)
-    if ops.n == 5:
+    if ops.y_a is not None:
         m = np.kron(1j * ops.y_a @ ops.x_a, I2)
         e00, e11 = np.eye(4)[0], np.eye(4)[3]
         junk = 0.5 * (np.kron((np.eye(4) + m) @ junk, e00) + np.kron((np.eye(4) - m) @ junk, e11))
@@ -420,14 +427,12 @@ def _run_target_loop(setup, ops, circuit, target):
         (name,) = args
         op = getattr(ops, f"{name[0].lower()}_{name[1].lower()}")
         if op is None:
-            raise ValueError(f"target {name} requires the five-setting operators")
+            raise ValueError(f"target {name} requires a y direction in the swap frame")
         if name[1] == "A":
             a_op, a_ref = op, reference[name[0]]
         else:
             b_op, b_ref = op, reference[name[0]]
     elif kind != "state":
-        if n != 3:
-            raise ValueError("raw observable targets are supported by the three-setting circuit")
         if kind in ("a", "ab"):
             a_op = setup.alice[args[0]]
             cz, cx = _frame_coefficients_single(a_op, ops.z_a, ops.x_a)

@@ -48,7 +48,7 @@ def test_pnc_bound_values(n, expected):
 
 @pytest.mark.parametrize("n", [3, 5, 7])
 def test_pnc_bound_matches_reduction(n):
-    assert bounds.pnc_bound(n)[0] == bounds.pnc_bound_reduction(n)
+    assert bounds.pnc_bound(n)[0] == oracles.pnc_bound_reduction(n)
 
 
 @pytest.mark.parametrize("n", [3, 5, 7])

@@ -104,6 +104,7 @@ def test_report_beyond_thirteen(n, capsys):
     assert code == 0
     assert report.local_bound == bounds.local_bound_closed_form(n)
     assert report.pnc_bound == detail["pnc_bound_symmetric"] == 2 * n - 2
+    assert report.selftest is None  # the report self-tests only at n = 3 and 5
     checks = err.splitlines()
     assert checks and all(line.startswith("[PASS]") for line in checks)
 
@@ -123,6 +124,39 @@ def test_selftest_command(capsys):
     payload, _ = split_payload(out)
     assert code == 0
     assert payload["selftest"]["state_fidelity"] >= 1 - 1e-10
+
+
+@pytest.mark.parametrize("n", [7, 21, 101])
+def test_selftest_command_for_any_odd_n(n, capsys):
+    code, out, _ = run_cli(["selftest", "--n", str(n)], capsys)
+    payload, checks = split_payload(out)
+    assert code == 0
+    assert payload["n"] == n
+    assert set(payload["selftest"]["extraction_entry_errors"]) == {"ZA", "XA", "YA", "ZB", "XB", "YB"}
+    assert checks == [
+        "[PASS] optimum relations hold",
+        "[PASS] state extraction is exact",
+        "[PASS] measurement extractions are exact",
+    ]
+    code, out, _ = run_cli(["selftest", "--n", str(n), "--perturb", "0.05"], capsys)
+    payload, checks = split_payload(out)
+    assert code == 1
+    assert payload["selftest"]["perturbation"] == 0.05
+    assert [line.split("  (")[0] for line in checks] == [
+        "[FAIL] optimum relations hold",
+        "[FAIL] state extraction is exact",
+        "[FAIL] measurement extractions are exact",
+    ]
+
+
+@pytest.mark.parametrize(
+    "n, message", [("4", "n must be odd and >= 3, got 4"), ("1003", "n must be at most 1001, got 1003")]
+)
+def test_selftest_rejects_n_as_every_command_does(n, message, capsys):
+    code, out, err = run_cli(["selftest", "--n", n], capsys)
+    assert code == 2
+    assert f"argument --n: {message}" in err
+    assert out == ""
 
 
 def test_selftest_perturbed_fails_certification(capsys):

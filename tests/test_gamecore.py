@@ -484,3 +484,9 @@ def test_json_n_must_be_a_positive_json_integer(n):
     assert text.startswith('{"n": 3, ')
     with pytest.raises(ValueError, match=f'^"n" must be a positive JSON integer, got {re.escape(n)}$'):
         gc.behavior_from_json(text.replace('"n": 3', f'"n": {n}', 1))
+
+
+@pytest.mark.parametrize("text", ["[]", '"x"', "3", "null", "{}", '{"n": 3}', '{"table": {}}', '{"n": 3, "table": []}'])
+def test_json_document_must_be_an_object_with_n_and_a_table_object(text):
+    with pytest.raises(ValueError, match='^behavior JSON must be an object with "n" and a "table" object$'):
+        gc.behavior_from_json(text)

@@ -9,8 +9,10 @@ from hypothesis import Phase, given, settings, strategies as st  # noqa: E402
 from pogame import bounds  # noqa: E402
 from pogame import gamecore as gc  # noqa: E402
 from pogame import quantum_opt as qo  # noqa: E402
-from pogame.observables import canonical_family  # noqa: E402
-from pogame.report import _TARGETS_3, _TARGETS_5, CertificationReport, build_report, flatten  # noqa: E402
+from pogame import report  # noqa: E402
+from pogame import selftest  # noqa: E402
+from pogame.observables import canonical_family, family_n, family_quartets  # noqa: E402
+from pogame.report import CertificationReport, build_report, flatten  # noqa: E402
 from pogame.selftest import perturbed_state  # noqa: E402
 from pogame.qmat import I2, SIGMA_X, SIGMA_Y, SIGMA_Z, apply_local, phi_plus  # noqa: E402
 
@@ -179,5 +181,33 @@ def test_stacked_selftest_matches_loop_oracle_under_local_unitaries(n, delta, u,
     canonical = gc.setup_from_family(canonical_family(n))
     state = perturbed_state(delta) if delta else canonical.state
     setup = _rotated(gc.QuantumSetup(state=state, alice=canonical.alice, bob=canonical.bob), u, v)
-    targets = ("state",) + (_TARGETS_3 if n == 3 else _TARGETS_5)
+    targets = ("state",) + report._targets(selftest.build_selftest_operators(setup))
     oracles.assert_stacked_selftest_matches(setup, targets)
+
+
+def _haar_unitary(seed):
+    """Haar-random 2x2 unitary: QR of a complex Gaussian matrix with the phases of R's diagonal fixed."""
+    rng = np.random.default_rng(seed)
+    q, r = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+haar_unitaries = st.integers(0, 2**32 - 1).map(_haar_unitary)
+
+
+@settings(max_examples=30, deadline=None, database=None, phases=[Phase.generate])
+@given(st.integers(1, 20).map(lambda k: 2 * k + 1), haar_unitaries, haar_unitaries, st.floats(0.1, 1.4))
+def test_selftest_passes_for_every_odd_n_and_fails_when_perturbed(n, u, v, angle):
+    # The swap frame is read from the correlations, so any odd n and any
+    # local gauge self-test; a perturbed state fails every check.  The
+    # quartets with nu != beta have d_k != 0: an X part to take out of the y remainder.
+    families = [canonical_family(n), family_n(n)]
+    if n >= 5:
+        weight = np.sqrt(1 - 1 / (n - 1) ** 2)
+        families.append(family_quartets(n, weight * np.cos(angle), weight * np.sin(angle)))
+    for family in families:
+        for state, passes in ((phi_plus(), True), (perturbed_state(0.05), False)):
+            setup = _rotated(gc.QuantumSetup(state=state, alice=family.alice, bob=family.bob), u, v)
+            _, checks = report.selftest_section(setup)
+            assert len(checks) == 3
+            assert [check.passed for check in checks] == [passes] * 3, (family.n, passes, checks)

@@ -6,8 +6,7 @@ from pogame import gamecore as gc
 from pogame import observables as obs
 from pogame import report
 from pogame import selftest as st
-from pogame.qmat import I2, SIGMA_X, SIGMA_Y, SIGMA_Z
-from pogame.report import _TARGETS_3, _TARGETS_5
+from pogame.qmat import I2, SIGMA_X, SIGMA_Y, SIGMA_Z, phi_plus
 
 
 def trine_setup():
@@ -16,6 +15,10 @@ def trine_setup():
 
 def five_setup():
     return gc.setup_from_family(obs.family_five())
+
+
+def _report_targets(setup):
+    return ("state",) + report._targets(st.build_selftest_operators(setup))
 
 
 def random_product_unitary(rng):
@@ -35,21 +38,29 @@ def conjugated_setup(setup, ua, ub):
 
 
 def test_operators_trine():
+    # X is A_2 minus its A_1 part, sqrt(3)/2 sigma_x, and the trine is planar: no y direction.
     ops = st.build_selftest_operators(trine_setup())
-    assert np.allclose(ops.x_a, -SIGMA_X, atol=1e-12)
+    assert np.allclose(ops.x_a, SIGMA_X, atol=1e-12)
     assert np.allclose(ops.z_a, SIGMA_Z, atol=1e-12)
+    assert np.allclose(ops.x_b, SIGMA_X, atol=1e-12)
+    assert np.allclose(ops.z_b, SIGMA_Z, atol=1e-12)
     assert np.allclose(ops.x_a @ ops.x_a, I2, atol=1e-12)
     assert np.allclose(ops.z_a @ ops.x_a + ops.x_a @ ops.z_a, 0, atol=1e-12)
-    assert ops.norms["x_a"] == pytest.approx(np.sqrt(3), abs=1e-12)
-    assert ops.norms["x_b"] == pytest.approx(np.sqrt(3), abs=1e-12)
+    assert ops.y_a is None and ops.y_b is None
+    assert ops.norms == pytest.approx({"x_a": np.sqrt(3) / 2, "x_b": np.sqrt(3) / 2}, abs=1e-12)
 
 
 def test_operators_five_setting():
+    # X is A_2 minus its A_1 part, (sx - sy)/sqrt(2); Y is the remainder of A_3,
+    # -(sx + sy)/sqrt(2).  Bob's are the transposes: B_y = -A_y^T.
     ops = st.build_selftest_operators(five_setup())
-    assert np.allclose(ops.x_a, SIGMA_X, atol=1e-12)
-    assert np.allclose(ops.y_a, SIGMA_Y, atol=1e-12)
-    assert np.allclose(ops.x_b, SIGMA_X, atol=1e-12)
-    assert np.allclose(ops.y_b, SIGMA_Y, atol=1e-12)
+    assert np.allclose(ops.z_a, SIGMA_Z, atol=1e-12)
+    assert np.allclose(ops.x_a, (SIGMA_X - SIGMA_Y) / np.sqrt(2), atol=1e-12)
+    assert np.allclose(ops.y_a, -(SIGMA_X + SIGMA_Y) / np.sqrt(2), atol=1e-12)
+    assert np.allclose(ops.z_b, SIGMA_Z, atol=1e-12)
+    assert np.allclose(ops.x_b, ops.x_a.T, atol=1e-12)
+    assert np.allclose(ops.y_b, -ops.y_a.T, atol=1e-12)
+    assert ops.norms == pytest.approx(dict.fromkeys(("x_a", "x_b", "y_a", "y_b"), np.sqrt(15) / 4), abs=1e-12)
     psi = five_setup().state
     assert np.allclose(oracles.tensor(ops.y_a, I2) @ psi, -oracles.tensor(I2, ops.y_b) @ psi, atol=1e-12)
 
@@ -65,32 +76,63 @@ def test_operators_quartet_families_above_five():
 
 
 def test_operators_reject_vanishing_norm():
-    # Equal second and third observables make the transverse combination zero.
+    # Observables all along A_1 leave no part orthogonal to it for X.
     psi = np.array([1, 0, 0, 1], dtype=complex) / np.sqrt(2)
-    setup = gc.QuantumSetup(
-        state=psi,
-        alice=(SIGMA_Z, SIGMA_X, SIGMA_X),
-        bob=(-SIGMA_Z, -SIGMA_X, -SIGMA_X),
-    )
-    with pytest.raises(ValueError):
+    setup = gc.QuantumSetup(state=psi, alice=(SIGMA_Z, SIGMA_Z, -SIGMA_Z), bob=(-SIGMA_Z, -SIGMA_Z, SIGMA_Z))
+    with pytest.raises(ValueError, match="^swap operator has vanishing norm on the state$"):
         st.build_selftest_operators(setup)
+    # Equal second and third observables no longer matter: X is the first orthogonal part.
+    ops = st.build_selftest_operators(
+        gc.QuantumSetup(state=psi, alice=(SIGMA_Z, SIGMA_X, SIGMA_X), bob=(-SIGMA_Z, -SIGMA_X, -SIGMA_X))
+    )
+    assert np.allclose(ops.x_a, SIGMA_X, atol=1e-12) and ops.y_a is None
 
 
 def test_mirror_family_does_not_support_the_two_direction_test():
-    # The mirrored-pair family collapses the x and y combinations onto one
-    # direction, so the operators build but the product relations fail.
+    # The mirrored-pair family is planar: its frame has no y direction, so
+    # it self-tests with the one-stage circuit, every raw target included,
+    # and a y target is rejected.
     setup = gc.setup_from_family(obs.family_n(7))
     ops = st.build_selftest_operators(setup)
-    assert np.allclose(ops.y_a, -ops.x_a, atol=1e-12)
-    residuals = st.verify_relations(ops, setup.state)
-    assert residuals["yx_anticommute_a"] > 1.0
+    assert ops.y_a is None and ops.y_b is None
+    assert np.allclose(ops.x_a, (SIGMA_X - SIGMA_Y) / np.sqrt(2), atol=1e-12)
+    assert len(st.build_circuit(ops).stages) == 1
+    assert max(st.verify_relations(ops, setup.state).values()) <= 1e-12
+    runs = st.run_targets(setup, ops, st.build_circuit(ops), _report_targets(setup))
+    assert len(runs) == 1 + 7 + 7 + 49
+    assert min(run.fidelity for run in runs) >= 1 - 1e-12
+    assert max(run.max_entry_error for run in runs) <= 1e-12
+    with pytest.raises(ValueError, match="^target YA requires a y direction in the swap frame$"):
+        st.run_isometry(setup, "YA")
 
 
 def test_relations_at_trine_optimum():
     setup = trine_setup()
     residuals = st.verify_relations(st.build_selftest_operators(setup), setup.state)
-    assert len(residuals) == 13  # 3 diagonal + 4 operator + 6 pairwise
+    assert list(residuals) == [
+        "diag_anticorrelation_1",
+        "diag_anticorrelation_2",
+        "diag_anticorrelation_3",
+        "z_equal",
+        "x_equal",
+        "zx_anticommute_a",
+        "zx_anticommute_b",
+        "sum_zero",
+    ]
     assert max(residuals.values()) <= 1e-9
+    # sum_zero with the diagonal relations implies each pairwise sum relation (A_x (x) B_y + B_z) psi = psi.
+    a, b = setup.alice, setup.bob
+    for x, y, z in ((0, 1, 2), (1, 0, 2), (2, 0, 1)):
+        for left, right in ((a[x], b[y] + b[z]), (a[y] + a[z], b[x])):
+            assert np.linalg.norm(oracles.tensor(left, right) @ setup.state - setup.state) <= 1e-9
+
+
+def test_sum_zero_relation_catches_observables_that_do_not_sum_to_zero():
+    # Perfect diagonal anticorrelations, but A_1 + A_2 + A_3 = Z + 2X.
+    setup = gc.QuantumSetup(state=phi_plus(), alice=(SIGMA_Z, SIGMA_X, SIGMA_X), bob=(-SIGMA_Z, -SIGMA_X, -SIGMA_X))
+    residuals = st.verify_relations(st.build_selftest_operators(setup), setup.state)
+    assert residuals.pop("sum_zero") == pytest.approx(np.sqrt(5), abs=1e-12)
+    assert max(residuals.values()) <= 1e-12
 
 
 def test_relations_at_five_optimum():
@@ -108,10 +150,11 @@ def test_relations_detect_perturbed_state():
 
 def test_circuit_unitarity_and_norm_preservation():
     # The staged circuit against the dense gate-by-gate unitary, on canonical,
-    # perturbed and gauge-rotated setups, for the state and every report target.
+    # mirrored-pair, perturbed and gauge-rotated setups, for the state and every report target.
     rng = np.random.default_rng(29)
     cases = []
-    for base in (trine_setup(), five_setup()):
+    families = [obs.canonical_family(n) for n in (3, 5, 7, 9, 11, 13)] + [obs.family_n(7)]
+    for base in map(gc.setup_from_family, families):
         perturbed = gc.QuantumSetup(state=st.perturbed_state(0.05), alice=base.alice, bob=base.bob)
         cases += [base, perturbed]
     cases += [conjugated_setup(trine_setup(), *random_product_unitary(rng)) for _ in range(3)]
@@ -120,7 +163,7 @@ def test_circuit_unitarity_and_norm_preservation():
         dim = gates[0].shape[0]
         for gate in gates:
             assert np.max(np.abs(gate.conj().T @ gate - np.eye(dim))) <= 1e-12
-        for target in ("state",) + (_TARGETS_3 if setup.n == 3 else _TARGETS_5):
+        for target in _report_targets(setup):
             output = st.run_isometry(setup, target).output
             assert np.max(np.abs(output - oracles.swap_circuit_output(setup, target))) <= 1e-12, target
             assert np.linalg.norm(output) == pytest.approx(1.0, abs=1e-12), target
@@ -139,7 +182,7 @@ def test_expected_output_matches_dense_junk_oracle():
     gauged = conjugated_setup(trine_setup(), *random_product_unitary(rng))
     cases = [five, flipped_y, random_state, trine_setup(), gauged]
     for setup in cases:
-        for target in ("state",) + (_TARGETS_3 if setup.n == 3 else _TARGETS_5):
+        for target in _report_targets(setup):
             result = st.run_isometry(setup, target)
             expected, junk = oracles.swap_circuit_expected(setup, target)
             assert np.max(np.abs(result.expected - expected)) <= 1e-12, target
@@ -148,7 +191,11 @@ def test_expected_output_matches_dense_junk_oracle():
                 overlap = abs(np.vdot(result.junk, junk)) ** 2
                 fid = overlap / (np.linalg.norm(junk) * np.linalg.norm(result.junk)) ** 2
                 assert result.junk_fidelity == pytest.approx(fid, abs=1e-12), target
-    assert st.build_selftest_operators(flipped_y).y_b == pytest.approx(-st.build_selftest_operators(five).y_b)
+    # Swapping Bob's out-of-plane pairs conjugates his swap frame, which the state does not follow.
+    canonical, flipped = st.build_selftest_operators(five), st.build_selftest_operators(flipped_y)
+    for name in ("x_b", "y_b"):
+        assert getattr(flipped, name) == pytest.approx(getattr(canonical, name).conj(), abs=1e-12)
+        assert np.max(np.abs(getattr(flipped, name) - getattr(canonical, name))) > 1.0
     assert st.run_isometry(flipped_y, "state").fidelity < 0.9
 
 
@@ -157,11 +204,13 @@ def test_circuit_register_dimension():
     assert 2 ** st.build_circuit(st.build_selftest_operators(five_setup())).nregs == 64
 
 
-def test_circuit_rejects_other_sizes():
-    setup = gc.setup_from_family(obs.family_quartets(7))
-    ops = st.build_selftest_operators(setup)
-    with pytest.raises(ValueError):
-        st.build_circuit(ops)
+def test_circuit_stages_follow_the_frame_not_n():
+    # Quartet families have a y direction and get both stages; the planar
+    # mirrored-pair family of the same n gets the (Z, X) stage alone.
+    for n in (7, 9, 11, 13, 101):
+        for family, stages in ((obs.family_quartets(n), 2), (obs.family_n(n), 1)):
+            circuit = st.build_circuit(st.build_selftest_operators(gc.setup_from_family(family)))
+            assert (len(circuit.stages), circuit.nregs, circuit.n) == (stages, 2 + 2 * stages, n)
 
 
 def test_state_extraction_trine():
@@ -253,19 +302,16 @@ def test_unknown_target_rejected():
     with pytest.raises(ValueError):
         st.run_isometry(trine_setup(), "A4")
     with pytest.raises(ValueError):
-        st.run_isometry(trine_setup(), "YA")  # needs the five-setting operators
-
-
-def _report_targets(n):
-    return ("state",) + (_TARGETS_3 if n == 3 else _TARGETS_5)
+        st.run_isometry(trine_setup(), "YA")  # the trine's frame has no y direction
 
 
 @pytest.mark.parametrize("delta", [0.0, 0.05], ids=["canonical", "perturbed"])
-@pytest.mark.parametrize("n", [3, 5])
+@pytest.mark.parametrize("n", [3, 5, 7, 9, 11, 13])
 def test_stacked_runner_matches_loop_oracle(n, delta):
-    base = gc.setup_from_family(obs.canonical_family(n))
-    state = st.perturbed_state(delta) if delta else base.state
-    oracles.assert_stacked_selftest_matches(gc.QuantumSetup(state=state, alice=base.alice, bob=base.bob), _report_targets(n))
+    for family in (obs.canonical_family(n), obs.family_n(n)):
+        state = st.perturbed_state(delta) if delta else phi_plus()
+        setup = gc.QuantumSetup(state=state, alice=family.alice, bob=family.bob)
+        oracles.assert_stacked_selftest_matches(setup, _report_targets(setup))
 
 
 @pytest.mark.parametrize(
@@ -273,7 +319,7 @@ def test_stacked_runner_matches_loop_oracle(n, delta):
     [
         ("C1", "unrecognized isometry target: C1"),
         ("A4", "target index out of range: A4"),
-        ("YA", "target YA requires the five-setting operators"),
+        ("YA", "target YA requires a y direction in the swap frame"),
     ],
 )
 def test_stacked_runner_rejects_bad_targets_as_the_loop_did(target, message):
@@ -294,7 +340,8 @@ def test_selftest_section_runs_every_target_in_one_stack(monkeypatch):
     monkeypatch.setattr(st, "run_targets", lambda *args: calls.append(args[3]) or run_targets(*args))
     monkeypatch.setattr(st, "run_isometry", None)  # the section must not run targets one by one
     for n in (3, 5):
-        section, _ = report.selftest_section(gc.setup_from_family(obs.canonical_family(n)))
-        assert calls[-1] == _report_targets(n)
-        assert set(section["extraction_fidelities"]) == set(_report_targets(n)[1:])
+        setup = gc.setup_from_family(obs.canonical_family(n))
+        section, _ = report.selftest_section(setup)
+        assert calls[-1] == _report_targets(setup)
+        assert set(section["extraction_fidelities"]) == set(_report_targets(setup)[1:])
     assert len(calls) == 2
