@@ -389,8 +389,11 @@ def behavior_from_json(text: str) -> Behavior:
     if type(n) is not int or n < 1:  # not a bool, a float such as 3.0 or a string
         raise ValueError(f'"n" must be a positive JSON integer, got {json.dumps(n)}')
     keys = list(obj["table"])
-    blocks = np.array(list(obj["table"].values()), dtype=float)
-    if blocks.shape != (len(keys), 2, 2):
+    try:
+        blocks = np.array(list(obj["table"].values()), dtype=float)
+    except (TypeError, ValueError):  # a block that is an object, or ragged
+        blocks = None
+    if blocks is None or blocks.shape != (len(keys), 2, 2):
         raise ValueError("every table block must be a 2x2 array")
     records = _load_records(keys, _JSON_KEY, "JSON key")
     index = np.stack([records["x"] - 1, records["y"] - 1], axis=1)

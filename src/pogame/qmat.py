@@ -51,6 +51,13 @@ def as_state(v) -> np.ndarray:
     return arr
 
 
+def row_norms(a: np.ndarray) -> np.ndarray:
+    """Euclidean norm over the last axis; each row matches ``np.linalg.norm`` of it bit for bit."""
+    if np.iscomplexobj(a):
+        return np.sqrt(np.vecdot(a.real, a.real) + np.vecdot(a.imag, a.imag))
+    return np.sqrt(np.vecdot(a, a))
+
+
 def dagger(m) -> np.ndarray:
     """Conjugate transpose."""
     return np.conj(np.asarray(m)).T

@@ -1,28 +1,25 @@
 """See-saw search for the optimal quantum value and its certificate.
 
 The alternating maximization is exact in every sub-step: the state update
-takes the top eigenvector of the Bell operator, and each party's observable
-update takes the matrix sign of its effective operator, which maximizes the
-value over all Hermitian unit-square observables.  The value trace is
-therefore monotone.
+takes the top eigenvector of the Bell operator, Bob's update takes the
+matrix sign of each effective operator, which maximizes the value over all
+Hermitian unit-square observables, and Alice's update maximizes it over the
+parity-oblivious set {sum_x a_x = 0, |a_x| = 1} of Bloch vectors.  The value
+trace is therefore monotone.
 
-For n = 3 the search runs unconstrained: the certificate bound already caps
-the value at 2n and the sum-zero observable constraint emerges at the
-optimum.  For n > 3 unconstrained strategies exceed 2n classically (all
-aligned observables give n(n-2) > 2n), so Alice's update is performed over
-the sum-zero set {sum_x a_x = 0, |a_x| = 1}.  Its exact solution is a
-Fermat-Weber point: maximize sum_x t_x . a_x subject to the constraint by
-taking a_x = (t_x - mu)/|t_x - mu| with mu the geometric median of the
-effective Bloch targets t_x.
+Alice is constrained for every n (unconstrained, the aligned classical
+strategy gives n(n-2) > 2n for n > 3).  Her exact update is a Fermat-Weber
+point: a_x = (t_x - mu)/|t_x - mu| maximizes sum_x t_x . a_x on that set,
+with mu the geometric median of the effective Bloch targets t_x.
 
 All restarts run as one stack: the observables are (r, n, 2, 2) arrays, the
 states an (r, 4) array, and every helper takes leading batch axes.  A sweep
 is a fixed sequence of numpy calls on the restarts still running (Bob's
-sign update, Alice's sign or Fermat-Weber update, one ``eigh`` of the
-(r, 4, 4) Bell operators), however many restarts there are; a restart
-leaves the stack once its own trace gains no more than ``tol``.  Each
-restart draws its start from its own ``SeedSequence`` stream, so its trace
-does not depend on the others.  Only the best restart becomes a validated
+sign update, Alice's Fermat-Weber update, one ``eigh`` of the (r, 4, 4)
+Bell operators), however many restarts there are; a restart leaves the
+stack once its own trace gains no more than ``tol``.  Each restart draws
+its start from its own ``SeedSequence`` stream, so its trace does not
+depend on the others.  Only the best restart becomes a validated
 ``QuantumSetup``.
 """
 
@@ -34,7 +31,7 @@ import numpy as np
 
 from .gamecore import GameSpec, QuantumSetup
 from .observables import check_n
-from .qmat import EPS, I2, PAULIS, apply_local
+from .qmat import EPS, I2, PAULIS, apply_local, row_norms
 
 _PAULI_STACK = np.array(PAULIS)
 
@@ -45,6 +42,9 @@ SEED = 42
 RESTARTS = 8
 TOL = 1e-9
 _MAX_SWEEPS = 500
+
+#: Newton steps after which ``_geometric_median`` returns its iterate as is.
+_MAX_MEDIAN_STEPS = 64
 
 
 def bell_operator(alice, bob) -> np.ndarray:
@@ -115,11 +115,9 @@ def sos_certificate(setup: QuantumSetup) -> SosCertificate:
     vecs = apply_local(_setting_combos(alice), I2, psi).reshape(n, 4)
     bob_vecs = apply_local(I2, np.array(setup.bob), psi).reshape(n, 4)
     omegas = np.linalg.norm(vecs, axis=1)
-    residuals = omegas.copy()
-    degenerate = tuple(bool(w < EPS) for w in omegas)
-    for y in range(n):
-        if not degenerate[y]:
-            residuals[y] = float(np.linalg.norm(vecs[y] / omegas[y] - bob_vecs[y]))
+    degenerate = omegas < EPS
+    scaled = vecs / np.where(degenerate, 1.0, omegas)[:, None]
+    residuals = np.where(degenerate, omegas, row_norms(scaled - bob_vecs))
     value = setup_bell_value(setup)
     delta = float(np.vdot(psi, apply_local(_delta_operator(alice), I2, psi)).real)
     lhs = float(np.sum(omegas**2))
@@ -135,7 +133,7 @@ def sos_certificate(setup: QuantumSetup) -> SosCertificate:
         delta_expectation=delta,
         bell_value=value,
         gap=float(omegas.sum() - value),
-        degenerate=degenerate,
+        degenerate=tuple(degenerate.tolist()),
     )
 
 
@@ -175,72 +173,75 @@ def _effective_alice(rho: np.ndarray, combos: np.ndarray) -> np.ndarray:
     return np.einsum("...xkm,...imjk->...xij", combos, rho.reshape(rho.shape[:-2] + (2, 2, 2, 2)))
 
 
-def _expectations(op: np.ndarray, states: np.ndarray) -> np.ndarray:
-    """<psi| op |psi> for each pair of a (..., 4, 4) operator stack and a (..., 4) state stack."""
-    return np.einsum("...i,...i->...", states.conj(), (op @ states[..., None])[..., 0]).real
-
-
 def _geometric_median(points: np.ndarray) -> np.ndarray:
     """Fermat-Weber point of the n rows of each (n, 3) slice of ``points`` (shape (..., n, 3)).
 
-    A safeguarded Weiszfeld iteration runs on all slices at once for up to
-    500 steps.  A slice is done when its step falls below 1e-14, or when the
-    median sits on one of its points and the Vardi-Zhang test keeps it there.
+    Each slice runs on its own, all at once.  Kuhn's test (Math. Programming
+    4, 98, 1973) runs first at the point nearest the centroid: a point of
+    multiplicity c is the median iff the unit pull of the others has norm at
+    most c, and is then returned exactly (at n = 3 only that point can be the
+    median).  Else the slice starts at the centroid or the Vardi-Zhang step
+    off the point (PNAS 97, 1423, 2000), whichever is lower, and takes Newton
+    steps on the Hessian ``sum_j (I - u_j u_j^T)/r_j`` of ``sum_j r_j``
+    (``u_j`` the unit vector to point j at distance ``r_j``).  A step that
+    raises the objective beyond roundoff gives way to the Weiszfeld step,
+    which never does (Ostresh, Oper. Res. 26, 597, 1978), and Kuhn's test
+    runs again at the nearest point.  A slice is done once its pull
+    ``sum_j u_j`` is down to roundoff.
     """
     points = np.asarray(points, dtype=float)
-    pts = points.reshape((-1,) + points.shape[-2:])
-    mu = pts.mean(axis=1)
-    live, cur = np.arange(len(pts)), mu
-    add = np.add.reduce  # the plain ufunc reduction: this loop is call-bound
-    for _ in range(500):
+    every = points.reshape((-1,) + points.shape[-2:])
+    mu = every.mean(axis=1)
+    live = np.arange(len(every))
+    test = np.ones(len(every), dtype=bool)
+    for _ in range(_MAX_MEDIAN_STEPS):
+        pts, y = every[live], mu[live]
+        diff = pts - y[:, None, :]
+        dist = row_norms(diff)
+        if test.any() or not dist.all():
+            # Kuhn's test at the nearest point p, and the Vardi-Zhang step off it:
+            # along the pull, by (1 - c/|pull|) / sum_{p_j != p} 1/|p_j - p|.
+            on_point = ~dist.all(axis=1)
+            point = pts[np.arange(len(pts)), np.argmin(dist, axis=1)]
+            rel = pts - point[:, None, :]
+            gap = row_norms(rel)
+            inv = np.divide(1.0, gap, out=np.zeros_like(gap), where=gap > 0)
+            pull = (inv[:, None, :] @ rel)[:, 0]
+            strength = row_norms(pull)
+            excess = strength - np.count_nonzero(gap == 0, axis=1)
+            vertex = (excess <= 0) & (test | on_point)
+            scale = np.divide(excess, strength * inv.sum(axis=1), out=np.zeros_like(excess), where=excess > 0)
+            off = point + scale[:, None] * pull
+            lower = row_norms(pts - off[:, None, :]).sum(axis=1) < dist.sum(axis=1)
+            y = np.where(vertex[:, None], point, np.where(((test & lower) | on_point)[:, None], off, y))
+            diff = pts - y[:, None, :]
+            dist = row_norms(diff)
+            # Also done: an iterate that the step off a point left on a point (a step below float spacing).
+            done = vertex | ~dist.all(axis=1)
+            mu[live[done]] = y[done]
+            live, pts, y, diff, dist = (a[~done] for a in (live, pts, y, diff, dist))
+        w = 1.0 / dist
+        pull = (w[:, None, :] @ diff)[:, 0]
+        total = w.sum(axis=1)
+        # The 1e-12 W I term keeps the solve defined when the points and the iterate
+        # are collinear; the step it gives along their line is then rejected.
+        hess = (total * (1 + 1e-12))[:, None, None] * np.eye(3) - np.swapaxes(diff * (w**3)[..., None], 1, 2) @ diff
+        newton = y + np.linalg.solve(hess, pull[..., None])[..., 0]
+        test = row_norms(pts - newton[:, None, :]).sum(axis=1) > dist.sum(axis=1) * (1 + 1e-14)
+        done = row_norms(pull) <= 1e-15 * (every.shape[1] + total * row_norms(y))
+        mu[live] = np.where(done[:, None], y, np.where(test[:, None], y + pull / total[:, None], newton))
+        live, test = live[~done], test[~done]
         if not len(live):
             break
-        diff = pts - cur[:, None, :]
-        dist = np.sqrt(add(diff * diff, axis=2))
-        at_point = dist < 1e-13
-        vardi_zhang = np.count_nonzero(at_point) > 0
-        if vardi_zhang:
-            snapped = at_point.any(axis=1)
-            dist[at_point] = 1.0  # the Weiszfeld step is not used on these slices
-        w = 1.0 / dist
-        new = add(pts * w[..., None], axis=1) / add(w, axis=1)[:, None]
-        step = new - cur
-        done = np.sqrt(add(step * step, axis=1)) < 1e-14
-        if vardi_zhang:
-            # Stay if the residual pull of the other points is inside the unit ball.
-            pull = add(np.where(at_point[..., None], 0.0, diff / dist[..., None]), axis=1)
-            strength = np.sqrt(add(pull * pull, axis=1))
-            stays = strength <= 1.0 + 1e-12
-            scale = np.where(stays, 0.0, (strength - 1.0) / np.where(stays, 1.0, strength))
-            new = np.where(snapped[:, None], cur + scale[:, None] * pull * 1e-13, new)
-            done = np.where(snapped, stays, done)
-        if np.count_nonzero(done):
-            mu[live[done]] = new[done]
-            live, pts, new = live[~done], pts[~done], new[~done]
-        cur = new
-    else:
-        mu[live] = cur
     return mu.reshape(points.shape[:-2] + (3,))
 
 
 def _sum_zero_units(targets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Unit directions from the geometric median to (..., n, 3) targets; flags stacks with a target on it."""
     diff = targets - _geometric_median(targets)[..., None, :]
-    dist = np.linalg.norm(diff, axis=-1)
+    dist = row_norms(diff)
     close = dist < 1e-12
     return diff / np.where(close, 1.0, dist)[..., None], close.any(axis=-1)
-
-
-def _constrained_alice_update(targets: np.ndarray, previous: np.ndarray) -> np.ndarray:
-    """Exact argmax of sum_x t_x . a_x over unit Bloch vectors summing to zero.
-
-    ``targets`` is (..., n, 3) and ``previous`` the matching (..., n, 2, 2)
-    observables.  A stack falls back to its previous observables when its
-    Fermat-Weber solution is degenerate (a target coincides with the
-    median), which keeps the sweep monotone.
-    """
-    units, degenerate = _sum_zero_units(targets)
-    return np.where(degenerate[..., None, None, None], previous, _obs_from_blochs(units))
 
 
 def _obs_from_blochs(bloch: np.ndarray) -> np.ndarray:
@@ -256,16 +257,16 @@ class SeesawResult:
     restart_values: tuple[float, ...]
     traces: tuple[tuple[float, ...], ...]
     converged: tuple[bool, ...]
-    constrained: bool
     parity_residual: float
     best_restart: int
 
 
-def _random_starts(n: int, rngs: list, constrained: bool) -> tuple[np.ndarray, np.ndarray]:
+def _random_starts(n: int, rngs: list) -> tuple[np.ndarray, np.ndarray]:
     """Alice's and Bob's random observables, (len(rngs), n, 2, 2) each, one stream per start.
 
     Each stream draws Alice's directions, draws them again while their
-    projection onto the sum-zero set is degenerate, then draws Bob's.
+    projection onto the sum-zero set is degenerate (their geometric median
+    is one of them, as for about one n = 3 draw in eleven), then Bob's.
     """
 
     def units(rng):
@@ -273,14 +274,13 @@ def _random_starts(n: int, rngs: list, constrained: bool) -> tuple[np.ndarray, n
         return vecs / np.linalg.norm(vecs, axis=1)[:, None]
 
     alice = np.array([units(rng) for rng in rngs]).reshape(-1, n, 3)
-    if constrained:
-        pending = np.arange(len(rngs))
-        while len(pending):
-            projected, bad = _sum_zero_units(alice[pending])
-            alice[pending[~bad]] = projected[~bad]
-            pending = pending[bad]
-            for k in pending:  # essentially never; redraw deterministically
-                alice[k] = units(rngs[k])
+    pending = np.arange(len(rngs))
+    while len(pending):
+        projected, bad = _sum_zero_units(alice[pending])
+        alice[pending[~bad]] = projected[~bad]
+        pending = pending[bad]
+        for k in pending:
+            alice[k] = units(rngs[k])
     bob = np.array([units(rng) for rng in rngs]).reshape(-1, n, 3)
     return _obs_from_blochs(alice), _obs_from_blochs(bob)
 
@@ -299,14 +299,14 @@ def seesaw(
     seed: int = SEED,
     tol: float = TOL,
     restarts: int = RESTARTS,
-    constrain_parity: bool | None = None,
     init: QuantumSetup | None = None,
 ) -> SeesawResult:
     """Best-of-restarts see-saw ascent of the n-input Bell value.
 
-    ``constrain_parity`` defaults to ``n > 3`` (see module docstring).  When
-    ``init`` is given it seeds the first restart.  Ties between restarts
-    resolve to the earliest one.
+    Alice's observables stay on the sum-zero set throughout (see the module
+    docstring); the random starts are projected onto it.  When ``init`` is
+    given it seeds the first restart as is.  Ties between restarts resolve to
+    the earliest one.
     """
     check_n(n)
     if restarts < 1:
@@ -314,21 +314,18 @@ def seesaw(
     check_tol(tol)
     if init is not None and init.n != n:
         raise ValueError(f"init has {init.n} settings per party, expected {n}")
-    constrained = (n > 3) if constrain_parity is None else bool(constrain_parity)
 
     rngs = [np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(restarts)]
     seeded = 0 if init is None else 1
-    alice, bob = _random_starts(n, rngs[seeded:], constrained)
+    alice, bob = _random_starts(n, rngs[seeded:])
     if init is not None:
         alice = np.concatenate([np.array([init.alice], dtype=complex), alice])
         bob = np.concatenate([np.array([init.bob], dtype=complex), bob])
-    op = bell_operator(alice, bob)
-    state = np.linalg.eigh(op)[1][..., -1]
-    if init is not None:
-        state[0] = np.ravel(init.state)
-
     # history[s][k] is restart k's value after s sweeps (NaN once it stopped).
-    history = [_expectations(op, state)]
+    w, v = np.linalg.eigh(bell_operator(alice, bob))
+    state, history = v[..., -1], [w[:, -1]]
+    if init is not None:
+        state[0], history[0][0] = np.ravel(init.state), setup_bell_value(init)
     sweeps = np.zeros(restarts, dtype=int)
     converged = np.zeros(restarts, dtype=bool)
     live = np.arange(restarts)
@@ -337,23 +334,18 @@ def seesaw(
         rho = psi[:, :, None] * psi.conj()[:, None, :]
         # Bob: exact sign update per setting.
         b = _matrix_sign(_effective_bob(rho, _setting_combos(a)))
-        # Alice: exact sign update, or Fermat-Weber step on the sum-zero set.
+        # Alice: Fermat-Weber step on the sum-zero set, from the Bloch
+        # components tr(M_x sigma_k) / 2 of each effective operator M_x.
         effective = _effective_alice(rho, _setting_combos(b))
-        if constrained:
-            # Bloch components tr(M sigma_k) / 2 of each effective operator.
-            targets = np.einsum("...xij,kji->...xk", effective, _PAULI_STACK).real / 2.0
-            before = bell_operator(a, b)
-            candidate = _constrained_alice_update(targets, a)
-            op = bell_operator(candidate, b)
-            # Keep the previous observables where the update loses value.
-            dropped = _expectations(op, psi) < _expectations(before, psi) - 1e-12
-            a = np.where(dropped[:, None, None, None], a, candidate)
-            op = np.where(dropped[:, None, None], before, op)
-        else:
-            a = _matrix_sign(effective)
-            op = bell_operator(a, b)
+        targets = np.einsum("...xij,kji->...xk", effective, _PAULI_STACK).real / 2.0
+        units, degenerate = _sum_zero_units(targets)
+        candidate = _obs_from_blochs(units)
+        # Keep the previous observables where the median sits on a target or the
+        # update loses value (the value is sum_x tr(A_x M_x)): the trace stays monotone.
+        loss = np.einsum("rxij,rxji->r", a - candidate, effective).real
+        a = np.where((degenerate | (loss > 1e-12))[:, None, None, None], a, candidate)
         # State: top eigenvector of the Bell operator.
-        w, v = np.linalg.eigh(op)
+        w, v = np.linalg.eigh(bell_operator(a, b))
         alice[live], bob[live], state[live] = a, b, v[..., -1]
         values = np.full(restarts, np.nan)
         values[live] = w[:, -1]
@@ -377,7 +369,6 @@ def seesaw(
         restart_values=restart_values,
         traces=traces,
         converged=tuple(converged.tolist()),
-        constrained=constrained,
         parity_residual=float(np.linalg.norm(alice[best].sum(axis=0), 2)),
         best_restart=best,
     )

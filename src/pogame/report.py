@@ -195,15 +195,18 @@ def optimization_section(n: int, seed: int, restarts: int, tol: float) -> tuple[
         "target": target,
         "restart_values": list(result.restart_values),
         "restarts_at_optimum": hits,
-        "constrained": result.constrained,
         "parity_residual": result.parity_residual,
         "converged": all(result.converged),
         "best_restart": result.best_restart,
     }
     steps = np.concatenate([np.diff(trace) for trace in result.traces])
+    # The game's quantum value is the optimum over parity-oblivious strategies only.
+    parity = gc.check_operational_parity(gc.steered_states(result.setup))
     checks = [
         Check("see-saw reaches the quantum ceiling", abs(result.value - target), "<=", OPTIMUM_TOL),
         Check("see-saw traces are monotone", float(steps.min()) if steps.size else 0.0, ">=", -1e-9),
+        Check("see-saw restarts converged", all(result.converged), "==", True),
+        Check("found setup is parity oblivious", parity, "<=", 1e-9),
     ]
     return section, checks, result
 

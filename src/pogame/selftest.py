@@ -55,7 +55,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gamecore import QuantumSetup
-from .qmat import EPS, I2, SIGMA_X, SIGMA_Y, SIGMA_Z, apply_local, outcome_projectors, phi_plus
+from .qmat import EPS, I2, SIGMA_X, SIGMA_Y, SIGMA_Z, apply_local, outcome_projectors, phi_plus, row_norms
 
 # Largest leftover accepted by the frame-span check, by the Schmidt split of
 # the output, and below which the swap frame has no y direction.
@@ -82,11 +82,6 @@ class SelfTestOperators:
     norms: dict | None = None
 
 
-def _norms(a: np.ndarray) -> np.ndarray:
-    """Row-wise ``|a|``, summed as ``np.linalg.norm`` sums a single vector."""
-    return np.sqrt(np.vecdot(a.real, a.real) + np.vecdot(a.imag, a.imag))
-
-
 def _first_largest(values: np.ndarray) -> int:
     """Index of the first value within ``_SPAN_TOL`` of the largest, so roundoff cannot break a tie."""
     return int(np.argmax(values >= values.max() - _SPAN_TOL))
@@ -95,7 +90,7 @@ def _first_largest(values: np.ndarray) -> int:
 def _normalized(alice_op: np.ndarray, bob_op: np.ndarray, psi) -> tuple[np.ndarray, list[float]]:
     """Both operators divided by their state norms ``|(alice_op (x) I) psi|`` and ``|(I (x) bob_op) psi|``."""
     on_state = apply_local(np.array([alice_op, I2]), np.array([I2, bob_op]), psi)
-    norms = _norms(on_state.reshape(2, 4))
+    norms = row_norms(on_state.reshape(2, 4))
     if norms.min() < EPS:
         raise ValueError("swap operator has vanishing norm on the state")
     return np.array([alice_op, bob_op]) / norms[:, None, None], norms.tolist()
@@ -130,7 +125,7 @@ def build_selftest_operators(setup: QuantumSetup) -> SelfTestOperators:
 
     d = (apply_local(x_a, I2, psi).reshape(4).conj() @ on_state.T).real
     remainders = alice - c[:, None, None] * alice[0] - d[:, None, None] * x_a
-    remainder_norms = _norms(apply_local(remainders, I2, psi).reshape(len(alice), 4))
+    remainder_norms = row_norms(apply_local(remainders, I2, psi).reshape(len(alice), 4))
     k = _first_largest(remainder_norms)
     y_a = y_b = None
     if remainder_norms[k] > _SPAN_TOL:
@@ -176,7 +171,7 @@ def verify_relations(ops: SelfTestOperators, state) -> dict[str, float]:
         }
     stack = np.array(list(terms.values()))  # (R, term, party, 2, 2)
     vectors = apply_local(stack[:, :, 0], stack[:, :, 1], psi).sum(axis=1)
-    return dict(zip(terms, _norms(vectors.reshape(len(terms), 4)).tolist()))
+    return dict(zip(terms, row_norms(vectors.reshape(len(terms), 4)).tolist()))
 
 
 @dataclass(frozen=True, eq=False)
@@ -235,7 +230,7 @@ def _fidelities(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     ``abs`` of a complex scalar and ``float_power`` is ``**`` of a float
     scalar, so a row equals the fidelity of that pair computed alone.
     """
-    norms = np.float_power(_norms(a), 2) * np.float_power(_norms(b), 2)
+    norms = np.float_power(row_norms(a), 2) * np.float_power(row_norms(b), 2)
     overlaps = np.vecdot(a, b)
     moduli = np.float_power(np.hypot(overlaps.real, overlaps.imag), 2)
     return np.where(norms > 0, moduli / np.where(norms > 0, norms, 1.0), 0.0)
@@ -363,7 +358,7 @@ def run_targets(
     junk_expected = junk_expected.reshape(count, -1)
     anc_expected = anc_expected.reshape(count, -1)
 
-    exp_norm = _norms(expected)[:, None]
+    exp_norm = row_norms(expected)[:, None]
     expected_unit = expected / np.where(exp_norm > 0, exp_norm, 1.0)
     fidelity = _fidelities(output, expected)
     overlap = np.vecdot(expected_unit, output)[:, None]

@@ -12,8 +12,10 @@ the 2n^2 winning-entry sum for the success probability, the 4n^2
 per-branch steering sandwich, the per-element POVM statistics, the
 per-entry behavior writers, the gate-by-gate swap circuit as a dense
 2^k x 2^k unitary, its predicted output built from the dense junk vectors,
-the self-test run one target at a time, and the see-saw run one restart
-at a time.  They are exponential or quadratic and only meant for small n.
+the self-test run one target at a time, the see-saw run one restart at a
+time, the geometric median by Weiszfeld's iteration, and (as a negative
+control) a see-saw without the sum-zero constraint.  They are exponential
+or quadratic and only meant for small n.
 """
 
 import heapq
@@ -510,21 +512,54 @@ def assert_stacked_selftest_matches(setup, targets):
             assert run.junk is None and run.extracted is None, target
 
 
-def _random_setup(n, rng, constrained):
-    def random_units(count):
-        vecs = rng.normal(size=(count, 3))
-        return vecs / np.linalg.norm(vecs, axis=1)[:, None]
+def geometric_median_weiszfeld(points):
+    """Fermat-Weber point of each (n, 3) slice by a safeguarded Weiszfeld iteration.
 
-    alice_dirs = random_units(n)
-    if constrained:
-        mu = qo._geometric_median(alice_dirs)
-        diff = alice_dirs - mu
-        dist = np.linalg.norm(diff, axis=1)
-        if np.any(dist < 1e-12):  # essentially never; resample deterministically
-            return _random_setup(n, rng, constrained)
-        alice_dirs = diff / dist[:, None]
-    alice = qo._obs_from_blochs(alice_dirs)
-    bob = qo._obs_from_blochs(random_units(n))
+    Up to 500 steps from the centroid.  A slice is done when its step falls
+    below 1e-14, or when the iterate is within 1e-13 of a point and the
+    Vardi-Zhang test keeps it there (the other points' unit pull is at most
+    1 + 1e-12); otherwise it steps 1e-13 off the point along that pull.
+    """
+    points = np.asarray(points, dtype=float)
+    pts = points.reshape((-1,) + points.shape[-2:])
+    mu = pts.mean(axis=1)
+    for i, slice_pts in enumerate(pts):
+        cur = mu[i]
+        for _ in range(500):
+            diff = slice_pts - cur
+            dist = np.linalg.norm(diff, axis=1)
+            at_point = dist < 1e-13
+            if at_point.any():
+                pull = (diff[~at_point] / dist[~at_point, None]).sum(axis=0)
+                strength = np.linalg.norm(pull)
+                if strength <= 1.0 + 1e-12:
+                    break
+                cur = cur + (strength - 1.0) / strength * pull * 1e-13
+                continue
+            new = (slice_pts / dist[:, None]).sum(axis=0) / (1.0 / dist).sum()
+            step = np.linalg.norm(new - cur)
+            cur = new
+            if step < 1e-14:
+                break
+        mu[i] = cur
+    return mu.reshape(points.shape[:-2] + (3,))
+
+
+def _random_units(rng, count):
+    vecs = rng.normal(size=(count, 3))
+    return vecs / np.linalg.norm(vecs, axis=1)[:, None]
+
+
+def _random_setup(n, rng):
+    """Alice's random directions projected onto the sum-zero set (drawn again if degenerate), then Bob's."""
+    alice_dirs = _random_units(rng, n)
+    mu = qo._geometric_median(alice_dirs)
+    diff = alice_dirs - mu
+    dist = np.linalg.norm(diff, axis=1)
+    if np.any(dist < 1e-12):  # the median is one of the directions
+        return _random_setup(n, rng)
+    alice = qo._obs_from_blochs(diff / dist[:, None])
+    bob = qo._obs_from_blochs(_random_units(rng, n))
     _, v = np.linalg.eigh(qo.bell_operator(alice, bob))
     return gc.QuantumSetup(state=v[:, -1], alice=tuple(alice), bob=tuple(bob))
 
@@ -538,8 +573,8 @@ def _constrained_alice_update(targets, previous):
     return qo._obs_from_blochs(diff / dist[:, None])
 
 
-def _seesaw_single(n, rng, tol, constrained, init):
-    setup = init if init is not None else _random_setup(n, rng, constrained)
+def _seesaw_single(n, rng, tol, init):
+    setup = init if init is not None else _random_setup(n, rng)
     alice = np.array(setup.alice, dtype=complex)
     bob = np.array(setup.bob, dtype=complex)
     state = setup.state.copy()
@@ -553,15 +588,12 @@ def _seesaw_single(n, rng, tol, constrained, init):
         rho = proj(state)
         bob = qo._matrix_sign(qo._effective_bob(rho, qo._setting_combos(alice)))
         effective = qo._effective_alice(rho, qo._setting_combos(bob))
-        if constrained:
-            targets = np.einsum("xij,kji->xk", effective, qo._PAULI_STACK).real / 2.0
-            before = value_of()
-            saved = alice
-            alice = _constrained_alice_update(targets, alice)
-            if value_of() < before - 1e-12:
-                alice = saved
-        else:
-            alice = qo._matrix_sign(effective)
+        targets = np.einsum("xij,kji->xk", effective, qo._PAULI_STACK).real / 2.0
+        before = value_of()
+        saved = alice
+        alice = _constrained_alice_update(targets, alice)
+        if value_of() < before - 1e-12:
+            alice = saved
         w, v = np.linalg.eigh(qo.bell_operator(alice, bob))
         state = v[:, -1]
         trace.append(float(w[-1]))
@@ -572,16 +604,13 @@ def _seesaw_single(n, rng, tol, constrained, init):
     return final, trace, converged
 
 
-def seesaw_loop(n, seed=qo.SEED, tol=qo.TOL, restarts=qo.RESTARTS, constrain_parity=None, init=None):
+def seesaw_loop(n, seed=qo.SEED, tol=qo.TOL, restarts=qo.RESTARTS, init=None):
     """``quantum_opt.seesaw`` with one restart after the other, each a validated setup."""
-    constrained = (n > 3) if constrain_parity is None else bool(constrain_parity)
     streams = np.random.SeedSequence(seed).spawn(restarts)
     setups, traces, flags = [], [], []
     for r in range(restarts):
         start = init if (r == 0 and init is not None) else None
-        final, trace, converged = _seesaw_single(
-            n, np.random.default_rng(streams[r]), tol, constrained, start
-        )
+        final, trace, converged = _seesaw_single(n, np.random.default_rng(streams[r]), tol, start)
         setups.append(final)
         traces.append(tuple(trace))
         flags.append(converged)
@@ -594,7 +623,25 @@ def seesaw_loop(n, seed=qo.SEED, tol=qo.TOL, restarts=qo.RESTARTS, constrain_par
         restart_values=tuple(values),
         traces=tuple(traces),
         converged=tuple(flags),
-        constrained=constrained,
         parity_residual=float(np.linalg.norm(sum(setups[best].alice), 2)),
         best_restart=best,
     )
+
+
+def seesaw_unconstrained(n, seed=qo.SEED, tol=qo.TOL, restarts=qo.RESTARTS):
+    """Best value of a see-saw whose Alice update is the plain sign update, with no sum-zero constraint."""
+    best = -np.inf
+    for stream in np.random.SeedSequence(seed).spawn(restarts):
+        rng = np.random.default_rng(stream)
+        alice = qo._obs_from_blochs(_random_units(rng, n))
+        bob = qo._obs_from_blochs(_random_units(rng, n))
+        value = -np.inf
+        for _ in range(qo._MAX_SWEEPS):
+            w, v = np.linalg.eigh(qo.bell_operator(alice, bob))
+            if w[-1] - value <= tol:
+                break
+            value, rho = w[-1], proj(v[:, -1])
+            bob = qo._matrix_sign(qo._effective_bob(rho, qo._setting_combos(alice)))
+            alice = qo._matrix_sign(qo._effective_alice(rho, qo._setting_combos(bob)))
+        best = max(best, float(w[-1]))
+    return best

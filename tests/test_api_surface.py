@@ -70,7 +70,7 @@ PARAMETERS = {
     "pnc_bound": "n",
     "randomness_report": "setup, povm",
     "run_isometry": "setup, target",
-    "seesaw": "n, seed, tol, restarts, constrain_parity, init",
+    "seesaw": "n, seed, tol, restarts, init",
     "setup_from_family": "fam",
     "shifted_bell_value": "setup, povm, alpha",
     "sos_certificate": "setup",

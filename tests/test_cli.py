@@ -119,6 +119,16 @@ def test_optimize_command(capsys):
     assert all(line.startswith("[PASS]") for line in checks)
 
 
+def test_optimize_and_report_check_the_found_setup_at_n3(capsys):
+    wanted = ["[PASS] see-saw restarts converged", "[PASS] found setup is parity oblivious"]
+    code, out, _ = run_cli(["optimize", "--n", "3"], capsys)
+    assert code == 0
+    assert all(line in split_payload(out)[1] for line in wanted)
+    code, _, err = run_cli(["report", "--n", "3"], capsys)
+    assert code == 0
+    assert all(line in err.splitlines() for line in wanted)
+
+
 def test_selftest_command(capsys):
     code, out, _ = run_cli(["selftest", "--n", "3"], capsys)
     payload, _ = split_payload(out)

@@ -435,8 +435,11 @@ def test_json_rejects_keys_the_writer_never_writes():
 def test_json_rejects_block_that_is_not_2x2():
     doc = json.loads(gc.behavior_to_json(gc.behavior_from_setup(gc.setup_from_family(obs.trine()))))
     doc["table"] = {key: sum(block, []) for key, block in doc["table"].items()}  # flat [p00, p01, p10, p11]
-    with pytest.raises(ValueError, match="every table block must be a 2x2 array"):
-        gc.behavior_from_json(json.dumps(doc))
+    # An object for a block, and a ragged block.
+    texts = [json.dumps(doc), '{"n": 1, "table": {"1,1": {}}}', '{"n": 1, "table": {"1,1": [[[1], 0], [0, 1]]}}']
+    for text in texts:
+        with pytest.raises(ValueError, match="^every table block must be a 2x2 array$"):
+            gc.behavior_from_json(text)
 
 
 def _peak_bytes(call):

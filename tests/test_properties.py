@@ -211,3 +211,47 @@ def test_selftest_passes_for_every_odd_n_and_fails_when_perturbed(n, u, v, angle
             _, checks = report.selftest_section(setup)
             assert len(checks) == 3
             assert [check.passed for check in checks] == [passes] * 3, (family.n, passes, checks)
+
+
+def _median_slice(rng, kind, n):
+    """n points in [-3, 3]^3 of one kind; "near" puts one within 1e-12 of the others' median."""
+    if kind == "generic":
+        return rng.uniform(-3, 3, size=(n, 3))
+    if kind == "unit":  # like the directions the see-saw projects onto the sum-zero set
+        vecs = rng.normal(size=(n, 3))
+        return vecs / np.linalg.norm(vecs, axis=1)[:, None]
+    if kind == "collinear":
+        return rng.uniform(-3, 3, size=3) + rng.uniform(-3, 3, size=(n, 1)) * rng.normal(size=3)
+    if kind == "repeated":
+        distinct = rng.uniform(-3, 3, size=(int(rng.integers(1, n)), 3))
+        return distinct[rng.integers(0, len(distinct), size=n)]
+    others = rng.uniform(-3, 3, size=(n - 1, 3))
+    mu = oracles.geometric_median_weiszfeld(others)
+    nearest = others[np.argmin(np.linalg.norm(others - mu, axis=1))]
+    if np.linalg.norm(nearest - mu) < 1e-9:  # the others' median is one of them: repeat it
+        point = nearest
+    else:
+        point = mu + rng.uniform(-1e-12, 1e-12, size=3) * rng.integers(0, 2)
+    return np.vstack([others, point])[rng.permutation(n)]
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(
+    st.integers(1, 20).map(lambda k: 2 * k + 1),
+    st.sampled_from(["generic", "unit", "collinear", "repeated", "near"]),
+    st.integers(1, 3),
+    st.integers(0, 2**32 - 1),
+)
+def test_geometric_median_meets_kuhn_and_beats_weiszfeld(n, kind, count, seed):
+    rng = np.random.default_rng(seed)
+    batch = np.array([_median_slice(rng, kind, n) for _ in range(count)])
+    for pts, mu in zip(batch, qo._geometric_median(batch)):
+        assert np.array_equal(mu, qo._geometric_median(pts))
+        diff = pts - mu
+        dist = np.linalg.norm(diff, axis=1)
+        on_point = dist == 0
+        strength = np.linalg.norm((diff[~on_point] / dist[~on_point, None]).sum(axis=0))
+        # Kuhn's condition on a data point; a vanishing pull anywhere else.
+        assert strength <= (np.count_nonzero(on_point) if on_point.any() else 1e-9), (strength, on_point.sum())
+        weiszfeld = oracles.geometric_median_weiszfeld(pts)
+        assert dist.sum() <= np.linalg.norm(pts - weiszfeld, axis=1).sum() + 1e-12

@@ -166,3 +166,11 @@ def test_pauli_algebra():
         assert np.allclose(p @ p, I2)
         assert qmat.is_hermitian(p)
         assert qmat.is_unitary(p)
+
+
+@pytest.mark.parametrize("width", [3, 4, 41])
+def test_row_norms_match_per_row_norm_bit_for_bit(width):
+    rng = np.random.default_rng(width)
+    real = rng.normal(size=(2000, width))
+    for rows in (real, real + 1j * rng.normal(size=real.shape)):
+        assert np.array_equal(qmat.row_norms(rows), [np.linalg.norm(row) for row in rows])

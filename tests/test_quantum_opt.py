@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
 
+from pogame import certify
 from pogame import gamecore as gc
 from pogame import observables as obs
 from pogame import quantum_opt as qo
+from pogame import report
+from pogame import selftest as st
 from pogame.qmat import SIGMA_X, SIGMA_Z, phi_plus
 
 import oracles
@@ -112,22 +115,36 @@ def test_seesaw_trine_fixed_point():
     assert result.value == pytest.approx(6.0, abs=1e-12)
 
 
-def test_seesaw_parity_emerges_unconstrained():
-    result = qo.seesaw(3, seed=42)
-    assert not result.constrained
-    assert result.parity_residual <= 1e-3
+def test_seesaw_n3_parity_is_exact():
+    for seed in (7, 42, 101, 2024):
+        result = qo.seesaw(3, seed=seed)
+        assert all(result.converged), seed
+        assert all(len(trace) - 1 <= 5 for trace in result.traces), seed
+        assert result.parity_residual <= 1e-12, seed
+        assert abs(result.value - 6.0) <= 1e-12, seed
 
 
-def test_seesaw_constrained_by_default_above_three():
+@pytest.mark.parametrize("n", [3, 5, 7, 9])
+def test_found_optima_certify(n):
+    # The see-saw's own optimum passes every certificate the canonical family does.
+    for seed in (7, 42, 2024):
+        setup = qo.seesaw(n, seed=seed).setup
+        for section in (report.sos_section, report.selftest_section):
+            _, checks = section(setup)
+            assert all(check.passed for check in checks), (seed, checks)
+        if n == 3:  # planar: no spurious y direction in the swap frame
+            assert st.build_selftest_operators(setup).y_a is None, seed
+        certify.canonical_povm(obs.ObservableFamily(n, setup.alice, setup.bob))
+
+
+def test_seesaw_parity_holds_above_three():
     result = qo.seesaw(5, seed=42, restarts=2)
-    assert result.constrained
     assert result.parity_residual <= 1e-8
 
 
 def test_seesaw_unconstrained_above_three_exceeds_ceiling():
     # Without the sum-zero constraint the classical aligned strategy wins.
-    result = qo.seesaw(5, seed=42, restarts=4, constrain_parity=False)
-    assert result.value > 14.9
+    assert oracles.seesaw_unconstrained(5, seed=42, restarts=4) > 14.9
 
 
 def test_seesaw_argument_validation():
@@ -207,10 +224,10 @@ def near_aligned_setup(rng, n, tilt):
 @pytest.mark.parametrize("n", [3, 5, 7, 13])
 def test_seesaw_matches_loop_oracle(n):
     rng = np.random.default_rng(90 + n)
-    cases = [dict(seed=seed, constrain_parity=cp) for seed in (7, 42, 101) for cp in (None, True, False)]
+    cases = [dict(seed=seed) for seed in (7, 42, 101, 2024, 0, 1, 2, 3, 4)]
     # Starts where Alice's constrained update loses value, or is degenerate
     # (all targets equal), so that it keeps her previous observables.
-    cases += [dict(seed=8, init=near_aligned_setup(rng, n, tilt), constrain_parity=True) for tilt in (0.0, 0.05)]
+    cases += [dict(seed=8, init=near_aligned_setup(rng, n, tilt)) for tilt in (0.0, 0.05)]
     if n == 3:
         trine = gc.setup_from_family(obs.trine())
         cases += [dict(seed=5, init=trine), dict(seed=6, restarts=1, init=trine, tol=0.0)]
@@ -222,7 +239,6 @@ def test_seesaw_matches_loop_oracle(n):
         for trace, oracle_trace in zip(got.traces, want.traces):
             assert np.max(np.abs(np.subtract(trace, oracle_trace))) <= 1e-12, case
         assert np.max(np.abs(np.subtract(got.restart_values, want.restart_values))) <= 1e-12, case
-        assert got.constrained == want.constrained
         assert abs(got.value - want.value) <= 1e-12, case
         assert got.value == max(got.restart_values)
 
