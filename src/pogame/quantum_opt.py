@@ -12,14 +12,23 @@ strategy gives n(n-2) > 2n for n > 3).  Her exact update is a Fermat-Weber
 point: a_x = (t_x - mu)/|t_x - mu| maximizes sum_x t_x . a_x on that set,
 with mu the geometric median of the effective Bloch targets t_x.
 
-All restarts run as one stack: the observables are (r, n, 2, 2) arrays, the
+The sweep works in Pauli coordinates: each observable is its real 4-vector
+(m0, v) with m = m0 I + v . sigma, and the state enters through its
+correlation tensor T_mu,nu = <psi| sigma_mu (x) sigma_nu |psi>.  Each
+party's effective operators are then one matmul with T, Bob's sign update
+is a closed form, and the Bell operator is a 4x4 weight matrix on the 16
+Pauli products.
+
+All restarts run as one stack: the observables are (r, n, 4) arrays, the
 states an (r, 4) array, and every helper takes leading batch axes.  A sweep
 is a fixed sequence of numpy calls on the restarts still running (Bob's
 sign update, Alice's Fermat-Weber update, one ``eigh`` of the (r, 4, 4)
 Bell operators), however many restarts there are; a restart leaves the
 stack once its own trace gains no more than ``tol``.  Each restart draws
 its start from its own ``SeedSequence`` stream, so its trace does not
-depend on the others.  Only the best restart becomes a validated
+depend on the others: Alice starts from one fixed sum-zero configuration
+under a random rotation, so she is on the set from the start, and Bob
+from random unit directions.  Only the best restart becomes a validated
 ``QuantumSetup``.
 """
 
@@ -33,7 +42,10 @@ from .gamecore import GameSpec, QuantumSetup
 from .observables import check_n
 from .qmat import EPS, I2, PAULIS, apply_local, row_norms
 
-_PAULI_STACK = np.array(PAULIS)
+#: The Pauli basis (I, sigma_x, sigma_y, sigma_z), and its 16 two-qubit
+#: products: row 4 mu + nu of ``_PRODUCTS`` is sigma_mu (x) sigma_nu, flattened.
+_BASIS = np.array((I2,) + PAULIS)
+_PRODUCTS = (_BASIS[:, None, :, None, :, None] * _BASIS[None, :, None, :, None, :]).reshape(16, 16)
 
 #: See-saw defaults: the root seed of the restart streams, the number of
 #: restarts and the tolerance on one sweep's gain below which a restart
@@ -64,9 +76,9 @@ def bell_operator(alice, bob) -> np.ndarray:
     return (kron - 2.0 * pairs).reshape(a.shape[:-3] + (4, 4))
 
 
-def _setting_combos(obs: np.ndarray) -> np.ndarray:
-    """Row y of ``J - 2I`` applied to each stack: ``sum_x O_x - 2 O_y`` for every y."""
-    return obs.sum(axis=-3, keepdims=True) - 2.0 * obs
+def _setting_combos(obs: np.ndarray, axis: int = -3) -> np.ndarray:
+    """Row y of ``J - 2I`` applied along the settings ``axis``: ``sum_x O_x - 2 O_y`` for every y."""
+    return obs.sum(axis=axis, keepdims=True) - 2.0 * obs
 
 
 def setup_bell_value(setup: QuantumSetup) -> float:
@@ -153,24 +165,64 @@ def concavity_bound(n: int) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _matrix_sign(m: np.ndarray) -> np.ndarray:
-    """Hermitian unit-square maximizer of tr(B m) for each matrix of a (..., 2, 2) stack.
+def _pauli_coordinates(m: np.ndarray) -> np.ndarray:
+    """Real coordinates (m0, vx, vy, vz) of m = m0 I + v . sigma for a (..., 2, 2) Hermitian stack.
 
-    Flips every eigenvalue to its sign.
+    Like ``eigh``, it reads the lower triangle only.
     """
-    w, v = np.linalg.eigh(m)
-    signs = np.where(w >= 0, 1.0, -1.0)
-    return (v * signs[..., None, :]) @ np.swapaxes(v.conj(), -1, -2)
+    top, bottom, lower = m[..., 0, 0].real, m[..., 1, 1].real, m[..., 1, 0]
+    return np.stack([(top + bottom) / 2.0, lower.real, lower.imag, (top - bottom) / 2.0], axis=-1)
 
 
-def _effective_bob(rho: np.ndarray, combos: np.ndarray) -> np.ndarray:
-    """Tr_A[(C_y (x) I) rho] for each C_y, so that tr[(C_y (x) B) rho] = tr(B .)."""
-    return np.einsum("...yim,...mkil->...ykl", combos, rho.reshape(rho.shape[:-2] + (2, 2, 2, 2)))
+def _from_pauli(coords: np.ndarray) -> np.ndarray:
+    """The (..., 2, 2) matrices of (..., 4) Pauli coordinates: the inverse of ``_pauli_coordinates``."""
+    return (coords @ _BASIS.reshape(4, 4)).reshape(coords.shape[:-1] + (2, 2))
 
 
-def _effective_alice(rho: np.ndarray, combos: np.ndarray) -> np.ndarray:
-    """Tr_B[(I (x) C_x) rho] for each C_x, so that tr[(A (x) C_x) rho] = tr(A .)."""
-    return np.einsum("...xkm,...imjk->...xij", combos, rho.reshape(rho.shape[:-2] + (2, 2, 2, 2)))
+def _traceless(bloch: np.ndarray) -> np.ndarray:
+    """Pauli coordinates (0, v) of the traceless matrices v . sigma for (..., 3) Bloch vectors v."""
+    coords = np.zeros(bloch.shape[:-1] + (4,))
+    coords[..., 1:] = bloch
+    return coords
+
+
+def _matrix_sign(m: np.ndarray) -> np.ndarray:
+    """Hermitian unit-square maximizer of tr(B m) for each Hermitian 2x2 matrix m, in Pauli coordinates.
+
+    ``m`` holds (m0, v) for m = m0 I + v . sigma, shape (..., 4), and so
+    does the result.  Each eigenvalue flips to its sign, with 0 mapped to
+    +1, in closed form: the eigenvalues are m0 +- |v|, so the sign is +I
+    when m0 - |v| >= 0, -I when m0 + |v| < 0, and v/|v| . sigma otherwise
+    (v = 0 falls in one of the first two cases).
+    """
+    m0, v = m[..., 0], m[..., 1:]
+    # hypot, not sqrt(v . v): the square of a tiny |v| would underflow and move the sign.
+    norm = np.hypot(np.hypot(v[..., 0], v[..., 1]), v[..., 2])
+    scalar = np.where(m0 - norm >= 0, 1.0, np.where(m0 + norm < 0, -1.0, 0.0))
+    split = scalar == 0
+    unit = np.divide(v, norm[..., None], out=np.zeros_like(v), where=split[..., None])
+    return np.concatenate([scalar[..., None], unit], axis=-1)
+
+
+def _correlations(psi: np.ndarray) -> np.ndarray:
+    """Correlation tensors T_mu,nu = <psi| sigma_mu (x) sigma_nu |psi> of (..., 4) states, shape (..., 4, 4).
+
+    For C with Pauli coordinates c, tr[(C (x) sigma_nu) rho] = (c T)_nu and
+    tr[(sigma_mu (x) C) rho] = (T c)_mu, so each party's effective operators
+    are one matmul with T.
+    """
+    outer = psi.conj()[..., :, None] * psi[..., None, :]
+    return (outer.reshape(psi.shape[:-1] + (16,)) @ _PRODUCTS.T).real.reshape(psi.shape[:-1] + (4, 4))
+
+
+def _bell_from_pauli(alice: np.ndarray, bob_combos: np.ndarray) -> np.ndarray:
+    """``bell_operator`` in Pauli coordinates: sum_x A_x (x) (sum_y B_y - 2 B_x).
+
+    ``alice`` holds Alice's (..., n, 4) coordinates and ``bob_combos`` Bob's
+    setting combinations ``_setting_combos(bob, axis=-2)``.
+    """
+    weights = np.swapaxes(alice, -1, -2) @ bob_combos
+    return (weights.reshape(weights.shape[:-2] + (16,)) @ _PRODUCTS).reshape(weights.shape[:-2] + (4, 4))
 
 
 def _geometric_median(points: np.ndarray) -> np.ndarray:
@@ -244,11 +296,6 @@ def _sum_zero_units(targets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return diff / np.where(close, 1.0, dist)[..., None], close.any(axis=-1)
 
 
-def _obs_from_blochs(bloch: np.ndarray) -> np.ndarray:
-    """Stack of observables v . sigma for the unit rows of ``bloch`` (shape (..., 3))."""
-    return np.einsum("...k,kij->...ij", bloch.astype(complex), _PAULI_STACK)
-
-
 @dataclass(frozen=True, eq=False)
 class SeesawResult:
     n: int
@@ -261,28 +308,51 @@ class SeesawResult:
     best_restart: int
 
 
-def _random_starts(n: int, rngs: list) -> tuple[np.ndarray, np.ndarray]:
-    """Alice's and Bob's random observables, (len(rngs), n, 2, 2) each, one stream per start.
+def _sum_zero_configuration(n: int) -> np.ndarray:
+    """n unit Bloch vectors that sum to zero exactly: a trine, then (n - 3)/2 antipodal pairs.
 
-    Each stream draws Alice's directions, draws them again while their
-    projection onto the sum-zero set is degenerate (their geometric median
-    is one of them, as for about one n = 3 draw in eleven), then Bob's.
+    The trine lies in the xy plane; the pairs point along a golden-angle
+    spiral over the upper hemisphere, so that no two vectors coincide.
     """
+    half = np.sqrt(3.0) / 2.0
+    trine = np.array([[1.0, 0.0, 0.0], [-0.5, half, 0.0], [-0.5, -half, 0.0]])
+    k = np.arange((n - 3) // 2)
+    z = 1.0 - (k + 0.5) / max(len(k), 1)
+    phi = k * np.pi * (3.0 - np.sqrt(5.0))
+    r = np.sqrt(1.0 - z * z)
+    pairs = np.stack([r * np.cos(phi), r * np.sin(phi), z], axis=-1)
+    return np.concatenate([trine, pairs, -pairs])
 
-    def units(rng):
-        vecs = rng.normal(size=(n, 3))
-        return vecs / np.linalg.norm(vecs, axis=1)[:, None]
 
-    alice = np.array([units(rng) for rng in rngs]).reshape(-1, n, 3)
-    pending = np.arange(len(rngs))
-    while len(pending):
-        projected, bad = _sum_zero_units(alice[pending])
-        alice[pending[~bad]] = projected[~bad]
-        pending = pending[bad]
-        for k in pending:
-            alice[k] = units(rngs[k])
-    bob = np.array([units(rng) for rng in rngs]).reshape(-1, n, 3)
-    return _obs_from_blochs(alice), _obs_from_blochs(bob)
+def _rotations(quaternions: np.ndarray) -> np.ndarray:
+    """Rotation matrices (..., 3, 3) of unit quaternions (..., 4) stored as (w, x, y, z)."""
+    w, x, y, z = np.moveaxis(quaternions, -1, 0)
+    rows = [
+        [1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y)],
+        [2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x)],
+        [2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y)],
+    ]
+    return np.moveaxis(np.array(rows), (0, 1), (-2, -1))
+
+
+def _random_starts(n: int, rngs: list) -> tuple[np.ndarray, np.ndarray]:
+    """Alice's and Bob's starting observables, (len(rngs), n, 4) Pauli coordinates each, one stream per start.
+
+    Each stream draws a uniformly random rotation, a normalized 4-normal
+    quaternion (Shoemake, Graphics Gems III, 1992), then Bob's n random unit
+    directions.  Alice's start is ``_sum_zero_configuration(n)`` under that
+    rotation, so it is on the sum-zero set to roundoff without a projection.
+    One fixed configuration is no weaker a start than a random point of the
+    set: every sum-zero configuration reaches 2n once Bob anti-aligns with
+    it, because the Bell operator is (sum_x A_x) (x) (sum_y B_y) -
+    2 sum_x A_x (x) B_x.
+    """
+    quats = np.array([rng.normal(size=4) for rng in rngs]).reshape(-1, 4)
+    quats /= row_norms(quats)[:, None]
+    alice = _sum_zero_configuration(n) @ np.swapaxes(_rotations(quats), -1, -2)
+    bob = np.array([rng.normal(size=(n, 3)) for rng in rngs]).reshape(-1, n, 3)
+    bob /= row_norms(bob)[..., None]
+    return _traceless(alice), _traceless(bob)
 
 
 def check_tol(tol: float) -> float:
@@ -304,9 +374,9 @@ def seesaw(
     """Best-of-restarts see-saw ascent of the n-input Bell value.
 
     Alice's observables stay on the sum-zero set throughout (see the module
-    docstring); the random starts are projected onto it.  When ``init`` is
-    given it seeds the first restart as is.  Ties between restarts resolve to
-    the earliest one.
+    docstring); every random start is drawn on it (``_random_starts``).
+    When ``init`` is given it seeds the first restart as is.  Ties between
+    restarts resolve to the earliest one.
     """
     check_n(n)
     if restarts < 1:
@@ -319,10 +389,10 @@ def seesaw(
     seeded = 0 if init is None else 1
     alice, bob = _random_starts(n, rngs[seeded:])
     if init is not None:
-        alice = np.concatenate([np.array([init.alice], dtype=complex), alice])
-        bob = np.concatenate([np.array([init.bob], dtype=complex), bob])
+        alice = np.concatenate([_pauli_coordinates(np.array([init.alice], dtype=complex)), alice])
+        bob = np.concatenate([_pauli_coordinates(np.array([init.bob], dtype=complex)), bob])
     # history[s][k] is restart k's value after s sweeps (NaN once it stopped).
-    w, v = np.linalg.eigh(bell_operator(alice, bob))
+    w, v = np.linalg.eigh(_bell_from_pauli(alice, _setting_combos(bob, axis=-2)))
     state, history = v[..., -1], [w[:, -1]]
     if init is not None:
         state[0], history[0][0] = np.ravel(init.state), setup_bell_value(init)
@@ -330,22 +400,24 @@ def seesaw(
     converged = np.zeros(restarts, dtype=bool)
     live = np.arange(restarts)
     for _ in range(_MAX_SWEEPS):
-        a, psi = alice[live], state[live]
-        rho = psi[:, :, None] * psi.conj()[:, None, :]
-        # Bob: exact sign update per setting.
-        b = _matrix_sign(_effective_bob(rho, _setting_combos(a)))
-        # Alice: Fermat-Weber step on the sum-zero set, from the Bloch
-        # components tr(M_x sigma_k) / 2 of each effective operator M_x.
-        effective = _effective_alice(rho, _setting_combos(b))
-        targets = np.einsum("...xij,kji->...xk", effective, _PAULI_STACK).real / 2.0
-        units, degenerate = _sum_zero_units(targets)
-        candidate = _obs_from_blochs(units)
+        a = alice[live]
+        corr = _correlations(state[live])
+        # Bob: exact sign update per setting, on his effective operators,
+        # coordinates (c T)/2 for the coordinates c of Alice's combinations.
+        b = _matrix_sign(_setting_combos(a, axis=-2) @ corr / 2.0)
+        # Alice: Fermat-Weber step on the sum-zero set, towards the Bloch
+        # vectors of her effective operators M_x, coordinates (T c)/2 for Bob's.
+        b_combos = _setting_combos(b, axis=-2)
+        effective = b_combos @ np.swapaxes(corr, -1, -2) / 2.0
+        units, degenerate = _sum_zero_units(effective[..., 1:])
+        candidate = _traceless(units)
         # Keep the previous observables where the median sits on a target or the
-        # update loses value (the value is sum_x tr(A_x M_x)): the trace stays monotone.
-        loss = np.einsum("rxij,rxji->r", a - candidate, effective).real
-        a = np.where((degenerate | (loss > 1e-12))[:, None, None, None], a, candidate)
+        # update loses value (the value is sum_x tr(A_x M_x) = 2 sum_x a_x . m_x):
+        # the trace stays monotone.
+        loss = 2.0 * np.vecdot(a - candidate, effective).sum(axis=-1)
+        a = np.where((degenerate | (loss > 1e-12))[:, None, None], a, candidate)
         # State: top eigenvector of the Bell operator.
-        w, v = np.linalg.eigh(bell_operator(a, b))
+        w, v = np.linalg.eigh(_bell_from_pauli(a, b_combos))
         alice[live], bob[live], state[live] = a, b, v[..., -1]
         values = np.full(restarts, np.nan)
         values[live] = w[:, -1]
@@ -361,7 +433,8 @@ def seesaw(
     traces = tuple(tuple(col[: k + 1].tolist()) for col, k in zip(columns, sweeps))
     restart_values = tuple(trace[-1] for trace in traces)
     best = int(np.argmax(restart_values))
-    best_setup = QuantumSetup(state=state[best], alice=tuple(alice[best]), bob=tuple(bob[best]))
+    best_alice = _from_pauli(alice[best])
+    best_setup = QuantumSetup(state=state[best], alice=tuple(best_alice), bob=tuple(_from_pauli(bob[best])))
     return SeesawResult(
         n=n,
         value=restart_values[best],
@@ -369,6 +442,6 @@ def seesaw(
         restart_values=restart_values,
         traces=traces,
         converged=tuple(converged.tolist()),
-        parity_residual=float(np.linalg.norm(alice[best].sum(axis=0), 2)),
+        parity_residual=float(np.linalg.norm(best_alice.sum(axis=0), 2)),
         best_restart=best,
     )

@@ -9,12 +9,14 @@ a deterministic strategy's behavior, the n^2 Kronecker-product sum for the
 Bell operator, the n^2 correlator loop for the Bell value of a behavior,
 the 2n^2 winning-entry sum for the success probability, the 4n^2
 ``trace(kron(P, Q) @ rho)`` loop for a Born-rule behavior, the
-per-branch steering sandwich, the per-element POVM statistics, the
+per-branch steering sandwich and the state-by-state parity sum, the
+no-signaling defect from axis reductions, the per-element POVM statistics, the
 per-entry behavior writers, the gate-by-gate swap circuit as a dense
 2^k x 2^k unitary, its predicted output built from the dense junk vectors,
 the self-test run one target at a time, the see-saw run one restart at a
-time, the geometric median by Weiszfeld's iteration, and (as a negative
-control) a see-saw without the sum-zero constraint.  They are exponential
+time on 2x2 matrices with partial traces, the matrix sign by ``eigh``, the
+geometric median by Weiszfeld's iteration, and (as a negative control) a
+see-saw without the sum-zero constraint.  They are exponential
 or quadratic and only meant for small n.
 """
 
@@ -232,6 +234,22 @@ def steer_loop(rho_ab, alice):
                 continue
             out.append((x, a, (x + a) % 2, partial_trace(unnorm, keep=1, dims=[2, 2]) / p, float(p), False))
     return out
+
+
+def operational_parity_loop(states):
+    """Spectral norm of the even-parity minus the odd-parity steered states, added one state at a time."""
+    diff = np.zeros((2, 2), dtype=complex)
+    for s in states:
+        diff += s.rho if s.parity == 0 else -s.rho
+    return float(np.linalg.norm(diff, 2))
+
+
+def no_signaling_defect_reduction(beh):
+    """Largest marginal variation, with the marginals as reductions over the outcome axes."""
+    t = beh.table
+    alice = t.sum(axis=3)  # p(a|x, y)
+    bob = t.sum(axis=2)  # p(b|x, y)
+    return float(max(np.max(np.abs(alice - alice[:, :1, :])), np.max(np.abs(bob - bob[:1, :, :]))))
 
 
 def povm_statistics_loop(setup, povm):
@@ -545,21 +563,44 @@ def geometric_median_weiszfeld(points):
     return mu.reshape(points.shape[:-2] + (3,))
 
 
+def matrix_sign_eigh(m):
+    """Sign of each Hermitian matrix of a (..., 2, 2) stack by ``eigh``: every eigenvalue to +-1, 0 to +1."""
+    w, v = np.linalg.eigh(m)
+    signs = np.where(w >= 0, 1.0, -1.0)
+    return (v * signs[..., None, :]) @ np.swapaxes(v.conj(), -1, -2)
+
+
+def bloch_observables(bloch):
+    """Stack of observables v . sigma for the rows of ``bloch`` (shape (..., 3))."""
+    return np.einsum("...k,kij->...ij", np.asarray(bloch, dtype=complex), np.array([SIGMA_X, SIGMA_Y, SIGMA_Z]))
+
+
+def effective_bob(rho, combos):
+    """Tr_A[(C_y (x) I) rho] for each C_y of an (n, 2, 2) stack, as one einsum over the 4x4 rho."""
+    return np.einsum("yim,mkil->ykl", combos, rho.reshape(2, 2, 2, 2))
+
+
+def effective_alice(rho, combos):
+    """Tr_B[(I (x) C_x) rho] for each C_x of an (n, 2, 2) stack, as one einsum over the 4x4 rho."""
+    return np.einsum("xkm,imjk->xij", combos, rho.reshape(2, 2, 2, 2))
+
+
 def _random_units(rng, count):
     vecs = rng.normal(size=(count, 3))
     return vecs / np.linalg.norm(vecs, axis=1)[:, None]
 
 
+def _rotate(quaternion, vecs):
+    """Rows of ``vecs`` rotated by the unit quaternion (w, u): (w^2 - u.u) v + 2 (u.v) u + 2 w u x v."""
+    w, u = quaternion[0], quaternion[1:]
+    return (w * w - u @ u) * vecs + 2.0 * np.outer(vecs @ u, u) + 2.0 * w * np.cross(u, vecs)
+
+
 def _random_setup(n, rng):
-    """Alice's random directions projected onto the sum-zero set (drawn again if degenerate), then Bob's."""
-    alice_dirs = _random_units(rng, n)
-    mu = qo._geometric_median(alice_dirs)
-    diff = alice_dirs - mu
-    dist = np.linalg.norm(diff, axis=1)
-    if np.any(dist < 1e-12):  # the median is one of the directions
-        return _random_setup(n, rng)
-    alice = qo._obs_from_blochs(diff / dist[:, None])
-    bob = qo._obs_from_blochs(_random_units(rng, n))
+    """Alice: the fixed sum-zero configuration under a random quaternion rotation; then Bob's random directions."""
+    quaternion = rng.normal(size=4)
+    alice = bloch_observables(_rotate(quaternion / np.linalg.norm(quaternion), qo._sum_zero_configuration(n)))
+    bob = bloch_observables(_random_units(rng, n))
     _, v = np.linalg.eigh(qo.bell_operator(alice, bob))
     return gc.QuantumSetup(state=v[:, -1], alice=tuple(alice), bob=tuple(bob))
 
@@ -570,7 +611,13 @@ def _constrained_alice_update(targets, previous):
     dist = np.linalg.norm(diff, axis=1)
     if np.any(dist < 1e-12):
         return previous
-    return qo._obs_from_blochs(diff / dist[:, None])
+    return bloch_observables(diff / dist[:, None])
+
+
+def _setting_combos(obs):
+    """sum_x O_x - 2 O_y for every y, one setting at a time."""
+    total = sum(obs)
+    return np.array([total - 2.0 * o for o in obs])
 
 
 def _seesaw_single(n, rng, tol, init):
@@ -586,9 +633,9 @@ def _seesaw_single(n, rng, tol, init):
     converged = False
     for _ in range(qo._MAX_SWEEPS):
         rho = proj(state)
-        bob = qo._matrix_sign(qo._effective_bob(rho, qo._setting_combos(alice)))
-        effective = qo._effective_alice(rho, qo._setting_combos(bob))
-        targets = np.einsum("xij,kji->xk", effective, qo._PAULI_STACK).real / 2.0
+        bob = matrix_sign_eigh(effective_bob(rho, _setting_combos(alice)))
+        effective = effective_alice(rho, _setting_combos(bob))
+        targets = np.array([[np.trace(m @ p).real / 2.0 for p in (SIGMA_X, SIGMA_Y, SIGMA_Z)] for m in effective])
         before = value_of()
         saved = alice
         alice = _constrained_alice_update(targets, alice)
@@ -633,15 +680,15 @@ def seesaw_unconstrained(n, seed=qo.SEED, tol=qo.TOL, restarts=qo.RESTARTS):
     best = -np.inf
     for stream in np.random.SeedSequence(seed).spawn(restarts):
         rng = np.random.default_rng(stream)
-        alice = qo._obs_from_blochs(_random_units(rng, n))
-        bob = qo._obs_from_blochs(_random_units(rng, n))
+        alice = bloch_observables(_random_units(rng, n))
+        bob = bloch_observables(_random_units(rng, n))
         value = -np.inf
         for _ in range(qo._MAX_SWEEPS):
             w, v = np.linalg.eigh(qo.bell_operator(alice, bob))
             if w[-1] - value <= tol:
                 break
             value, rho = w[-1], proj(v[:, -1])
-            bob = qo._matrix_sign(qo._effective_bob(rho, qo._setting_combos(alice)))
-            alice = qo._matrix_sign(qo._effective_alice(rho, qo._setting_combos(bob)))
+            bob = matrix_sign_eigh(effective_bob(rho, _setting_combos(alice)))
+            alice = matrix_sign_eigh(effective_alice(rho, _setting_combos(bob)))
         best = max(best, float(w[-1]))
     return best

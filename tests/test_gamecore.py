@@ -170,6 +170,7 @@ def _assert_steering_matches_oracle(rho, alice):
         assert (s.x, s.a, s.parity, s.degenerate) == (x, a, parity, w_degenerate)
         assert abs(s.probability - w_p) <= 1e-12
         assert np.max(np.abs(s.rho - w_rho)) <= 1e-12
+    assert abs(gc.check_operational_parity(got) - oracles.operational_parity_loop(got)) <= 1e-12
 
 
 def _assert_povm_routes_match_oracle(setup, povm):

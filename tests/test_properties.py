@@ -105,6 +105,44 @@ def test_born_rule_behaviors_no_signalling_and_match_oracle(pair, state, u, v):
         assert np.max(np.abs(beh.table - oracles.behavior_loop(setup))) <= 1e-12
 
 
+@PROPERTY_SETTINGS
+@given(odd_n, st.data())
+def test_no_signaling_defect_matches_reduction_oracle_bit_for_bit(n, data):
+    entries = st.one_of(st.floats(-1e300, 1e300), st.floats(0.0, 1.0), st.sampled_from([0.0, -0.0, 5e-324, 1.0]))
+    table = np.array(data.draw(st.lists(entries, min_size=4 * n * n, max_size=4 * n * n))).reshape(n, n, 2, 2)
+    beh = gc.Behavior(n=n, table=table)
+    assert beh.no_signaling_defect() == oracles.no_signaling_defect_reduction(beh)
+
+
+def _hermitian(top, bottom, re, im):
+    return np.array([[top, re - 1j * im], [re + 1j * im, bottom]])
+
+
+finite = st.floats(-10.0, 10.0)
+# Random Hermitian 2x2 matrices, scalar multiples of the identity, and zero.
+hermitians = st.one_of(
+    st.builds(_hermitian, finite, finite, finite, finite),
+    finite.map(lambda c: c * I2),
+    st.just(np.zeros((2, 2), dtype=complex)),
+)
+
+
+@PROPERTY_SETTINGS
+@given(st.lists(hermitians, min_size=1, max_size=6))
+def test_closed_form_sign_matches_eigh_oracle(mats):
+    m = np.array(mats)
+    sign = qo._from_pauli(qo._matrix_sign(qo._pauli_coordinates(m)))
+    assert np.array_equal(sign, np.swapaxes(sign.conj(), -1, -2))
+    assert np.max(np.abs(sign @ sign - I2)) <= 1e-12
+    # Both routes find an eigenvalue only to roundoff in the norm of m, so they
+    # may give a tiny one either sign: compare where no eigenvalue is that
+    # small, and on multiples of the identity, which both get exactly.
+    w = np.linalg.eigvalsh(m)
+    scalar = (m[:, 0, 0] == m[:, 1, 1]) & (m[:, 1, 0] == 0)
+    clear = (np.min(np.abs(w), axis=-1) > 1e-9 * (1.0 + np.max(np.abs(w), axis=-1))) | scalar
+    assert np.max(np.abs(sign - oracles.matrix_sign_eigh(m))[clear], initial=0.0) <= 1e-12
+
+
 @st.composite
 def seesaw_inits(draw, n):
     """None, or a random setup whose observables need not sum to zero."""
@@ -217,7 +255,7 @@ def _median_slice(rng, kind, n):
     """n points in [-3, 3]^3 of one kind; "near" puts one within 1e-12 of the others' median."""
     if kind == "generic":
         return rng.uniform(-3, 3, size=(n, 3))
-    if kind == "unit":  # like the directions the see-saw projects onto the sum-zero set
+    if kind == "unit":  # random unit directions
         vecs = rng.normal(size=(n, 3))
         return vecs / np.linalg.norm(vecs, axis=1)[:, None]
     if kind == "collinear":

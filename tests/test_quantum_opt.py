@@ -137,6 +137,16 @@ def test_found_optima_certify(n):
         certify.canonical_povm(obs.ObservableFamily(n, setup.alice, setup.bob))
 
 
+@pytest.mark.parametrize("n", [5, 13, 41, 101])
+def test_every_restart_reaches_the_optimum(n):
+    for seed in range(5):
+        result = qo.seesaw(n, seed=seed)
+        assert all(result.converged), seed
+        assert max(abs(v - 2 * n) for v in result.restart_values) <= 1e-9, seed
+        assert max(len(trace) - 1 for trace in result.traces) <= 5, seed
+        assert result.parity_residual <= 1e-12, seed
+
+
 def test_seesaw_parity_holds_above_three():
     result = qo.seesaw(5, seed=42, restarts=2)
     assert result.parity_residual <= 1e-8
@@ -216,7 +226,7 @@ def test_geometric_median_batch_matches_per_slice_calls():
 def near_aligned_setup(rng, n, tilt):
     """sigma_z for every setting of both parties, tilted at random, on a random state."""
     dirs = np.array([0.0, 0.0, 1.0]) + tilt * rng.normal(size=(n, 3))
-    alice = tuple(qo._obs_from_blochs(dirs / np.linalg.norm(dirs, axis=1)[:, None]))
+    alice = tuple(oracles.bloch_observables(dirs / np.linalg.norm(dirs, axis=1)[:, None]))
     state = rng.normal(size=4) + 1j * rng.normal(size=4)
     return gc.QuantumSetup(state=state / np.linalg.norm(state), alice=alice, bob=alice)
 
@@ -233,11 +243,19 @@ def test_seesaw_matches_loop_oracle(n):
         cases += [dict(seed=5, init=trine), dict(seed=6, restarts=1, init=trine, tol=0.0)]
     for case in cases:
         case.setdefault("restarts", 4)
+        tol = case.get("tol", qo.TOL)
         got, want = qo.seesaw(n, **case), oracles.seesaw_loop(n, **case)
         assert got.converged == want.converged, case
-        assert [len(t) for t in got.traces] == [len(t) for t in want.traces], case
-        for trace, oracle_trace in zip(got.traces, want.traces):
-            assert np.max(np.abs(np.subtract(trace, oracle_trace))) <= 1e-12, case
+        for trace, oracle_trace, converged in zip(got.traces, want.traces, got.converged):
+            # Each restart stops at its first sweep that gains no more than tol.
+            steps = np.diff(trace)
+            assert np.all(steps[:-1] > tol) and (steps[-1] <= tol) == converged, case
+            # At tol = 0 that sweep is decided by the last bit of a value at the
+            # fixed point, which the stacked and the matrix route round differently.
+            if tol > 0:
+                assert len(trace) == len(oracle_trace), case
+            common = min(len(trace), len(oracle_trace))
+            assert np.max(np.abs(np.subtract(trace[:common], oracle_trace[:common]))) <= 1e-12, case
         assert np.max(np.abs(np.subtract(got.restart_values, want.restart_values))) <= 1e-12, case
         assert abs(got.value - want.value) <= 1e-12, case
         assert got.value == max(got.restart_values)
@@ -287,3 +305,69 @@ def test_seesaw_rejects_negative_tolerance():
         qo.seesaw(3, tol=-1.0)
     with pytest.raises(ValueError, match="tol"):
         qo.seesaw(3, tol=float("nan"))
+
+
+def _closed_form_sign(m):
+    return qo._from_pauli(qo._matrix_sign(qo._pauli_coordinates(m)))
+
+
+def test_matrix_sign_maps_a_zero_eigenvalue_to_plus_one():
+    # m0 = +-|v| with |v| exact (Pythagorean quadruples): the eigenvalues are
+    # m0 -+ |v| and 0, and the zero one maps to +1.
+    for v in ([3.0, 0, 4], [0, 3.0, 4], [2.0, 3, 6], [1.0, 2, 2], [4.0, 4, 7], [0, 0, 0.5]):
+        v = np.array(v)
+        norm = np.linalg.norm(v)
+        flip = oracles.bloch_observables(v / norm)
+        for scale in (1.0, 2.0**-30, 3.0):
+            at_plus = scale * (norm * np.eye(2) + oracles.bloch_observables(v))
+            at_minus = scale * (-norm * np.eye(2) + oracles.bloch_observables(v))
+            assert np.array_equal(_closed_form_sign(at_plus), np.eye(2)), v
+            assert np.max(np.abs(_closed_form_sign(at_minus) - flip)) <= 1e-15, v
+    # Where eigh computes the zero eigenvalue exactly (diagonal matrices), the two routes agree.
+    for m in (np.diag([2.0, 0.0]), np.diag([0.0, -2.0]), np.zeros((2, 2)), 3.5 * np.eye(2), -1e-300 * np.eye(2)):
+        m = m.astype(complex)
+        assert np.array_equal(_closed_form_sign(m), oracles.matrix_sign_eigh(m)), m
+
+
+@pytest.mark.parametrize("n", [3, 5, 13, 101])
+def test_random_starts_lie_on_the_sum_zero_set(n):
+    rngs = [np.random.default_rng(s) for s in np.random.SeedSequence(n).spawn(16)]
+    alice, bob = qo._random_starts(n, rngs)
+    assert alice.shape == bob.shape == (16, n, 4)
+    assert not alice[..., 0].any() and not bob[..., 0].any()
+    assert np.max(np.abs(np.linalg.norm(alice[..., 1:], axis=-1) - 1.0)) <= 1e-15
+    assert np.max(np.linalg.norm(alice[..., 1:].sum(axis=1), axis=-1)) <= n * 1e-15
+    assert np.max(np.abs(np.linalg.norm(bob[..., 1:], axis=-1) - 1.0)) <= 1e-15
+
+
+def test_each_start_depends_only_on_its_own_stream():
+    n, streams = 7, np.random.SeedSequence(5).spawn(6)
+    alice, bob = qo._random_starts(n, [np.random.default_rng(s) for s in streams])
+    for k, stream in enumerate(streams):
+        alone_alice, alone_bob = qo._random_starts(n, [np.random.default_rng(stream)])
+        assert np.array_equal(alone_alice[0], alice[k]) and np.array_equal(alone_bob[0], bob[k]), k
+    # So the first restarts of a longer run trace the same values.
+    short, long = qo.seesaw(n, seed=5, restarts=3), qo.seesaw(n, seed=5, restarts=6)
+    for trace, longer in zip(short.traces, long.traces):
+        assert len(trace) == len(longer) and np.max(np.abs(np.subtract(trace, longer))) <= 1e-12
+
+
+def test_seeded_single_restart_draws_no_random_start(monkeypatch):
+    drawn = []
+    draw = qo._random_starts
+    monkeypatch.setattr(qo, "_random_starts", lambda n, rngs: drawn.append(len(rngs)) or draw(n, rngs))
+    qo.seesaw(3, seed=1, restarts=1, init=gc.setup_from_family(obs.trine()))
+    assert sum(drawn) == 0
+
+
+@pytest.mark.parametrize("n", [3, 5, 13])
+def test_geometric_median_runs_once_per_sweep(monkeypatch, n):
+    calls = []
+    median = qo._geometric_median
+    monkeypatch.setattr(qo, "_geometric_median", lambda points: calls.append(points.shape) or median(points))
+    qo._random_starts(n, [np.random.default_rng(s) for s in range(8)])
+    assert calls == []
+    for seed in (7, 42, 2024):
+        calls.clear()
+        result = qo.seesaw(n, seed=seed)
+        assert len(calls) == max(len(trace) for trace in result.traces) - 1, seed
