@@ -26,9 +26,8 @@ sign update, Alice's Fermat-Weber update, one ``eigh`` of the (r, 4, 4)
 Bell operators), however many restarts there are; a restart leaves the
 stack once its own trace gains no more than ``tol``.  Each restart draws
 its start from its own ``SeedSequence`` stream, so its trace does not
-depend on the others: Alice starts from one fixed sum-zero configuration
-under a random rotation, so she is on the set from the start, and Bob
-from random unit directions.  Only the best restart becomes a validated
+depend on the others: Alice starts from one fixed sum-zero configuration,
+so she is on the set from the start, and Bob from random unit directions.  Only the best restart becomes a validated
 ``QuantumSetup``.
 """
 
@@ -324,35 +323,25 @@ def _sum_zero_configuration(n: int) -> np.ndarray:
     return np.concatenate([trine, pairs, -pairs])
 
 
-def _rotations(quaternions: np.ndarray) -> np.ndarray:
-    """Rotation matrices (..., 3, 3) of unit quaternions (..., 4) stored as (w, x, y, z)."""
-    w, x, y, z = np.moveaxis(quaternions, -1, 0)
-    rows = [
-        [1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y)],
-        [2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x)],
-        [2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y)],
-    ]
-    return np.moveaxis(np.array(rows), (0, 1), (-2, -1))
-
-
 def _random_starts(n: int, rngs: list) -> tuple[np.ndarray, np.ndarray]:
     """Alice's and Bob's starting observables, (len(rngs), n, 4) Pauli coordinates each, one stream per start.
 
-    Each stream draws a uniformly random rotation, a normalized 4-normal
-    quaternion (Shoemake, Graphics Gems III, 1992), then Bob's n random unit
-    directions.  Alice's start is ``_sum_zero_configuration(n)`` under that
-    rotation, so it is on the sum-zero set to roundoff without a projection.
-    One fixed configuration is no weaker a start than a random point of the
-    set: every sum-zero configuration reaches 2n once Bob anti-aligns with
-    it, because the Bell operator is (sum_x A_x) (x) (sum_y B_y) -
-    2 sum_x A_x (x) B_x.
+    Alice starts from ``_sum_zero_configuration(n)`` in every restart, so
+    she is on the sum-zero set to roundoff without a projection; Bob starts
+    from n random unit directions drawn from the restart's own stream.  A
+    random rotation R of Alice's start would change nothing: the sweep
+    commutes with one rotation of both parties' Bloch vectors (it acts on
+    the Bell operator as U (x) U, and the top eigenvector, the sign update
+    and the geometric median all follow it), so a start (R a, b) gives the
+    values of (a, R^-1 b), and R^-1 b is distributed as Bob's isotropic b.
+    Nor is one configuration a weaker start than another: every sum-zero
+    configuration reaches 2n once Bob anti-aligns with it, because the Bell
+    operator is (sum_x A_x) (x) (sum_y B_y) - 2 sum_x A_x (x) B_x.
     """
-    quats = np.array([rng.normal(size=4) for rng in rngs]).reshape(-1, 4)
-    quats /= row_norms(quats)[:, None]
-    alice = _sum_zero_configuration(n) @ np.swapaxes(_rotations(quats), -1, -2)
     bob = np.array([rng.normal(size=(n, 3)) for rng in rngs]).reshape(-1, n, 3)
     bob /= row_norms(bob)[..., None]
-    return _traceless(alice), _traceless(bob)
+    alice = np.repeat(_traceless(_sum_zero_configuration(n))[None], len(bob), axis=0)
+    return alice, _traceless(bob)
 
 
 def check_tol(tol: float) -> float:
@@ -374,7 +363,7 @@ def seesaw(
     """Best-of-restarts see-saw ascent of the n-input Bell value.
 
     Alice's observables stay on the sum-zero set throughout (see the module
-    docstring); every random start is drawn on it (``_random_starts``).
+    docstring) and start on it (``_random_starts``).
     When ``init`` is given it seeds the first restart as is.  Ties between
     restarts resolve to the earliest one.
     """

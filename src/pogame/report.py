@@ -324,7 +324,7 @@ def build_report(
     sos_sec, sos_checks = sos_section(setup)
     # The self-test holds for every odd n (``pogame selftest --n``), but the
     # report runs it only at n = 3 and 5: at n = 11 and 13 it would add
-    # 1.0-1.5 ms to a 3.6-4.9 ms report (2 vCPUs, one BLAS thread), about
+    # 0.9-1.5 ms to a 3.0-4.5 ms report (2 vCPUs, one BLAS thread), about
     # a third.
     self_sec, self_checks = selftest_section(setup) if n in (3, 5) else (None, [])
     povm_sec, rand_sec, certify_checks = certify_section(fam, setup, alpha)

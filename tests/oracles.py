@@ -14,10 +14,11 @@ no-signaling defect from axis reductions, the per-element POVM statistics, the
 per-entry behavior writers, the gate-by-gate swap circuit as a dense
 2^k x 2^k unitary, its predicted output built from the dense junk vectors,
 the self-test run one target at a time, the see-saw run one restart at a
-time on 2x2 matrices with partial traces, the matrix sign by ``eigh``, the
-geometric median by Weiszfeld's iteration, and (as a negative control) a
-see-saw without the sum-zero constraint.  They are exponential
-or quadratic and only meant for small n.
+time, the effective operators of a see-saw sweep as partial traces of the
+4x4 state, the matrix sign by ``eigh``, the geometric median by
+Weiszfeld's iteration, and (as a negative control) a see-saw without the
+sum-zero constraint.  They are exponential or quadratic and only meant for
+small n.
 """
 
 import heapq
@@ -590,19 +591,15 @@ def _random_units(rng, count):
     return vecs / np.linalg.norm(vecs, axis=1)[:, None]
 
 
-def _rotate(quaternion, vecs):
-    """Rows of ``vecs`` rotated by the unit quaternion (w, u): (w^2 - u.u) v + 2 (u.v) u + 2 w u x v."""
-    w, u = quaternion[0], quaternion[1:]
-    return (w * w - u @ u) * vecs + 2.0 * np.outer(vecs @ u, u) + 2.0 * w * np.cross(u, vecs)
-
-
 def _random_setup(n, rng):
-    """Alice: the fixed sum-zero configuration under a random quaternion rotation; then Bob's random directions."""
-    quaternion = rng.normal(size=4)
-    alice = bloch_observables(_rotate(quaternion / np.linalg.norm(quaternion), qo._sum_zero_configuration(n)))
-    bob = bloch_observables(_random_units(rng, n))
-    _, v = np.linalg.eigh(qo.bell_operator(alice, bob))
-    return gc.QuantumSetup(state=v[:, -1], alice=tuple(alice), bob=tuple(bob))
+    """Pauli coordinates of a random start: Alice the fixed sum-zero configuration, Bob the stream's directions."""
+    return qo._traceless(qo._sum_zero_configuration(n)), qo._traceless(_random_units(rng, n))
+
+
+def _top_eigenpair(alice, bob):
+    """Top eigenvalue and eigenvector of the Bell operator of one restart's coordinates, through ``_bell_from_pauli``."""
+    w, v = np.linalg.eigh(qo._bell_from_pauli(alice[None], qo._setting_combos(bob[None], axis=-2)))
+    return float(w[0, -1]), v[0, :, -1]
 
 
 def _constrained_alice_update(targets, previous):
@@ -611,7 +608,7 @@ def _constrained_alice_update(targets, previous):
     dist = np.linalg.norm(diff, axis=1)
     if np.any(dist < 1e-12):
         return previous
-    return bloch_observables(diff / dist[:, None])
+    return qo._traceless(diff / dist[:, None])
 
 
 def _setting_combos(obs):
@@ -621,33 +618,43 @@ def _setting_combos(obs):
 
 
 def _seesaw_single(n, rng, tol, init):
-    setup = init if init is not None else _random_setup(n, rng)
-    alice = np.array(setup.alice, dtype=complex)
-    bob = np.array(setup.bob, dtype=complex)
-    state = setup.state.copy()
+    """One restart of ``quantum_opt.seesaw`` on its own, through the same Pauli-coordinate steps.
+
+    Each step runs on a stack of one.  The trace matches the stacked
+    see-saw's to roundoff (its matmuls round a stack of r rows differently),
+    and a one-restart run's to the bit, so that run stops at the same sweep
+    even at tol = 0.  Alice's update is kept unless it lowers the Bell value
+    of the current state and Bob's observables, evaluated on the 4x4 matrix
+    route.
+    """
+    if init is None:
+        alice, bob = _random_setup(n, rng)
+        value, state = _top_eigenpair(alice, bob)
+    else:
+        alice, bob = (qo._pauli_coordinates(np.array(o, dtype=complex)) for o in (init.alice, init.bob))
+        value, state = qo.setup_bell_value(init), np.ravel(init.state)
 
     def value_of():
-        return float(np.vdot(state, qo.bell_operator(alice, bob) @ state).real)
+        op = qo.bell_operator(qo._from_pauli(alice), qo._from_pauli(bob))
+        return float(np.vdot(state, op @ state).real)
 
-    trace = [value_of()]
+    trace = [value]
     converged = False
     for _ in range(qo._MAX_SWEEPS):
-        rho = proj(state)
-        bob = matrix_sign_eigh(effective_bob(rho, _setting_combos(alice)))
-        effective = effective_alice(rho, _setting_combos(bob))
-        targets = np.array([[np.trace(m @ p).real / 2.0 for p in (SIGMA_X, SIGMA_Y, SIGMA_Z)] for m in effective])
+        corr = qo._correlations(state[None])
+        bob = qo._matrix_sign(qo._setting_combos(alice[None], axis=-2) @ corr / 2.0)[0]
+        effective = (qo._setting_combos(bob[None], axis=-2) @ np.swapaxes(corr, -1, -2) / 2.0)[0]
         before = value_of()
         saved = alice
-        alice = _constrained_alice_update(targets, alice)
+        alice = _constrained_alice_update(effective[:, 1:], alice)
         if value_of() < before - 1e-12:
             alice = saved
-        w, v = np.linalg.eigh(qo.bell_operator(alice, bob))
-        state = v[:, -1]
-        trace.append(float(w[-1]))
+        value, state = _top_eigenpair(alice, bob)
+        trace.append(value)
         if trace[-1] - trace[-2] <= tol:
             converged = True
             break
-    final = gc.QuantumSetup(state=state, alice=tuple(alice), bob=tuple(bob))
+    final = gc.QuantumSetup(state=state, alice=tuple(qo._from_pauli(alice)), bob=tuple(qo._from_pauli(bob)))
     return final, trace, converged
 
 

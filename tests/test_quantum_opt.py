@@ -7,7 +7,7 @@ from pogame import observables as obs
 from pogame import quantum_opt as qo
 from pogame import report
 from pogame import selftest as st
-from pogame.qmat import SIGMA_X, SIGMA_Z, phi_plus
+from pogame.qmat import SIGMA_X, SIGMA_Z, phi_plus, proj
 
 import oracles
 
@@ -246,16 +246,12 @@ def test_seesaw_matches_loop_oracle(n):
         tol = case.get("tol", qo.TOL)
         got, want = qo.seesaw(n, **case), oracles.seesaw_loop(n, **case)
         assert got.converged == want.converged, case
+        assert [len(t) for t in got.traces] == [len(t) for t in want.traces], case
         for trace, oracle_trace, converged in zip(got.traces, want.traces, got.converged):
+            assert np.max(np.abs(np.subtract(trace, oracle_trace))) <= 1e-12, case
             # Each restart stops at its first sweep that gains no more than tol.
             steps = np.diff(trace)
             assert np.all(steps[:-1] > tol) and (steps[-1] <= tol) == converged, case
-            # At tol = 0 that sweep is decided by the last bit of a value at the
-            # fixed point, which the stacked and the matrix route round differently.
-            if tol > 0:
-                assert len(trace) == len(oracle_trace), case
-            common = min(len(trace), len(oracle_trace))
-            assert np.max(np.abs(np.subtract(trace[:common], oracle_trace[:common]))) <= 1e-12, case
         assert np.max(np.abs(np.subtract(got.restart_values, want.restart_values))) <= 1e-12, case
         assert abs(got.value - want.value) <= 1e-12, case
         assert got.value == max(got.restart_values)
@@ -271,6 +267,29 @@ def random_observables(rng, count):
         out.append((u * signs) @ u.conj().T)
     return out
 
+
+
+@pytest.mark.parametrize("n", [3, 5, 13])
+def test_sweep_steps_match_the_matrix_route(n):
+    # The see-saw's Pauli-coordinate steps against partial traces of the 4x4
+    # state, the matrix sign by eigh and the n^2-term Bell operator.
+    rng = np.random.default_rng(110 + n)
+    for _ in range(5):
+        alice, bob = np.array(random_observables(rng, n)), np.array(random_observables(rng, n))
+        psi = rng.normal(size=4) + 1j * rng.normal(size=4)
+        psi /= np.linalg.norm(psi)
+        rho, corr = proj(psi), qo._correlations(psi)
+        a, b = qo._pauli_coordinates(alice), qo._pauli_coordinates(bob)
+        bob_effective = qo._setting_combos(a, axis=-2) @ corr / 2.0
+        want_bob = oracles.effective_bob(rho, oracles._setting_combos(alice))
+        assert np.max(np.abs(qo._from_pauli(bob_effective) - want_bob)) <= 1e-12
+        sign = qo._from_pauli(qo._matrix_sign(bob_effective))
+        assert np.max(np.abs(sign - oracles.matrix_sign_eigh(want_bob))) <= 1e-12
+        alice_effective = qo._setting_combos(b, axis=-2) @ corr.T / 2.0
+        want_alice = oracles.effective_alice(rho, oracles._setting_combos(bob))
+        assert np.max(np.abs(qo._from_pauli(alice_effective) - want_alice)) <= 1e-12
+        bell = qo._bell_from_pauli(a, qo._setting_combos(b, axis=-2))
+        assert np.max(np.abs(bell - oracles.bell_operator_loop(alice, bob))) <= 1e-12
 
 @pytest.mark.parametrize("n", [3, 5, 13])
 def test_bell_operator_matches_loop_oracle(n):
