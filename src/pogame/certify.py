@@ -42,11 +42,14 @@ class PovmSet:
 
     ``spectra[k]`` holds the ascending eigenvalues of element k, from one
     ``eigvalsh`` of the (n, 2, 2) stack that the validation, the
-    extremality test and the report all read.
+    extremality test and the report all read.  ``completeness_deviation``
+    is the spectral norm of the elements' sum minus the identity, which the
+    validation and the report both read.
     """
 
     elements: tuple[np.ndarray, ...]
     spectra: np.ndarray = field(init=False, repr=False)
+    completeness_deviation: float = field(init=False, repr=False)
 
     def __post_init__(self):
         try:
@@ -60,9 +63,11 @@ class PovmSet:
         negative = np.flatnonzero(spectra[:, 0] < -EPS)
         if len(negative):
             raise ValueError(f"POVM element is not positive semidefinite: min eig {spectra[negative[0], 0]}")
-        if operator_norm(stack.sum(axis=0) - I2) > EPS:
+        completeness = operator_norm(stack.sum(axis=0) - I2)
+        if completeness > EPS:
             raise ValueError("POVM elements must sum to the identity")
         object.__setattr__(self, "spectra", spectra)
+        object.__setattr__(self, "completeness_deviation", completeness)
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -192,7 +197,12 @@ def randomness_report(setup: QuantumSetup, povm: PovmSet) -> RandomnessReport:
     marginal; otherwise the same number is reported only as the trivial
     bound and the result is flagged as not certified.
     """
-    probs = tuple(born_table(np.array(povm.elements), I2, setup.state).tolist())
+    return randomness_from_marginals(born_table(np.array(povm.elements), I2, setup.state), povm)
+
+
+def randomness_from_marginals(marginals: np.ndarray, povm: PovmSet) -> RandomnessReport:
+    """``randomness_report`` from the outcome marginals P(k), e.g. ``PovmStatistics.marginals``."""
+    probs = tuple(marginals.tolist())
     extremal = extremality_check(povm)
     guess = max(probs)
     return RandomnessReport(

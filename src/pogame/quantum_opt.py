@@ -24,11 +24,12 @@ states an (r, 4) array, and every helper takes leading batch axes.  A sweep
 is a fixed sequence of numpy calls on the restarts still running (Bob's
 sign update, Alice's Fermat-Weber update, one ``eigh`` of the (r, 4, 4)
 Bell operators), however many restarts there are; a restart leaves the
-stack once its own trace gains no more than ``tol``.  Each restart draws
-its start from its own ``SeedSequence`` stream, so its trace does not
-depend on the others: Alice starts from one fixed sum-zero configuration,
-so she is on the set from the start, and Bob from random unit directions.  Only the best restart becomes a validated
-``QuantumSetup``.
+stack once its own trace gains no more than ``tol``.  Alice starts every
+restart from one fixed sum-zero configuration, so she is on the set from
+the start, and Bob from random unit directions: one generator seeded with
+``seed`` draws a (restarts, n, 3) block of normals, and restart k takes
+block k, so its start and trace do not depend on the number of restarts.
+Only the best restart becomes a validated ``QuantumSetup``.
 """
 
 from __future__ import annotations
@@ -46,7 +47,7 @@ from .qmat import EPS, I2, PAULIS, apply_local, row_norms
 _BASIS = np.array((I2,) + PAULIS)
 _PRODUCTS = (_BASIS[:, None, :, None, :, None] * _BASIS[None, :, None, :, None, :]).reshape(16, 16)
 
-#: See-saw defaults: the root seed of the restart streams, the number of
+#: See-saw defaults: the seed of the start generator, the number of
 #: restarts and the tolerance on one sweep's gain below which a restart
 #: stops.  A restart also stops after ``_MAX_SWEEPS`` sweeps.
 SEED = 42
@@ -227,22 +228,45 @@ def _bell_from_pauli(alice: np.ndarray, bob_combos: np.ndarray) -> np.ndarray:
 def _geometric_median(points: np.ndarray) -> np.ndarray:
     """Fermat-Weber point of the n rows of each (n, 3) slice of ``points`` (shape (..., n, 3)).
 
-    Each slice runs on its own, all at once.  Kuhn's test (Math. Programming
-    4, 98, 1973) runs first at the point nearest the centroid: a point of
-    multiplicity c is the median iff the unit pull of the others has norm at
-    most c, and is then returned exactly (at n = 3 only that point can be the
-    median).  Else the slice starts at the centroid or the Vardi-Zhang step
-    off the point (PNAS 97, 1423, 2000), whichever is lower, and takes Newton
-    steps on the Hessian ``sum_j (I - u_j u_j^T)/r_j`` of ``sum_j r_j``
-    (``u_j`` the unit vector to point j at distance ``r_j``).  A step that
-    raises the objective beyond roundoff gives way to the Weiszfeld step,
-    which never does (Ostresh, Oper. Res. 26, 597, 1978), and Kuhn's test
-    runs again at the nearest point.  A slice is done once its pull
-    ``sum_j u_j`` is down to roundoff.
+    Each slice runs on its own, all at once.  The centroid is tested first:
+    a slice is done there when no point sits on it and the unit pull
+    ``sum_j u_j`` (``u_j`` the unit vector to point j) has norm at most
+    ``1e-15 n``.  The see-saw's slices all end there at n <= 21: Bob's
+    update anti-aligns with an Alice on the sum-zero set.  The bound is not
+    ``_median_search``'s, ``1e-15 (n + |y| sum_j 1/r_j)`` at distances
+    ``r_j``, which grows without limit next to a point: with it, a centroid
+    a hair from a point passed with a unit pull near 1.  The other slices go
+    on to ``_median_search``.
     """
     points = np.asarray(points, dtype=float)
     every = points.reshape((-1,) + points.shape[-2:])
     mu = every.mean(axis=1)
+    diff = every - mu[:, None, :]
+    dist = row_norms(diff)
+    inv = np.divide(1.0, dist, out=np.zeros_like(dist), where=dist > 0)
+    pull = (inv[:, None, :] @ diff)[:, 0]
+    rest = ~dist.all(axis=1) | (row_norms(pull) > 1e-15 * every.shape[1])
+    if rest.any():
+        mu[rest] = _median_search(every[rest], mu[rest])
+    return mu.reshape(points.shape[:-2] + (3,))
+
+
+def _median_search(every: np.ndarray, mu: np.ndarray) -> np.ndarray:
+    """Fermat-Weber points of the (m, n, 3) slices ``every``, from their (m, 3) centroids ``mu``.
+
+    Kuhn's test (Math. Programming 4, 98, 1973) runs first at the point
+    nearest the centroid: a point of multiplicity c is the median iff the
+    unit pull of the others has norm at most c, and is then returned exactly
+    (at n = 3 only that point can be the median).  Else the slice starts at
+    the centroid or the Vardi-Zhang step off the point (PNAS 97, 1423,
+    2000), whichever is lower, and takes Newton steps on the Hessian
+    ``sum_j (I - u_j u_j^T)/r_j`` of ``sum_j r_j`` (``u_j`` the unit vector
+    to point j at distance ``r_j``).  A step that raises the objective
+    beyond roundoff gives way to the Weiszfeld step, which never does
+    (Ostresh, Oper. Res. 26, 597, 1978), and Kuhn's test runs again at the
+    nearest point.  A slice is done once its pull ``sum_j u_j`` is down to
+    roundoff.  ``mu`` is overwritten and returned.
+    """
     live = np.arange(len(every))
     test = np.ones(len(every), dtype=bool)
     for _ in range(_MAX_MEDIAN_STEPS):
@@ -284,7 +308,7 @@ def _geometric_median(points: np.ndarray) -> np.ndarray:
         live, test = live[~done], test[~done]
         if not len(live):
             break
-    return mu.reshape(points.shape[:-2] + (3,))
+    return mu
 
 
 def _sum_zero_units(targets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -323,23 +347,29 @@ def _sum_zero_configuration(n: int) -> np.ndarray:
     return np.concatenate([trine, pairs, -pairs])
 
 
-def _random_starts(n: int, rngs: list) -> tuple[np.ndarray, np.ndarray]:
-    """Alice's and Bob's starting observables, (len(rngs), n, 4) Pauli coordinates each, one stream per start.
+def _random_starts(n: int, seed: int, restarts: int, skip: int = 0) -> tuple[np.ndarray, np.ndarray]:
+    """Alice's and Bob's starting observables of restarts ``skip`` to ``restarts - 1``, Pauli coordinates.
 
-    Alice starts from ``_sum_zero_configuration(n)`` in every restart, so
-    she is on the sum-zero set to roundoff without a projection; Bob starts
-    from n random unit directions drawn from the restart's own stream.  A
-    random rotation R of Alice's start would change nothing: the sweep
-    commutes with one rotation of both parties' Bloch vectors (it acts on
-    the Bell operator as U (x) U, and the top eigenvector, the sign update
-    and the geometric median all follow it), so a start (R a, b) gives the
-    values of (a, R^-1 b), and R^-1 b is distributed as Bob's isotropic b.
-    Nor is one configuration a weaker start than another: every sum-zero
+    Both come as (restarts - skip, n, 4) stacks.  Alice starts from
+    ``_sum_zero_configuration(n)`` in every restart, so she is on the
+    sum-zero set to roundoff without a projection.  Bob starts from n
+    random unit directions: one generator, ``np.random.default_rng(seed)``,
+    draws a (restarts, n, 3) block of normals and restart k takes block k,
+    so its start does not depend on ``restarts`` or ``skip``.  Nothing is
+    drawn when no restart is left (``skip == restarts``).  A random rotation
+    R of Alice's start would change nothing: the sweep commutes with one
+    rotation of both parties' Bloch vectors (it acts on the Bell operator
+    as U (x) U, and the top eigenvector, the sign update and the geometric
+    median all follow it), so a start (R a, b) gives the values of
+    (a, R^-1 b), and R^-1 b is distributed as Bob's isotropic b.  Nor is
+    one configuration a weaker start than another: every sum-zero
     configuration reaches 2n once Bob anti-aligns with it, because the Bell
     operator is (sum_x A_x) (x) (sum_y B_y) - 2 sum_x A_x (x) B_x.
     """
-    bob = np.array([rng.normal(size=(n, 3)) for rng in rngs]).reshape(-1, n, 3)
-    bob /= row_norms(bob)[..., None]
+    bob = np.zeros((0, n, 3))
+    if restarts > skip:
+        bob = np.random.default_rng(seed).normal(size=(restarts, n, 3))[skip:]
+        bob /= row_norms(bob)[..., None]
     alice = np.repeat(_traceless(_sum_zero_configuration(n))[None], len(bob), axis=0)
     return alice, _traceless(bob)
 
@@ -374,9 +404,8 @@ def seesaw(
     if init is not None and init.n != n:
         raise ValueError(f"init has {init.n} settings per party, expected {n}")
 
-    rngs = [np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(restarts)]
     seeded = 0 if init is None else 1
-    alice, bob = _random_starts(n, rngs[seeded:])
+    alice, bob = _random_starts(n, seed, restarts, skip=seeded)
     if init is not None:
         alice = np.concatenate([_pauli_coordinates(np.array([init.alice], dtype=complex)), alice])
         bob = np.concatenate([_pauli_coordinates(np.array([init.bob], dtype=complex)), bob])

@@ -201,7 +201,7 @@ def optimization_section(n: int, seed: int, restarts: int, tol: float) -> tuple[
     }
     steps = np.concatenate([np.diff(trace) for trace in result.traces])
     # The game's quantum value is the optimum over parity-oblivious strategies only.
-    parity = gc.check_operational_parity(gc.steered_states(result.setup))
+    parity = gc.operational_parity(result.setup)
     checks = [
         Check("see-saw reaches the quantum ceiling", abs(result.value - target), "<=", OPTIMUM_TOL),
         Check("see-saw traces are monotone", float(steps.min()) if steps.size else 0.0, ">=", -1e-9),
@@ -267,12 +267,14 @@ def certify_section(fam: ObservableFamily, setup: gc.QuantumSetup, alpha: float)
     n = setup.n
     povm = certify_mod.canonical_povm(fam)
     stats = certify_mod.povm_statistics(setup, povm)
+    # Not read from stats.table[k, k, 1]: that larger product rounds some
+    # entries differently, and the total is printed in the report.
     penalty_total = float(certify_mod.penalty_probabilities(setup, povm).sum())
     plain = qo.setup_bell_value(setup)
     shifted = certify_mod._shifted(plain, penalty_total, alpha)
     spectrum = povm.spectra.tolist()
-    completeness = float(np.linalg.norm(sum(povm.elements) - np.eye(2), 2))
-    rand = certify_mod.randomness_report(setup, povm)
+    completeness = povm.completeness_deviation
+    rand = certify_mod.randomness_from_marginals(stats.marginals, povm)
     recon_dev = certify_mod.reconstruction_deviation(stats, povm) if n == 3 else None
 
     povm_section = {
@@ -324,8 +326,8 @@ def build_report(
     sos_sec, sos_checks = sos_section(setup)
     # The self-test holds for every odd n (``pogame selftest --n``), but the
     # report runs it only at n = 3 and 5: at n = 11 and 13 it would add
-    # 0.9-1.5 ms to a 3.0-4.5 ms report (2 vCPUs, one BLAS thread), about
-    # a third.
+    # 1.1-1.4 ms to a 2.1-3.5 ms report (2 vCPUs, one BLAS thread), about
+    # two fifths.
     self_sec, self_checks = selftest_section(setup) if n in (3, 5) else (None, [])
     povm_sec, rand_sec, certify_checks = certify_section(fam, setup, alpha)
 

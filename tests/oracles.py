@@ -591,9 +591,10 @@ def _random_units(rng, count):
     return vecs / np.linalg.norm(vecs, axis=1)[:, None]
 
 
-def _random_setup(n, rng):
-    """Pauli coordinates of a random start: Alice the fixed sum-zero configuration, Bob the stream's directions."""
-    return qo._traceless(qo._sum_zero_configuration(n)), qo._traceless(_random_units(rng, n))
+def _random_setup(n, normals):
+    """Pauli coordinates of a start: Alice the fixed sum-zero configuration, Bob the directions of (n, 3) normals."""
+    bob = normals / np.linalg.norm(normals, axis=1)[:, None]
+    return qo._traceless(qo._sum_zero_configuration(n)), qo._traceless(bob)
 
 
 def _top_eigenpair(alice, bob):
@@ -617,9 +618,10 @@ def _setting_combos(obs):
     return np.array([total - 2.0 * o for o in obs])
 
 
-def _seesaw_single(n, rng, tol, init):
+def _seesaw_single(n, normals, tol, init):
     """One restart of ``quantum_opt.seesaw`` on its own, through the same Pauli-coordinate steps.
 
+    It starts from ``init`` if given, else from ``_random_setup(n, normals)``.
     Each step runs on a stack of one.  The trace matches the stacked
     see-saw's to roundoff (its matmuls round a stack of r rows differently),
     and a one-restart run's to the bit, so that run stops at the same sweep
@@ -628,7 +630,7 @@ def _seesaw_single(n, rng, tol, init):
     route.
     """
     if init is None:
-        alice, bob = _random_setup(n, rng)
+        alice, bob = _random_setup(n, normals)
         value, state = _top_eigenpair(alice, bob)
     else:
         alice, bob = (qo._pauli_coordinates(np.array(o, dtype=complex)) for o in (init.alice, init.bob))
@@ -659,12 +661,16 @@ def _seesaw_single(n, rng, tol, init):
 
 
 def seesaw_loop(n, seed=qo.SEED, tol=qo.TOL, restarts=qo.RESTARTS, init=None):
-    """``quantum_opt.seesaw`` with one restart after the other, each a validated setup."""
-    streams = np.random.SeedSequence(seed).spawn(restarts)
+    """``quantum_opt.seesaw`` with one restart after the other, each a validated setup.
+
+    Restart r starts from block r of one (restarts, n, 3) draw of normals,
+    whose block 0 goes unused when ``init`` fills restart 0.
+    """
+    blocks = np.random.default_rng(seed).normal(size=(restarts, n, 3))
     setups, traces, flags = [], [], []
     for r in range(restarts):
         start = init if (r == 0 and init is not None) else None
-        final, trace, converged = _seesaw_single(n, np.random.default_rng(streams[r]), tol, start)
+        final, trace, converged = _seesaw_single(n, blocks[r], tol, start)
         setups.append(final)
         traces.append(tuple(trace))
         flags.append(converged)

@@ -203,3 +203,19 @@ def test_povm_spectra_equal_each_element_spectrum(n):
 def test_povm_set_error_messages(elements, message):
     with pytest.raises(ValueError, match=f"^{message}$"):
         ct.PovmSet(elements)
+
+
+@pytest.mark.parametrize("n", [3, 5, 13])
+def test_report_reads_the_povm_statistics_it_already_has(n):
+    # The certify section takes the marginals from povm_statistics and the
+    # completeness norm from PovmSet; both equal the standalone routes bit for bit.
+    rng = np.random.default_rng(300 + n)
+    fam = obs.canonical_family(n)
+    povm = ct.canonical_povm(fam)
+    state = rng.normal(size=4) + 1j * rng.normal(size=4)
+    random_state = gc.QuantumSetup(state=state / np.linalg.norm(state), alice=fam.alice, bob=fam.bob)
+    for setup in (gc.setup_from_family(fam), random_state):
+        stats = ct.povm_statistics(setup, povm)
+        assert ct.randomness_from_marginals(stats.marginals, povm) == ct.randomness_report(setup, povm)
+    assert povm.completeness_deviation == float(np.linalg.norm(sum(povm.elements) - np.eye(2), 2))
+    assert povm.completeness_deviation <= 1e-12

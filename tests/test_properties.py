@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import Phase, given, settings, strategies as st  # noqa: E402
+from hypothesis import Phase, example, given, settings, strategies as st  # noqa: E402
 
 from pogame import bounds  # noqa: E402
 from pogame import gamecore as gc  # noqa: E402
@@ -64,6 +64,25 @@ def observable_pairs(draw):
     return alice, bob
 
 
+def _qubit_state(v):
+    psi = np.asarray(v[:2]) + 1j * np.asarray(v[2:])
+    return psi / np.linalg.norm(psi)
+
+
+qubit_states = st.tuples(*[unit_range] * 4).filter(lambda v: np.linalg.norm(v) > 0.1).map(_qubit_state)
+
+
+@st.composite
+def parity_setups(draw):
+    """A random setup, or a product state |a>|b> on which Alice's first observable never gives one outcome."""
+    alice, bob = draw(observable_pairs())
+    if not draw(st.booleans()):
+        return gc.QuantumSetup(state=draw(states), alice=tuple(alice), bob=tuple(bob)), False
+    a, b = draw(qubit_states), draw(qubit_states)
+    first = draw(st.sampled_from([1.0, -1.0])) * (2.0 * np.outer(a, a.conj()) - I2)
+    return gc.QuantumSetup(state=np.kron(a, b), alice=(first,) + tuple(alice[1:]), bob=tuple(bob)), True
+
+
 def _rotated(setup, u, v):
     return gc.QuantumSetup(
         state=np.kron(u, v) @ setup.state,
@@ -103,6 +122,20 @@ def test_born_rule_behaviors_no_signalling_and_match_oracle(pair, state, u, v):
         beh = gc.behavior_from_setup(setup)
         assert beh.no_signaling_defect() <= 1e-12
         assert np.max(np.abs(beh.table - oracles.behavior_loop(setup))) <= 1e-12
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(parity_setups())
+def test_operational_parity_matches_the_states_route_and_loop_oracle(case):
+    setup, product = case
+    states = gc.steered_states(setup)
+    # On a product state one branch of Alice's first setting has probability 0.
+    assert any(s.degenerate for s in states) or not product
+    parity = gc.operational_parity(setup)
+    assert parity == gc.check_operational_parity(states)
+    # The loop adds the 2n states, each of norm at most 1, in another order, so
+    # the two round differently by up to about 1e-16 per state.
+    assert abs(parity - oracles.operational_parity_loop(states)) <= 1e-15 * setup.n
 
 
 @PROPERTY_SETTINGS
@@ -280,6 +313,10 @@ def _median_slice(rng, kind, n):
     st.integers(1, 3),
     st.integers(0, 2**32 - 1),
 )
+# A centroid test with the search loop's bound, which grows next to a point,
+# returned the centroid a hair from a target, with a unit pull of 1, on these.
+@example(n=3, kind="near", count=2, seed=0)
+@example(n=3, kind="near", count=1, seed=1)
 def test_geometric_median_meets_kuhn_and_beats_weiszfeld(n, kind, count, seed):
     rng = np.random.default_rng(seed)
     batch = np.array([_median_slice(rng, kind, n) for _ in range(count)])

@@ -223,6 +223,33 @@ def test_geometric_median_batch_matches_per_slice_calls():
         assert np.linalg.norm(pulls.sum(axis=0)) <= 1e-6
 
 
+@pytest.mark.parametrize("n", [3, 5, 13])
+def test_geometric_median_of_a_sum_zero_configuration_is_its_centroid(n):
+    # Unit directions that sum to zero leave a unit pull at the centroid of
+    # roundoff size, so the centroid test returns it, rotated and scaled alike.
+    rng = np.random.default_rng(120 + n)
+    rotations = [np.linalg.qr(rng.normal(size=(3, 3)))[0] for _ in range(6)]
+    points = np.array(
+        [scale * qo._sum_zero_configuration(n) @ rot.T for rot in rotations for scale in (1.0, 1e-3, 7.5, 2.0**20)]
+    )
+    assert np.array_equal(qo._geometric_median(points), points.mean(axis=-2))
+    for pts in points:
+        assert np.array_equal(qo._geometric_median(pts), pts.mean(axis=-2))
+
+
+@pytest.mark.parametrize("n", [3, 5, 11, 13])
+def test_seesaw_medians_never_reach_the_kuhn_search(monkeypatch, n):
+    searched = []
+    search = qo._median_search
+    monkeypatch.setattr(qo, "_median_search", lambda every, mu: searched.append(len(every)) or search(every, mu))
+    for seed in (7, 42, 2024):
+        qo.seesaw(n, seed=seed)
+    assert searched == []
+    # The hook sees a slice that the centroid test leaves: the centroid is one of the points.
+    qo._geometric_median(np.array([[0.0, 0, 0], [1.0, 0, 0], [-1.0, 0, 0]]))
+    assert searched == [1]
+
+
 def near_aligned_setup(rng, n, tilt):
     """sigma_z for every setting of both parties, tilted at random, on a random state."""
     dirs = np.array([0.0, 0.0, 1.0]) + tilt * rng.normal(size=(n, 3))
@@ -350,8 +377,7 @@ def test_matrix_sign_maps_a_zero_eigenvalue_to_plus_one():
 
 @pytest.mark.parametrize("n", [3, 5, 13, 101])
 def test_random_starts_lie_on_the_sum_zero_set(n):
-    rngs = [np.random.default_rng(s) for s in np.random.SeedSequence(n).spawn(16)]
-    alice, bob = qo._random_starts(n, rngs)
+    alice, bob = qo._random_starts(n, n, 16)
     assert alice.shape == bob.shape == (16, n, 4)
     assert not alice[..., 0].any() and not bob[..., 0].any()
     assert np.max(np.abs(np.linalg.norm(alice[..., 1:], axis=-1) - 1.0)) <= 1e-15
@@ -360,11 +386,16 @@ def test_random_starts_lie_on_the_sum_zero_set(n):
 
 
 def test_each_start_depends_only_on_its_own_stream():
-    n, streams = 7, np.random.SeedSequence(5).spawn(6)
-    alice, bob = qo._random_starts(n, [np.random.default_rng(s) for s in streams])
-    for k, stream in enumerate(streams):
-        alone_alice, alone_bob = qo._random_starts(n, [np.random.default_rng(stream)])
-        assert np.array_equal(alone_alice[0], alice[k]) and np.array_equal(alone_bob[0], bob[k]), k
+    # Restart k's stream is block k of the one generator's draw.
+    n, restarts = 7, 6
+    alice, bob = qo._random_starts(n, 5, restarts)
+    # Restart k of every run with more than k restarts, with none or all of the first k skipped.
+    for k in range(restarts):
+        for total in range(k + 1, restarts + 3):
+            for skip in (0, k):
+                got_alice, got_bob = qo._random_starts(n, 5, total, skip=skip)
+                assert got_alice.shape == got_bob.shape == (total - skip, n, 4)
+                assert np.array_equal(got_alice[k - skip], alice[k]) and np.array_equal(got_bob[k - skip], bob[k])
     # So the first restarts of a longer run trace the same values.
     short, long = qo.seesaw(n, seed=5, restarts=3), qo.seesaw(n, seed=5, restarts=6)
     for trace, longer in zip(short.traces, long.traces):
@@ -372,11 +403,13 @@ def test_each_start_depends_only_on_its_own_stream():
 
 
 def test_seeded_single_restart_draws_no_random_start(monkeypatch):
-    drawn = []
-    draw = qo._random_starts
-    monkeypatch.setattr(qo, "_random_starts", lambda n, rngs: drawn.append(len(rngs)) or draw(n, rngs))
-    qo.seesaw(3, seed=1, restarts=1, init=gc.setup_from_family(obs.trine()))
-    assert sum(drawn) == 0
+    made = []
+    make = np.random.default_rng
+    monkeypatch.setattr(np.random, "default_rng", lambda *args: made.append(args) or make(*args))
+    result = qo.seesaw(3, seed=1, restarts=1, init=gc.setup_from_family(obs.trine()))
+    assert made == [] and len(result.traces) == 1
+    alice, bob = qo._random_starts(3, 1, 1, skip=1)
+    assert made == [] and alice.shape == bob.shape == (0, 3, 4)
 
 
 @pytest.mark.parametrize("n", [3, 5, 13])
@@ -384,7 +417,7 @@ def test_geometric_median_runs_once_per_sweep(monkeypatch, n):
     calls = []
     median = qo._geometric_median
     monkeypatch.setattr(qo, "_geometric_median", lambda points: calls.append(points.shape) or median(points))
-    qo._random_starts(n, [np.random.default_rng(s) for s in range(8)])
+    qo._random_starts(n, 0, 8)
     assert calls == []
     for seed in (7, 42, 2024):
         calls.clear()
