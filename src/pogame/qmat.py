@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
-#: Absolute tolerance of every Hermiticity, unitarity, normalization and observable check.
+#: Absolute tolerance of every Hermiticity, normalization and observable check.
 EPS = 1e-9
 
 I2 = np.eye(2, dtype=complex)
@@ -28,16 +28,6 @@ PAULIS = (SIGMA_X, SIGMA_Y, SIGMA_Z)
 
 def _all_finite(arr: np.ndarray) -> bool:
     return bool(np.all(np.isfinite(arr.real)) and np.all(np.isfinite(arr.imag)))
-
-
-def as_operator(m) -> np.ndarray:
-    """Coerce to a finite 2-D complex matrix."""
-    arr = np.asarray(m, dtype=complex)
-    if arr.ndim != 2:
-        raise ValueError(f"expected a 2-D matrix, got shape {arr.shape}")
-    if not _all_finite(arr):
-        raise ValueError("matrix contains non-finite entries")
-    return arr
 
 
 def as_state(v) -> np.ndarray:
@@ -56,23 +46,6 @@ def row_norms(a: np.ndarray) -> np.ndarray:
     if np.iscomplexobj(a):
         return np.sqrt(np.vecdot(a.real, a.real) + np.vecdot(a.imag, a.imag))
     return np.sqrt(np.vecdot(a, a))
-
-
-def dagger(m) -> np.ndarray:
-    """Conjugate transpose."""
-    return np.conj(np.asarray(m)).T
-
-
-def is_hermitian(m) -> bool:
-    arr = np.asarray(m, dtype=complex)
-    return arr.shape[0] == arr.shape[1] and np.max(np.abs(arr - dagger(arr))) <= EPS
-
-
-def is_unitary(m) -> bool:
-    arr = np.asarray(m, dtype=complex)
-    if arr.shape[0] != arr.shape[1]:
-        return False
-    return np.max(np.abs(dagger(arr) @ arr - np.eye(arr.shape[0]))) <= EPS
 
 
 def apply_local(a, b, psi) -> np.ndarray:
@@ -125,19 +98,6 @@ def proj(v) -> np.ndarray:
 def phi_plus() -> np.ndarray:
     """Two-qubit maximally entangled state (|00> + |11>)/sqrt(2)."""
     return np.array([1, 0, 0, 1], dtype=complex) / np.sqrt(2)
-
-
-def eig_hermitian(m) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition of a Hermitian matrix.
-
-    Returns ``(w, V)`` with eigenvalues ``w`` ascending and eigenvectors as
-    the columns of ``V``, so that ``m = V @ diag(w) @ V.conj().T``.  Raises
-    ``ValueError`` when ``m`` is not Hermitian within ``EPS``.
-    """
-    arr = as_operator(m)
-    if not is_hermitian(arr):
-        raise ValueError("matrix is not Hermitian within tolerance")
-    return np.linalg.eigh(arr)
 
 
 def operator_norm(m) -> float:

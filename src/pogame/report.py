@@ -23,6 +23,7 @@ from . import gamecore as gc
 from . import quantum_opt as qo
 from . import selftest as st
 from .observables import ObservableFamily, canonical_family
+from .qmat import born_table
 
 
 def _fmt_float(v: float) -> str:
@@ -228,22 +229,19 @@ def sos_section(setup: gc.QuantumSetup) -> tuple[dict, list]:
     return section, checks
 
 
-def _targets(ops: st.SelfTestOperators) -> tuple[str, ...]:
-    """The six named targets when the swap frame has a y direction, else every raw observable and product."""
-    if ops.y_a is not None:
-        return ("ZA", "XA", "YA", "ZB", "XB", "YB")
-    settings = range(1, ops.n + 1)
-    return tuple(
-        [f"A{x}" for x in settings] + [f"B{y}" for y in settings] + [f"A{x}B{y}" for x in settings for y in settings]
-    )
-
-
 def selftest_section(setup: gc.QuantumSetup, perturb: float = 0.0) -> tuple[dict, list]:
-    """Self-test of ``setup``; ``perturb`` is the perturbation its state carries, recorded as is."""
+    """Self-test of ``setup``; ``perturb`` is the perturbation its state carries, recorded as is.
+
+    The circuit runs the state and the frame targets only.  Each raw
+    observable is covered by its frame coordinates, and Alice's coordinates
+    ``C`` are checked against the correlators ``E_xy = <psi|A_x (x) B_y|psi>``:
+    at the optimum their Gram matrix is ``C C^T = -E``.
+    """
     ops = st.build_selftest_operators(setup)
-    circuit = st.build_circuit(ops)
     residuals = st.verify_relations(ops, setup.state)
-    state_run, *runs = st.run_targets(setup, ops, circuit, ("state",) + _targets(ops))
+    state_run, *runs = st.run_targets(setup, ops, st.build_circuit(ops), st.all_targets(ops))
+    coords, leftover = st.frame_coordinates(ops)
+    correlators = born_table(setup.alice, setup.bob, setup.state)
     extraction_errors = {run.target: run.max_entry_error for run in runs}
     section = {
         "perturbation": perturb,
@@ -254,11 +252,16 @@ def selftest_section(setup: gc.QuantumSetup, perturb: float = 0.0) -> tuple[dict
         "extraction_entry_errors": extraction_errors,
         "extraction_fidelities": {run.target: run.fidelity for run in runs},
         "extraction_entry_error_max": float(max(extraction_errors.values())),
+        "frame_coordinates": coords[0].tolist(),
+        "frame_leftover_max": float(leftover.max()),
+        "gram_deviation": float(np.max(np.abs(coords[0] @ coords[0].T + correlators))),
     }
     checks = [
         Check("optimum relations hold", section["residual_max"], "<=", 1e-9),
         Check("state extraction is exact", state_run.fidelity, ">=", 1 - 1e-10),
         Check("measurement extractions are exact", section["extraction_entry_error_max"], "<=", 1e-9),
+        Check("observables lie in the swap frame", section["frame_leftover_max"], "<=", 1e-8),
+        Check("self-tested Gram matches the correlators", section["gram_deviation"], "<=", 1e-9),
     ]
     return section, checks
 
@@ -326,8 +329,8 @@ def build_report(
     sos_sec, sos_checks = sos_section(setup)
     # The self-test holds for every odd n (``pogame selftest --n``), but the
     # report runs it only at n = 3 and 5: at n = 11 and 13 it would add
-    # 1.1-1.4 ms to a 2.1-3.5 ms report (2 vCPUs, one BLAS thread), about
-    # two fifths.
+    # 1.0-1.6 ms to a 2.1-3.4 ms report (2 vCPUs, one BLAS thread, medians
+    # of interleaved runs), a third or more.
     self_sec, self_checks = selftest_section(setup) if n in (3, 5) else (None, [])
     povm_sec, rand_sec, certify_checks = certify_section(fam, setup, alpha)
 

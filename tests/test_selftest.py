@@ -18,7 +18,7 @@ def five_setup():
 
 
 def _report_targets(setup):
-    return ("state",) + report._targets(st.build_selftest_operators(setup))
+    return st.all_targets(st.build_selftest_operators(setup))
 
 
 def random_product_unitary(rng):
@@ -90,8 +90,8 @@ def test_operators_reject_vanishing_norm():
 
 def test_mirror_family_does_not_support_the_two_direction_test():
     # The mirrored-pair family is planar: its frame has no y direction, so
-    # it self-tests with the one-stage circuit, every raw target included,
-    # and a y target is rejected.
+    # it self-tests with the one-stage circuit on the state and the four
+    # planar frame targets, and a y target is rejected.
     setup = gc.setup_from_family(obs.family_n(7))
     ops = st.build_selftest_operators(setup)
     assert ops.y_a is None and ops.y_b is None
@@ -99,7 +99,7 @@ def test_mirror_family_does_not_support_the_two_direction_test():
     assert len(st.build_circuit(ops).stages) == 1
     assert max(st.verify_relations(ops, setup.state).values()) <= 1e-12
     runs = st.run_targets(setup, ops, st.build_circuit(ops), _report_targets(setup))
-    assert len(runs) == 1 + 7 + 7 + 49
+    assert [run.target for run in runs] == ["state", "ZA", "XA", "ZB", "XB"]
     assert min(run.fidelity for run in runs) >= 1 - 1e-12
     assert max(run.max_entry_error for run in runs) <= 1e-12
     with pytest.raises(ValueError, match="^target YA requires a y direction in the swap frame$"):
@@ -133,6 +133,19 @@ def test_sum_zero_relation_catches_observables_that_do_not_sum_to_zero():
     residuals = st.verify_relations(st.build_selftest_operators(setup), setup.state)
     assert residuals.pop("sum_zero") == pytest.approx(np.sqrt(5), abs=1e-12)
     assert max(residuals.values()) <= 1e-12
+
+
+def test_span_check_reads_bobs_frame_too():
+    # Bob at 90 degrees where Alice's trine is at 120: Bob's frame, built
+    # with Alice's Gram coefficients, is not orthogonal, so his observables
+    # leave a leftover while Alice's lie in her frame.
+    setup = gc.QuantumSetup(state=phi_plus(), alice=obs.trine().alice, bob=(-SIGMA_Z, -SIGMA_X, SIGMA_X))
+    _, leftover = st.frame_coordinates(st.build_selftest_operators(setup))
+    assert leftover[0].max() <= 1e-15
+    assert leftover[1] == pytest.approx([np.sqrt(0.4)] * 3, abs=1e-12)
+    section, checks = report.selftest_section(setup)
+    assert section["frame_leftover_max"] == leftover.max()
+    assert not next(check for check in checks if check.name == "observables lie in the swap frame").passed
 
 
 def test_relations_at_five_optimum():
@@ -225,11 +238,9 @@ def test_state_extraction_trine():
 
 
 def test_measurement_extractions_trine():
+    # The frame targets; the raw observables are covered by their frame coordinates.
     setup = trine_setup()
-    targets = [f"A{x}" for x in (1, 2, 3)]
-    targets += [f"B{y}" for y in (1, 2, 3)]
-    targets += [f"A{x}B{y}" for x in (1, 2, 3) for y in (1, 2, 3)]
-    for target in targets:
+    for target in ("ZA", "XA", "ZB", "XB"):
         result = st.run_isometry(setup, target)
         assert result.max_entry_error <= 1e-9, target
         assert result.fidelity >= 1 - 1e-10, target
@@ -292,15 +303,55 @@ def test_gauge_invariance_under_local_unitaries():
         assert max(residuals.values()) <= 1e-9
         result = st.run_isometry(rotated, "state")
         assert result.fidelity >= 1 - 1e-9
-        for target in ("A1", "B2", "A2B3"):
+        for target in ("ZA", "XA", "ZB", "XB"):
             assert st.run_isometry(rotated, target).fidelity >= 1 - 1e-9
+        _, checks = report.selftest_section(rotated)
+        assert all(check.passed for check in checks), checks
+
+
+@pytest.mark.parametrize(
+    "family",
+    [obs.trine(), obs.family_n(7), obs.family_quartets(5), obs.family_quartets(13)],
+    ids=["trine", "mirror7", "quartets5", "quartets13"],
+)
+def test_raw_observables_are_covered_by_frame_coordinates(family):
+    # The circuit is linear, so the dense output of a raw target A<x>, B<y> or
+    # A<x>B<y> is the coordinate-weighted sum of the frame targets' dense
+    # outputs (the products F_A G_B of frame operators for A<x>B<y>), at the
+    # optimum and under random local gauges.
+    rng = np.random.default_rng(family.n)
+    base = gc.setup_from_family(family)
+    for setup in [base] + [conjugated_setup(base, *random_product_unitary(rng)) for _ in range(3)]:
+        ops = st.build_selftest_operators(setup)
+        coords, leftover = st.frame_coordinates(ops)
+        frames = ((ops.z_a, ops.x_a, ops.y_a), (ops.z_b, ops.x_b, ops.y_b))
+        for party, observables in enumerate((setup.alice, setup.bob)):
+            for x, op in enumerate(observables):
+                single, rest = oracles._frame_coefficients_single(op, *frames[party])
+                assert np.max(np.abs(coords[party, x] - single)) <= 1e-14
+                assert abs(leftover[party, x] - rest) <= 1e-14
+        assert leftover.max() <= 1e-12
+
+        names, settings = ("ZX" if ops.y_a is None else "ZXY"), range(1, family.n + 1)
+        raw_a = oracles.swap_circuit_outputs(setup, [f"A{x}" for x in settings])
+        raw_b = oracles.swap_circuit_outputs(setup, [f"B{y}" for y in settings])
+        raw_ab = oracles.swap_circuit_outputs(setup, [f"A{x}B{y}" for x in settings for y in settings])
+        frame_a = oracles.swap_circuit_outputs(setup, [f"{f}A" for f in names])
+        frame_b = oracles.swap_circuit_outputs(setup, [f"{g}B" for g in names])
+        frame_ab = oracles.swap_circuit_outputs(setup, [f"{f}A{g}B" for f in names for g in names])
+        a, b = coords[0, :, : len(names)], coords[1, :, : len(names)]
+        assert np.max(np.abs(raw_a - a @ frame_a)) <= 1e-12
+        assert np.max(np.abs(raw_b - b @ frame_b)) <= 1e-12
+        predicted_ab = np.einsum("xf,yg,fgd->xyd", a, b, frame_ab.reshape(len(names), len(names), -1))
+        assert np.max(np.abs(raw_ab - predicted_ab.reshape(raw_ab.shape))) <= 1e-12
 
 
 def test_unknown_target_rejected():
     with pytest.raises(ValueError):
         st.run_isometry(trine_setup(), "C1")
-    with pytest.raises(ValueError):
-        st.run_isometry(trine_setup(), "A4")
+    for raw in ("A1", "B2", "A1B2"):  # raw observables are covered by coordinates, not run
+        with pytest.raises(ValueError):
+            st.run_isometry(trine_setup(), raw)
     with pytest.raises(ValueError):
         st.run_isometry(trine_setup(), "YA")  # the trine's frame has no y direction
 
@@ -318,7 +369,7 @@ def test_stacked_runner_matches_loop_oracle(n, delta):
     "target, message",
     [
         ("C1", "unrecognized isometry target: C1"),
-        ("A4", "target index out of range: A4"),
+        ("A1", "unrecognized isometry target: A1"),
         ("YA", "target YA requires a y direction in the swap frame"),
     ],
 )
@@ -331,7 +382,7 @@ def test_stacked_runner_rejects_bad_targets_as_the_loop_did(target, message):
         st.run_isometry(setup, target)
     # A bad target among good ones fails the whole stack.
     with pytest.raises(ValueError, match=f"^{message}$"):
-        st.run_targets(setup, ops, st.build_circuit(ops), ("state", "A1", target, "B2"))
+        st.run_targets(setup, ops, st.build_circuit(ops), ("state", "ZA", target, "XB"))
 
 
 def test_selftest_section_runs_every_target_in_one_stack(monkeypatch):
@@ -339,9 +390,14 @@ def test_selftest_section_runs_every_target_in_one_stack(monkeypatch):
     run_targets = st.run_targets
     monkeypatch.setattr(st, "run_targets", lambda *args: calls.append(args[3]) or run_targets(*args))
     monkeypatch.setattr(st, "run_isometry", None)  # the section must not run targets one by one
-    for n in (3, 5):
-        setup = gc.setup_from_family(obs.canonical_family(n))
-        section, _ = report.selftest_section(setup)
-        assert calls[-1] == _report_targets(setup)
-        assert set(section["extraction_fidelities"]) == set(_report_targets(setup)[1:])
-    assert len(calls) == 2
+    planar = ("state", "ZA", "XA", "ZB", "XB")
+    cases = [(obs.trine(), planar), (obs.family_five(), planar[:3] + ("YA",) + planar[3:] + ("YB",))]
+    cases.append((obs.family_n(201), planar))  # O(n): no target per observable
+    for family, targets in cases:
+        setup = gc.setup_from_family(family)
+        section, checks = report.selftest_section(setup)
+        assert calls[-1] == _report_targets(setup) == targets
+        assert set(section["extraction_fidelities"]) == set(targets[1:])
+        assert len(section["frame_coordinates"]) == family.n
+        assert all(check.passed for check in checks), checks
+    assert len(calls) == 3
