@@ -24,7 +24,7 @@ from .gamecore import (
     steered_states,
     success_probability,
 )
-from .observables import ObservableFamily, canonical_family, family_five, family_n, family_quartets, trine
+from .observables import ObservableFamily, canonical_family, family_n, family_quartets, trine
 from .quantum_opt import concavity_bound, delta_check, seesaw, sos_certificate
 from .report import CertificationReport, build_report
 from .selftest import build_selftest_operators, run_isometry, verify_relations
@@ -49,7 +49,6 @@ __all__ = [
     "concavity_bound",
     "delta_check",
     "extremality_check",
-    "family_five",
     "family_n",
     "family_quartets",
     "local_bound",

@@ -137,15 +137,6 @@ def _quartet(nu: float, beta: float, z: float) -> list[np.ndarray]:
     ]
 
 
-def family_five(nu: float | None = None, beta: float | None = None) -> ObservableFamily:
-    """Five-setting family with one out-of-plane quartet: ``family_quartets(5, nu, beta)``.
-
-    It is the smallest canonical family that is not planar, so its swap
-    frame (``selftest.build_selftest_operators``) has a y direction.
-    """
-    return family_quartets(5, nu, beta)
-
-
 def family_quartets(n: int, nu: float | None = None, beta: float | None = None) -> ObservableFamily:
     """Quartet family for odd n >= 5.
 

@@ -23,8 +23,13 @@ All restarts run as one stack: the observables are (r, n, 4) arrays, the
 states an (r, 4) array, and every helper takes leading batch axes.  A sweep
 is a fixed sequence of numpy calls on the restarts still running (Bob's
 sign update, Alice's Fermat-Weber update, one ``eigh`` of the (r, 4, 4)
-Bell operators), however many restarts there are; a restart leaves the
-stack once its own trace gains no more than ``tol``.  Alice starts every
+Bell operators), however many restarts there are.  A restart leaves the
+stack after the first sweep that gains no more than ``tol`` or ends within
+``tol`` of the ceiling 2n (``concavity_bound``).  While Alice is on the
+sum-zero set the value cannot pass 2n, so at the ceiling no later sweep
+could gain more than ``tol``: reaching it is the stronger certificate of
+convergence.  From the starts below every restart reaches it in one sweep,
+so each trace holds 2 entries, the start and the optimum.  Alice starts every
 restart from one fixed sum-zero configuration, so she is on the set from
 the start, and Bob from random unit directions: one generator seeded with
 ``seed`` draws a (restarts, n, 3) block of normals, and restart k takes
@@ -48,8 +53,9 @@ _BASIS = np.array((I2,) + PAULIS)
 _PRODUCTS = (_BASIS[:, None, :, None, :, None] * _BASIS[None, :, None, :, None, :]).reshape(16, 16)
 
 #: See-saw defaults: the seed of the start generator, the number of
-#: restarts and the tolerance on one sweep's gain below which a restart
-#: stops.  A restart also stops after ``_MAX_SWEEPS`` sweeps.
+#: restarts and the tolerance on one sweep's gain, or on the distance to
+#: the ceiling 2n, below which a restart stops.  A restart also stops after
+#: ``_MAX_SWEEPS`` sweeps.
 SEED = 42
 RESTARTS = 8
 TOL = 1e-9
@@ -394,8 +400,9 @@ def seesaw(
 
     Alice's observables stay on the sum-zero set throughout (see the module
     docstring) and start on it (``_random_starts``).
-    When ``init`` is given it seeds the first restart as is.  Ties between
-    restarts resolve to the earliest one.
+    When ``init`` is given it seeds the first restart as is; an ``init``
+    off the set can sit above 2n and then stops by the gain rule only.
+    Ties between restarts resolve to the earliest one.
     """
     check_n(n)
     if restarts < 1:
@@ -414,6 +421,7 @@ def seesaw(
     state, history = v[..., -1], [w[:, -1]]
     if init is not None:
         state[0], history[0][0] = np.ravel(init.state), setup_bell_value(init)
+    ceiling = concavity_bound(n)
     sweeps = np.zeros(restarts, dtype=int)
     converged = np.zeros(restarts, dtype=bool)
     live = np.arange(restarts)
@@ -439,7 +447,9 @@ def seesaw(
         alice[live], bob[live], state[live] = a, b, v[..., -1]
         values = np.full(restarts, np.nan)
         values[live] = w[:, -1]
-        stopped = values[live] - history[-1][live] <= tol
+        # Stop at a gain of at most tol, or at the ceiling, which the value
+        # cannot pass on the sum-zero set (see the module docstring).
+        stopped = (values[live] - history[-1][live] <= tol) | (np.abs(values[live] - ceiling) <= tol)
         history.append(values)
         sweeps[live] += 1
         converged[live[stopped]] = True

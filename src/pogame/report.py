@@ -5,12 +5,22 @@ so equality and round-trips are exact.  Numbers are serialized with 17
 significant digits, which round-trips IEEE doubles bit-exactly; identical
 inputs therefore produce byte-identical documents except for the provenance
 timestamp.
+
+Each format is one typed pass over the tree: ``render_json`` and ``flatten``
+test a node for the exact leaf types ``float`` and ``int`` first, then for
+the containers ``list``, ``tuple`` and ``dict``, and ``flatten`` appends to
+one row list.  Other leaves (numpy scalars, ``bool``, ``None``, ``str``,
+subclasses) fall through to one ``isinstance`` chain, in the order that
+decides the output (``bool`` before ``int``), so the bytes and the errors
+match the plain recursive ``isinstance`` walk: non-finite numbers raise
+``ValueError``, and types JSON cannot hold raise ``TypeError``.
 """
 
 from __future__ import annotations
 
 import datetime
 import json
+import math
 import operator
 from dataclasses import dataclass, fields
 
@@ -27,15 +37,34 @@ from .qmat import born_table
 
 
 def _fmt_float(v: float) -> str:
-    if not np.isfinite(v):
+    if not math.isfinite(v):
         raise ValueError("reports must not contain non-finite numbers")
-    return format(float(v), ".17g")
+    return format(v, ".17g")
 
 
 def render_json(obj, indent: int = 0) -> str:
     """Deterministic JSON with floats at 17 significant digits."""
-    pad = "  " * indent
-    inner = "  " * (indent + 1)
+    return _json(obj, "  " * indent)
+
+
+def _json(obj, pad: str) -> str:
+    kind = type(obj)
+    if kind is float:
+        return _fmt_float(obj)
+    if kind is int:
+        return str(obj)
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        inner = pad + "  "
+        items = ",\n".join([inner + _json(v, inner) for v in obj])
+        return f"[\n{items}\n{pad}]"
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        inner = pad + "  "
+        items = ",\n".join([f'{inner}"{k}": {_json(v, inner)}' for k, v in obj.items()])
+        return f"{{\n{items}\n{pad}}}"
     if obj is None:
         return "null"
     if isinstance(obj, bool):
@@ -46,30 +75,28 @@ def render_json(obj, indent: int = 0) -> str:
         return _fmt_float(float(obj))
     if isinstance(obj, str):
         return json.dumps(obj)
-    if isinstance(obj, (list, tuple)):
-        if not obj:
-            return "[]"
-        items = ",\n".join(inner + render_json(v, indent + 1) for v in obj)
-        return "[\n" + items + "\n" + pad + "]"
-    if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        items = ",\n".join(
-            f'{inner}"{k}": ' + render_json(v, indent + 1) for k, v in obj.items()
-        )
-        return "{\n" + items + "\n" + pad + "}"
     raise TypeError(f"cannot serialize {type(obj)!r}")
 
 
 def flatten(obj, prefix: str = "") -> list[tuple[str, str]]:
     """Dotted-key projection used by the CSV format."""
     rows: list[tuple[str, str]] = []
-    if isinstance(obj, dict):
+    _flatten(obj, prefix, rows)
+    return rows
+
+
+def _flatten(obj, prefix: str, rows: list) -> None:
+    kind = type(obj)
+    if kind is float:
+        rows.append((prefix, _fmt_float(obj)))
+    elif kind is int:
+        rows.append((prefix, str(obj)))
+    elif isinstance(obj, dict):
         for k, v in obj.items():
-            rows.extend(flatten(v, f"{prefix}.{k}" if prefix else str(k)))
+            _flatten(v, f"{prefix}.{k}" if prefix else str(k), rows)
     elif isinstance(obj, (list, tuple)):
         for i, v in enumerate(obj):
-            rows.extend(flatten(v, f"{prefix}.{i}"))
+            _flatten(v, f"{prefix}.{i}", rows)
     elif isinstance(obj, bool):
         rows.append((prefix, "true" if obj else "false"))
     elif isinstance(obj, (float, np.floating)):
@@ -78,7 +105,6 @@ def flatten(obj, prefix: str = "") -> list[tuple[str, str]]:
         rows.append((prefix, ""))
     else:
         rows.append((prefix, str(obj)))
-    return rows
 
 
 @dataclass(frozen=True)
@@ -200,12 +226,12 @@ def optimization_section(n: int, seed: int, restarts: int, tol: float) -> tuple[
         "converged": all(result.converged),
         "best_restart": result.best_restart,
     }
-    steps = np.concatenate([np.diff(trace) for trace in result.traces])
+    steps = [later - earlier for trace in result.traces for earlier, later in zip(trace, trace[1:])]
     # The game's quantum value is the optimum over parity-oblivious strategies only.
     parity = gc.operational_parity(result.setup)
     checks = [
         Check("see-saw reaches the quantum ceiling", abs(result.value - target), "<=", OPTIMUM_TOL),
-        Check("see-saw traces are monotone", float(steps.min()) if steps.size else 0.0, ">=", -1e-9),
+        Check("see-saw traces are monotone", min(steps, default=0.0), ">=", -1e-9),
         Check("see-saw restarts converged", all(result.converged), "==", True),
         Check("found setup is parity oblivious", parity, "<=", 1e-9),
     ]

@@ -93,6 +93,15 @@ def _first_largest(values: np.ndarray) -> int:
     return int(np.argmax(values >= values.max() - _SPAN_TOL))
 
 
+def _traceless_part(m: np.ndarray) -> np.ndarray:
+    """``m - tr(m)/2 I`` for a (..., 2, 2) stack, off-diagonal entries left as they are."""
+    out = np.array(m, dtype=complex)
+    half = (out[..., 0, 0] + out[..., 1, 1]) / 2
+    out[..., 0, 0] -= half
+    out[..., 1, 1] -= half
+    return out
+
+
 def _normalized(alice_op: np.ndarray, bob_op: np.ndarray, psi) -> tuple[np.ndarray, list[float]]:
     """Both operators divided by their state norms ``|(alice_op (x) I) psi|`` and ``|(I (x) bob_op) psi|``."""
     on_state = apply_local(np.array([alice_op, I2]), np.array([I2, bob_op]), psi)
@@ -110,10 +119,13 @@ def build_selftest_operators(setup: QuantumSetup) -> SelfTestOperators:
     - ``Z_A = A_1`` and ``Z_B = -B_1``;
     - X uses the first j maximizing ``G_jj - c_j^2`` (ties within ``_SPAN_TOL``):
       ``X_A = (A_j - c_j A_1)/||.psi||`` and ``X_B = -(B_j - c_j B_1)/||.psi||``;
-    - Y uses the largest remainder ``R_k = A_k - c_k A_1 - d_k X_A``, with
-      ``d_k = Re<X_A psi, A_k psi>``: ``Y_A = R_k/||R_k psi||`` and
-      ``Y_B = (B_k - c_k B_1 + d_k X_B)/||.psi||``, so ``Y_A psi = -Y_B psi``
+    - Y uses the largest remainder ``R_k``, the traceless part of
+      ``A_k - c_k A_1 - d_k X_A`` with ``d_k = Re<X_A psi, A_k psi>``:
+      ``Y_A = R_k/||R_k psi||`` and ``Y_B`` the traceless part of
+      ``B_k - c_k B_1 + d_k X_B``, over its state norm, so ``Y_A psi = -Y_B psi``
       at the optimum.  It is present only when ``||R_k psi|| > _SPAN_TOL``.
+      An identity part is not a Pauli direction: dropped here, it stays in
+      the leftover of ``frame_coordinates``.
 
     Every divisor is a state norm, so the construction only uses quantities
     available from the correlations.
@@ -130,12 +142,13 @@ def build_selftest_operators(setup: QuantumSetup) -> SelfTestOperators:
     frame = [x_a, x_b]
 
     d = (apply_local(x_a, I2, psi).reshape(4).conj() @ on_state.T).real
-    remainders = alice - c[:, None, None] * alice[0] - d[:, None, None] * x_a
+    remainders = _traceless_part(alice - c[:, None, None] * alice[0] - d[:, None, None] * x_a)
     remainder_norms = row_norms(apply_local(remainders, I2, psi).reshape(len(alice), 4))
     k = _first_largest(remainder_norms)
     y_a = y_b = None
     if remainder_norms[k] > _SPAN_TOL:
-        (y_a, y_b), (norms["y_a"], norms["y_b"]) = _normalized(remainders[k], bob[k] - c[k] * bob[0] + d[k] * x_b, psi)
+        bob_remainder = _traceless_part(bob[k] - c[k] * bob[0] + d[k] * x_b)
+        (y_a, y_b), (norms["y_a"], norms["y_b"]) = _normalized(remainders[k], bob_remainder, psi)
         frame += [y_a, y_b]
     frame = np.array(frame)
     if np.max(np.linalg.norm(frame @ frame - I2, 2, axis=(1, 2))) > 1e-6:

@@ -18,12 +18,14 @@ from the dense junk vectors, the self-test run one target at a time, the
 frame coordinates of one observable at a time, the see-saw run one restart
 at a time, the effective operators of a see-saw sweep as partial traces of
 the 4x4 state, the matrix sign by ``eigh``, the geometric median by
-Weiszfeld's iteration, and (as a negative control) a see-saw without the
-sum-zero constraint.  They are exponential or quadratic and only meant for
+Weiszfeld's iteration, (as a negative control) a see-saw without the
+sum-zero constraint, and the report renderers as one recursive
+``isinstance`` chain.  They are exponential or quadratic and only meant for
 small n.
 """
 
 import heapq
+import json
 import re
 from itertools import combinations, product
 
@@ -602,7 +604,8 @@ def _seesaw_single(n, normals, tol, init):
     Each step runs on a stack of one.  The trace matches the stacked
     see-saw's to roundoff (its matmuls round a stack of r rows differently),
     and a one-restart run's to the bit, so that run stops at the same sweep
-    even at tol = 0.  Alice's update is kept unless it lowers the Bell value
+    even at tol = 0: the first that gains no more than tol or ends within
+    tol of 2n.  Alice's update is kept unless it lowers the Bell value
     of the current state and Bob's observables, evaluated on the 4x4 matrix
     route.
     """
@@ -630,7 +633,7 @@ def _seesaw_single(n, normals, tol, init):
             alice = saved
         value, state = _top_eigenpair(alice, bob)
         trace.append(value)
-        if trace[-1] - trace[-2] <= tol:
+        if trace[-1] - trace[-2] <= tol or abs(trace[-1] - 2 * n) <= tol:
             converged = True
             break
     final = gc.QuantumSetup(state=state, alice=tuple(qo._from_pauli(alice)), bob=tuple(qo._from_pauli(bob)))
@@ -682,3 +685,68 @@ def seesaw_unconstrained(n, seed=qo.SEED, tol=qo.TOL, restarts=qo.RESTARTS):
             alice = matrix_sign_eigh(effective_alice(rho, _setting_combos(bob)))
         best = max(best, float(w[-1]))
     return best
+
+
+def _fmt_float(v):
+    if not np.isfinite(v):
+        raise ValueError("reports must not contain non-finite numbers")
+    return format(float(v), ".17g")
+
+
+def render_json_recursive(obj, indent=0):
+    """``report.render_json`` as one ``isinstance`` chain, recursing with the indent level."""
+    pad = "  " * indent
+    inner = "  " * (indent + 1)
+    if obj is None:
+        return "null"
+    if isinstance(obj, bool):
+        return "true" if obj else "false"
+    if isinstance(obj, (int, np.integer)):
+        return str(int(obj))
+    if isinstance(obj, (float, np.floating)):
+        return _fmt_float(float(obj))
+    if isinstance(obj, str):
+        return json.dumps(obj)
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        items = ",\n".join(inner + render_json_recursive(v, indent + 1) for v in obj)
+        return "[\n" + items + "\n" + pad + "]"
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        items = ",\n".join(f'{inner}"{k}": ' + render_json_recursive(v, indent + 1) for k, v in obj.items())
+        return "{\n" + items + "\n" + pad + "}"
+    raise TypeError(f"cannot serialize {type(obj)!r}")
+
+
+def flatten_recursive(obj, prefix=""):
+    """``report.flatten`` as one ``isinstance`` chain, each level extending its parent's rows."""
+    rows = []
+    if isinstance(obj, dict):
+        for k, v in obj.items():
+            rows.extend(flatten_recursive(v, f"{prefix}.{k}" if prefix else str(k)))
+    elif isinstance(obj, (list, tuple)):
+        for i, v in enumerate(obj):
+            rows.extend(flatten_recursive(v, f"{prefix}.{i}"))
+    elif isinstance(obj, bool):
+        rows.append((prefix, "true" if obj else "false"))
+    elif isinstance(obj, (float, np.floating)):
+        rows.append((prefix, _fmt_float(float(obj))))
+    elif obj is None:
+        rows.append((prefix, ""))
+    else:
+        rows.append((prefix, str(obj)))
+    return rows
+
+
+def report_csv_recursive(d):
+    """``CertificationReport.to_csv`` of the report whose ``to_dict`` is ``d``."""
+    return "key,value\n" + "".join(f"{k},{v}\n" for k, v in flatten_recursive(d))
+
+
+def report_text_recursive(d):
+    """``CertificationReport.to_text`` of the report whose ``to_dict`` is ``d``."""
+    rows = flatten_recursive(d)
+    width = max(len(k) for k, _ in rows)
+    return "".join(f"{k.ljust(width)}  {v}\n" for k, v in rows)

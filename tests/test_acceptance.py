@@ -132,7 +132,7 @@ def test_criterion_7_selftest_n5(capsys):
         code, payload, _ = _run(["selftest", "--n", "5"], capsys)
         assert code == 0
         assert payload["selftest"]["residual_max"] <= 1e-9
-        setup = gc.setup_from_family(obs.family_five())
+        setup = gc.setup_from_family(obs.family_quartets(5))
         for target in ("YA", "YB"):
             run = st.run_isometry(setup, target)
             assert run.fidelity >= 1 - 1e-10

@@ -24,7 +24,6 @@ EXPORTS = [
     "concavity_bound",
     "delta_check",
     "extremality_check",
-    "family_five",
     "family_n",
     "family_quartets",
     "local_bound",
@@ -63,7 +62,6 @@ PARAMETERS = {
     "concavity_bound": "n",
     "delta_check": "setup",
     "extremality_check": "povm",
-    "family_five": "nu, beta",
     "family_n": "n, nu, beta",
     "family_quartets": "n, nu, beta",
     "local_bound": "n",

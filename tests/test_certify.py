@@ -23,7 +23,7 @@ def test_canonical_povm_trine():
 
 
 def test_canonical_povm_five():
-    povm = ct.canonical_povm(obs.family_five())
+    povm = ct.canonical_povm(obs.family_quartets(5))
     for el in povm.elements:
         assert np.allclose(np.linalg.eigvalsh(el), [0.0, 0.4], atol=1e-12)
     assert np.allclose(sum(povm.elements), I2, atol=1e-12)
@@ -113,8 +113,8 @@ def test_gamma_reconstruction_flags_misaligned_povm():
 
 
 def test_gamma_requires_three_settings():
-    setup5 = gc.setup_from_family(obs.family_five())
-    stats5 = ct.povm_statistics(setup5, ct.canonical_povm(obs.family_five()))
+    setup5 = gc.setup_from_family(obs.family_quartets(5))
+    stats5 = ct.povm_statistics(setup5, ct.canonical_povm(obs.family_quartets(5)))
     with pytest.raises(ValueError):
         ct.reconstruct_gamma(stats5)
 
@@ -122,7 +122,7 @@ def test_gamma_requires_three_settings():
 def test_extremality_cases():
     _, povm = trine_pieces()
     assert ct.extremality_check(povm) is True
-    assert ct.extremality_check(ct.canonical_povm(obs.family_five())) is False
+    assert ct.extremality_check(ct.canonical_povm(obs.family_quartets(5))) is False
     assert ct.extremality_check(ct.PovmSet((I2 / 2, I2 / 2))) is False
     projective = ct.PovmSet(((I2 + SIGMA_Z) / 2, (I2 - SIGMA_Z) / 2))
     assert ct.extremality_check(projective) is True
@@ -144,8 +144,8 @@ def test_randomness_report_trine():
 
 
 def test_randomness_report_five_not_certified():
-    setup = gc.setup_from_family(obs.family_five())
-    rep = ct.randomness_report(setup, ct.canonical_povm(obs.family_five()))
+    setup = gc.setup_from_family(obs.family_quartets(5))
+    rep = ct.randomness_report(setup, ct.canonical_povm(obs.family_quartets(5)))
     assert rep.extremal is False
     assert rep.certified is False
     assert np.allclose(rep.outcome_probabilities, 0.2, atol=1e-9)

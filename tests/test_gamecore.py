@@ -125,7 +125,7 @@ def test_success_probability_two_routes_agree():
         assert abs(
             gc.success_probability(expr3, beh) - gc.success_probability_direct(spec3, beh)
         ) <= 1e-12
-    beh5 = gc.behavior_from_setup(gc.setup_from_family(obs.family_five()))
+    beh5 = gc.behavior_from_setup(gc.setup_from_family(obs.family_quartets(5)))
     assert abs(
         gc.success_probability(gc.bell_expression(5), beh5)
         - gc.success_probability_direct(gc.GameSpec(5), beh5)
@@ -269,7 +269,7 @@ def test_steer_zero_probability_branch_flagged():
 
 
 def test_operational_parity_trine_and_five():
-    for fam in (obs.trine(), obs.family_five()):
+    for fam in (obs.trine(), obs.family_quartets(5)):
         setup = gc.setup_from_family(fam)
         assert gc.check_operational_parity(gc.steered_states(setup)) <= 1e-12
 

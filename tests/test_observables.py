@@ -12,7 +12,7 @@ ALL_FAMILIES = [
     obs.family_n(3),
     obs.family_n(5),
     obs.family_n(7),
-    obs.family_five(),
+    obs.family_quartets(5),
     obs.family_quartets(7),
     obs.family_quartets(9),
     obs.family_quartets(11),
@@ -60,7 +60,7 @@ def test_family_n3_matches_trine_up_to_rotation():
 
 
 def test_family_five_default_parameters():
-    fam = obs.family_five()
+    fam = obs.family_quartets(5)
     nu = fam.params["nu"]
     beta = fam.params["beta"]
     assert nu == pytest.approx(np.sqrt(15 / 32), abs=1e-12)
@@ -108,7 +108,7 @@ def test_invalid_parameters_rejected():
     with pytest.raises(ValueError):
         obs.family_n(5, nu=0.9, beta=0.9)
     with pytest.raises(ValueError):
-        obs.family_five(nu=0.1, beta=0.1)
+        obs.family_quartets(5, nu=0.1, beta=0.1)
 
 
 def test_check_parity_condition_values():

@@ -331,3 +331,74 @@ def test_geometric_median_meets_kuhn_and_beats_weiszfeld(n, kind, count, seed):
         assert strength <= (np.count_nonzero(on_point) if on_point.any() else 1e-9), (strength, on_point.sum())
         weiszfeld = oracles.geometric_median_weiszfeld(pts)
         assert dist.sum() <= np.linalg.norm(pts - weiszfeld, axis=1).sum() + 1e-12
+
+
+# Report trees: nested dicts, lists and tuples over Python and numpy scalars.
+# Non-finite floats (ValueError) and unknown types (TypeError for JSON) are
+# drawn now and then, so the error paths are compared too.
+report_leaves = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.booleans().map(np.bool_),
+    st.integers(),
+    st.integers(-(2**63), 2**63 - 1).map(np.int64),
+    st.integers(-(2**31), 2**31 - 1).map(np.int32),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.floats(allow_nan=False, allow_infinity=False).map(np.float64),
+    st.floats(width=32, allow_nan=False, allow_infinity=False).map(np.float32),
+    st.text(max_size=6),
+)
+rare_leaves = st.sampled_from(
+    [float("nan"), float("inf"), np.float64("-inf"), np.float32("nan"), 1j, b"x", frozenset()]
+)
+report_trees = st.recursive(
+    st.one_of(report_leaves, report_leaves, report_leaves, report_leaves, rare_leaves),
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=4).map(tuple),
+        st.dictionaries(st.one_of(st.text(max_size=4), st.integers(-3, 3)), children, max_size=4),
+    ),
+    max_leaves=24,
+)
+
+
+def _outcome(render, *args):
+    """What ``render(*args)`` returns, or the type and message of what it raises."""
+    try:
+        return render(*args)
+    except (TypeError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(report_trees, st.integers(0, 3), st.sampled_from(["", "key", "a.0"]))
+@example(tree={"a": [1.5, {"": [np.int64(2), None, True]}, (), {}]}, indent=0, prefix="")
+@example(tree=[np.float64("nan"), 1j], indent=1, prefix="")
+@example(tree=[1j, float("inf")], indent=0, prefix="")
+def test_renderers_match_the_recursive_oracle(tree, indent, prefix):
+    assert _outcome(report.render_json, tree, indent) == _outcome(oracles.render_json_recursive, tree, indent)
+    assert _outcome(report.flatten, tree, prefix) == _outcome(oracles.flatten_recursive, tree, prefix)
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(st.lists(report_trees, min_size=9, max_size=9))
+def test_report_formats_match_the_recursive_oracle(trees):
+    # Any trees in the fields, with pnc_bound <= quantum_value as the constructor requires.
+    n, local, *sections = trees
+    doc = CertificationReport(n, local, 0, 0.0, *sections)
+    d = doc.to_dict()
+    assert _outcome(doc.to_json) == _outcome(lambda: oracles.render_json_recursive(d) + "\n")
+    assert _outcome(doc.to_csv) == _outcome(oracles.report_csv_recursive, d)
+    assert _outcome(doc.to_text) == _outcome(oracles.report_text_recursive, d)
+
+
+@pytest.mark.parametrize("n", [3, 5, 13])
+def test_report_formats_match_the_recursive_oracle_on_reports(n):
+    doc, _ = build_report(n, seed=7)
+    d = doc.to_dict()
+    assert doc.to_json() == oracles.render_json_recursive(d) + "\n"
+    assert report.flatten(d) == oracles.flatten_recursive(d)
+    assert doc.to_csv() == oracles.report_csv_recursive(d)
+    assert doc.to_text() == oracles.report_text_recursive(d)
+    parsed = CertificationReport.from_json(doc.to_json()).to_dict()
+    assert report.render_json(parsed) == oracles.render_json_recursive(parsed)

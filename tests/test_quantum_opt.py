@@ -33,7 +33,7 @@ def test_sos_certificate_at_trine():
 
 
 def test_sos_certificate_at_five_setting_family():
-    cert = qo.sos_certificate(gc.setup_from_family(obs.family_five()))
+    cert = qo.sos_certificate(gc.setup_from_family(obs.family_quartets(5)))
     assert cert.omegas.sum() == pytest.approx(10.0, abs=1e-9)
     assert abs(cert.gap) <= 1e-9
     assert np.max(cert.residuals) <= 1e-9
@@ -56,7 +56,7 @@ def test_gap_is_never_negative():
 
 def test_delta_check_values():
     assert qo.delta_check(gc.setup_from_family(obs.trine())) == pytest.approx(-3.0, abs=1e-9)
-    assert qo.delta_check(gc.setup_from_family(obs.family_five())) == pytest.approx(-5.0, abs=1e-9)
+    assert qo.delta_check(gc.setup_from_family(obs.family_quartets(5))) == pytest.approx(-5.0, abs=1e-9)
 
 
 def test_delta_check_aligned_observables():
@@ -145,6 +145,33 @@ def test_every_restart_reaches_the_optimum(n):
         assert max(abs(v - 2 * n) for v in result.restart_values) <= 1e-9, seed
         assert max(len(trace) - 1 for trace in result.traces) <= 5, seed
         assert result.parity_residual <= 1e-12, seed
+
+
+@pytest.mark.parametrize("n", [3, 5, 7, 13, 21, 101])
+def test_every_restart_stops_at_the_ceiling_in_one_sweep(n):
+    for seed in range(30):
+        result = qo.seesaw(n, seed=seed)
+        assert all(result.converged), seed
+        assert all(len(trace) == 2 for trace in result.traces), seed
+        assert max(abs(v - 2 * n) for v in result.restart_values) <= qo.TOL, seed
+
+
+def test_start_above_the_ceiling_stops_by_the_gain_rule():
+    # Off the sum-zero set the value can pass 2n: the aligned classical
+    # strategy reaches n (n - 2) = 15 > 10 at n = 5.  A ceiling test of
+    # value >= 2n - tol would stop the tilted start after one sweep.
+    n, zero = 5, np.array([1.0, 0.0, 0.0, 0.0], dtype=complex)
+    aligned = gc.QuantumSetup(state=zero, alice=(SIGMA_Z,) * n, bob=(SIGMA_Z,) * n)
+    tilted = near_aligned_setup(np.random.default_rng(1), n, 0.05)
+    tilted = gc.QuantumSetup(state=zero, alice=tilted.alice, bob=tilted.bob)
+    for init, sweeps in ((aligned, 1), (tilted, 2)):
+        result = qo.seesaw(n, seed=3, restarts=1, init=init)
+        (trace,) = result.traces
+        assert result.converged == (True,)
+        assert len(trace) == sweeps + 1 and min(trace) > 2 * n + 1
+        steps = np.diff(trace)
+        assert np.all(steps >= -1e-12) and np.all(steps[:-1] > qo.TOL) and steps[-1] <= qo.TOL
+    assert trace[0] < trace[1]
 
 
 def test_seesaw_parity_holds_above_three():
@@ -276,9 +303,9 @@ def test_seesaw_matches_loop_oracle(n):
         assert [len(t) for t in got.traces] == [len(t) for t in want.traces], case
         for trace, oracle_trace, converged in zip(got.traces, want.traces, got.converged):
             assert np.max(np.abs(np.subtract(trace, oracle_trace))) <= 1e-12, case
-            # Each restart stops at its first sweep that gains no more than tol.
-            steps = np.diff(trace)
-            assert np.all(steps[:-1] > tol) and (steps[-1] <= tol) == converged, case
+            # Each restart stops at its first sweep that gains no more than tol or ends within tol of 2n.
+            stops = [later - earlier <= tol or abs(later - 2 * n) <= tol for earlier, later in zip(trace, trace[1:])]
+            assert not any(stops[:-1]) and stops[-1] == converged, case
         assert np.max(np.abs(np.subtract(got.restart_values, want.restart_values))) <= 1e-12, case
         assert abs(got.value - want.value) <= 1e-12, case
         assert got.value == max(got.restart_values)

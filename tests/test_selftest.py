@@ -14,7 +14,7 @@ def trine_setup():
 
 
 def five_setup():
-    return gc.setup_from_family(obs.family_five())
+    return gc.setup_from_family(obs.family_quartets(5))
 
 
 def _report_targets(setup):
@@ -346,6 +346,21 @@ def test_raw_observables_are_covered_by_frame_coordinates(family):
         assert np.max(np.abs(raw_ab - predicted_ab.reshape(raw_ab.shape))) <= 1e-12
 
 
+def test_identity_setting_stays_in_the_frame_leftover():
+    # Alice's third setting is the identity: its remainder after the Z and X
+    # parts is I, whose traceless part vanishes.  So the frame is planar and
+    # I is left over on both sides, instead of becoming the y direction.
+    setup = gc.QuantumSetup(state=phi_plus(), alice=(SIGMA_Z, SIGMA_X, I2), bob=(-SIGMA_Z, -SIGMA_X, -I2))
+    ops = st.build_selftest_operators(setup)
+    assert ops.y_a is None and ops.y_b is None
+    _, leftover = st.frame_coordinates(ops)
+    assert np.max(leftover[:, :2]) <= 1e-12
+    assert np.allclose(leftover[:, 2], np.sqrt(2.0), atol=1e-12)
+    _, checks = report.selftest_section(setup)
+    frame = next(check for check in checks if check.name == "observables lie in the swap frame")
+    assert not frame.passed and frame.value == pytest.approx(np.sqrt(2.0), abs=1e-12)
+
+
 def test_unknown_target_rejected():
     with pytest.raises(ValueError):
         st.run_isometry(trine_setup(), "C1")
@@ -391,7 +406,7 @@ def test_selftest_section_runs_every_target_in_one_stack(monkeypatch):
     monkeypatch.setattr(st, "run_targets", lambda *args: calls.append(args[3]) or run_targets(*args))
     monkeypatch.setattr(st, "run_isometry", None)  # the section must not run targets one by one
     planar = ("state", "ZA", "XA", "ZB", "XB")
-    cases = [(obs.trine(), planar), (obs.family_five(), planar[:3] + ("YA",) + planar[3:] + ("YB",))]
+    cases = [(obs.trine(), planar), (obs.family_quartets(5), planar[:3] + ("YA",) + planar[3:] + ("YB",))]
     cases.append((obs.family_n(201), planar))  # O(n): no target per observable
     for family, targets in cases:
         setup = gc.setup_from_family(family)
