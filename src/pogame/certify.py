@@ -7,6 +7,11 @@ observable is the negated transpose of Alice's, so this projector is the
 positive projector of the shared frame's y-th direction, and the canonical
 anti-aligned POVM gives the flagged event probability exactly zero.
 
+The POVM is built from the observables of the setup being certified, the
+see-saw's optimum in a report, and is checked against the correlators alone:
+``reconstruction_deviation`` rebuilds every element from its correlations
+with Bob's settings, for any odd n and any local frame.
+
 Certification of the guessing probability follows the extremality route:
 an extremal POVM admits no nontrivial convex decomposition, so every
 adversarial branch must reproduce the observed coefficients, pinning the
@@ -23,16 +28,7 @@ import numpy as np
 
 from .gamecore import QuantumSetup
 from .observables import ObservableFamily, check_parity_condition
-from .qmat import (
-    EPS,
-    I2,
-    SIGMA_X,
-    SIGMA_Y,
-    SIGMA_Z,
-    born_table,
-    operator_norm,
-    outcome_projectors,
-)
+from .qmat import EPS, I2, born_table, operator_norm, outcome_projectors
 from .quantum_opt import setup_bell_value
 
 
@@ -73,8 +69,8 @@ class PovmSet:
         return len(self.elements)
 
 
-def canonical_povm(fam: ObservableFamily) -> PovmSet:
-    """Anti-aligned POVM (I - A_k)/n built from a parity-valid family."""
+def canonical_povm(fam: QuantumSetup | ObservableFamily) -> PovmSet:
+    """Anti-aligned POVM (I - A_k)/n built from Alice's observables of a parity-valid setup or family."""
     violation = check_parity_condition(fam)
     if violation > EPS:
         raise ValueError(f"family violates the parity condition by {violation}")
@@ -129,41 +125,23 @@ def shifted_bell_value(setup: QuantumSetup, povm: PovmSet, alpha: float) -> floa
     return _shifted(setup_bell_value(setup), float(penalty_probabilities(setup, povm).sum()), alpha)
 
 
-def reconstruct_gamma(stats: PovmStatistics) -> np.ndarray:
-    """Coefficients (id, z, y, x) of each POVM element from the statistics.
+def reconstruction_deviation(setup: QuantumSetup, stats: PovmStatistics, povm: PovmSet) -> float:
+    """Largest spectral-norm gap between the POVM elements and their rebuild from correlators.
 
-    Works in Bob's frame for the three-setting game: with correlators
-    ``E_ky = sum_b (-1)^b table[k, y, b]`` the element k is
-    ``g0 I + g1 sz + g2 sy + g3 sx`` where::
-
-        g0 = P(k)
-        g1 = -E_k1
-        g2 = -(E_k1 + E_k2 + E_k3)   (identically zero for a frame whose
-                                      observables sum to zero; a genuine
-                                      sigma_y component is invisible and
-                                      shows up as a round-trip deviation)
-        g3 = (E_k3 - E_k2)/sqrt(3)
+    Element k is rebuilt as ``P(k) I + sum_x w_kx A_x`` with
+    ``w = E_povm pinv(E)``, where ``E_povm[k, y] = <Gamma_k (x) B_y>`` and
+    ``E[x, y] = <A_x (x) B_y>``.  At the optimum Alice's reduced state is
+    maximally mixed and Bob's marginals vanish, so the rebuild is exact for
+    every n and every local frame.  The cutoff drops the null directions of
+    ``E``, which is rank 2 for planar setups; a component of an element off
+    the span of Alice's observables is invisible to the correlators and
+    shows up as the deviation.
     """
-    if stats.n_settings != 3:
-        raise ValueError("gamma reconstruction is defined for the three-setting game")
-    e = stats.table[:, :, 0] - stats.table[:, :, 1]
-    gam = np.zeros((stats.n_outcomes, 4))
-    gam[:, 0] = stats.marginals
-    gam[:, 1] = -e[:, 0]
-    gam[:, 2] = -(e[:, 0] + e[:, 1] + e[:, 2])
-    gam[:, 3] = (e[:, 2] - e[:, 1]) / np.sqrt(3)
-    return gam
-
-
-def gamma_elements(gam: np.ndarray) -> tuple[np.ndarray, ...]:
-    """POVM elements implied by reconstructed coefficients."""
-    return tuple(g[0] * I2 + g[1] * SIGMA_Z + g[2] * SIGMA_Y + g[3] * SIGMA_X for g in gam)
-
-
-def reconstruction_deviation(stats: PovmStatistics, povm: PovmSet) -> float:
-    """Largest spectral-norm gap between reconstructed and actual elements."""
-    rebuilt = gamma_elements(reconstruct_gamma(stats))
-    return max(operator_norm(r - el) for r, el in zip(rebuilt, povm.elements))
+    alice = np.asarray(setup.alice)
+    e_povm = stats.table[:, :, 0] - stats.table[:, :, 1]
+    w = e_povm @ np.linalg.pinv(born_table(alice, setup.bob, setup.state), rcond=EPS)
+    rebuilt = stats.marginals[:, None, None] * I2 + (w @ alice.reshape(-1, 4)).reshape(-1, 2, 2)
+    return float(np.max(np.linalg.norm(rebuilt - np.array(povm.elements), 2, axis=(1, 2))))
 
 
 def extremality_check(povm: PovmSet) -> bool:

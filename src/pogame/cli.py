@@ -192,8 +192,8 @@ def _cmd_selftest(args) -> int:
 
 
 def _cmd_certify(args) -> int:
-    fam = canonical_family(args.n)
-    povm_sec, rand_sec, checks = report_mod.certify_section(fam, setup_from_family(fam), args.alpha)
+    setup = setup_from_family(canonical_family(args.n))
+    povm_sec, rand_sec, checks = report_mod.certify_section(setup, args.alpha)
     print(render_json({"n": args.n, "povm": povm_sec, "randomness": rand_sec}))
     return 0 if _emit_checks(checks) else 1
 

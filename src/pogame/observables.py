@@ -163,7 +163,7 @@ def family_quartets(n: int, nu: float | None = None, beta: float | None = None) 
 
 
 def canonical_family(n: int) -> ObservableFamily:
-    """Default family used by the pipeline: the trine for n = 3, quartets from n = 5 on."""
+    """Family of the ``selftest`` and ``certify`` commands: the trine for n = 3, quartets from n = 5 on."""
     return trine() if n == 3 else family_quartets(n)
 
 

@@ -44,7 +44,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gamecore import GameSpec, QuantumSetup
-from .observables import check_n
+from .observables import check_n, check_parity_condition
 from .qmat import EPS, I2, PAULIS, apply_local, row_norms
 
 #: The Pauli basis (I, sigma_x, sigma_y, sigma_z), and its 16 two-qubit
@@ -470,6 +470,6 @@ def seesaw(
         restart_values=restart_values,
         traces=traces,
         converged=tuple(converged.tolist()),
-        parity_residual=float(np.linalg.norm(best_alice.sum(axis=0), 2)),
+        parity_residual=check_parity_condition(best_setup),
         best_restart=best,
     )

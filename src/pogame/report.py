@@ -1,5 +1,10 @@
 """Certification report assembly and serialization.
 
+``build_report`` runs the bounds, then the see-saw, and certifies the setup
+the see-saw found in every later section: the SOS certificate, the swap
+self-test and the POVM and randomness checks.  No second, canonical setup
+is built.
+
 Reports are plain nested dicts of JSON-able values wrapped in a dataclass,
 so equality and round-trips are exact.  Numbers are serialized with 17
 significant digits, which round-trips IEEE doubles bit-exactly; identical
@@ -32,7 +37,6 @@ from . import certify as certify_mod
 from . import gamecore as gc
 from . import quantum_opt as qo
 from . import selftest as st
-from .observables import ObservableFamily, canonical_family
 from .qmat import born_table
 
 
@@ -184,7 +188,8 @@ class Check:
 # ---------------------------------------------------------------------------
 # Section builders.  Each returns its section dict and a list of Checks.
 # The SOS, self-test and certify sections certify the setup their caller
-# passes, so one report certifies one setup.
+# passes; build_report passes the see-saw's optimum to each, so one report
+# certifies the one setup it found.
 # ---------------------------------------------------------------------------
 
 
@@ -292,19 +297,17 @@ def selftest_section(setup: gc.QuantumSetup, perturb: float = 0.0) -> tuple[dict
     return section, checks
 
 
-def certify_section(fam: ObservableFamily, setup: gc.QuantumSetup, alpha: float) -> tuple[dict, dict, list]:
+def certify_section(setup: gc.QuantumSetup, alpha: float) -> tuple[dict, dict, list]:
     n = setup.n
-    povm = certify_mod.canonical_povm(fam)
+    povm = certify_mod.canonical_povm(setup)
     stats = certify_mod.povm_statistics(setup, povm)
-    # Not read from stats.table[k, k, 1]: that larger product rounds some
-    # entries differently, and the total is printed in the report.
-    penalty_total = float(certify_mod.penalty_probabilities(setup, povm).sum())
+    penalty_total = float(np.trace(stats.table[:, :, 1]))
     plain = qo.setup_bell_value(setup)
     shifted = certify_mod._shifted(plain, penalty_total, alpha)
     spectrum = povm.spectra.tolist()
     completeness = povm.completeness_deviation
     rand = certify_mod.randomness_from_marginals(stats.marginals, povm)
-    recon_dev = certify_mod.reconstruction_deviation(stats, povm) if n == 3 else None
+    recon_dev = certify_mod.reconstruction_deviation(setup, stats, povm)
 
     povm_section = {
         "alpha": alpha,
@@ -333,9 +336,9 @@ def certify_section(fam: ObservableFamily, setup: gc.QuantumSetup, alpha: float)
         Check("shifted value matches the plain value", abs(penalty_total), "<=", 1e-9),
         Check("extremality matches the outcome-count rule", rand.extremal, "==", expected_extremal),
         Check("randomness certification matches extremality", rand.certified, "==", expected_extremal),
+        Check("gamma reconstruction round-trips", recon_dev, "<=", 1e-8),
     ]
     if n == 3:
-        checks.append(Check("gamma reconstruction round-trips", recon_dev, "<=", 1e-8))
         checks.append(Check("min-entropy equals log2(3)", abs(rand.min_entropy_bits - np.log2(3)), "<=", 1e-9))
     return povm_section, randomness_section, checks
 
@@ -348,17 +351,16 @@ def build_report(
     alpha: float = certify_mod.ALPHA,
 ) -> tuple[CertificationReport, list[Check]]:
     """Full pipeline report plus the Checks of every section, in pipeline order."""
-    fam = canonical_family(n)
-    setup = gc.setup_from_family(fam)
     bounds_sec, bounds_checks = bounds_section(n)
     opt_sec, opt_checks, result = optimization_section(n, seed, restarts, tol)
+    setup = result.setup
     sos_sec, sos_checks = sos_section(setup)
     # The self-test holds for every odd n (``pogame selftest --n``), but the
     # report runs it only at n = 3 and 5: at n = 11 and 13 it would add
     # 1.0-1.6 ms to a 2.1-3.4 ms report (2 vCPUs, one BLAS thread, medians
     # of interleaved runs), a third or more.
     self_sec, self_checks = selftest_section(setup) if n in (3, 5) else (None, [])
-    povm_sec, rand_sec, certify_checks = certify_section(fam, setup, alpha)
+    povm_sec, rand_sec, certify_checks = certify_section(setup, alpha)
 
     # The bounds detail rides along inside the optimization dict so the
     # top-level schema stays stable across n.

@@ -284,11 +284,13 @@ def frame_coordinates(ops: SelfTestOperators) -> tuple[np.ndarray, np.ndarray]:
 
     Returns a (2, n, 3) array whose row ``[p, x]`` is ``(z, x, y)``, with
     ``c_F = tr(A F)/2`` for Alice's (p = 0) or Bob's (p = 1) observable and
-    frame operator F, and y = 0 when the frame is planar; and the (2, n)
-    Frobenius norms of ``A - z Z - x X - y Y``, which bound their spectral
-    norms from above.
+    the traceless part F of a frame operator, and y = 0 when the frame is
+    planar; and the (2, n) Frobenius norms of ``A - z Z - x X - y Y``, which
+    bound their spectral norms from above.  An axis with an identity part
+    (an identity setting taken as Z or X) covers only its traceless part, so
+    an identity setting always stays in the leftover.
     """
-    frame = np.array([_menu(ops.z_a, ops.x_a, ops.y_a), _menu(ops.z_b, ops.x_b, ops.y_b)])[:, 1:]
+    frame = _traceless_part(np.array([_menu(ops.z_a, ops.x_a, ops.y_a), _menu(ops.z_b, ops.x_b, ops.y_b)])[:, 1:])
     observables = np.array([ops.alice, ops.bob])
     coords = np.einsum("pxij,pfji->pxf", observables, frame).real / 2.0
     leftover = observables - np.einsum("pxf,pfij->pxij", coords, frame)

@@ -22,6 +22,9 @@ Weiszfeld's iteration, (as a negative control) a see-saw without the
 sum-zero constraint, and the report renderers as one recursive
 ``isinstance`` chain.  They are exponential or quadratic and only meant for
 small n.
+
+The trine's sigma_z/sigma_x formulas (``reconstruct_gamma``) rebuild the
+POVM at n = 3 only, as the oracle of ``certify.reconstruction_deviation``.
 """
 
 import heapq
@@ -278,6 +281,43 @@ def povm_statistics_loop(setup, povm):
             for b in (0, 1):
                 table[k, y, b] = np.trace(tensor(el, _projector(by, b)) @ rho).real
     return table, marg
+
+
+def reconstruct_gamma(stats):
+    """Coefficients (id, z, y, x) of each POVM element from the statistics, trine frame only.
+
+    Works in Bob's frame for the three-setting game with the canonical
+    trine's angles: with correlators ``E_ky = sum_b (-1)^b table[k, y, b]``
+    the element k is ``g0 I + g1 sz + g2 sy + g3 sx`` where::
+
+        g0 = P(k)
+        g1 = -E_k1
+        g2 = -(E_k1 + E_k2 + E_k3)   (identically zero for a frame whose
+                                      observables sum to zero; a genuine
+                                      sigma_y component is invisible and
+                                      shows up as a round-trip deviation)
+        g3 = (E_k3 - E_k2)/sqrt(3)
+    """
+    if stats.n_settings != 3:
+        raise ValueError("gamma reconstruction is defined for the three-setting game")
+    e = stats.table[:, :, 0] - stats.table[:, :, 1]
+    gam = np.zeros((stats.n_outcomes, 4))
+    gam[:, 0] = stats.marginals
+    gam[:, 1] = -e[:, 0]
+    gam[:, 2] = -(e[:, 0] + e[:, 1] + e[:, 2])
+    gam[:, 3] = (e[:, 2] - e[:, 1]) / np.sqrt(3)
+    return gam
+
+
+def gamma_elements(gam):
+    """POVM elements implied by ``reconstruct_gamma``'s coefficients."""
+    return tuple(g[0] * I2 + g[1] * SIGMA_Z + g[2] * SIGMA_Y + g[3] * SIGMA_X for g in gam)
+
+
+def trine_reconstruction_deviation(stats, povm):
+    """Largest spectral-norm gap between the trine-frame rebuild and the actual elements."""
+    rebuilt = gamma_elements(reconstruct_gamma(stats))
+    return max(np.linalg.norm(r - el, 2) for r, el in zip(rebuilt, povm.elements))
 
 
 def _fmt(v):

@@ -184,7 +184,7 @@ def test_criterion_10_property_suites():
         setup = gc.setup_from_family(fam)
         povm = certify.canonical_povm(fam)
         stats = certify.povm_statistics(setup, povm)
-        assert certify.reconstruction_deviation(stats, povm) <= 1e-8
+        assert certify.reconstruction_deviation(setup, stats, povm) <= 1e-8
 
         # See-saw monotonicity on every trace.
         for n in (3, 5, 7):

@@ -1,10 +1,14 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
+import oracles
 from pogame import certify as ct
 from pogame import gamecore as gc
 from pogame import observables as obs
-from pogame.qmat import I2, SIGMA_Z
+from pogame.qmat import I2, SIGMA_X, SIGMA_Z
+from pogame.selftest import perturbed_state
 
 
 def trine_pieces():
@@ -93,30 +97,53 @@ def test_shifted_value_non_increasing_in_alpha():
 def test_gamma_reconstruction_round_trip():
     setup, povm = trine_pieces()
     stats = ct.povm_statistics(setup, povm)
-    gam = ct.reconstruct_gamma(stats)
+    gam = oracles.reconstruct_gamma(stats)
     assert np.allclose(gam[:, 0], 1 / 3, atol=1e-9)
-    rebuilt = ct.gamma_elements(gam)
+    rebuilt = oracles.gamma_elements(gam)
     for r, el in zip(rebuilt, povm.elements):
         assert np.max(np.abs(r - el)) <= 1e-8
-    assert ct.reconstruction_deviation(stats, povm) <= 1e-8
+    assert ct.reconstruction_deviation(setup, stats, povm) <= 1e-8
+
+
+@pytest.mark.parametrize("delta", [0.0, 1e-2, 1e-3, 1e-5])
+def test_reconstruction_matches_the_trine_oracle(delta):
+    # On the trine's own frame both routes read the same deviation: roundoff
+    # on phi+, and on a perturbed state the part its marginals hide.
+    setup, povm = trine_pieces()
+    if delta:
+        setup = dataclasses.replace(setup, state=perturbed_state(delta))
+    stats = ct.povm_statistics(setup, povm)
+    expected = oracles.trine_reconstruction_deviation(stats, povm)
+    assert ct.reconstruction_deviation(setup, stats, povm) == pytest.approx(expected, rel=1e-9, abs=1e-15)
+    assert (expected <= 1e-15) == (delta == 0.0)
+
+
+def _about_sigma_x(povm, theta=0.3):
+    rx = np.cos(theta / 2) * I2 - 1j * np.sin(theta / 2) * SIGMA_X
+    return ct.PovmSet(tuple(rx @ el @ rx.conj().T for el in povm.elements))
 
 
 def test_gamma_reconstruction_flags_misaligned_povm():
-    setup, povm = trine_pieces()
-    theta = 0.3
-    ry = np.array(
-        [[np.cos(theta / 2), -1j * np.sin(theta / 2)], [-1j * np.sin(theta / 2), np.cos(theta / 2)]]
-    )
-    misaligned = ct.PovmSet(tuple(ry @ el @ ry.conj().T for el in povm.elements))
-    deviation = ct.reconstruction_deviation(ct.povm_statistics(setup, misaligned), misaligned)
-    assert deviation > 1e-2
+    # Both families are planar.  Turning the POVM about sigma_x moves part of
+    # each element off the plane of Alice's observables, where no correlator
+    # sees it; the POVM as built round-trips.
+    for family, expected in ((obs.trine(), 9.85e-2), (obs.family_n(7), 2.99e-2)):
+        setup, povm = gc.setup_from_family(family), ct.canonical_povm(family)
+        assert ct.reconstruction_deviation(setup, ct.povm_statistics(setup, povm), povm) <= 1e-8
+        misaligned = _about_sigma_x(povm)
+        deviation = ct.reconstruction_deviation(setup, ct.povm_statistics(setup, misaligned), misaligned)
+        assert deviation > 1e-2
+        assert deviation == pytest.approx(expected, rel=1e-2)
 
 
 def test_gamma_requires_three_settings():
-    setup5 = gc.setup_from_family(obs.family_quartets(5))
-    stats5 = ct.povm_statistics(setup5, ct.canonical_povm(obs.family_quartets(5)))
+    # The trine formulas are the n = 3 oracle only; the production route reads any n.
+    fam5 = obs.family_quartets(5)
+    setup5, povm5 = gc.setup_from_family(fam5), ct.canonical_povm(fam5)
+    stats5 = ct.povm_statistics(setup5, povm5)
     with pytest.raises(ValueError):
-        ct.reconstruct_gamma(stats5)
+        oracles.reconstruct_gamma(stats5)
+    assert ct.reconstruction_deviation(setup5, stats5, povm5) <= 1e-8
 
 
 def test_extremality_cases():

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -428,7 +429,16 @@ def test_large_alpha_keeps_a_valid_optimum(n, alpha, capsys):
 def test_shifted_value_check_reads_the_penalty_total(total, alpha, passed, monkeypatch, capsys):
     from pogame import certify
 
-    monkeypatch.setattr(certify, "penalty_probabilities", lambda setup, povm: np.array([total, 0.0, 0.0]))
+    povm_statistics = certify.povm_statistics
+
+    def with_penalty(setup, povm):
+        # The flagged probabilities are the diagonal of table[:, :, 1].
+        stats = povm_statistics(setup, povm)
+        table = stats.table.copy()
+        table[np.arange(3), np.arange(3), 1] = [total, 0.0, 0.0]
+        return dataclasses.replace(stats, table=table)
+
+    monkeypatch.setattr(certify, "povm_statistics", with_penalty)
     code, out, _ = run_cli(["certify", "--n", "3", "--alpha", alpha], capsys)
     payload, checks = split_payload(out)
     assert payload["povm"]["penalty_total"] == total

@@ -7,6 +7,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import Phase, example, given, settings, strategies as st  # noqa: E402
 
 from pogame import bounds  # noqa: E402
+from pogame import certify  # noqa: E402
 from pogame import gamecore as gc  # noqa: E402
 from pogame import quantum_opt as qo  # noqa: E402
 from pogame import report  # noqa: E402
@@ -283,6 +284,18 @@ def test_selftest_passes_for_every_odd_n_and_fails_when_perturbed(n, u, v, angle
             setup = _rotated(gc.QuantumSetup(state=state, alice=family.alice, bob=family.bob), u, v)
             _, checks = report.selftest_section(setup)
             assert [check.passed for check in checks] == passes, (family.n, checks)
+
+
+@PROPERTY_SETTINGS
+@given(st.sampled_from([3, 5, 7, 13]), st.booleans(), haar_unitaries, haar_unitaries)
+def test_povm_reconstruction_round_trips_in_every_local_frame(n, mirrored, u, v):
+    # The rebuild reads only correlators with Bob's settings, so a local gauge
+    # of the setup, which turns the POVM with Alice's observables, changes nothing.
+    family = family_n(n) if mirrored else canonical_family(n)
+    setup = _rotated(gc.setup_from_family(family), u, v)
+    povm = certify.canonical_povm(setup)
+    stats = certify.povm_statistics(setup, povm)
+    assert certify.reconstruction_deviation(setup, stats, povm) <= 1e-8
 
 
 def _median_slice(rng, kind, n):

@@ -126,15 +126,27 @@ def test_seesaw_n3_parity_is_exact():
 
 @pytest.mark.parametrize("n", [3, 5, 7, 9])
 def test_found_optima_certify(n):
-    # The see-saw's own optimum passes every certificate the canonical family does.
+    # The see-saw's own optimum passes every check of the sections a report runs on it.
     for seed in (7, 42, 2024):
         setup = qo.seesaw(n, seed=seed).setup
-        for section in (report.sos_section, report.selftest_section):
-            _, checks = section(setup)
-            assert all(check.passed for check in checks), (seed, checks)
+        checks = report.sos_section(setup)[1] + report.selftest_section(setup)[1]
+        checks += report.certify_section(setup, certify.ALPHA)[2]
+        assert "gamma reconstruction round-trips" in [check.name for check in checks]
+        assert all(check.passed for check in checks), (seed, [check for check in checks if not check.passed])
         if n == 3:  # planar: no spurious y direction in the swap frame
             assert st.build_selftest_operators(setup).y_a is None, seed
-        certify.canonical_povm(obs.ObservableFamily(n, setup.alice, setup.bob))
+
+
+@pytest.mark.parametrize("n", [3, 5, 13])
+def test_report_certifies_the_found_setup_without_a_canonical_family(n, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("build_report must certify the see-saw's setup, not a canonical family")
+
+    monkeypatch.setattr(obs, "canonical_family", refuse)
+    monkeypatch.setattr(gc, "setup_from_family", refuse)
+    doc, checks = report.build_report(n)
+    assert all(check.passed for check in checks), [check for check in checks if not check.passed]
+    assert doc.povm["reconstruction_deviation"] <= 1e-8
 
 
 @pytest.mark.parametrize("n", [5, 13, 41, 101])

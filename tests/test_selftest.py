@@ -346,19 +346,26 @@ def test_raw_observables_are_covered_by_frame_coordinates(family):
         assert np.max(np.abs(raw_ab - predicted_ab.reshape(raw_ab.shape))) <= 1e-12
 
 
-def test_identity_setting_stays_in_the_frame_leftover():
-    # Alice's third setting is the identity: its remainder after the Z and X
-    # parts is I, whose traceless part vanishes.  So the frame is planar and
-    # I is left over on both sides, instead of becoming the y direction.
-    setup = gc.QuantumSetup(state=phi_plus(), alice=(SIGMA_Z, SIGMA_X, I2), bob=(-SIGMA_Z, -SIGMA_X, -I2))
+@pytest.mark.parametrize("at", [2, 1, 0], ids=["ZXI", "ZIX", "IZX"])
+def test_identity_setting_stays_in_the_frame_leftover(at):
+    # An identity setting is not a Pauli direction.  As the third setting its
+    # remainder after the Z and X parts is I, whose traceless part vanishes,
+    # so the frame is planar.  As the first or second it becomes the frame's
+    # Z or X axis, which covers only its traceless part, zero.  Either way I
+    # is left over on both sides, and its coordinates miss the -1 correlator.
+    alice = (SIGMA_Z, SIGMA_X)[:at] + (I2,) + (SIGMA_Z, SIGMA_X)[at:]
+    setup = gc.QuantumSetup(state=phi_plus(), alice=alice, bob=tuple(-a for a in alice))
     ops = st.build_selftest_operators(setup)
-    assert ops.y_a is None and ops.y_b is None
+    assert (ops.y_a is None and ops.y_b is None) == (at == 2)
     _, leftover = st.frame_coordinates(ops)
-    assert np.max(leftover[:, :2]) <= 1e-12
-    assert np.allclose(leftover[:, 2], np.sqrt(2.0), atol=1e-12)
+    assert np.max(np.delete(leftover, at, axis=1)) <= 1e-12
+    assert np.allclose(leftover[:, at], np.sqrt(2.0), atol=1e-12)
     _, checks = report.selftest_section(setup)
-    frame = next(check for check in checks if check.name == "observables lie in the swap frame")
+    by_name = {check.name: check for check in checks}
+    frame = by_name["observables lie in the swap frame"]
     assert not frame.passed and frame.value == pytest.approx(np.sqrt(2.0), abs=1e-12)
+    gram = by_name["self-tested Gram matches the correlators"]
+    assert not gram.passed and gram.value == pytest.approx(1.0, abs=1e-12)
 
 
 def test_unknown_target_rejected():
