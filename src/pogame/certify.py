@@ -12,6 +12,12 @@ see-saw's optimum in a report, and is checked against the correlators alone:
 ``reconstruction_deviation`` rebuilds every element from its correlations
 with Bob's settings, for any odd n and any local frame.
 
+Every statistic is computed on Pauli coordinates: the elements' (k, 4)
+coordinates ``g`` (``PovmSet.coordinates``), Bob's and Alice's (n, 4) ones
+and the state's correlation tensor T (``QuantumSetup.pauli_form``).  A
+Born table is then ``g T q^T``, and spectra and spectral norms are closed
+forms (``qmat.hermitian_spectra``, ``qmat.hermitian_norms``).
+
 Certification of the guessing probability follows the extremality route:
 an extremal POVM admits no nontrivial convex decomposition, so every
 adversarial branch must reproduce the observed coefficients, pinning the
@@ -26,9 +32,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .gamecore import QuantumSetup
+from .gamecore import CertificationError, QuantumSetup
 from .observables import ObservableFamily, check_parity_condition
-from .qmat import EPS, I2, born_table, operator_norm, outcome_projectors
+from .qmat import EPS, I2, I_PAULI, hermitian_norms, hermitian_spectra, outcome_coordinates, pauli_coordinates
 from .quantum_opt import setup_bell_value
 
 
@@ -36,14 +42,17 @@ from .quantum_opt import setup_bell_value
 class PovmSet:
     """Positive elements summing to the identity.
 
-    ``spectra[k]`` holds the ascending eigenvalues of element k, from one
-    ``eigvalsh`` of the (n, 2, 2) stack that the validation, the
-    extremality test and the report all read.  ``completeness_deviation``
-    is the spectral norm of the elements' sum minus the identity, which the
-    validation and the report both read.
+    Once the stack of elements is Hermitian within ``EPS``,
+    ``coordinates[k]`` holds the Pauli coordinates (m0, v) of element k,
+    and ``spectra[k]`` its ascending eigenvalues m0 -+ |v|, which the
+    validation, the extremality test and the report all read.
+    ``completeness_deviation`` is the spectral norm of the elements' sum
+    minus the identity, from the summed coordinates, which the validation
+    and the report both read.
     """
 
     elements: tuple[np.ndarray, ...]
+    coordinates: np.ndarray = field(init=False, repr=False)
     spectra: np.ndarray = field(init=False, repr=False)
     completeness_deviation: float = field(init=False, repr=False)
 
@@ -53,15 +62,17 @@ class PovmSet:
         except ValueError:  # elements of different shapes
             stack = None
         hermitian = stack is not None and stack.shape[1:] == (2, 2)
-        if not (hermitian and np.all(np.abs(stack - stack.conj().swapaxes(1, 2)) <= EPS)):
+        if not (hermitian and (np.abs(stack - stack.conj().swapaxes(1, 2)) <= EPS).all()):
             raise ValueError("POVM elements must be 2x2 Hermitian matrices")
-        spectra = np.linalg.eigvalsh(stack)
+        coords = pauli_coordinates(stack)
+        spectra = hermitian_spectra(coords)
         negative = np.flatnonzero(spectra[:, 0] < -EPS)
         if len(negative):
             raise ValueError(f"POVM element is not positive semidefinite: min eig {spectra[negative[0], 0]}")
-        completeness = operator_norm(stack.sum(axis=0) - I2)
+        completeness = float(hermitian_norms(coords.sum(axis=0) - I_PAULI))
         if completeness > EPS:
             raise ValueError("POVM elements must sum to the identity")
+        object.__setattr__(self, "coordinates", coords)
         object.__setattr__(self, "spectra", spectra)
         object.__setattr__(self, "completeness_deviation", completeness)
 
@@ -70,11 +81,15 @@ class PovmSet:
 
 
 def canonical_povm(fam: QuantumSetup | ObservableFamily) -> PovmSet:
-    """Anti-aligned POVM (I - A_k)/n built from Alice's observables of a parity-valid setup or family."""
+    """Anti-aligned POVM (I - A_k)/n built from Alice's observables of a parity-valid setup or family.
+
+    Raises ``CertificationError`` when the observables violate the parity
+    condition by more than ``EPS``: then (I - A_k)/n do not sum to I.
+    """
     violation = check_parity_condition(fam)
     if violation > EPS:
-        raise ValueError(f"family violates the parity condition by {violation}")
-    return PovmSet(tuple((I2 - a) / fam.n for a in fam.alice))
+        raise CertificationError(f"family violates the parity condition by {violation}")
+    return PovmSet(tuple((I2 - np.array(fam.alice)) / fam.n))
 
 
 @dataclass(frozen=True, eq=False)
@@ -92,18 +107,19 @@ class PovmStatistics:
 
 
 def povm_statistics(setup: QuantumSetup, povm: PovmSet) -> PovmStatistics:
-    elements = np.array(povm.elements)
-    table = born_table(elements, outcome_projectors(setup.bob), setup.state)
-    marg = born_table(elements, I2, setup.state)
-    return PovmStatistics(n_outcomes=len(povm), n_settings=setup.n, table=table, marginals=marg)
+    """The table ``g T q^T`` of the elements' coordinates g against Bob's outcome projectors' q, and P(k) = (g T)_0."""
+    _, bob, corr = setup.pauli_form
+    steered = povm.coordinates @ corr
+    table = (steered @ outcome_coordinates(bob).reshape(-1, 4).T).reshape(len(povm), setup.n, 2)
+    return PovmStatistics(n_outcomes=len(povm), n_settings=setup.n, table=table, marginals=steered[:, 0])
 
 
 def penalty_probabilities(setup: QuantumSetup, povm: PovmSet) -> np.ndarray:
     """Flagged joint probabilities P(k, flagged | extra setting, y = k)."""
     if len(povm) != setup.n:
         raise ValueError("penalty needs one POVM outcome per Bob setting")
-    flagged = outcome_projectors(setup.bob)[:, 1]
-    return np.diagonal(born_table(np.array(povm.elements), flagged, setup.state)).copy()
+    _, bob, corr = setup.pauli_form
+    return np.vecdot(povm.coordinates @ corr, outcome_coordinates(bob)[:, 1])
 
 
 #: Default weight of the flagged probabilities in the shifted Bell value.
@@ -130,33 +146,35 @@ def reconstruction_deviation(setup: QuantumSetup, stats: PovmStatistics, povm: P
 
     Element k is rebuilt as ``P(k) I + sum_x w_kx A_x`` with
     ``w = E_povm pinv(E)``, where ``E_povm[k, y] = <Gamma_k (x) B_y>`` and
-    ``E[x, y] = <A_x (x) B_y>``.  At the optimum Alice's reduced state is
+    ``E[x, y] = <A_x (x) B_y>``, the matrix ``a T b^T`` of the Pauli form.
+    The rebuild and its gaps are taken in Pauli coordinates, the gaps'
+    norms in closed form.  At the optimum Alice's reduced state is
     maximally mixed and Bob's marginals vanish, so the rebuild is exact for
     every n and every local frame.  The cutoff drops the null directions of
     ``E``, which is rank 2 for planar setups; a component of an element off
     the span of Alice's observables is invisible to the correlators and
     shows up as the deviation.
     """
-    alice = np.asarray(setup.alice)
+    alice, bob, corr = setup.pauli_form
     e_povm = stats.table[:, :, 0] - stats.table[:, :, 1]
-    w = e_povm @ np.linalg.pinv(born_table(alice, setup.bob, setup.state), rcond=EPS)
-    rebuilt = stats.marginals[:, None, None] * I2 + (w @ alice.reshape(-1, 4)).reshape(-1, 2, 2)
-    return float(np.max(np.linalg.norm(rebuilt - np.array(povm.elements), 2, axis=(1, 2))))
+    w = e_povm @ np.linalg.pinv(alice @ corr @ bob.T, rcond=EPS)
+    rebuilt = stats.marginals[:, None] * I_PAULI + w @ alice
+    return float(np.max(hermitian_norms(rebuilt - povm.coordinates)))
 
 
 def extremality_check(povm: PovmSet) -> bool:
     """True iff all elements are rank one (within ``EPS``) and linearly independent.
 
     On qubits at most four Hermitian matrices can be independent, so any
-    set with more than four outcomes fails automatically.
+    set with more than four outcomes fails automatically, before any test.
     """
+    if len(povm) > 4:
+        return False
     smallest, largest = povm.spectra[:, 0], povm.spectra[:, 1]
     # A zero element has rank 0; otherwise the smallest eigenvalue is read relative to the largest.
     if np.any(largest <= EPS) or np.any(smallest > EPS * largest):
         return False
-    stack = np.array(povm.elements)
-    coords = np.stack([stack[:, 0, 0].real, stack[:, 1, 1].real, stack[:, 0, 1].real, stack[:, 0, 1].imag], axis=1)
-    return bool(np.linalg.matrix_rank(coords, tol=1e-10) == len(povm))
+    return bool(np.linalg.matrix_rank(povm.coordinates, tol=1e-10) == len(povm))
 
 
 @dataclass(frozen=True)
@@ -175,7 +193,7 @@ def randomness_report(setup: QuantumSetup, povm: PovmSet) -> RandomnessReport:
     marginal; otherwise the same number is reported only as the trivial
     bound and the result is flagged as not certified.
     """
-    return randomness_from_marginals(born_table(np.array(povm.elements), I2, setup.state), povm)
+    return randomness_from_marginals((povm.coordinates @ setup.pauli_form[2])[:, 0], povm)
 
 
 def randomness_from_marginals(marginals: np.ndarray, povm: PovmSet) -> RandomnessReport:

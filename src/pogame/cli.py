@@ -1,7 +1,8 @@
 """Command-line driver for the oblivious-game certification pipeline.
 
 Exit status: 0 when every checked invariant holds within tolerance, 1 when
-any certification check fails, 2 on usage errors (argparse's convention).
+any certification check fails or a stage raises ``CertificationError``, 2
+on usage errors (argparse's convention) and any other ``ValueError``.
 Note that for five or more settings the *correct* outcome is a
 non-extremal POVM with uncertified randomness, so ``certify --n 5``
 exits 0 precisely when certification fails in that expected way.
@@ -18,20 +19,22 @@ import sys
 from . import quantum_opt as qo
 from . import report as report_mod
 from .certify import ALPHA
-from .gamecore import setup_from_family
+from .gamecore import CertificationError, setup_from_family
 from .observables import canonical_family, check_n
 from .report import Check, provenance, render_json
 from .selftest import perturbed_state
 
 ENV_SEED = "POGAME_SEED"
-# The library takes any odd n, but the bounds section builds n x n x 2 x 2
-# witness tables (3.2 GB at n = 10001), so the command line caps n.
+# The library takes any odd n, but the bounds replay builds the n x n Bell
+# coefficients (0.8 GB at n = 10001) and the POVM reconstruction takes the
+# pseudo-inverse of the n x n correlators (an SVD: about 0.45 s at n = 1001 on
+# one 2-vCPU core), so the command line caps n.
 MAX_N = 1001
 # Past this the perturbed state is |00> to within 1e-6 in amplitude; far past
 # it (about 1e154) its norm overflows.
 MAX_PERTURB = 1e6
-# The see-saw runs r restarts as (r, n, 2, 2) stacks: at n = 1001, report
-# peaks at 138 MB with 8 or 64 restarts (the bounds dominate), 254 MB with 256.
+# The see-saw runs r restarts as (r, n, 4) stacks: at n = 1001, report peaks
+# at 109 MB with 8 restarts, 115 MB with 64 and 142 MB with 256.
 MAX_RESTARTS = 64
 
 
@@ -248,6 +251,9 @@ def main(argv: list[str] | None = None) -> int:
     }[args.command]
     try:
         return handler(args)
+    except CertificationError as exc:  # a ValueError too: caught first
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -19,14 +19,17 @@ Each party's n observables are stacked into their (n, 2, 2, 2) outcome
 projectors (``qmat.outcome_projectors``), and the behavior table is the
 Born-rule table of Alice's stack against Bob's, one contraction on the 2x2
 form of the state (``qmat.born_table``).  The steered states of all 2n
-projectors come from one einsum on the (2, 2, 2, 2) form of the shared
-density matrix, and ``operational_parity`` reduces that (n, 2, 2, 2) stack
-without building a ``SteeredState`` per entry.  No 4x4 Kronecker product
-is built on either path.
+projectors come from one matmul with the shared density matrix, and
+``operational_parity`` reduces that (n, 2, 2, 2) stack without building a
+``SteeredState`` per entry, its spectral norm in closed form
+(``qmat.hermitian_norms``).  No 4x4 Kronecker product is built on either
+path.  The certificate stages read a setup through its Pauli form
+(``QuantumSetup.pauli_form``).
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import warnings
@@ -36,7 +39,26 @@ from itertools import product
 import numpy as np
 
 from .observables import ObservableFamily, assert_observable, check_n
-from .qmat import EPS, I2, as_state, born_table, operator_norm, outcome_projectors, phi_plus, proj
+from .qmat import (
+    EPS,
+    I2,
+    as_state,
+    born_table,
+    correlations,
+    hermitian_norms,
+    outcome_projectors,
+    pauli_coordinates,
+    phi_plus,
+    proj,
+)
+
+
+class CertificationError(ValueError):
+    """A certificate stage failed on its setup: a numerical failure, not a usage error.
+
+    A ``ValueError``, so callers that catch that are unaffected; the command
+    line exits 1 on it, as on a failed check, not 2.
+    """
 
 
 @dataclass(frozen=True)
@@ -145,6 +167,20 @@ class QuantumSetup:
     def n(self) -> int:
         return len(self.alice)
 
+    @functools.cached_property
+    def pauli_form(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Alice's and Bob's (n, 4) Pauli coordinates and the state's (4, 4) correlation tensor T.
+
+        ``<psi| E (x) F |psi>`` is ``e T f`` for effects with coordinates e
+        and f, so every correlator of the setup is a small real matmul.
+        Computed once per setup; the arrays are read-only.
+        """
+        state = np.asarray(self.state, dtype=complex)
+        form = pauli_coordinates(np.array(self.alice)), pauli_coordinates(np.array(self.bob)), correlations(state)
+        for arr in form:
+            arr.flags.writeable = False
+        return form
+
 
 def setup_from_family(fam: ObservableFamily) -> QuantumSetup:
     """Canonical optimal setup: family observables on the maximally entangled state."""
@@ -212,10 +248,17 @@ def _steered_stack(rho_ab: np.ndarray, alice: tuple[np.ndarray, ...]) -> tuple[n
     with sign ``(-1)^(x+a)``, so the stack is the (n, 2, 2, 2) one of
     Alice's outcome projectors.  Branches of probability below ``EPS`` hold
     the maximally mixed state and probability 0, flagged as degenerate.
+
+    Bob's unnormalized state is ``tr_A[(P (x) I) rho (P (x) I)]``, entry
+    ``(b, d)`` the sum of ``(P^2)_ca rho_(ab),(cd)`` over a and c, so with
+    rho regrouped as a (4, 4) matrix over ((a, c), (b, d)) all 2n states
+    are one (2n, 4) @ (4, 4) matmul.  On a pure state it is
+    ``psi2^T P^T conj(psi2)`` for projectors.
     """
     projectors = outcome_projectors(alice)
-    # Bob's unnormalized states tr_A[(P (x) I) rho (P (x) I)] for all 2n projectors.
-    unnorm = np.einsum("xoia,abcd,xoci->xobd", projectors, np.reshape(rho_ab, (2, 2, 2, 2)), projectors)
+    regrouped = np.reshape(rho_ab, (2, 2, 2, 2)).transpose(0, 2, 1, 3).reshape(4, 4)
+    squares = np.swapaxes(projectors @ projectors, -1, -2)
+    unnorm = (squares.reshape(-1, 4) @ regrouped).reshape(projectors.shape)
     probs = unnorm[..., 0, 0].real + unnorm[..., 1, 1].real
     degenerate = probs < EPS
     rhos = unnorm / np.where(degenerate, 1.0, probs)[..., None, None]
@@ -249,7 +292,7 @@ def steered_states(setup: QuantumSetup) -> list[SteeredState]:
 
 def _parity_difference(even: np.ndarray, odd: np.ndarray) -> float:
     """Spectral norm of the sum of the (k, 2, 2) even-parity states minus the sum of the (m, 2, 2) odd-parity ones."""
-    return operator_norm(even.sum(axis=0) - odd.sum(axis=0))
+    return float(hermitian_norms(pauli_coordinates(even.sum(axis=0) - odd.sum(axis=0))))
 
 
 def check_operational_parity(states: list[SteeredState]) -> float:

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .qmat import EPS, I2, PAULIS, SIGMA_X, SIGMA_Y, SIGMA_Z, operator_norm
+from .qmat import EPS, I2, PAULIS, SIGMA_X, SIGMA_Y, SIGMA_Z, hermitian_norms, pauli_coordinates
 
 
 def check_n(n: int) -> None:
@@ -49,9 +49,9 @@ def assert_observable(m) -> None:
         arr = next(np.asarray(x) for x in m if np.shape(x) != (2, 2))
     if arr.shape[-2:] != (2, 2):
         raise ValueError(f"expected a 2x2 observable, got shape {arr.shape[-2:]}")
-    if not np.max(np.abs(arr - np.swapaxes(arr.conj(), -1, -2)), initial=0.0) <= EPS:
+    if not np.abs(arr - np.swapaxes(arr.conj(), -1, -2)).max(initial=0.0) <= EPS:
         raise ValueError("observable is not Hermitian")
-    if np.max(np.abs(arr @ arr - I2), initial=0.0) > EPS:
+    if np.abs(arr @ arr - I2).max(initial=0.0) > EPS:
         raise ValueError("observable does not square to the identity")
 
 
@@ -173,5 +173,7 @@ def check_parity_condition(fam: ObservableFamily) -> float:
     Returns ``||sum_x A_x||`` in spectral norm, which vanishes for a valid
     family.  The other constraint, ``(2/n) sum_x P^-_x = I`` with
     ``P^-_x = (I - A_x)/2``, deviates by ``||sum_x A_x|| / n``, never more.
+    The sum is Hermitian, so its norm is the closed form ``|m0| + |v|`` of
+    its Pauli coordinates.
     """
-    return operator_norm(np.sum(fam.alice, axis=0))
+    return float(hermitian_norms(pauli_coordinates(np.sum(fam.alice, axis=0))))

@@ -1,15 +1,21 @@
 """Dense complex linear algebra for qubit operators and two-qubit states.
 
 Operators are complex128 ndarrays in row-major order; pure states are 1-D
-complex128 ndarrays.  Operators are 2x2 qubit observables or 4x4 two-qubit
-matrices, so dense storage and LAPACK routines are used throughout.  Local
-operators never meet the state as a 4x4 Kronecker product: they act on the
-2x2 form of a two-qubit state (``apply_local``), and the Born-rule table
-``<psi| E_i (x) F_j |psi>`` of two whole stacks of 2x2 effects is one
-contraction on that form (``born_table``).  The outcome projectors
-``(I + (-1)^a M)/2`` of a stack of observables are built in one place
-(``outcome_projectors``).  All functions are pure and never mutate their
-arguments.
+complex128 ndarrays.  Local operators never meet the state as a 4x4
+Kronecker product: they act on the 2x2 form of a two-qubit state
+(``apply_local``), and the Born-rule table ``<psi| E_i (x) F_j |psi>`` of
+two whole stacks of 2x2 effects is one contraction on that form
+(``born_table``).  The outcome projectors ``(I + (-1)^a M)/2`` of a stack
+of observables are built in one place (``outcome_projectors``).
+
+Hermitian 2x2 matrices also have a real form, their Pauli coordinates
+(m0, v) with m = m0 I + v . sigma (``pauli_coordinates``), and a state has
+its correlation tensor T_mu,nu = <psi| sigma_mu (x) sigma_nu |psi>
+(``correlations``).  On that form the Born table of two stacks of effects
+with coordinates ``e`` and ``f`` is ``e T f^T``, and the eigenvalues
+m0 -+ |v| and the spectral norm |m0| + |v| are closed forms
+(``hermitian_spectra``, ``hermitian_norms``), with no LAPACK call.  All
+functions are pure and never mutate their arguments.
 """
 
 from __future__ import annotations
@@ -25,15 +31,28 @@ SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 PAULIS = (SIGMA_X, SIGMA_Y, SIGMA_Z)
 
+#: The Pauli basis (I, sigma_x, sigma_y, sigma_z), and its 16 two-qubit
+#: products: row 4 mu + nu of ``PAULI_PRODUCTS`` is sigma_mu (x) sigma_nu, flattened.
+_PAULI_BASIS = np.array((I2,) + PAULIS)
+PAULI_PRODUCTS = (_PAULI_BASIS[:, None, :, None, :, None] * _PAULI_BASIS[None, :, None, :, None, :]).reshape(16, 16)
 
-def _all_finite(arr: np.ndarray) -> bool:
-    return bool(np.all(np.isfinite(arr.real)) and np.all(np.isfinite(arr.imag)))
+#: Pauli coordinates of the identity.
+I_PAULI = np.array([1.0, 0.0, 0.0, 0.0])
+
+#: Pauli coordinates from the 8 real numbers of a row-major 2x2 complex matrix,
+#: (Re, Im) of m00, m01, m10, m11: (m00 + m11, Re m10, Im m10, m00 - m11), then
+#: times ``_HALVES``.  Halving after the sum rounds as ``(m00 + m11)/2`` does, subnormals included.
+_FROM_ENTRIES = np.zeros((8, 4))
+_FROM_ENTRIES[[0, 6, 4, 5, 0, 6], [0, 0, 1, 2, 3, 3]] = [1.0, 1.0, 1.0, 1.0, 1.0, -1.0]
+_HALVES = np.array([0.5, 1.0, 1.0, 0.5])
+
+_LOWER_UPPER = np.array([-1.0, 1.0])
 
 
 def as_state(v) -> np.ndarray:
     """Coerce to a 1-D complex state vector normalized within ``EPS``."""
     arr = np.asarray(v, dtype=complex).reshape(-1)
-    if not _all_finite(arr):
+    if not np.isfinite(arr).all():  # a complex entry is finite iff both its parts are
         raise ValueError("state contains non-finite entries")
     norm = np.linalg.norm(arr)
     if abs(norm - 1.0) > EPS:
@@ -59,7 +78,7 @@ def apply_local(a, b, psi) -> np.ndarray:
     return a @ np.reshape(psi, (2, 2)) @ np.swapaxes(b, -1, -2)
 
 
-_OUTCOME_SIGNS = np.array([1.0, -1.0])[:, None, None]
+_OUTCOME_SIGNS = np.array([1.0, -1.0])[:, None]
 
 
 def outcome_projectors(observables) -> np.ndarray:
@@ -69,7 +88,12 @@ def outcome_projectors(observables) -> np.ndarray:
     observable gives a (2, 2, 2) stack, ``n`` of them an (n, 2, 2, 2) one.
     """
     m = np.asarray(observables, dtype=complex)[..., None, :, :]
-    return (I2 + _OUTCOME_SIGNS * m) / 2.0
+    return (I2 + _OUTCOME_SIGNS[..., None] * m) / 2.0
+
+
+def outcome_coordinates(coords: np.ndarray) -> np.ndarray:
+    """``outcome_projectors`` in Pauli coordinates: (..., 4) observables give (..., 2, 4) projectors."""
+    return (I_PAULI + _OUTCOME_SIGNS * coords[..., None, :]) / 2.0
 
 
 def born_table(alice, bob, psi) -> np.ndarray:
@@ -100,6 +124,50 @@ def phi_plus() -> np.ndarray:
     return np.array([1, 0, 0, 1], dtype=complex) / np.sqrt(2)
 
 
-def operator_norm(m) -> float:
-    """Spectral norm (largest singular value)."""
-    return float(np.linalg.norm(np.asarray(m, dtype=complex), 2))
+def pauli_coordinates(m) -> np.ndarray:
+    """Real coordinates (m0, vx, vy, vz) of m = m0 I + v . sigma for a (..., 2, 2) Hermitian stack.
+
+    Like ``eigh``, it takes the lower triangle: the entries above the
+    diagonal and the diagonal's imaginary parts enter with weight 0.  One
+    real matmul on the entries' (..., 8) float view.
+    """
+    m = np.ascontiguousarray(m, dtype=complex)
+    return (m.view(float).reshape(m.shape[:-2] + (8,)) @ _FROM_ENTRIES) * _HALVES
+
+
+def from_pauli(coords: np.ndarray) -> np.ndarray:
+    """The (..., 2, 2) matrices of (..., 4) Pauli coordinates: the inverse of ``pauli_coordinates``."""
+    return (coords @ _PAULI_BASIS.reshape(4, 4)).reshape(coords.shape[:-1] + (2, 2))
+
+
+def correlations(psi: np.ndarray) -> np.ndarray:
+    """Correlation tensors T_mu,nu = <psi| sigma_mu (x) sigma_nu |psi> of (..., 4) states, shape (..., 4, 4).
+
+    For C with Pauli coordinates c, tr[(C (x) sigma_nu) rho] = (c T)_nu and
+    tr[(sigma_mu (x) C) rho] = (T c)_mu, so each party's effective operators
+    are one matmul with T, and ``<psi| E (x) F |psi>`` is ``e T f``.
+    """
+    outer = psi.conj()[..., :, None] * psi[..., None, :]
+    return (outer.reshape(psi.shape[:-1] + (16,)) @ PAULI_PRODUCTS.T).real.reshape(psi.shape[:-1] + (4, 4))
+
+
+def bloch_lengths(coords: np.ndarray) -> np.ndarray:
+    """|v| of (..., 4) Pauli coordinates (m0, v).
+
+    ``hypot``, not ``sqrt(v . v)``: the square of a tiny |v| would underflow.
+    """
+    return np.hypot(np.hypot(coords[..., 1], coords[..., 2]), coords[..., 3])
+
+
+def hermitian_spectra(coords: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues (m0 - |v|, m0 + |v|) of the Hermitian matrices with (..., 4) Pauli coordinates."""
+    return coords[..., :1] + _LOWER_UPPER * bloch_lengths(coords)[..., None]
+
+
+def hermitian_norms(coords: np.ndarray) -> np.ndarray:
+    """Spectral norms |m0| + |v| of the Hermitian matrices with (..., 4) Pauli coordinates.
+
+    The larger of |m0 -+ |v||, in a form that keeps every digit when the
+    two singular values nearly coincide.
+    """
+    return np.abs(coords[..., 0]) + bloch_lengths(coords)

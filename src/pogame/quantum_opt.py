@@ -45,12 +45,15 @@ import numpy as np
 
 from .gamecore import GameSpec, QuantumSetup
 from .observables import check_n, check_parity_condition
-from .qmat import EPS, I2, PAULIS, apply_local, row_norms
-
-#: The Pauli basis (I, sigma_x, sigma_y, sigma_z), and its 16 two-qubit
-#: products: row 4 mu + nu of ``_PRODUCTS`` is sigma_mu (x) sigma_nu, flattened.
-_BASIS = np.array((I2,) + PAULIS)
-_PRODUCTS = (_BASIS[:, None, :, None, :, None] * _BASIS[None, :, None, :, None, :]).reshape(16, 16)
+from .qmat import (
+    EPS,
+    PAULI_PRODUCTS,
+    bloch_lengths,
+    correlations,
+    from_pauli,
+    pauli_coordinates,
+    row_norms,
+)
 
 #: See-saw defaults: the seed of the start generator, the number of
 #: restarts and the tolerance on one sweep's gain, or on the distance to
@@ -88,9 +91,9 @@ def _setting_combos(obs: np.ndarray, axis: int = -3) -> np.ndarray:
 
 
 def setup_bell_value(setup: QuantumSetup) -> float:
-    """Operator-expectation route <psi| B |psi> (pairs with the behavior route)."""
-    op = bell_operator(setup.alice, setup.bob)
-    return float(np.vdot(setup.state, op @ setup.state).real)
+    """<psi| B |psi> on the Pauli form: sum_x a_x T (sum_y b_y - 2 b_x) (pairs with the behavior route)."""
+    alice, bob, corr = setup.pauli_form
+    return float(np.vecdot(alice @ corr, _setting_combos(bob, axis=-2)).sum())
 
 
 @dataclass(frozen=True, eq=False)
@@ -113,31 +116,44 @@ class SosCertificate:
     degenerate: tuple[bool, ...]
 
 
-def _delta_operator(alice: np.ndarray) -> np.ndarray:
-    """Pairwise anticommutator sum: sum_{x<x'} {A_x, A_x'} = (sum_x A_x)^2 - sum_x A_x^2."""
-    total = alice.sum(axis=0)
-    return total @ total - np.einsum("xij,xjk->ik", alice, alice)
+def _squares(coords: np.ndarray) -> np.ndarray:
+    """Pauli coordinates of m^2 = (m0^2 + |v|^2) I + 2 m0 v . sigma for (..., 4) coordinates (m0, v)."""
+    out = 2.0 * coords[..., :1] * coords
+    out[..., 0] = np.vecdot(coords, coords)
+    return out
+
+
+def _delta_coordinates(alice: np.ndarray) -> np.ndarray:
+    """Pauli coordinates of the pairwise anticommutator sum sum_{x<x'} {A_x, A_x'} = (sum_x A_x)^2 - sum_x A_x^2.
+
+    ``alice`` holds the (n, 4) coordinates of Alice's observables.
+    """
+    return _squares(alice.sum(axis=0)) - _squares(alice).sum(axis=0)
 
 
 def sos_certificate(setup: QuantumSetup) -> SosCertificate:
     """Compute the certificate data (omegas, residuals, gap, delta) for a setup.
 
+    The defect vectors and their norms act on the state; the Bell value
+    and ``<Delta_n>`` are read from the Pauli form (``QuantumSetup.pauli_form``).
     Also verifies ``sum_y omega_y^2 = n^2 + (n-4) <Delta_n>``.  The identity
     is algebraic (each anticommutator pair appears with weight n-4 when
     summed over y), so a violation beyond roundoff raises ``RuntimeError``:
     it signals a computation bug rather than a property of the setup.
     """
     n = setup.n
-    alice = np.array(setup.alice)
-    psi = setup.state
-    vecs = apply_local(_setting_combos(alice), I2, psi).reshape(n, 4)
-    bob_vecs = apply_local(I2, np.array(setup.bob), psi).reshape(n, 4)
+    psi2 = np.reshape(setup.state, (2, 2))
+    # (C (x) I) psi and (I (x) B) psi on the 2x2 form: C psi2 and psi2 B^T (``apply_local``).
+    vecs = (_setting_combos(np.array(setup.alice)) @ psi2).reshape(n, 4)
+    bob_vecs = (psi2 @ np.swapaxes(np.array(setup.bob), -1, -2)).reshape(n, 4)
     omegas = np.linalg.norm(vecs, axis=1)
     degenerate = omegas < EPS
     scaled = vecs / np.where(degenerate, 1.0, omegas)[:, None]
     residuals = np.where(degenerate, omegas, row_norms(scaled - bob_vecs))
     value = setup_bell_value(setup)
-    delta = float(np.vdot(psi, apply_local(_delta_operator(alice), I2, psi)).real)
+    a, _, corr = setup.pauli_form
+    # tr[(Delta (x) I) rho] = (d T)_0 for the coordinates d of Delta.
+    delta = float(_delta_coordinates(a) @ corr[:, 0])
     lhs = float(np.sum(omegas**2))
     rhs = n * n + (n - 4) * delta
     if abs(lhs - rhs) > 1e-8 * max(1.0, abs(rhs)):
@@ -171,20 +187,6 @@ def concavity_bound(n: int) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _pauli_coordinates(m: np.ndarray) -> np.ndarray:
-    """Real coordinates (m0, vx, vy, vz) of m = m0 I + v . sigma for a (..., 2, 2) Hermitian stack.
-
-    Like ``eigh``, it reads the lower triangle only.
-    """
-    top, bottom, lower = m[..., 0, 0].real, m[..., 1, 1].real, m[..., 1, 0]
-    return np.stack([(top + bottom) / 2.0, lower.real, lower.imag, (top - bottom) / 2.0], axis=-1)
-
-
-def _from_pauli(coords: np.ndarray) -> np.ndarray:
-    """The (..., 2, 2) matrices of (..., 4) Pauli coordinates: the inverse of ``_pauli_coordinates``."""
-    return (coords @ _BASIS.reshape(4, 4)).reshape(coords.shape[:-1] + (2, 2))
-
-
 def _traceless(bloch: np.ndarray) -> np.ndarray:
     """Pauli coordinates (0, v) of the traceless matrices v . sigma for (..., 3) Bloch vectors v."""
     coords = np.zeros(bloch.shape[:-1] + (4,))
@@ -202,23 +204,11 @@ def _matrix_sign(m: np.ndarray) -> np.ndarray:
     (v = 0 falls in one of the first two cases).
     """
     m0, v = m[..., 0], m[..., 1:]
-    # hypot, not sqrt(v . v): the square of a tiny |v| would underflow and move the sign.
-    norm = np.hypot(np.hypot(v[..., 0], v[..., 1]), v[..., 2])
+    norm = bloch_lengths(m)
     scalar = np.where(m0 - norm >= 0, 1.0, np.where(m0 + norm < 0, -1.0, 0.0))
     split = scalar == 0
     unit = np.divide(v, norm[..., None], out=np.zeros_like(v), where=split[..., None])
     return np.concatenate([scalar[..., None], unit], axis=-1)
-
-
-def _correlations(psi: np.ndarray) -> np.ndarray:
-    """Correlation tensors T_mu,nu = <psi| sigma_mu (x) sigma_nu |psi> of (..., 4) states, shape (..., 4, 4).
-
-    For C with Pauli coordinates c, tr[(C (x) sigma_nu) rho] = (c T)_nu and
-    tr[(sigma_mu (x) C) rho] = (T c)_mu, so each party's effective operators
-    are one matmul with T.
-    """
-    outer = psi.conj()[..., :, None] * psi[..., None, :]
-    return (outer.reshape(psi.shape[:-1] + (16,)) @ _PRODUCTS.T).real.reshape(psi.shape[:-1] + (4, 4))
 
 
 def _bell_from_pauli(alice: np.ndarray, bob_combos: np.ndarray) -> np.ndarray:
@@ -228,7 +218,7 @@ def _bell_from_pauli(alice: np.ndarray, bob_combos: np.ndarray) -> np.ndarray:
     setting combinations ``_setting_combos(bob, axis=-2)``.
     """
     weights = np.swapaxes(alice, -1, -2) @ bob_combos
-    return (weights.reshape(weights.shape[:-2] + (16,)) @ _PRODUCTS).reshape(weights.shape[:-2] + (4, 4))
+    return (weights.reshape(weights.shape[:-2] + (16,)) @ PAULI_PRODUCTS).reshape(weights.shape[:-2] + (4, 4))
 
 
 def _geometric_median(points: np.ndarray) -> np.ndarray:
@@ -414,8 +404,8 @@ def seesaw(
     seeded = 0 if init is None else 1
     alice, bob = _random_starts(n, seed, restarts, skip=seeded)
     if init is not None:
-        alice = np.concatenate([_pauli_coordinates(np.array([init.alice], dtype=complex)), alice])
-        bob = np.concatenate([_pauli_coordinates(np.array([init.bob], dtype=complex)), bob])
+        alice = np.concatenate([pauli_coordinates(np.array([init.alice], dtype=complex)), alice])
+        bob = np.concatenate([pauli_coordinates(np.array([init.bob], dtype=complex)), bob])
     # history[s][k] is restart k's value after s sweeps (NaN once it stopped).
     w, v = np.linalg.eigh(_bell_from_pauli(alice, _setting_combos(bob, axis=-2)))
     state, history = v[..., -1], [w[:, -1]]
@@ -427,7 +417,7 @@ def seesaw(
     live = np.arange(restarts)
     for _ in range(_MAX_SWEEPS):
         a = alice[live]
-        corr = _correlations(state[live])
+        corr = correlations(state[live])
         # Bob: exact sign update per setting, on his effective operators,
         # coordinates (c T)/2 for the coordinates c of Alice's combinations.
         b = _matrix_sign(_setting_combos(a, axis=-2) @ corr / 2.0)
@@ -461,8 +451,8 @@ def seesaw(
     traces = tuple(tuple(col[: k + 1].tolist()) for col, k in zip(columns, sweeps))
     restart_values = tuple(trace[-1] for trace in traces)
     best = int(np.argmax(restart_values))
-    best_alice = _from_pauli(alice[best])
-    best_setup = QuantumSetup(state=state[best], alice=tuple(best_alice), bob=tuple(_from_pauli(bob[best])))
+    best_alice = from_pauli(alice[best])
+    best_setup = QuantumSetup(state=state[best], alice=tuple(best_alice), bob=tuple(from_pauli(bob[best])))
     return SeesawResult(
         n=n,
         value=restart_values[best],

@@ -37,7 +37,6 @@ from . import certify as certify_mod
 from . import gamecore as gc
 from . import quantum_opt as qo
 from . import selftest as st
-from .qmat import born_table
 
 
 def _fmt_float(v: float) -> str:
@@ -205,9 +204,12 @@ def bounds_section(n: int) -> tuple[dict, list]:
         "local_bound_closed_form": bounds_mod.local_bound_closed_form(n),
         "quantum_ceiling": qo.concavity_bound(n),
     }
-    expr = gc.bell_expression(n)
-    local_replay = gc.bell_value(expr, bounds_mod.strategy_behavior(local_w, n))
-    pnc_replay = gc.bell_value(expr, bounds_mod.strategy_behavior(pnc_w, n))
+    # Each witness is replayed on the Bell expression itself, with no behavior
+    # table: a product strategy's correlator is a_x b_y (Alice's 0 is her
+    # unbiased response), so its value is a^T C b for the coefficients C.
+    coefficients = gc.bell_expression(n).coefficients
+    local_replay = float(np.array(local_w.a) @ coefficients @ np.array(local_w.b))
+    pnc_replay = float(np.array(pnc_w.a) @ coefficients @ np.array(pnc_w.b))
     checks = [
         Check("local witness replays its bound", abs(local_replay - local), "<", 1e-12),
         Check("pnc witness replays its bound", abs(pnc_replay - pnc), "<", 1e-12),
@@ -272,7 +274,8 @@ def selftest_section(setup: gc.QuantumSetup, perturb: float = 0.0) -> tuple[dict
     residuals = st.verify_relations(ops, setup.state)
     state_run, *runs = st.run_targets(setup, ops, st.build_circuit(ops), st.all_targets(ops))
     coords, leftover = st.frame_coordinates(ops)
-    correlators = born_table(setup.alice, setup.bob, setup.state)
+    alice, bob, corr = setup.pauli_form
+    correlators = alice @ corr @ bob.T
     extraction_errors = {run.target: run.max_entry_error for run in runs}
     section = {
         "perturbation": perturb,
@@ -304,14 +307,13 @@ def certify_section(setup: gc.QuantumSetup, alpha: float) -> tuple[dict, dict, l
     penalty_total = float(np.trace(stats.table[:, :, 1]))
     plain = qo.setup_bell_value(setup)
     shifted = certify_mod._shifted(plain, penalty_total, alpha)
-    spectrum = povm.spectra.tolist()
     completeness = povm.completeness_deviation
     rand = certify_mod.randomness_from_marginals(stats.marginals, povm)
     recon_dev = certify_mod.reconstruction_deviation(setup, stats, povm)
 
     povm_section = {
         "alpha": alpha,
-        "element_spectra": spectrum,
+        "element_spectra": povm.spectra.tolist(),
         "completeness_deviation": completeness,
         "outcome_probabilities": list(rand.outcome_probabilities),
         "penalty_total": penalty_total,
@@ -326,8 +328,8 @@ def certify_section(setup: gc.QuantumSetup, alpha: float) -> tuple[dict, dict, l
         "certified": rand.certified,
     }
     expected_extremal = n == 3
-    spectrum_deviation = float(np.max(np.abs(np.array(spectrum) - [0.0, 2.0 / n])))
-    uniform_deviation = float(np.max(np.abs(np.array(rand.outcome_probabilities) - 1.0 / n)))
+    spectrum_deviation = float(np.abs(povm.spectra - (0.0, 2.0 / n)).max())
+    uniform_deviation = float(np.abs(stats.marginals - 1.0 / n).max())
     checks = [
         Check("POVM spectra are {0, 2/n}", spectrum_deviation, "<=", 1e-9),
         Check("POVM is complete", completeness, "<=", 1e-9),

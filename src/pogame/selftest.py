@@ -60,8 +60,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gamecore import QuantumSetup
-from .qmat import EPS, I2, SIGMA_X, SIGMA_Y, SIGMA_Z, apply_local, outcome_projectors, phi_plus, row_norms
+from .gamecore import CertificationError, QuantumSetup
+from .qmat import (
+    EPS,
+    I2,
+    SIGMA_X,
+    SIGMA_Y,
+    SIGMA_Z,
+    apply_local,
+    hermitian_norms,
+    outcome_projectors,
+    pauli_coordinates,
+    phi_plus,
+    row_norms,
+)
 
 # Largest second Schmidt coefficient of a factorized output, and the
 # remainder below which the swap frame has no y direction.
@@ -103,11 +115,14 @@ def _traceless_part(m: np.ndarray) -> np.ndarray:
 
 
 def _normalized(alice_op: np.ndarray, bob_op: np.ndarray, psi) -> tuple[np.ndarray, list[float]]:
-    """Both operators divided by their state norms ``|(alice_op (x) I) psi|`` and ``|(I (x) bob_op) psi|``."""
+    """Both operators divided by their state norms ``|(alice_op (x) I) psi|`` and ``|(I (x) bob_op) psi|``.
+
+    A norm below ``EPS`` raises ``CertificationError``.
+    """
     on_state = apply_local(np.array([alice_op, I2]), np.array([I2, bob_op]), psi)
     norms = row_norms(on_state.reshape(2, 4))
     if norms.min() < EPS:
-        raise ValueError("swap operator has vanishing norm on the state")
+        raise CertificationError("swap operator has vanishing norm on the state")
     return np.array([alice_op, bob_op]) / norms[:, None, None], norms.tolist()
 
 
@@ -128,7 +143,10 @@ def build_selftest_operators(setup: QuantumSetup) -> SelfTestOperators:
       the leftover of ``frame_coordinates``.
 
     Every divisor is a state norm, so the construction only uses quantities
-    available from the correlations.
+    available from the correlations.  A frame operator that does not square
+    to the identity within 1e-6 in spectral norm (the closed form of the
+    Hermitian ``F^2 - I``) means the settings span no swap frame on the
+    state, and raises ``CertificationError``.
     """
     psi = setup.state
     alice, bob = np.asarray(setup.alice), np.asarray(setup.bob)
@@ -151,8 +169,8 @@ def build_selftest_operators(setup: QuantumSetup) -> SelfTestOperators:
         (y_a, y_b), (norms["y_a"], norms["y_b"]) = _normalized(remainders[k], bob_remainder, psi)
         frame += [y_a, y_b]
     frame = np.array(frame)
-    if np.max(np.linalg.norm(frame @ frame - I2, 2, axis=(1, 2))) > 1e-6:
-        raise ValueError("normalized swap operator does not square to the identity")
+    if np.max(hermitian_norms(pauli_coordinates(frame @ frame - I2))) > 1e-6:
+        raise CertificationError("normalized swap operator does not square to the identity")
     return SelfTestOperators(setup.n, setup.alice, setup.bob, alice[0], x_a, -bob[0], x_b, y_a, y_b, norms)
 
 

@@ -34,7 +34,7 @@ from itertools import combinations, product
 
 import numpy as np
 
-from pogame import bounds, gamecore as gc, quantum_opt as qo, selftest as st
+from pogame import bounds, gamecore as gc, qmat, quantum_opt as qo, selftest as st
 from pogame.observables import check_n
 from pogame.qmat import EPS, I2, SIGMA_X, SIGMA_Y, SIGMA_Z, phi_plus, proj
 
@@ -47,6 +47,16 @@ def tensor(*ops) -> np.ndarray:
     for op in ops[1:]:
         out = np.kron(out, np.asarray(op, dtype=complex))
     return out
+
+
+def operator_norm(m) -> float:
+    """Spectral norm (largest singular value), by LAPACK's SVD: the oracle of ``qmat.hermitian_norms``."""
+    return float(np.linalg.norm(np.asarray(m, dtype=complex), 2))
+
+
+def ulp_tolerance(scale, ulps=4):
+    """``ulps`` units in the last place of ``scale``: how far a closed-form 2x2 spectrum or norm may sit from LAPACK."""
+    return ulps * np.finfo(float).eps * scale
 
 
 def as_operator(m) -> np.ndarray:
@@ -653,17 +663,17 @@ def _seesaw_single(n, normals, tol, init):
         alice, bob = _random_setup(n, normals)
         value, state = _top_eigenpair(alice, bob)
     else:
-        alice, bob = (qo._pauli_coordinates(np.array(o, dtype=complex)) for o in (init.alice, init.bob))
+        alice, bob = (qmat.pauli_coordinates(np.array(o, dtype=complex)) for o in (init.alice, init.bob))
         value, state = qo.setup_bell_value(init), np.ravel(init.state)
 
     def value_of():
-        op = qo.bell_operator(qo._from_pauli(alice), qo._from_pauli(bob))
+        op = qo.bell_operator(qmat.from_pauli(alice), qmat.from_pauli(bob))
         return float(np.vdot(state, op @ state).real)
 
     trace = [value]
     converged = False
     for _ in range(qo._MAX_SWEEPS):
-        corr = qo._correlations(state[None])
+        corr = qmat.correlations(state[None])
         bob = qo._matrix_sign(qo._setting_combos(alice[None], axis=-2) @ corr / 2.0)[0]
         effective = (qo._setting_combos(bob[None], axis=-2) @ np.swapaxes(corr, -1, -2) / 2.0)[0]
         before = value_of()
@@ -676,7 +686,7 @@ def _seesaw_single(n, normals, tol, init):
         if trace[-1] - trace[-2] <= tol or abs(trace[-1] - 2 * n) <= tol:
             converged = True
             break
-    final = gc.QuantumSetup(state=state, alice=tuple(qo._from_pauli(alice)), bob=tuple(qo._from_pauli(bob)))
+    final = gc.QuantumSetup(state=state, alice=tuple(qmat.from_pauli(alice)), bob=tuple(qmat.from_pauli(bob)))
     return final, trace, converged
 
 

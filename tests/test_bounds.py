@@ -3,7 +3,7 @@ from itertools import product
 import numpy as np
 import pytest
 
-from pogame import bounds, gamecore as gc
+from pogame import bounds, gamecore as gc, report
 
 import oracles
 
@@ -69,6 +69,28 @@ def test_witnesses_replay_exactly(n):
     assert gc.bell_value(expr, bounds.strategy_behavior(local_w, n)) == local_value
     pnc_value, pnc_w = bounds.pnc_bound(n)
     assert gc.bell_value(expr, bounds.strategy_behavior(pnc_w, n)) == pnc_value
+
+
+@pytest.mark.parametrize("n", [3, 5, 7, 13, 101])
+def test_report_replays_agree_with_the_behavior_route(n):
+    # The bounds section replays each witness as a^T C b on the Bell
+    # coefficients, with no behavior table; the table route is its oracle.
+    section, checks = report.bounds_section(n)
+    expr = gc.bell_expression(n)
+    for key, value in (("local_witness", section["local_bound"]), ("pnc_witness", section["pnc_bound"])):
+        witness = bounds.DeterministicStrategy(tuple(section[key]["a"]), tuple(section[key]["b"]))
+        assert gc.bell_value(expr, bounds.strategy_behavior(witness, n)) == value
+    assert all(check.passed for check in checks)
+
+
+def test_report_replay_flags_a_wrong_witness(monkeypatch):
+    # Flipping one of Bob's signs moves the value by 2 |s - 2 a_y|, odd times 2.
+    value, witness = bounds.local_bound(5)
+    flipped = bounds.DeterministicStrategy(witness.a, (-witness.b[0],) + witness.b[1:])
+    monkeypatch.setattr(bounds, "local_bound", lambda n: (value, flipped))
+    _, checks = report.bounds_section(5)
+    failed = [check.name for check in checks if not check.passed]
+    assert failed == ["local witness replays its bound"]
 
 
 def test_witness_behaviors_are_valid():

@@ -1,4 +1,5 @@
 import dataclasses
+import importlib
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from pogame import certify as ct
 from pogame import gamecore as gc
 from pogame import observables as obs
 from pogame.qmat import I2, SIGMA_X, SIGMA_Z
+from pogame.report import build_report
 from pogame.selftest import perturbed_state
 
 
@@ -208,11 +210,13 @@ def test_negative_alpha_rejected():
 
 @pytest.mark.parametrize("n", [3, 5, 7, 13])
 def test_povm_spectra_equal_each_element_spectrum(n):
-    # The report's element_spectra read the stacked eigvalsh, so they must be the per-element values bit for bit.
+    # The report's element_spectra are the closed forms m0 -+ |v|; each must be
+    # LAPACK's per-element eigvalsh within 4 ulp of the element's norm.
     povm = ct.canonical_povm(obs.canonical_family(n))
     assert povm.spectra.shape == (n, 2)
     for el, spectrum in zip(povm.elements, povm.spectra):
-        assert np.array_equal(spectrum, np.linalg.eigvalsh(el))
+        want = np.linalg.eigvalsh(el)
+        assert np.max(np.abs(spectrum - want)) <= oracles.ulp_tolerance(np.max(np.abs(want)))
 
 
 @pytest.mark.parametrize(
@@ -235,7 +239,8 @@ def test_povm_set_error_messages(elements, message):
 @pytest.mark.parametrize("n", [3, 5, 13])
 def test_report_reads_the_povm_statistics_it_already_has(n):
     # The certify section takes the marginals from povm_statistics and the
-    # completeness norm from PovmSet; both equal the standalone routes bit for bit.
+    # completeness norm from PovmSet.  The marginals equal the standalone route
+    # bit for bit; the closed-form norm is the SVD's within 4 ulp.
     rng = np.random.default_rng(300 + n)
     fam = obs.canonical_family(n)
     povm = ct.canonical_povm(fam)
@@ -244,5 +249,79 @@ def test_report_reads_the_povm_statistics_it_already_has(n):
     for setup in (gc.setup_from_family(fam), random_state):
         stats = ct.povm_statistics(setup, povm)
         assert ct.randomness_from_marginals(stats.marginals, povm) == ct.randomness_report(setup, povm)
-    assert povm.completeness_deviation == float(np.linalg.norm(sum(povm.elements) - np.eye(2), 2))
+    svd_norm = oracles.operator_norm(sum(povm.elements) - np.eye(2))
+    assert abs(povm.completeness_deviation - svd_norm) <= oracles.ulp_tolerance(1.0)
     assert povm.completeness_deviation <= 1e-12
+
+
+@pytest.mark.parametrize("n", [3, 5, 7, 13])
+@pytest.mark.parametrize("seed", [0, 7, 42])
+def test_report_bell_values_equal_the_quantum_value(n, seed):
+    # The SOS and POVM sections read the Bell value from the Pauli form, the
+    # optimization from the see-saw's top eigenvalue.  No Check compares them,
+    # so a wrong diagonal weight (sum E - 3 tr E for sum E - 2 tr E) would
+    # pass every Check; this test catches it.
+    report, _ = build_report(n, seed=seed)
+    for value in (report.povm["bell_value"], report.povm["shifted_bell_value"], report.sos["bell_value"]):
+        assert abs(value - report.quantum_value) <= 1e-9
+
+
+def test_canonical_povm_parity_violation_is_a_certification_error():
+    fam = obs.trine()
+    tilted = (obs.obs_from_bloch([np.sin(0.2), 0.0, np.cos(0.2)]),) + fam.alice[1:]
+    bad = obs.ObservableFamily(n=3, alice=tilted, bob=tuple(-a.T for a in tilted))
+    with pytest.raises(gc.CertificationError, match="^family violates the parity condition by"):
+        ct.canonical_povm(bad)
+    assert issubclass(gc.CertificationError, ValueError)
+
+
+def _lapack_spies(monkeypatch):
+    """Record (name, operand shape) of every SVD and eigensolver call once the see-saw has returned."""
+    from pogame import quantum_opt as qo
+
+    calls, armed = [], []
+    seesaw = qo.seesaw
+
+    def armed_seesaw(*args, **kwargs):
+        result = seesaw(*args, **kwargs)
+        armed.append(True)
+        return result
+
+    monkeypatch.setattr(qo, "seesaw", armed_seesaw)
+    # pinv, matrix_rank and norm call the solvers through their own module's globals.
+    linalg_module = importlib.import_module("numpy.linalg._linalg")
+    for name in ("svd", "eigh", "eigvalsh", "eig", "eigvals"):
+        original = getattr(linalg_module, name)
+
+        def spy(a, *args, _name=name, _original=original, **kwargs):
+            if armed:
+                calls.append((_name, np.shape(a)))
+            return _original(a, *args, **kwargs)
+
+        monkeypatch.setattr(linalg_module, name, spy)
+        monkeypatch.setattr(np.linalg, name, spy)
+    return calls
+
+
+@pytest.mark.parametrize("n", [5, 7, 13])
+def test_certificate_stages_call_lapack_only_for_the_reconstruction_pinv(n, monkeypatch):
+    # The SOS and certify sections of a report and the operational parity
+    # check run on Pauli coordinates and closed forms, with no SVD-based norm
+    # and no 2x2 eigensolver.  The self-test section, which the report runs at
+    # n = 5, splits its circuit outputs by SVD; it is stubbed out here.
+    from pogame import report as report_mod
+
+    calls = _lapack_spies(monkeypatch)
+    monkeypatch.setattr(report_mod, "selftest_section", lambda setup: (None, []))
+    build_report(n)
+    assert calls == [("svd", (n, n))]
+
+
+def test_certificate_stages_at_three_settings_use_no_two_by_two_solver(monkeypatch):
+    # At n = 3 the extremality rank test adds one SVD of the (3, 4) coordinates
+    # and the self-test its Schmidt splits; none acts on a 2x2 matrix.
+    calls = _lapack_spies(monkeypatch)
+    build_report(3)
+    assert {name for name, _ in calls} == {"svd"}
+    assert ("svd", (3, 3)) in calls and ("svd", (3, 4)) in calls
+    assert all(shape[-2:] != (2, 2) for _, shape in calls)

@@ -445,3 +445,36 @@ def test_shifted_value_check_reads_the_penalty_total(total, alpha, passed, monke
     assert code == (0 if passed else 1)
     mark = "[PASS]" if passed else "[FAIL]"
     assert any(line.startswith(f"{mark} shifted value matches the plain value") for line in checks)
+
+
+@pytest.mark.parametrize(
+    "argv, alice, message",
+    [
+        (["selftest", "--n", "3"], ("Z", "Z", "-Z"), "swap operator has vanishing norm on the state"),
+        (["selftest", "--n", "3", "--perturb", "0.3"], ("Z", "I", "-I"), "normalized swap operator does not square"),
+        (["certify", "--n", "3"], ("Z", "X", "-X"), "family violates the parity condition by 1"),
+    ],
+    ids=["vanishing-swap-norm", "frame-span", "parity-violation"],
+)
+def test_certification_errors_exit_one(argv, alice, message, monkeypatch, capsys):
+    # A stage that fails on its setup is a certification failure, not a usage
+    # error.  The command's canonical family is replaced by Alice's ``alice``
+    # and Bob's -A^T.
+    from pogame import observables as obs
+    from pogame.qmat import I2, SIGMA_X, SIGMA_Z
+
+    named = {"Z": SIGMA_Z, "-Z": -SIGMA_Z, "X": SIGMA_X, "-X": -SIGMA_X, "I": I2, "-I": -I2}
+    matrices = tuple(named[a] for a in alice)
+    fam = obs.ObservableFamily(n=len(matrices), alice=matrices, bob=tuple(-a.T for a in matrices))
+    monkeypatch.setattr(cli, "canonical_family", lambda n: fam)
+    code, out, err = run_cli(argv, capsys)
+    assert code == 1
+    assert out == ""
+    assert err.startswith(f"error: {message}")
+
+
+def test_other_value_errors_still_exit_two(capsys, tmp_path):
+    # Only CertificationError maps to 1: an unwritable --out stays a usage error.
+    code, _, err = run_cli(["report", "--n", "3", "--out", str(tmp_path / "missing" / "r.json")], capsys)
+    assert code == 2
+    assert err.startswith("error: cannot write the report to")

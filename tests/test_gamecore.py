@@ -9,7 +9,7 @@ import oracles
 from pogame import certify as ct
 from pogame import gamecore as gc
 from pogame import observables as obs
-from pogame.qmat import I2, SIGMA_X, SIGMA_Z, phi_plus, proj
+from pogame.qmat import I2, SIGMA_X, SIGMA_Z, born_table, phi_plus, proj
 
 
 def uniform_behavior(n):
@@ -494,3 +494,13 @@ def test_json_n_must_be_a_positive_json_integer(n):
 def test_json_document_must_be_an_object_with_n_and_a_table_object(text):
     with pytest.raises(ValueError, match='^behavior JSON must be an object with "n" and a "table" object$'):
         gc.behavior_from_json(text)
+
+
+def test_pauli_form_is_computed_once_and_read_only():
+    setup = gc.setup_from_family(obs.trine())
+    alice, bob, corr = setup.pauli_form
+    assert setup.pauli_form[0] is alice
+    assert alice.shape == bob.shape == (3, 4) and corr.shape == (4, 4)
+    for arr in (alice, bob, corr):
+        assert not arr.flags.writeable
+    assert np.max(np.abs(alice @ corr @ bob.T - born_table(setup.alice, setup.bob, setup.state))) <= 1e-15

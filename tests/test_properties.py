@@ -1,5 +1,7 @@
 """Property tests over random gauges and observables (skipped without hypothesis)."""
 
+from decimal import Decimal, localcontext
+
 import numpy as np
 import pytest
 
@@ -9,13 +11,14 @@ from hypothesis import Phase, example, given, settings, strategies as st  # noqa
 from pogame import bounds  # noqa: E402
 from pogame import certify  # noqa: E402
 from pogame import gamecore as gc  # noqa: E402
+from pogame import qmat  # noqa: E402
 from pogame import quantum_opt as qo  # noqa: E402
 from pogame import report  # noqa: E402
 from pogame import selftest  # noqa: E402
 from pogame.observables import canonical_family, family_n, family_quartets  # noqa: E402
 from pogame.report import CertificationReport, build_report, flatten  # noqa: E402
 from pogame.selftest import perturbed_state  # noqa: E402
-from pogame.qmat import I2, SIGMA_X, SIGMA_Y, SIGMA_Z, apply_local, phi_plus  # noqa: E402
+from pogame.qmat import I2, SIGMA_X, SIGMA_Y, SIGMA_Z, apply_local, born_table, phi_plus  # noqa: E402
 
 import oracles  # noqa: E402
 
@@ -165,7 +168,7 @@ hermitians = st.one_of(
 @given(st.lists(hermitians, min_size=1, max_size=6))
 def test_closed_form_sign_matches_eigh_oracle(mats):
     m = np.array(mats)
-    sign = qo._from_pauli(qo._matrix_sign(qo._pauli_coordinates(m)))
+    sign = qmat.from_pauli(qo._matrix_sign(qmat.pauli_coordinates(m)))
     assert np.array_equal(sign, np.swapaxes(sign.conj(), -1, -2))
     assert np.max(np.abs(sign @ sign - I2)) <= 1e-12
     # Both routes find an eigenvalue only to roundoff in the norm of m, so they
@@ -415,3 +418,104 @@ def test_report_formats_match_the_recursive_oracle_on_reports(n):
     assert doc.to_text() == oracles.report_text_recursive(d)
     parsed = CertificationReport.from_json(doc.to_json()).to_dict()
     assert report.render_json(parsed) == oracles.render_json_recursive(parsed)
+
+
+# ---------------------------------------------------------------------------
+# The Pauli-coordinate kernel: closed-form 2x2 spectra and norms, and the
+# routes that certify a setup on its Pauli form.
+# ---------------------------------------------------------------------------
+
+
+def _exact_spectrum(m):
+    """Eigenvalues and spectral norm of the Hermitian matrix given by m's lower triangle, in 40-digit decimals.
+
+    Every entry converts exactly, so each result is rounded once.
+    """
+    with localcontext() as ctx:
+        ctx.prec = 40
+        top, bottom = Decimal(m[0, 0].real), Decimal(m[1, 1].real)
+        re, im = Decimal(m[1, 0].real), Decimal(m[1, 0].imag)
+        m0, z = (top + bottom) / 2, (top - bottom) / 2
+        length = (z * z + re * re + im * im).sqrt()
+        return np.array([float(m0 - length), float(m0 + length)]), float(abs(m0) + length)
+
+
+# Normalized mantissas and moderate binary exponents, so 4 ulp of any nonzero scale is a normal number.
+mantissas = st.one_of(st.just(0.0), st.floats(0.5, 1.0), st.floats(-1.0, -0.5))
+scaled_floats = st.builds(lambda mantissa, exponent: mantissa * 2.0**exponent, mantissas, st.integers(-40, 40))
+
+
+@st.composite
+def pauli_hermitians(draw):
+    """m = m0 I + v . sigma; about half nearly degenerate (|v| << |m0|, so sigma_1 ~ sigma_2)."""
+    m0 = draw(scaled_floats)
+    v = np.array(draw(st.tuples(scaled_floats, scaled_floats, scaled_floats)))
+    if draw(st.booleans()):
+        v *= abs(m0) * 2.0 ** draw(st.integers(-50, -4)) / max(np.max(np.abs(v)), 2.0**-60)
+    return qmat.from_pauli(np.array([m0, *v]))
+
+
+@settings(max_examples=300, deadline=None, database=None, derandomize=True)
+@given(pauli_hermitians())
+def test_closed_form_spectra_and_norms_match_lapack(m):
+    coords = qmat.pauli_coordinates(m)
+    spectrum, norm = qmat.hermitian_spectra(coords), float(qmat.hermitian_norms(coords))
+    exact_spectrum, exact_norm = _exact_spectrum(m)
+    scale = exact_norm
+    # The closed forms round a few exact operations: within 2 ulp of the scale.
+    assert np.max(np.abs(spectrum - exact_spectrum)) <= oracles.ulp_tolerance(scale, ulps=2)
+    assert abs(norm - exact_norm) <= oracles.ulp_tolerance(scale, ulps=2)
+    # Against LAPACK: the SVD norm within 4 ulp; eigvalsh within 8, since it
+    # alone was measured up to 6.0 ulp from the exact values over 200,000 draws.
+    assert abs(norm - oracles.operator_norm(m)) <= oracles.ulp_tolerance(scale)
+    assert np.max(np.abs(spectrum - np.linalg.eigvalsh(m))) <= oracles.ulp_tolerance(scale, ulps=8)
+
+
+@PROPERTY_SETTINGS
+@given(odd_n, st.integers(0, 2**16), haar_unitaries, haar_unitaries)
+def test_pauli_form_routes_match_the_matrix_routes_in_every_gauge(n, seed, u, v):
+    found = qo.seesaw(n, seed=seed, restarts=2).setup
+    for base in (found, gc.setup_from_family(canonical_family(n))):
+        setup = _rotated(base, u, v)
+        alice, bob, corr = setup.pauli_form
+        psi = setup.state
+        assert np.max(np.abs(alice @ corr @ bob.T - born_table(setup.alice, setup.bob, psi))) <= 1e-12
+        via_operator = np.vdot(psi, qo.bell_operator(setup.alice, setup.bob) @ psi).real
+        assert abs(qo.setup_bell_value(setup) - via_operator) <= 1e-12
+        povm = certify.canonical_povm(setup)
+        stats = certify.povm_statistics(setup, povm)
+        table, marginals = oracles.povm_statistics_loop(setup, povm)
+        assert np.max(np.abs(stats.table - table)) <= 1e-12
+        assert np.max(np.abs(stats.marginals - marginals)) <= 1e-12
+        assert np.max(np.abs(certify.penalty_probabilities(setup, povm) - np.diagonal(table[:, :, 1]))) <= 1e-12
+
+
+def _rotation_about(axis, angle):
+    return np.cos(angle / 2) * I2 - 1j * np.sin(angle / 2) * _bloch_observable(axis)
+
+
+axes = st.tuples(*[unit_range] * 3).filter(lambda v: np.linalg.norm(v) > 0.1)
+
+
+@PROPERTY_SETTINGS
+@given(st.sampled_from([3, 5, 7, 13]), haar_unitaries, haar_unitaries, axes, st.floats(0.2, np.pi))
+def test_negative_controls_still_fail_on_the_pauli_form(n, u, v, axis, angle):
+    canonical = gc.setup_from_family(canonical_family(n))
+    setup = _rotated(canonical, u, v)
+    povm = certify.canonical_povm(setup)
+    # A rotated POVM: flagged events fire, or the correlators cannot rebuild it.
+    w = _rotation_about(axis, angle)
+    rotated = certify.PovmSet(tuple(w @ el @ w.conj().T for el in povm.elements))
+    stats = certify.povm_statistics(setup, rotated)
+    penalty = float(certify.penalty_probabilities(setup, rotated).sum())
+    assert penalty > 1e-9 or certify.reconstruction_deviation(setup, stats, rotated) > 1e-8
+    # The optimal observables on perturbed_state(1e-3): the SOS and certify sections fail.
+    perturbed = _rotated(gc.QuantumSetup(state=perturbed_state(1e-3), alice=canonical.alice, bob=canonical.bob), u, v)
+    assert not all(check.passed for check in report.sos_section(perturbed)[1])
+    assert not all(check.passed for check in report.certify_section(perturbed, certify.ALPHA)[2])
+    # A non-Hermitian element is refused on the raw stack, although its Pauli
+    # coordinates, read from the lower triangle, are those of a valid POVM.
+    skew = np.array([[0.0, 1e-6], [0.0, 0.0]])
+    elements = (povm.elements[0] + skew, povm.elements[1] - skew) + povm.elements[2:]
+    with pytest.raises(ValueError, match="^POVM elements must be 2x2 Hermitian matrices$"):
+        certify.PovmSet(elements)

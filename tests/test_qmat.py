@@ -139,3 +139,45 @@ def test_row_norms_match_per_row_norm_bit_for_bit(width):
     real = rng.normal(size=(2000, width))
     for rows in (real, real + 1j * rng.normal(size=real.shape)):
         assert np.array_equal(qmat.row_norms(rows), [np.linalg.norm(row) for row in rows])
+
+
+def test_pauli_coordinates_invert_from_pauli_and_read_the_lower_triangle():
+    rng = np.random.default_rng(11)
+    stack = np.array([random_hermitian(rng, 2) for _ in range(6)])
+    coords = qmat.pauli_coordinates(stack)
+    assert coords.shape == (6, 4) and coords.dtype == float
+    assert np.max(np.abs(qmat.from_pauli(coords) - stack)) <= 1e-15
+    # Like eigh, the entries above the diagonal are never read.
+    skewed = stack.copy()
+    skewed[:, 0, 1] += 5.0 + 3.0j
+    assert np.array_equal(qmat.pauli_coordinates(skewed), coords)
+    assert np.array_equal(qmat.pauli_coordinates(SIGMA_Y), [0.0, 0.0, 1.0, 0.0])
+
+
+def test_correlation_tensor_of_phi_plus():
+    # <phi+| s_mu (x) s_nu |phi+> = diag(1, 1, -1, 1): sigma_y is the one odd under transposition.
+    corr = qmat.correlations(qmat.phi_plus())
+    assert np.max(np.abs(corr - np.diag([1.0, 1.0, -1.0, 1.0]))) <= 1e-15
+
+
+def test_coordinate_born_table_matches_the_matrix_route():
+    rng = np.random.default_rng(12)
+    psi = rng.normal(size=4) + 1j * rng.normal(size=4)
+    psi /= np.linalg.norm(psi)
+    alice = np.array([random_hermitian(rng, 2) for _ in range(3)])
+    bob = np.array([random_hermitian(rng, 2) for _ in range(5)])
+    via_coords = qmat.pauli_coordinates(alice) @ qmat.correlations(psi) @ qmat.pauli_coordinates(bob).T
+    assert np.max(np.abs(via_coords - qmat.born_table(alice, bob, psi))) <= 1e-13
+    projectors = qmat.outcome_coordinates(qmat.pauli_coordinates(bob))
+    assert projectors.shape == (5, 2, 4)
+    assert np.max(np.abs(qmat.from_pauli(projectors) - qmat.outcome_projectors(bob))) <= 1e-15
+
+
+def test_closed_form_spectra_and_norms_of_known_matrices():
+    # diag(3, -5): eigenvalues -5 and 3, norm 5; 2 I: a double eigenvalue.
+    m = np.array([np.diag([3.0, -5.0]), 2.0 * I2, SIGMA_X - 0.5 * I2])
+    coords = qmat.pauli_coordinates(m)
+    assert np.array_equal(qmat.hermitian_spectra(coords), [[-5.0, 3.0], [2.0, 2.0], [-1.5, 0.5]])
+    assert np.array_equal(qmat.hermitian_norms(coords), [5.0, 2.0, 1.5])
+    # |v| of a tiny Bloch vector does not underflow to zero.
+    assert qmat.hermitian_norms(np.array([0.0, 3e-200, 4e-200, 0.0])) == 5e-200

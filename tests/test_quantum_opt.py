@@ -4,6 +4,7 @@ import pytest
 from pogame import certify
 from pogame import gamecore as gc
 from pogame import observables as obs
+from pogame import qmat
 from pogame import quantum_opt as qo
 from pogame import report
 from pogame import selftest as st
@@ -344,16 +345,16 @@ def test_sweep_steps_match_the_matrix_route(n):
         alice, bob = np.array(random_observables(rng, n)), np.array(random_observables(rng, n))
         psi = rng.normal(size=4) + 1j * rng.normal(size=4)
         psi /= np.linalg.norm(psi)
-        rho, corr = proj(psi), qo._correlations(psi)
-        a, b = qo._pauli_coordinates(alice), qo._pauli_coordinates(bob)
+        rho, corr = proj(psi), qmat.correlations(psi)
+        a, b = qmat.pauli_coordinates(alice), qmat.pauli_coordinates(bob)
         bob_effective = qo._setting_combos(a, axis=-2) @ corr / 2.0
         want_bob = oracles.effective_bob(rho, oracles._setting_combos(alice))
-        assert np.max(np.abs(qo._from_pauli(bob_effective) - want_bob)) <= 1e-12
-        sign = qo._from_pauli(qo._matrix_sign(bob_effective))
+        assert np.max(np.abs(qmat.from_pauli(bob_effective) - want_bob)) <= 1e-12
+        sign = qmat.from_pauli(qo._matrix_sign(bob_effective))
         assert np.max(np.abs(sign - oracles.matrix_sign_eigh(want_bob))) <= 1e-12
         alice_effective = qo._setting_combos(b, axis=-2) @ corr.T / 2.0
         want_alice = oracles.effective_alice(rho, oracles._setting_combos(bob))
-        assert np.max(np.abs(qo._from_pauli(alice_effective) - want_alice)) <= 1e-12
+        assert np.max(np.abs(qmat.from_pauli(alice_effective) - want_alice)) <= 1e-12
         bell = qo._bell_from_pauli(a, qo._setting_combos(b, axis=-2))
         assert np.max(np.abs(bell - oracles.bell_operator_loop(alice, bob))) <= 1e-12
 
@@ -370,7 +371,8 @@ def test_delta_operator_matches_pairwise_sum():
     rng = np.random.default_rng(79)
     alice = np.array(random_observables(rng, 7))
     pairwise = sum(alice[x] @ alice[y] + alice[y] @ alice[x] for x in range(7) for y in range(x + 1, 7))
-    assert np.max(np.abs(qo._delta_operator(alice) - pairwise)) <= 1e-12
+    delta = qmat.from_pauli(qo._delta_coordinates(qmat.pauli_coordinates(alice)))
+    assert np.max(np.abs(delta - pairwise)) <= 1e-12
 
 
 def test_bell_operator_rejects_even_n():
@@ -393,7 +395,7 @@ def test_seesaw_rejects_negative_tolerance():
 
 
 def _closed_form_sign(m):
-    return qo._from_pauli(qo._matrix_sign(qo._pauli_coordinates(m)))
+    return qmat.from_pauli(qo._matrix_sign(qmat.pauli_coordinates(m)))
 
 
 def test_matrix_sign_maps_a_zero_eigenvalue_to_plus_one():

@@ -79,13 +79,21 @@ def test_operators_reject_vanishing_norm():
     # Observables all along A_1 leave no part orthogonal to it for X.
     psi = np.array([1, 0, 0, 1], dtype=complex) / np.sqrt(2)
     setup = gc.QuantumSetup(state=psi, alice=(SIGMA_Z, SIGMA_Z, -SIGMA_Z), bob=(-SIGMA_Z, -SIGMA_Z, SIGMA_Z))
-    with pytest.raises(ValueError, match="^swap operator has vanishing norm on the state$"):
+    with pytest.raises(gc.CertificationError, match="^swap operator has vanishing norm on the state$"):
         st.build_selftest_operators(setup)
     # Equal second and third observables no longer matter: X is the first orthogonal part.
     ops = st.build_selftest_operators(
         gc.QuantumSetup(state=psi, alice=(SIGMA_Z, SIGMA_X, SIGMA_X), bob=(-SIGMA_Z, -SIGMA_X, -SIGMA_X))
     )
     assert np.allclose(ops.x_a, SIGMA_X, atol=1e-12) and ops.y_a is None
+
+
+def test_operators_reject_settings_that_span_no_frame():
+    # With an identity setting taken as X, X = (I - c Z)/|.psi| squares to a
+    # multiple of I only when c = <Z (x) I> vanishes; off phi+ it does not.
+    setup = gc.QuantumSetup(state=st.perturbed_state(0.3), alice=(SIGMA_Z, I2, -I2), bob=(-SIGMA_Z, -I2, I2))
+    with pytest.raises(gc.CertificationError, match="^normalized swap operator does not square to the identity$"):
+        st.build_selftest_operators(setup)
 
 
 def test_mirror_family_does_not_support_the_two_direction_test():
