@@ -41,18 +41,13 @@ class DeterministicStrategy:
     b: tuple[int, ...]
 
 
-def _bob_coefficients(a: np.ndarray) -> np.ndarray:
-    """Coefficient of each b_y in the Bell value, ``s - 2 a_y``, for the last axis of a."""
-    return a.sum(axis=-1, keepdims=True) - 2 * a
-
-
 def _best_bob(a) -> tuple[np.ndarray, float]:
     """Optimal deterministic Bob against Alice responses a (entries in [-1, 1]).
 
     Ties (coefficient exactly zero) resolve to -1, the lexicographically
     smallest choice.
     """
-    coeff = _bob_coefficients(np.asarray(a, dtype=float))
+    coeff = gamecore.setting_combinations(np.asarray(a, dtype=float))
     b = np.where(coeff > 0, 1, -1)
     return b, float(np.abs(coeff).sum())
 
@@ -62,7 +57,7 @@ def local_bound(n: int) -> tuple[int, DeterministicStrategy]:
     check_n(n)
     # Row k is (-1)^(n-k) (+1)^k; the first maximizer is the lexicographically smallest a.
     rows = np.where(np.arange(n) >= n - np.arange(n + 1)[:, None], 1, -1)
-    a = rows[int(np.argmax(np.abs(_bob_coefficients(rows)).sum(axis=1)))]
+    a = rows[int(np.argmax(np.abs(gamecore.setting_combinations(rows)).sum(axis=1)))]
     b, value = _best_bob(a)
     return int(round(value)), DeterministicStrategy(tuple(a.tolist()), tuple(b.tolist()))
 
@@ -125,7 +120,7 @@ def pnc_bound_symmetric(n: int) -> int:
     one representative.
     """
     check_n(n)
-    return int(_balanced_values(_bob_coefficients(_pnc_representative(n))).max())
+    return int(_balanced_values(gamecore.setting_combinations(_pnc_representative(n))).max())
 
 
 def strategy_behavior(strategy: DeterministicStrategy, n: int) -> gamecore.Behavior:

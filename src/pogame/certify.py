@@ -154,11 +154,15 @@ def reconstruction_deviation(setup: QuantumSetup, stats: PovmStatistics, povm: P
     ``E``, which is rank 2 for planar setups; a component of an element off
     the span of Alice's observables is invisible to the correlators and
     shows up as the deviation.
+    ``E`` is never formed: thin QRs ``a = Q_a R_a``, ``b = Q_b R_b`` give
+    ``pinv(E) = Q_b pinv(K) Q_a^T`` with the 4x4 ``K = R_a T R_b^T``, whose
+    nonzero singular values are E's, so the cutoff drops the same directions.
     """
     alice, bob, corr = setup.pauli_form
+    (q_a, q_b), (r_a, r_b) = np.linalg.qr(np.stack([alice, bob]))
     e_povm = stats.table[:, :, 0] - stats.table[:, :, 1]
-    w = e_povm @ np.linalg.pinv(alice @ corr @ bob.T, rcond=EPS)
-    rebuilt = stats.marginals[:, None] * I_PAULI + w @ alice
+    spanned = e_povm @ q_b @ np.linalg.pinv(r_a @ corr @ r_b.T, rcond=EPS) @ r_a
+    rebuilt = stats.marginals[:, None] * I_PAULI + spanned
     return float(np.max(hermitian_norms(rebuilt - povm.coordinates)))
 
 

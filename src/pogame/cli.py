@@ -26,15 +26,15 @@ from .selftest import perturbed_state
 
 ENV_SEED = "POGAME_SEED"
 # The library takes any odd n, but the bounds replay builds the n x n Bell
-# coefficients (0.8 GB at n = 10001) and the POVM reconstruction takes the
-# pseudo-inverse of the n x n correlators (an SVD: about 0.45 s at n = 1001 on
-# one 2-vCPU core), so the command line caps n.
+# coefficients (0.8 GB at n = 10001) and the POVM statistics are an n x n x 2
+# table (1.6 GB), so the command line caps n.  At n = 1001 a report takes
+# about 0.1 s (one 2-vCPU core, one BLAS thread).
 MAX_N = 1001
 # Past this the perturbed state is |00> to within 1e-6 in amplitude; far past
 # it (about 1e154) its norm overflows.
 MAX_PERTURB = 1e6
 # The see-saw runs r restarts as (r, n, 4) stacks: at n = 1001, report peaks
-# at 109 MB with 8 restarts, 115 MB with 64 and 142 MB with 256.
+# at 62 MB with 8 restarts, 81 MB with 64 and 142 MB with 256.
 MAX_RESTARTS = 64
 
 

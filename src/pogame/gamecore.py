@@ -15,16 +15,12 @@ the operational parity condition is equivalent to ``sum_x A_x = 0``.
 
 Computation
 -----------
-Each party's n observables are stacked into their (n, 2, 2, 2) outcome
-projectors (``qmat.outcome_projectors``), and the behavior table is the
-Born-rule table of Alice's stack against Bob's, one contraction on the 2x2
-form of the state (``qmat.born_table``).  The steered states of all 2n
-projectors come from one matmul with the shared density matrix, and
-``operational_parity`` reduces that (n, 2, 2, 2) stack without building a
-``SteeredState`` per entry, its spectral norm in closed form
-(``qmat.hermitian_norms``).  No 4x4 Kronecker product is built on either
-path.  The certificate stages read a setup through its Pauli form
-(``QuantumSetup.pauli_form``).
+Every Born-rule number is read from the setup's Pauli form
+(``QuantumSetup.pauli_form``): the behavior table is ``e T f^T`` for the
+outcome projectors' coordinates e and f, and the 2n steered states are
+one matmul too, which ``operational_parity`` reduces without building a
+``SteeredState`` per entry.  ``setting_combinations`` is the row action
+of the Bell expression's ``J - 2I``.
 """
 
 from __future__ import annotations
@@ -41,15 +37,16 @@ import numpy as np
 from .observables import ObservableFamily, assert_observable, check_n
 from .qmat import (
     EPS,
-    I2,
+    I_PAULI,
     as_state,
-    born_table,
     correlations,
+    density_correlations,
+    from_pauli,
     hermitian_norms,
-    outcome_projectors,
+    outcome_coordinates,
     pauli_coordinates,
+    pauli_squares,
     phi_plus,
-    proj,
 )
 
 
@@ -105,6 +102,11 @@ def bell_expression(n: int) -> BellExpression:
     coeff = np.ones((n, n), dtype=int)
     np.fill_diagonal(coeff, -1)
     return BellExpression(n=n, coefficients=coeff)
+
+
+def setting_combinations(values: np.ndarray, axis: int = -1) -> np.ndarray:
+    """Row y of ``J - 2I`` along the settings ``axis``: ``sum_x v_x - 2 v_y`` for every y; ints stay ints."""
+    return values.sum(axis=axis, keepdims=True) - 2 * values
 
 
 @dataclass(frozen=True, eq=False)
@@ -188,8 +190,10 @@ def setup_from_family(fam: ObservableFamily) -> QuantumSetup:
 
 
 def behavior_from_setup(setup: QuantumSetup) -> Behavior:
-    """Born-rule behavior p(a,b|x,y) = <psi| P_a^x (x) P_b^y |psi>, as one ``born_table``."""
-    table = born_table(outcome_projectors(setup.alice), outcome_projectors(setup.bob), setup.state)
+    """Born-rule behavior p(a,b|x,y) = <psi| P_a^x (x) P_b^y |psi>, as ``e T f^T`` on the Pauli form."""
+    alice, bob, corr = setup.pauli_form
+    e, f = outcome_coordinates(alice).reshape(-1, 4), outcome_coordinates(bob).reshape(-1, 4)
+    table = (e @ corr @ f.T).reshape(setup.n, 2, setup.n, 2)
     beh = Behavior(n=setup.n, table=np.ascontiguousarray(table.transpose(0, 2, 1, 3)))
     beh.validate()
     return beh
@@ -241,29 +245,37 @@ class SteeredState:
     degenerate: bool = False
 
 
-def _steered_stack(rho_ab: np.ndarray, alice: tuple[np.ndarray, ...]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _steered_stack(corr: np.ndarray, alice: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Bob's steered states, their probabilities and degeneracy flags, indexed ``[x - 1, parity]``.
 
-    Parity p = (x + a) mod 2 is also the outcome index of the projector
-    with sign ``(-1)^(x+a)``, so the stack is the (n, 2, 2, 2) one of
-    Alice's outcome projectors.  Branches of probability below ``EPS`` hold
-    the maximally mixed state and probability 0, flagged as degenerate.
-
-    Bob's unnormalized state is ``tr_A[(P (x) I) rho (P (x) I)]``, entry
-    ``(b, d)`` the sum of ``(P^2)_ca rho_(ab),(cd)`` over a and c, so with
-    rho regrouped as a (4, 4) matrix over ((a, c), (b, d)) all 2n states
-    are one (2n, 4) @ (4, 4) matmul.  On a pure state it is
-    ``psi2^T P^T conj(psi2)`` for projectors.
+    ``corr`` is the state's correlation tensor T and ``alice`` Alice's (n, 4)
+    Pauli coordinates.  Parity p = (x + a) mod 2 is also the outcome index
+    of the projector P with sign ``(-1)^(x+a)``.  Bob's unnormalized state
+    ``tr_A[(P (x) I) rho (P (x) I)] = tr_A[(P^2 (x) I) rho]`` has Pauli
+    coordinates ``(p T)/2`` and probability ``(p T)_0``, p those of P^2
+    (not P, which differs when A^2 = I only within ``EPS``).  Branches of
+    probability below ``EPS`` hold the maximally mixed state and
+    probability 0, flagged as degenerate.
     """
-    projectors = outcome_projectors(alice)
-    regrouped = np.reshape(rho_ab, (2, 2, 2, 2)).transpose(0, 2, 1, 3).reshape(4, 4)
-    squares = np.swapaxes(projectors @ projectors, -1, -2)
-    unnorm = (squares.reshape(-1, 4) @ regrouped).reshape(projectors.shape)
-    probs = unnorm[..., 0, 0].real + unnorm[..., 1, 1].real
+    steered = pauli_squares(outcome_coordinates(alice)) @ corr
+    probs = steered[..., 0]
     degenerate = probs < EPS
-    rhos = unnorm / np.where(degenerate, 1.0, probs)[..., None, None]
-    rhos[degenerate] = I2 / 2.0
-    return rhos, np.where(degenerate, 0.0, probs), degenerate
+    coords = steered / (2.0 * np.where(degenerate, 1.0, probs))[..., None]
+    coords[degenerate] = I_PAULI / 2.0
+    return from_pauli(coords), np.where(degenerate, 0.0, probs), degenerate
+
+
+def _states(stack: tuple[np.ndarray, np.ndarray, np.ndarray]) -> list[SteeredState]:
+    """One ``SteeredState`` per label (x, a) of a ``_steered_stack``, x ascending, a = 0 first."""
+    rhos, probs, degenerate = stack
+    flags, probs = degenerate.tolist(), probs.tolist()
+    # Each state copies its matrix: views that keep the stack alive raised the
+    # behaviors workload's peak RSS by about 1.3 MB over 1,000 ops.
+    return [
+        SteeredState(x, a, p, rhos[x - 1, p].copy(), probs[x - 1][p], flags[x - 1][p])
+        for x in range(1, len(rhos) + 1)
+        for a, p in ((0, x % 2), (1, (x + 1) % 2))
+    ]
 
 
 def steer(rho_ab: np.ndarray, alice: tuple[np.ndarray, ...]) -> list[SteeredState]:
@@ -274,20 +286,13 @@ def steer(rho_ab: np.ndarray, alice: tuple[np.ndarray, ...]) -> list[SteeredStat
     ``EPS`` return the maximally mixed state flagged as degenerate instead of
     failing.
     """
-    rhos, probs, degenerate = _steered_stack(rho_ab, alice)
-    flags, probs = degenerate.tolist(), probs.tolist()
-    # Each state copies its matrix: views that keep the stack alive raised the
-    # behaviors workload's peak RSS by about 1.3 MB over 1,000 ops.
-    return [
-        SteeredState(x, a, p, rhos[x - 1, p].copy(), probs[x - 1][p], flags[x - 1][p])
-        for x in range(1, len(alice) + 1)
-        for a, p in ((0, x % 2), (1, (x + 1) % 2))
-    ]
+    return _states(_steered_stack(density_correlations(rho_ab), pauli_coordinates(np.array(alice))))
 
 
 def steered_states(setup: QuantumSetup) -> list[SteeredState]:
-    """Steered states for a pure-state setup (2n entries, one per label)."""
-    return steer(proj(setup.state), setup.alice)
+    """Steered states for a pure-state setup (2n entries, one per label), read from its Pauli form."""
+    alice, _, corr = setup.pauli_form
+    return _states(_steered_stack(corr, alice))
 
 
 def _parity_difference(even: np.ndarray, odd: np.ndarray) -> float:
@@ -308,7 +313,8 @@ def operational_parity(setup: QuantumSetup) -> float:
     Each parity's states are summed in the order of x in both routes, so
     the two agree bit for bit.
     """
-    rhos = _steered_stack(proj(setup.state), setup.alice)[0]
+    alice, _, corr = setup.pauli_form
+    rhos = _steered_stack(corr, alice)[0]
     return _parity_difference(rhos[:, 0], rhos[:, 1])
 
 
@@ -346,8 +352,13 @@ def _load_records(lines: list[str], dtype: np.dtype, what: str) -> np.ndarray:
     field would otherwise truncate it.  On failure the first line without
     one field per name of ``dtype`` is named; loadtxt skips blank lines, so
     a record count short of ``len(lines)`` is such a failure too.
-    Otherwise loadtxt's conversion error stands.
+    Otherwise loadtxt's conversion error stands.  Non-ASCII lines, which
+    the writers never emit, are refused first: numpy 2.4's loadtxt crashed
+    on lines that mix ASCII with characters beyond U+FFFF.
     """
+    if not "".join(lines).isascii():
+        bad = next(ln for ln in lines if not ln.isascii())
+        raise ValueError(f"{what} {bad!r} must be ASCII")
     error = None
     try:
         with warnings.catch_warnings():
@@ -373,7 +384,8 @@ def _fill_once(shape: tuple[int, ...], index: np.ndarray, values: np.ndarray, la
     ``index`` holds one row of 0-based indices into the leading axes of
     ``shape`` per value.  Every keyed entry must be given exactly once; the
     error names the first out-of-range entry, or else the first duplicate or
-    missing one in row-major order, formatted by ``label(*indices)``.  Every
+    missing one in row-major order, formatted by ``label(*indices)`` (on
+    Python ints, which cannot overflow).  Every
     step takes memory in proportion to the input, not to ``shape``: the
     table is counted and filled only when the input has one row per keyed
     entry, and otherwise ``_first_gap`` names the entry at fault.
@@ -381,7 +393,7 @@ def _fill_once(shape: tuple[int, ...], index: np.ndarray, values: np.ndarray, la
     keyed = shape[: index.shape[1]]
     outside = np.any((index < 0) | (index >= np.array(keyed)), axis=1)
     if np.any(outside):
-        raise ValueError(f"{label(*index[np.argmax(outside)])} is out of range for n={shape[0]}")
+        raise ValueError(f"{label(*index[np.argmax(outside)].tolist())} is out of range for n={shape[0]}")
     if len(index) == math.prod(keyed):
         flat = np.ravel_multi_index(tuple(index.T), keyed)
         if np.all(np.bincount(flat, minlength=len(index)) == 1):
@@ -389,7 +401,7 @@ def _fill_once(shape: tuple[int, ...], index: np.ndarray, values: np.ndarray, la
             table.reshape((-1,) + shape[index.shape[1] :])[flat] = values
             return table
     kind, where = _first_gap(index, keyed)
-    raise ValueError(f"{kind} {label(*where)}: every entry must appear exactly once")
+    raise ValueError(f"{kind} {label(*where.tolist())}: every entry must appear exactly once")
 
 
 def _first_gap(index: np.ndarray, keyed: tuple[int, ...]) -> tuple[str, np.ndarray]:
@@ -453,7 +465,10 @@ def _unique_keys(pairs: list) -> dict:
 
 def behavior_from_json(text: str) -> Behavior:
     """Parse the JSON written by ``behavior_to_json``: all "x,y" keys are converted in one ``np.loadtxt``."""
-    obj = json.loads(text, object_pairs_hook=_unique_keys)
+    try:
+        obj = json.loads(text, object_pairs_hook=_unique_keys)
+    except RecursionError:
+        raise ValueError("behavior JSON is nested too deeply") from None
     if not (isinstance(obj, dict) and "n" in obj and isinstance(obj.get("table"), dict)):
         raise ValueError('behavior JSON must be an object with "n" and a "table" object')
     n = obj["n"]
@@ -462,7 +477,7 @@ def behavior_from_json(text: str) -> Behavior:
     keys = list(obj["table"])
     try:
         blocks = np.array(list(obj["table"].values()), dtype=float)
-    except (TypeError, ValueError):  # a block that is an object, or ragged
+    except (TypeError, ValueError, OverflowError):  # an object, a ragged block, or an int past float range
         blocks = None
     if blocks is None or blocks.shape != (len(keys), 2, 2):
         raise ValueError("every table block must be a 2x2 array")

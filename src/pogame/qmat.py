@@ -3,19 +3,20 @@
 Operators are complex128 ndarrays in row-major order; pure states are 1-D
 complex128 ndarrays.  Local operators never meet the state as a 4x4
 Kronecker product: they act on the 2x2 form of a two-qubit state
-(``apply_local``), and the Born-rule table ``<psi| E_i (x) F_j |psi>`` of
-two whole stacks of 2x2 effects is one contraction on that form
-(``born_table``).  The outcome projectors ``(I + (-1)^a M)/2`` of a stack
-of observables are built in one place (``outcome_projectors``).
+(``apply_local``).  The outcome projectors ``(I + (-1)^a M)/2`` of a stack
+of observables are built in one place (``outcome_projectors``, and
+``outcome_coordinates`` in Pauli coordinates).
 
 Hermitian 2x2 matrices also have a real form, their Pauli coordinates
-(m0, v) with m = m0 I + v . sigma (``pauli_coordinates``), and a state has
-its correlation tensor T_mu,nu = <psi| sigma_mu (x) sigma_nu |psi>
-(``correlations``).  On that form the Born table of two stacks of effects
-with coordinates ``e`` and ``f`` is ``e T f^T``, and the eigenvalues
-m0 -+ |v| and the spectral norm |m0| + |v| are closed forms
-(``hermitian_spectra``, ``hermitian_norms``), with no LAPACK call.  All
-functions are pure and never mutate their arguments.
+(m0, v) with m = m0 I + v . sigma (``pauli_coordinates``), and a pure or
+mixed state has its correlation tensor T_mu,nu = tr[(sigma_mu (x)
+sigma_nu) rho] (``correlations``, ``density_correlations``).  The Born
+rule has one formula, on that form: the table of two stacks of effects
+with coordinates ``e`` and ``f`` is ``e T f^T``.  The eigenvalues
+m0 -+ |v|, the spectral norm |m0| + |v| and the square
+(``hermitian_spectra``, ``hermitian_norms``, ``pauli_squares``) are
+closed forms, with no LAPACK call.  All functions are pure and never
+mutate their arguments.
 """
 
 from __future__ import annotations
@@ -96,29 +97,6 @@ def outcome_coordinates(coords: np.ndarray) -> np.ndarray:
     return (I_PAULI + _OUTCOME_SIGNS * coords[..., None, :]) / 2.0
 
 
-def born_table(alice, bob, psi) -> np.ndarray:
-    """``<psi| E_i (x) F_j |psi>`` for every pair of 2x2 effects of two stacks.
-
-    ``alice`` and ``bob`` are arrays of shape ``(..., 2, 2)``; the result
-    has shape ``alice.shape[:-2] + bob.shape[:-2]`` and is real.  With
-    ``psi2`` the 2x2 form of the state, the entry is
-    ``sum(E_i psi2 * conj(psi2) F_j)``, so the whole table is one matrix
-    product of the two flattened stacks.
-    """
-    a = np.asarray(alice)
-    b = np.asarray(bob)
-    psi2 = np.reshape(psi, (2, 2))
-    left = (a @ psi2).reshape(-1, 4)
-    right = (psi2.conj() @ b).reshape(-1, 4)
-    return (left @ right.T).real.reshape(a.shape[:-2] + b.shape[:-2])
-
-
-def proj(v) -> np.ndarray:
-    """Rank-1 projector |v><v| of a (not necessarily normalized) vector."""
-    arr = np.asarray(v, dtype=complex).reshape(-1)
-    return np.outer(arr, arr.conj())
-
-
 def phi_plus() -> np.ndarray:
     """Two-qubit maximally entangled state (|00> + |11>)/sqrt(2)."""
     return np.array([1, 0, 0, 1], dtype=complex) / np.sqrt(2)
@@ -147,8 +125,19 @@ def correlations(psi: np.ndarray) -> np.ndarray:
     tr[(sigma_mu (x) C) rho] = (T c)_mu, so each party's effective operators
     are one matmul with T, and ``<psi| E (x) F |psi>`` is ``e T f``.
     """
-    outer = psi.conj()[..., :, None] * psi[..., None, :]
-    return (outer.reshape(psi.shape[:-1] + (16,)) @ PAULI_PRODUCTS.T).real.reshape(psi.shape[:-1] + (4, 4))
+    # conj(psi) psi^T is the transpose of |psi><psi|.
+    return _transposed_correlations(psi.conj()[..., :, None] * psi[..., None, :])
+
+
+def density_correlations(rho: np.ndarray) -> np.ndarray:
+    """``correlations`` of (..., 4, 4) density matrices, pure or mixed: sum_ij rho_ji (sigma_mu (x) sigma_nu)_ij."""
+    return _transposed_correlations(np.asarray(rho, dtype=complex).mT)
+
+
+def _transposed_correlations(rho_t: np.ndarray) -> np.ndarray:
+    """The one contraction behind both: T_mu,nu = sum_ij (rho^T)_ij (sigma_mu (x) sigma_nu)_ij."""
+    lead = rho_t.shape[:-2]
+    return (rho_t.reshape(lead + (16,)) @ PAULI_PRODUCTS.T).real.reshape(lead + (4, 4))
 
 
 def bloch_lengths(coords: np.ndarray) -> np.ndarray:
@@ -171,3 +160,10 @@ def hermitian_norms(coords: np.ndarray) -> np.ndarray:
     two singular values nearly coincide.
     """
     return np.abs(coords[..., 0]) + bloch_lengths(coords)
+
+
+def pauli_squares(coords: np.ndarray) -> np.ndarray:
+    """Pauli coordinates of m^2 = (m0^2 + |v|^2) I + 2 m0 v . sigma for (..., 4) coordinates (m0, v)."""
+    out = 2.0 * coords[..., :1] * coords
+    out[..., 0] = np.vecdot(coords, coords)
+    return out

@@ -43,7 +43,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gamecore import GameSpec, QuantumSetup
+from .gamecore import GameSpec, QuantumSetup, setting_combinations
 from .observables import check_n, check_parity_condition
 from .qmat import (
     EPS,
@@ -52,6 +52,7 @@ from .qmat import (
     correlations,
     from_pauli,
     pauli_coordinates,
+    pauli_squares,
     row_norms,
 )
 
@@ -85,15 +86,10 @@ def bell_operator(alice, bob) -> np.ndarray:
     return (kron - 2.0 * pairs).reshape(a.shape[:-3] + (4, 4))
 
 
-def _setting_combos(obs: np.ndarray, axis: int = -3) -> np.ndarray:
-    """Row y of ``J - 2I`` applied along the settings ``axis``: ``sum_x O_x - 2 O_y`` for every y."""
-    return obs.sum(axis=axis, keepdims=True) - 2.0 * obs
-
-
 def setup_bell_value(setup: QuantumSetup) -> float:
     """<psi| B |psi> on the Pauli form: sum_x a_x T (sum_y b_y - 2 b_x) (pairs with the behavior route)."""
     alice, bob, corr = setup.pauli_form
-    return float(np.vecdot(alice @ corr, _setting_combos(bob, axis=-2)).sum())
+    return float(np.vecdot(alice @ corr, setting_combinations(bob, axis=-2)).sum())
 
 
 @dataclass(frozen=True, eq=False)
@@ -116,19 +112,12 @@ class SosCertificate:
     degenerate: tuple[bool, ...]
 
 
-def _squares(coords: np.ndarray) -> np.ndarray:
-    """Pauli coordinates of m^2 = (m0^2 + |v|^2) I + 2 m0 v . sigma for (..., 4) coordinates (m0, v)."""
-    out = 2.0 * coords[..., :1] * coords
-    out[..., 0] = np.vecdot(coords, coords)
-    return out
-
-
 def _delta_coordinates(alice: np.ndarray) -> np.ndarray:
     """Pauli coordinates of the pairwise anticommutator sum sum_{x<x'} {A_x, A_x'} = (sum_x A_x)^2 - sum_x A_x^2.
 
     ``alice`` holds the (n, 4) coordinates of Alice's observables.
     """
-    return _squares(alice.sum(axis=0)) - _squares(alice).sum(axis=0)
+    return pauli_squares(alice.sum(axis=0)) - pauli_squares(alice).sum(axis=0)
 
 
 def sos_certificate(setup: QuantumSetup) -> SosCertificate:
@@ -144,7 +133,7 @@ def sos_certificate(setup: QuantumSetup) -> SosCertificate:
     n = setup.n
     psi2 = np.reshape(setup.state, (2, 2))
     # (C (x) I) psi and (I (x) B) psi on the 2x2 form: C psi2 and psi2 B^T (``apply_local``).
-    vecs = (_setting_combos(np.array(setup.alice)) @ psi2).reshape(n, 4)
+    vecs = (setting_combinations(np.array(setup.alice), axis=-3) @ psi2).reshape(n, 4)
     bob_vecs = (psi2 @ np.swapaxes(np.array(setup.bob), -1, -2)).reshape(n, 4)
     omegas = np.linalg.norm(vecs, axis=1)
     degenerate = omegas < EPS
@@ -215,7 +204,7 @@ def _bell_from_pauli(alice: np.ndarray, bob_combos: np.ndarray) -> np.ndarray:
     """``bell_operator`` in Pauli coordinates: sum_x A_x (x) (sum_y B_y - 2 B_x).
 
     ``alice`` holds Alice's (..., n, 4) coordinates and ``bob_combos`` Bob's
-    setting combinations ``_setting_combos(bob, axis=-2)``.
+    setting combinations ``setting_combinations(bob, axis=-2)``.
     """
     weights = np.swapaxes(alice, -1, -2) @ bob_combos
     return (weights.reshape(weights.shape[:-2] + (16,)) @ PAULI_PRODUCTS).reshape(weights.shape[:-2] + (4, 4))
@@ -407,7 +396,7 @@ def seesaw(
         alice = np.concatenate([pauli_coordinates(np.array([init.alice], dtype=complex)), alice])
         bob = np.concatenate([pauli_coordinates(np.array([init.bob], dtype=complex)), bob])
     # history[s][k] is restart k's value after s sweeps (NaN once it stopped).
-    w, v = np.linalg.eigh(_bell_from_pauli(alice, _setting_combos(bob, axis=-2)))
+    w, v = np.linalg.eigh(_bell_from_pauli(alice, setting_combinations(bob, axis=-2)))
     state, history = v[..., -1], [w[:, -1]]
     if init is not None:
         state[0], history[0][0] = np.ravel(init.state), setup_bell_value(init)
@@ -420,10 +409,10 @@ def seesaw(
         corr = correlations(state[live])
         # Bob: exact sign update per setting, on his effective operators,
         # coordinates (c T)/2 for the coordinates c of Alice's combinations.
-        b = _matrix_sign(_setting_combos(a, axis=-2) @ corr / 2.0)
+        b = _matrix_sign(setting_combinations(a, axis=-2) @ corr / 2.0)
         # Alice: Fermat-Weber step on the sum-zero set, towards the Bloch
         # vectors of her effective operators M_x, coordinates (T c)/2 for Bob's.
-        b_combos = _setting_combos(b, axis=-2)
+        b_combos = setting_combinations(b, axis=-2)
         effective = b_combos @ np.swapaxes(corr, -1, -2) / 2.0
         units, degenerate = _sum_zero_units(effective[..., 1:])
         candidate = _traceless(units)

@@ -24,7 +24,12 @@ sum-zero constraint, and the report renderers as one recursive
 small n.
 
 The trine's sigma_z/sigma_x formulas (``reconstruct_gamma``) rebuild the
-POVM at n = 3 only, as the oracle of ``certify.reconstruction_deviation``.
+POVM at n = 3 only, and the pseudo-inverse of the n x n correlators
+(``reconstruction_deviation_pinv``) at every n, as the oracles of
+``certify.reconstruction_deviation``.  The matrix-route Born table
+(``born_table``) is the oracle of the Pauli form's ``e T f^T``, and
+``two_branch_mixture`` builds the counterexample that shows a non-rigid
+configuration is not self-tested by its correlators.
 """
 
 import heapq
@@ -36,7 +41,30 @@ import numpy as np
 
 from pogame import bounds, gamecore as gc, qmat, quantum_opt as qo, selftest as st
 from pogame.observables import check_n
-from pogame.qmat import EPS, I2, SIGMA_X, SIGMA_Y, SIGMA_Z, phi_plus, proj
+from pogame.qmat import EPS, I2, I_PAULI, SIGMA_X, SIGMA_Y, SIGMA_Z, hermitian_norms, phi_plus
+
+
+def proj(v) -> np.ndarray:
+    """Rank-1 projector |v><v| of a (not necessarily normalized) vector."""
+    arr = np.asarray(v, dtype=complex).reshape(-1)
+    return np.outer(arr, arr.conj())
+
+
+def born_table(alice, bob, psi) -> np.ndarray:
+    """``<psi| E_i (x) F_j |psi>`` for every pair of 2x2 effects of two stacks, on the 2x2 form of the state.
+
+    The matrix route of the Pauli form's ``e T f^T``: ``alice`` and ``bob``
+    are arrays of shape ``(..., 2, 2)``, the result has shape
+    ``alice.shape[:-2] + bob.shape[:-2]``, and with ``psi2`` the 2x2 form
+    of the state the entry is ``sum(E_i psi2 * conj(psi2) F_j)``, one
+    matrix product of the two flattened stacks.
+    """
+    a = np.asarray(alice)
+    b = np.asarray(bob)
+    psi2 = np.reshape(psi, (2, 2))
+    left = (a @ psi2).reshape(-1, 4)
+    right = (psi2.conj() @ b).reshape(-1, 4)
+    return (left @ right.T).real.reshape(a.shape[:-2] + b.shape[:-2])
 
 
 def tensor(*ops) -> np.ndarray:
@@ -110,7 +138,7 @@ def partial_trace(rho, keep, dims) -> np.ndarray:
 def local_bound_scan(n):
     """(value, a, b) of the first maximizer over all 2^n sign vectors a, in product order."""
     rows = np.array(list(product((-1, 1), repeat=n)), dtype=int)
-    values = np.abs(bounds._bob_coefficients(rows)).sum(axis=1)
+    values = np.abs(gc.setting_combinations(rows)).sum(axis=1)
     a = rows[int(np.argmax(values))]
     b, value = bounds._best_bob(a)
     return int(round(value)), tuple(int(v) for v in a), tuple(int(v) for v in b)
@@ -182,7 +210,7 @@ def pnc_bound_symmetric_scan(n):
 def pnc_bound_symmetric_blocks(n):
     """Symmetric PNC bound over every vertex, one ``_balanced_values`` call per block."""
     return max(
-        int(bounds._balanced_values(bounds._bob_coefficients(block)).max()) for block in pnc_vertex_blocks(n)
+        int(bounds._balanced_values(gc.setting_combinations(block)).max()) for block in pnc_vertex_blocks(n)
     )
 
 
@@ -328,6 +356,55 @@ def trine_reconstruction_deviation(stats, povm):
     """Largest spectral-norm gap between the trine-frame rebuild and the actual elements."""
     rebuilt = gamma_elements(reconstruct_gamma(stats))
     return max(np.linalg.norm(r - el, 2) for r, el in zip(rebuilt, povm.elements))
+
+
+def reconstruction_deviation_pinv(setup, stats, povm):
+    """``certify.reconstruction_deviation`` through the n x n correlators ``E = a T b^T`` and their ``pinv``."""
+    alice, bob, corr = setup.pauli_form
+    e_povm = stats.table[:, :, 0] - stats.table[:, :, 1]
+    w = e_povm @ np.linalg.pinv(alice @ corr @ bob.T, rcond=EPS)
+    rebuilt = stats.marginals[:, None] * I_PAULI + w @ alice
+    return float(np.max(hermitian_norms(rebuilt - povm.coordinates)))
+
+
+def two_branch_mixture(vectors, tol=1e-9):
+    """Two unit sum-zero configurations whose Grams average to the Gram G of ``vectors``.
+
+    ``vectors`` holds n unit Bloch vectors that sum to zero, shape (n, 3).
+    With V an orthonormal basis of range(G) (rank r), every Gram of a
+    configuration that a mixture may hold is ``V M V^T`` with M symmetric
+    r x r and ``v_x^T M v_x = 1`` for every row v_x of V.  A null direction
+    N of those n equations (the configuration is not rigid) gives
+    ``G+- = V (M_0 +- t N) V^T``, with ``G = V M_0 V^T`` and t half the
+    largest step that keeps both PSD.  Each Gram is factored back into an
+    (n, 3) configuration, zero-padded when r = 2; both sum to zero because
+    range(G) is orthogonal to the all-ones vector.  Raises ``ValueError``
+    when the equations have full column rank: the configuration is rigid.
+    """
+    vectors = np.asarray(vectors, dtype=float)
+    u, s, _ = np.linalg.svd(vectors, full_matrices=False)
+    r = int(np.count_nonzero(s > tol * s[0]))
+    v, m0 = u[:, :r], np.diag(s[:r] ** 2)
+    pairs = [(i, j) for i in range(r) for j in range(i, r)]
+    # Column (i, j) is the coefficient of M_ij (= M_ji) in v_x^T M v_x.
+    system = np.stack([v[:, i] * v[:, j] * (1 if i == j else 2) for i, j in pairs], axis=1)
+    _, sing, vh = np.linalg.svd(system)
+    rank = int(np.count_nonzero(sing > tol * sing[0]))
+    if rank == len(pairs):
+        raise ValueError(f"configuration is rigid: the {len(vectors)} x {len(pairs)} system has full column rank")
+    null = np.zeros((r, r))
+    for (i, j), c in zip(pairs, vh[rank]):
+        null[i, j] = null[j, i] = c
+    # M_0 +- t N stays PSD for |t| <= 1/rho(M_0^-1/2 N M_0^-1/2).
+    root = np.diag(1.0 / s[:r])
+    t = 0.5 / np.max(np.abs(np.linalg.eigvalsh(root @ null @ root)))
+    branches = []
+    for m in (m0 + t * null, m0 - t * null):
+        w, q = np.linalg.eigh(m)
+        config = np.zeros((len(vectors), 3))
+        config[:, :r] = v @ q * np.sqrt(w)
+        branches.append(config)
+    return tuple(branches)
 
 
 def _fmt(v):
@@ -628,7 +705,7 @@ def _random_setup(n, normals):
 
 def _top_eigenpair(alice, bob):
     """Top eigenvalue and eigenvector of the Bell operator of one restart's coordinates, through ``_bell_from_pauli``."""
-    w, v = np.linalg.eigh(qo._bell_from_pauli(alice[None], qo._setting_combos(bob[None], axis=-2)))
+    w, v = np.linalg.eigh(qo._bell_from_pauli(alice[None], gc.setting_combinations(bob[None], axis=-2)))
     return float(w[0, -1]), v[0, :, -1]
 
 
@@ -674,8 +751,8 @@ def _seesaw_single(n, normals, tol, init):
     converged = False
     for _ in range(qo._MAX_SWEEPS):
         corr = qmat.correlations(state[None])
-        bob = qo._matrix_sign(qo._setting_combos(alice[None], axis=-2) @ corr / 2.0)[0]
-        effective = (qo._setting_combos(bob[None], axis=-2) @ np.swapaxes(corr, -1, -2) / 2.0)[0]
+        bob = qo._matrix_sign(gc.setting_combinations(alice[None], axis=-2) @ corr / 2.0)[0]
+        effective = (gc.setting_combinations(bob[None], axis=-2) @ np.swapaxes(corr, -1, -2) / 2.0)[0]
         before = value_of()
         saved = alice
         alice = _constrained_alice_update(effective[:, 1:], alice)

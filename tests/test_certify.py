@@ -138,6 +138,24 @@ def test_gamma_reconstruction_flags_misaligned_povm():
         assert deviation == pytest.approx(expected, rel=1e-2)
 
 
+@pytest.mark.parametrize("n", [3, 5, 11, 13, 101])
+def test_factored_reconstruction_matches_the_n_by_n_pinv_oracle(n):
+    # The thin-QR route never forms the n x n correlators; the pinv of them is
+    # the oracle, on found optima and on the canonical family with a POVM
+    # turned off its plane, where the deviation is of order 1e-2.
+    from pogame import quantum_opt as qo
+
+    canonical = gc.setup_from_family(obs.canonical_family(n))
+    cases = [(canonical, _about_sigma_x(ct.canonical_povm(canonical)))]
+    for seed in range(3):
+        found = qo.seesaw(n, seed=seed).setup
+        cases.append((found, ct.canonical_povm(found)))
+    for setup, povm in cases:
+        stats = ct.povm_statistics(setup, povm)
+        want = oracles.reconstruction_deviation_pinv(setup, stats, povm)
+        assert abs(ct.reconstruction_deviation(setup, stats, povm) - want) <= 1e-14
+
+
 def test_gamma_requires_three_settings():
     # The trine formulas are the n = 3 oracle only; the production route reads any n.
     fam5 = obs.family_quartets(5)
@@ -308,13 +326,14 @@ def test_certificate_stages_call_lapack_only_for_the_reconstruction_pinv(n, monk
     # The SOS and certify sections of a report and the operational parity
     # check run on Pauli coordinates and closed forms, with no SVD-based norm
     # and no 2x2 eigensolver.  The self-test section, which the report runs at
-    # n = 5, splits its circuit outputs by SVD; it is stubbed out here.
+    # n = 5, splits its circuit outputs by SVD; it is stubbed out here.  The
+    # reconstruction's one pinv acts on the 4x4 factor K of the correlators.
     from pogame import report as report_mod
 
     calls = _lapack_spies(monkeypatch)
     monkeypatch.setattr(report_mod, "selftest_section", lambda setup: (None, []))
     build_report(n)
-    assert calls == [("svd", (n, n))]
+    assert calls == [("svd", (4, 4))]
 
 
 def test_certificate_stages_at_three_settings_use_no_two_by_two_solver(monkeypatch):

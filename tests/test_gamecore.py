@@ -6,10 +6,11 @@ import numpy as np
 import pytest
 
 import oracles
+from oracles import born_table, proj
 from pogame import certify as ct
 from pogame import gamecore as gc
 from pogame import observables as obs
-from pogame.qmat import I2, SIGMA_X, SIGMA_Z, born_table, phi_plus, proj
+from pogame.qmat import I2, SIGMA_X, SIGMA_Z, phi_plus
 
 
 def uniform_behavior(n):
@@ -147,6 +148,20 @@ def test_success_probability_gather_matches_loop_oracle(n):
     # The 2n^2 winning entries total at most n^2, so the two differ by at most
     # 2n^2 + log2(2n^2) rounding units of 2^-53 after the division by n^2.
     assert gap(gc.behavior_from_setup(random_setup(rng, n))) <= 2 * n * n * np.finfo(float).eps
+
+
+@pytest.mark.parametrize("n", [3, 5, 13])
+def test_setting_combinations_is_the_row_action_of_j_minus_2i(n):
+    rng = np.random.default_rng(40 + n)
+    signs = rng.integers(-1, 2, size=(4, n))
+    combos = gc.setting_combinations(signs)
+    assert combos.dtype == signs.dtype
+    assert np.array_equal(combos, signs @ gc.bell_expression(n).coefficients)
+    coords = rng.normal(size=(3, n, 4))
+    combos = gc.setting_combinations(coords, axis=-2)
+    assert np.array_equal(combos, coords.sum(axis=-2, keepdims=True) - 2.0 * coords)
+    for got, stack in zip(combos, coords):
+        assert np.max(np.abs(got - oracles._setting_combos(stack))) <= 1e-12
 
 
 def test_behaviors_are_no_signaling():

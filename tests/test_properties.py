@@ -1,5 +1,7 @@
 """Property tests over random gauges and observables (skipped without hypothesis)."""
 
+import re
+import tracemalloc
 from decimal import Decimal, localcontext
 
 import numpy as np
@@ -18,7 +20,7 @@ from pogame import selftest  # noqa: E402
 from pogame.observables import canonical_family, family_n, family_quartets  # noqa: E402
 from pogame.report import CertificationReport, build_report, flatten  # noqa: E402
 from pogame.selftest import perturbed_state  # noqa: E402
-from pogame.qmat import I2, SIGMA_X, SIGMA_Y, SIGMA_Z, apply_local, born_table, phi_plus  # noqa: E402
+from pogame.qmat import I2, SIGMA_X, SIGMA_Y, SIGMA_Z, apply_local, phi_plus  # noqa: E402
 
 import oracles  # noqa: E402
 
@@ -250,6 +252,91 @@ def test_behavior_round_trips_bit_for_bit(n, u, v):
         assert back.table.tobytes() == beh.table.tobytes()
 
 
+# Substitutes for one number of a behavior text: out-of-range and overflowing
+# indices, a float in an int field, non-finite probabilities, and a number too
+# large for a float.
+_HOSTILE_NUMBERS = [
+    "0", "-1", "7", "1.7", "99999999999999999999", "9223372036854775807", "-9223372036854775808",
+    "nan", "inf", "-inf", "NaN", "Infinity", "-Infinity", "1e400", "1" + "0" * 400,
+]
+_NUMBER = re.compile(r"\d+(?:\.\d+)?(?:[eE][-+]?\d+)?")
+
+
+@st.composite
+def mutated_behavior_texts(draw):
+    """A valid CSV or JSON behavior text at n in {3, 5}, with one to three edits.
+
+    An edit deletes, inserts or replaces characters; drops, duplicates or
+    swaps lines (CSV rows, or JSON entries split at ``, "``); or puts a
+    hostile number in place of one number of the text.
+    """
+    n = draw(st.sampled_from([3, 5]))
+    fmt = draw(st.sampled_from(["csv", "json"]))
+    base = gc.setup_from_family(canonical_family(n))
+    setup = _rotated(base, *(draw(unitaries) for _ in range(2)))
+    beh = gc.behavior_from_setup(setup)
+    text = gc.behavior_to_csv(beh) if fmt == "csv" else gc.behavior_to_json(beh)
+    sep = "\n" if fmt == "csv" else ', "'
+    chars = st.one_of(st.sampled_from(list('0123456789,.-+eE\n []{}":naifNI')), st.characters())
+    for _ in range(draw(st.integers(1, 3))):
+        kind = draw(st.sampled_from(["delete", "insert", "replace", "drop", "duplicate", "swap", "number"]))
+        if kind in ("delete", "insert", "replace"):
+            i = draw(st.integers(0, max(len(text) - 1, 0)))
+            size = draw(st.integers(1, 3))
+            ins = draw(st.text(chars, min_size=1, max_size=5)) if kind != "delete" else ""
+            text = text[:i] + ins + text[i + (size if kind != "insert" else 0) :]
+        elif kind == "number":
+            spans = [m.span() for m in _NUMBER.finditer(text)]
+            if spans:
+                start, end = draw(st.sampled_from(spans))
+                text = text[:start] + draw(st.sampled_from(_HOSTILE_NUMBERS)) + text[end:]
+        else:
+            units = text.split(sep)
+            i, j = draw(st.integers(0, len(units) - 1)), draw(st.integers(0, len(units) - 1))
+            if kind == "drop":
+                del units[i]
+            elif kind == "duplicate":
+                units.insert(j, units[i])
+            else:
+                units[i], units[j] = units[j], units[i]
+            text = sep.join(units)
+    return fmt, text
+
+
+_TRINE = gc.behavior_from_setup(gc.setup_from_family(canonical_family(3)))
+_TRINE_CSV, _TRINE_JSON = gc.behavior_to_csv(_TRINE), gc.behavior_to_json(_TRINE)
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(mutated_behavior_texts())
+# A probability too large for a float, arrays nested past the recursion limit,
+# a setting whose 0-based index wraps around int64, and a character beyond
+# U+FFFF after an ASCII row (on which numpy 2.4's loadtxt was seen to crash).
+@example(("csv", _TRINE_CSV.replace("\n1,1,0,1,", "\n1,1,0,\U000b6c2f1,", 1)))
+@example(("json", _TRINE_JSON.replace("[[", "[[1" + "0" * 400 + ", ", 1)))
+@example(("json", _TRINE_JSON.replace('"1,1"', '"-9223372036854775808,1"', 1)))
+@example(("json", _TRINE_JSON.replace("[[", "[" * 100_000 + "]" * 99_999 + ", [[", 1)))
+def test_behavior_readers_round_trip_or_raise_value_error(case):
+    fmt, text = case
+    reader, writer = {
+        "csv": (gc.behavior_from_csv, gc.behavior_to_csv),
+        "json": (gc.behavior_from_json, gc.behavior_to_json),
+    }[fmt]
+    tracemalloc.start()
+    try:
+        beh = reader(text)
+    except ValueError:
+        beh = None
+    finally:
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+    # Linear in the input: valid texts at n from 3 to 41 peak at 6-16 bytes
+    # per character, and 1,500 mutated ones at 111 kB at most, 27 per character.
+    assert peak <= 64 * len(text) + 2**18
+    if beh is not None:
+        assert reader(writer(beh)).table.tobytes() == beh.table.tobytes()
+
+
 @PROPERTY_SETTINGS
 @given(st.sampled_from([3, 5]), st.sampled_from([0.0, 0.05]), unitaries, unitaries)
 def test_stacked_selftest_matches_loop_oracle_under_local_unitaries(n, delta, u, v):
@@ -479,7 +566,17 @@ def test_pauli_form_routes_match_the_matrix_routes_in_every_gauge(n, seed, u, v)
         setup = _rotated(base, u, v)
         alice, bob, corr = setup.pauli_form
         psi = setup.state
-        assert np.max(np.abs(alice @ corr @ bob.T - born_table(setup.alice, setup.bob, psi))) <= 1e-12
+        assert np.max(np.abs(alice @ corr @ bob.T - oracles.born_table(setup.alice, setup.bob, psi))) <= 1e-12
+        # Behavior tables and steered states read the Pauli form; the matrix routes are the oracles.
+        table = gc.behavior_from_setup(setup).table
+        projectors = qmat.outcome_projectors(setup.alice), qmat.outcome_projectors(setup.bob)
+        assert np.max(np.abs(table - oracles.born_table(*projectors, psi).transpose(0, 2, 1, 3))) <= 1e-12
+        assert np.max(np.abs(table - oracles.behavior_loop(setup))) <= 1e-12
+        loop = oracles.steer_loop(oracles.proj(psi), setup.alice)
+        for state, (x, a, parity, rho, probability, degenerate) in zip(gc.steered_states(setup), loop, strict=True):
+            assert (state.x, state.a, state.parity, state.degenerate) == (x, a, parity, degenerate)
+            assert abs(state.probability - probability) <= 1e-12
+            assert np.max(np.abs(state.rho - rho)) <= 1e-12
         via_operator = np.vdot(psi, qo.bell_operator(setup.alice, setup.bob) @ psi).real
         assert abs(qo.setup_bell_value(setup) - via_operator) <= 1e-12
         povm = certify.canonical_povm(setup)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from oracles import as_operator, partial_trace, tensor
+from oracles import as_operator, born_table, partial_trace, proj, tensor
 from pogame import qmat
 from pogame.qmat import I2, SIGMA_X, SIGMA_Y, SIGMA_Z
 
@@ -67,7 +67,7 @@ def test_trace_cyclic():
 
 
 def test_partial_trace_maximally_entangled_marginal():
-    rho = qmat.proj(qmat.phi_plus())
+    rho = proj(qmat.phi_plus())
     reduced = partial_trace(rho, keep=1, dims=[2, 2])
     assert np.allclose(reduced, I2 / 2, atol=1e-14)
 
@@ -92,7 +92,7 @@ def test_partial_trace_preserves_trace():
 def test_partial_trace_steered_projection():
     # Oracle: reduce P rho P by explicit sums over the traced index.
     phi = qmat.phi_plus()
-    rho = qmat.proj(phi)
+    rho = proj(phi)
     plus = (I2 + SIGMA_Z) / 2
     big = tensor(plus, I2)
     unnorm = big @ rho @ big
@@ -167,7 +167,7 @@ def test_coordinate_born_table_matches_the_matrix_route():
     alice = np.array([random_hermitian(rng, 2) for _ in range(3)])
     bob = np.array([random_hermitian(rng, 2) for _ in range(5)])
     via_coords = qmat.pauli_coordinates(alice) @ qmat.correlations(psi) @ qmat.pauli_coordinates(bob).T
-    assert np.max(np.abs(via_coords - qmat.born_table(alice, bob, psi))) <= 1e-13
+    assert np.max(np.abs(via_coords - born_table(alice, bob, psi))) <= 1e-13
     projectors = qmat.outcome_coordinates(qmat.pauli_coordinates(bob))
     assert projectors.shape == (5, 2, 4)
     assert np.max(np.abs(qmat.from_pauli(projectors) - qmat.outcome_projectors(bob))) <= 1e-15

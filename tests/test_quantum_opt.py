@@ -8,7 +8,7 @@ from pogame import qmat
 from pogame import quantum_opt as qo
 from pogame import report
 from pogame import selftest as st
-from pogame.qmat import SIGMA_X, SIGMA_Z, phi_plus, proj
+from pogame.qmat import SIGMA_X, SIGMA_Z, phi_plus
 
 import oracles
 
@@ -345,17 +345,17 @@ def test_sweep_steps_match_the_matrix_route(n):
         alice, bob = np.array(random_observables(rng, n)), np.array(random_observables(rng, n))
         psi = rng.normal(size=4) + 1j * rng.normal(size=4)
         psi /= np.linalg.norm(psi)
-        rho, corr = proj(psi), qmat.correlations(psi)
+        rho, corr = oracles.proj(psi), qmat.correlations(psi)
         a, b = qmat.pauli_coordinates(alice), qmat.pauli_coordinates(bob)
-        bob_effective = qo._setting_combos(a, axis=-2) @ corr / 2.0
+        bob_effective = gc.setting_combinations(a, axis=-2) @ corr / 2.0
         want_bob = oracles.effective_bob(rho, oracles._setting_combos(alice))
         assert np.max(np.abs(qmat.from_pauli(bob_effective) - want_bob)) <= 1e-12
         sign = qmat.from_pauli(qo._matrix_sign(bob_effective))
         assert np.max(np.abs(sign - oracles.matrix_sign_eigh(want_bob))) <= 1e-12
-        alice_effective = qo._setting_combos(b, axis=-2) @ corr.T / 2.0
+        alice_effective = gc.setting_combinations(b, axis=-2) @ corr.T / 2.0
         want_alice = oracles.effective_alice(rho, oracles._setting_combos(bob))
         assert np.max(np.abs(qmat.from_pauli(alice_effective) - want_alice)) <= 1e-12
-        bell = qo._bell_from_pauli(a, qo._setting_combos(b, axis=-2))
+        bell = qo._bell_from_pauli(a, gc.setting_combinations(b, axis=-2))
         assert np.max(np.abs(bell - oracles.bell_operator_loop(alice, bob))) <= 1e-12
 
 @pytest.mark.parametrize("n", [3, 5, 13])

@@ -4,6 +4,7 @@ import pytest
 import oracles
 from pogame import gamecore as gc
 from pogame import observables as obs
+from pogame import quantum_opt as qo
 from pogame import report
 from pogame import selftest as st
 from pogame.qmat import I2, SIGMA_X, SIGMA_Y, SIGMA_Z, phi_plus
@@ -431,3 +432,42 @@ def test_selftest_section_runs_every_target_in_one_stack(monkeypatch):
         assert len(section["frame_coordinates"]) == family.n
         assert all(check.passed for check in checks), checks
     assert len(calls) == 3
+
+
+def _mixture_setup(kind, n):
+    if kind == "canonical":
+        return gc.setup_from_family(obs.canonical_family(n))
+    return qo.seesaw(n, seed=42).setup
+
+
+@pytest.mark.parametrize(
+    "kind, n", [("canonical", 5), ("canonical", 7), ("canonical", 13), ("found", 5), ("found", 7)]
+)
+def test_a_non_rigid_configuration_is_a_mixture_of_two_that_reach_2n(kind, n):
+    # The correlators alone do not fix Alice's geometry here: two different
+    # sum-zero unit configurations, each reaching 2n with Bob anti-aligned,
+    # average to the same Gram and the same correlators.
+    setup = _mixture_setup(kind, n)
+    alice, bob, corr = setup.pauli_form
+    gram, correlators = alice[:, 1:] @ alice[:, 1:].T, alice @ corr @ bob.T
+    grams, tables = [], []
+    for config in oracles.two_branch_mixture(alice[:, 1:]):
+        assert np.max(np.abs(np.linalg.norm(config, axis=1) - 1.0)) <= 1e-12
+        assert np.max(np.abs(config.sum(axis=0))) <= 1e-12
+        branch_alice = tuple(obs.obs_from_bloch(v) for v in config)
+        branch = gc.QuantumSetup(state=phi_plus(), alice=branch_alice, bob=tuple(-a.T for a in branch_alice))
+        assert abs(qo.setup_bell_value(branch) - 2 * n) <= 1e-12
+        a, b, t = branch.pauli_form
+        grams.append(config @ config.T)
+        tables.append(a @ t @ b.T)
+        # Each branch's Gram sits 0.18-0.50 (largest entry) from G on these setups.
+        assert np.max(np.abs(grams[-1] - gram)) >= 0.1
+    assert np.max(np.abs((grams[0] + grams[1]) / 2 - gram)) <= 1e-12
+    assert np.max(np.abs((tables[0] + tables[1]) / 2 - correlators)) <= 1e-12
+
+
+@pytest.mark.parametrize("kind, n", [("canonical", 3), ("found", 13)])
+def test_a_rigid_configuration_has_no_second_branch(kind, n):
+    alice = _mixture_setup(kind, n).pauli_form[0]
+    with pytest.raises(ValueError, match="configuration is rigid"):
+        oracles.two_branch_mixture(alice[:, 1:])
