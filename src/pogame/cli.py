@@ -25,10 +25,9 @@ from .report import Check, provenance, render_json
 from .selftest import perturbed_state
 
 ENV_SEED = "POGAME_SEED"
-# The library takes any odd n, but the bounds replay builds the n x n Bell
-# coefficients (0.8 GB at n = 10001) and the POVM statistics are an n x n x 2
-# table (1.6 GB), so the command line caps n.  At n = 1001 a report takes
-# about 0.1 s (one 2-vCPU core, one BLAS thread).
+# The library takes any odd n, but the POVM statistics are an n x n x 2 table
+# (1.6 GB at n = 10001), so the command line caps n.  At n = 1001 a report
+# takes about 0.1 s (one 2-vCPU core, one BLAS thread).
 MAX_N = 1001
 # Past this the perturbed state is |00> to within 1e-6 in amplitude; far past
 # it (about 1e154) its norm overflows.

@@ -30,7 +30,7 @@ import json
 import math
 import warnings
 from dataclasses import dataclass
-from itertools import product
+from itertools import chain, product
 
 import numpy as np
 
@@ -378,22 +378,26 @@ def _load_records(lines: list[str], dtype: np.dtype, what: str) -> np.ndarray:
     raise ValueError(f"{what} {bad!r} must have the {width} fields {fields}, got {got}") from None
 
 
-def _fill_once(shape: tuple[int, ...], index: np.ndarray, values: np.ndarray, label) -> np.ndarray:
-    """Table of ``shape`` with ``values`` placed at ``index``, built only once every entry is found.
+def _fill_once(shape: tuple[int, ...], keys: np.ndarray, base: tuple[int, ...], values: np.ndarray, label) -> np.ndarray:
+    """Table of ``shape`` with ``values`` placed at ``keys``, built only once every entry is found.
 
-    ``index`` holds one row of 0-based indices into the leading axes of
-    ``shape`` per value.  Every keyed entry must be given exactly once; the
+    ``keys`` holds one row per value: indices into the leading axes of
+    ``shape`` as written, counted from ``base`` (1 for a setting, 0 for an
+    outcome), and range-checked before ``base`` is taken off, which could
+    wrap around int64.  Every keyed entry must be given exactly once; the
     error names the first out-of-range entry, or else the first duplicate or
-    missing one in row-major order, formatted by ``label(*indices)`` (on
-    Python ints, which cannot overflow).  Every
-    step takes memory in proportion to the input, not to ``shape``: the
-    table is counted and filled only when the input has one row per keyed
-    entry, and otherwise ``_first_gap`` names the entry at fault.
+    missing one in row-major order, formatted by ``label(*keys)`` on Python
+    ints.  Every step takes memory in proportion to the input, not to
+    ``shape``: the table is counted and filled only when the input has one
+    row per keyed entry, and otherwise ``_first_gap`` names the entry at fault.
     """
-    keyed = shape[: index.shape[1]]
-    outside = np.any((index < 0) | (index >= np.array(keyed)), axis=1)
+    keyed = shape[: keys.shape[1]]
+    low = np.array(base)
+    high = np.array(keyed) - 1 + low
+    outside = np.any((keys < low) | (keys > high), axis=1)
     if np.any(outside):
-        raise ValueError(f"{label(*index[np.argmax(outside)].tolist())} is out of range for n={shape[0]}")
+        raise ValueError(f"{label(*keys[np.argmax(outside)].tolist())} is out of range for n={shape[0]}")
+    index = keys - low
     if len(index) == math.prod(keyed):
         flat = np.ravel_multi_index(tuple(index.T), keyed)
         if np.all(np.bincount(flat, minlength=len(index)) == 1):
@@ -401,7 +405,7 @@ def _fill_once(shape: tuple[int, ...], index: np.ndarray, values: np.ndarray, la
             table.reshape((-1,) + shape[index.shape[1] :])[flat] = values
             return table
     kind, where = _first_gap(index, keyed)
-    raise ValueError(f"{kind} {label(*where.tolist())}: every entry must appear exactly once")
+    raise ValueError(f"{kind} {label(*(where + low).tolist())}: every entry must appear exactly once")
 
 
 def _first_gap(index: np.ndarray, keyed: tuple[int, ...]) -> tuple[str, np.ndarray]:
@@ -432,14 +436,9 @@ def behavior_from_csv(text: str) -> Behavior:
     if not rows:
         raise ValueError("CSV has no data rows")
     records = _load_records(rows, _CSV_ROW, "CSV row")
-    index = np.stack([records["x"] - 1, records["y"] - 1, records["a"], records["b"]], axis=1)
-    n = int(index[:, 0].max()) + 1
-    table = _fill_once(
-        (n, n, 2, 2),
-        index,
-        records["p"],
-        lambda x, y, a, b: f"row {x + 1},{y + 1},{a},{b}",
-    )
+    keys = np.stack([records["x"], records["y"], records["a"], records["b"]], axis=1)
+    n = int(keys[:, 0].max())
+    table = _fill_once((n, n, 2, 2), keys, (1, 1, 0, 0), records["p"], lambda x, y, a, b: f"row {x},{y},{a},{b}")
     beh = Behavior(n=n, table=table)
     beh.validate()
     return beh
@@ -481,9 +480,14 @@ def behavior_from_json(text: str) -> Behavior:
         blocks = None
     if blocks is None or blocks.shape != (len(keys), 2, 2):
         raise ValueError("every table block must be a 2x2 array")
+    # The float conversion also reads "0.25", true and null (as nan): each entry must be an int or a float.
+    entries = list(chain.from_iterable(chain.from_iterable(obj["table"].values())))
+    if not set(map(type, entries)) <= {int, float}:
+        bad = next(p for p in entries if type(p) not in (int, float))
+        raise ValueError(f"table entries must be JSON numbers, got {json.dumps(bad)}")
     records = _load_records(keys, _JSON_KEY, "JSON key")
-    index = np.stack([records["x"] - 1, records["y"] - 1], axis=1)
-    table = _fill_once((n, n, 2, 2), index, blocks, lambda x, y: f'block "{x + 1},{y + 1}"')
+    pairs = np.stack([records["x"], records["y"]], axis=1)
+    table = _fill_once((n, n, 2, 2), pairs, (1, 1), blocks, lambda x, y: f'block "{x},{y}"')
     beh = Behavior(n=n, table=table)
     beh.validate()
     return beh

@@ -6,6 +6,12 @@ sum to the zero operator, together with Bob's optimal counterparts
 component the plain negation does not reach the optimal correlations on the
 maximally entangled state, while the transposed form always does (for real
 families the two coincide).
+
+This module is the one place that writes such a configuration down, as an
+(n, 3) array of unit Bloch rows (``TRINE``, ``_transverse``, and the
+see-saw's start ``spiral_configuration``).  ``_family`` turns rows into
+observables by one route, ``qmat.traceless_coordinates`` then
+``qmat.from_pauli``; ``qmat.pauli_coordinates(m)[..., 1:]`` reads them back.
 """
 
 from __future__ import annotations
@@ -14,7 +20,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .qmat import EPS, I2, PAULIS, SIGMA_X, SIGMA_Y, SIGMA_Z, hermitian_norms, pauli_coordinates
+from .qmat import EPS, I2, from_pauli, hermitian_norms, pauli_coordinates, traceless_coordinates
+
+#: Bloch rows of the trine: three coplanar directions at 120 degrees in the x-z plane.
+TRINE = np.array([[0.0, 0.0, 1.0], [np.sqrt(3) / 2, 0.0, -0.5], [-np.sqrt(3) / 2, 0.0, -0.5]])
+TRINE.flags.writeable = False
+
+#: Signs of (nu, beta) in a mirrored pair and in a quartet of transverse rows:
+#: the x and y components cancel within each group.
+_PAIR = np.array([[1.0, -1.0], [-1.0, 1.0]])
+_QUARTET = np.array([[1.0, -1.0], [-1.0, -1.0], [1.0, 1.0], [-1.0, 1.0]])
 
 
 def check_n(n: int) -> None:
@@ -28,13 +43,7 @@ def obs_from_bloch(vec) -> np.ndarray:
     v = np.asarray(vec, dtype=float).reshape(3)
     if abs(np.linalg.norm(v) - 1.0) > EPS:
         raise ValueError(f"Bloch vector is not unit length: {v}")
-    return v[0] * SIGMA_X + v[1] * SIGMA_Y + v[2] * SIGMA_Z
-
-
-def bloch_of(m) -> np.ndarray:
-    """Bloch components (x, y, z) of a 2x2 Hermitian matrix."""
-    arr = np.asarray(m, dtype=complex)
-    return np.array([np.trace(arr @ p).real / 2.0 for p in PAULIS])
+    return from_pauli(traceless_coordinates(v))
 
 
 def assert_observable(m) -> None:
@@ -77,17 +86,15 @@ class ObservableFamily:
         assert_observable(self.bob)
 
 
-def _family(n: int, alice: list[np.ndarray], params: dict) -> ObservableFamily:
-    bob = tuple(-a.T for a in alice)
-    return ObservableFamily(n=n, alice=tuple(alice), bob=bob, params=params)
+def _family(n: int, bloch: np.ndarray, params: dict) -> ObservableFamily:
+    """The family whose Alice measures ``v . sigma`` for each of the (n, 3) Bloch rows, Bob ``-A^T``."""
+    alice = from_pauli(traceless_coordinates(bloch))
+    return ObservableFamily(n=n, alice=tuple(alice), bob=tuple(-alice.mT), params=params)
 
 
 def trine() -> ObservableFamily:
-    """Three coplanar observables at 120 degrees in the x-z Bloch plane."""
-    a1 = SIGMA_Z.copy()
-    a2 = (np.sqrt(3) / 2) * SIGMA_X - 0.5 * SIGMA_Z
-    a3 = -(np.sqrt(3) / 2) * SIGMA_X - 0.5 * SIGMA_Z
-    return _family(3, [a1, a2, a3], {})
+    """Three coplanar observables at 120 degrees in the x-z Bloch plane (``TRINE``)."""
+    return _family(3, TRINE, {})
 
 
 def _split(n: int, nu: float | None, beta: float | None) -> tuple[float, float]:
@@ -107,6 +114,16 @@ def _split(n: int, nu: float | None, beta: float | None) -> tuple[float, float]:
     return nu, beta
 
 
+def _transverse(n: int, nu: float | None, beta: float | None, signs: np.ndarray) -> ObservableFamily:
+    """The family of Bloch rows (0, 0, 1) and then (s nu, t beta, -1/(n-1)) for each row (s, t) of ``signs``."""
+    nu, beta = _split(n, nu, beta)
+    bloch = np.zeros((n, 3))
+    bloch[0, 2] = 1.0
+    bloch[1:, :2] = signs * (nu, beta)
+    bloch[1:, 2] = -1.0 / (n - 1)
+    return _family(n, bloch, {"nu": float(nu), "beta": float(beta)})
+
+
 def family_n(n: int, nu: float | None = None, beta: float | None = None) -> ObservableFamily:
     """Mirrored-pair family of n observables for any odd n >= 3.
 
@@ -116,50 +133,39 @@ def family_n(n: int, nu: float | None = None, beta: float | None = None) -> Obse
     sums to zero exactly.
     """
     check_n(n)
-    nu, beta = _split(n, nu, beta)
-    z = -1.0 / (n - 1)
-    alice = [SIGMA_Z.copy()]
-    half = (n - 1) // 2
-    for _ in range(half):
-        alice.append(nu * SIGMA_X - beta * SIGMA_Y + z * SIGMA_Z)
-    for _ in range(half):
-        alice.append(-nu * SIGMA_X + beta * SIGMA_Y + z * SIGMA_Z)
-    return _family(n, alice, {"nu": float(nu), "beta": float(beta)})
-
-
-def _quartet(nu: float, beta: float, z: float) -> list[np.ndarray]:
-    # Four observables whose x and y components cancel within the quartet.
-    return [
-        nu * SIGMA_X - beta * SIGMA_Y + z * SIGMA_Z,
-        -nu * SIGMA_X - beta * SIGMA_Y + z * SIGMA_Z,
-        nu * SIGMA_X + beta * SIGMA_Y + z * SIGMA_Z,
-        -nu * SIGMA_X + beta * SIGMA_Y + z * SIGMA_Z,
-    ]
+    return _transverse(n, nu, beta, np.repeat(_PAIR, (n - 1) // 2, axis=0))
 
 
 def family_quartets(n: int, nu: float | None = None, beta: float | None = None) -> ObservableFamily:
     """Quartet family for odd n >= 5.
 
     Settings 2..n are grouped into (+x,-y)/(-x,-y)/(+x,+y)/(-x,+y) quartets;
-    when n = 3 (mod 4) one extra mirrored pair completes the set.  All x and
-    y components cancel within each group, so the sum-zero constraint holds
-    exactly for any parameters satisfying the per-observable normalization.
-    The self-test does not use the grouping: it reads its swap frame from
-    the correlations of any family.
+    when n = 3 (mod 4) one extra mirrored pair (+x,-y)/(-x,+y) completes the
+    set.  All x and y components cancel within each group, so the sum-zero
+    constraint holds exactly for any parameters satisfying the
+    per-observable normalization.  The self-test does not use the grouping:
+    it reads its swap frame from the correlations of any family.
     """
     check_n(n)
     if n < 5:
         raise ValueError(f"quartet families need n >= 5, got {n}")
-    nu, beta = _split(n, nu, beta)
-    z = -1.0 / (n - 1)
-    alice = [SIGMA_Z.copy()]
-    for _ in range((n - 1) // 4):
-        alice.extend(_quartet(nu, beta, z))
-    if (n - 1) % 4:
-        # n = 3 (mod 4): one extra pair with cancelling x and y components.
-        alice.append(nu * SIGMA_X - beta * SIGMA_Y + z * SIGMA_Z)
-        alice.append(-nu * SIGMA_X + beta * SIGMA_Y + z * SIGMA_Z)
-    return _family(n, alice, {"nu": float(nu), "beta": float(beta)})
+    signs = np.concatenate([np.tile(_QUARTET, ((n - 1) // 4, 1)), _PAIR[: (n - 1) % 4]])
+    return _transverse(n, nu, beta, signs)
+
+
+def spiral_configuration(n: int) -> np.ndarray:
+    """n unit Bloch rows that sum to zero exactly: a trine, then (n - 3)/2 antipodal pairs.
+
+    The trine is ``TRINE`` turned into the xy plane; the pairs point along a
+    golden-angle spiral over the upper hemisphere, so that no two rows
+    coincide.  The see-saw starts Alice from it.
+    """
+    k = np.arange((n - 3) // 2)
+    z = 1.0 - (k + 0.5) / max(len(k), 1)
+    phi = k * np.pi * (3.0 - np.sqrt(5.0))
+    r = np.sqrt(1.0 - z * z)
+    pairs = np.stack([r * np.cos(phi), r * np.sin(phi), z], axis=-1)
+    return np.concatenate([TRINE[:, [2, 0, 1]], pairs, -pairs])
 
 
 def canonical_family(n: int) -> ObservableFamily:

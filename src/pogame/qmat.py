@@ -8,7 +8,8 @@ of observables are built in one place (``outcome_projectors``, and
 ``outcome_coordinates`` in Pauli coordinates).
 
 Hermitian 2x2 matrices also have a real form, their Pauli coordinates
-(m0, v) with m = m0 I + v . sigma (``pauli_coordinates``), and a pure or
+(m0, v) with m = m0 I + v . sigma (``pauli_coordinates``; a Bloch vector
+v has the coordinates (0, v), ``traceless_coordinates``), and a pure or
 mixed state has its correlation tensor T_mu,nu = tr[(sigma_mu (x)
 sigma_nu) rho] (``correlations``, ``density_correlations``).  The Born
 rule has one formula, on that form: the table of two stacks of effects
@@ -116,6 +117,11 @@ def pauli_coordinates(m) -> np.ndarray:
 def from_pauli(coords: np.ndarray) -> np.ndarray:
     """The (..., 2, 2) matrices of (..., 4) Pauli coordinates: the inverse of ``pauli_coordinates``."""
     return (coords @ _PAULI_BASIS.reshape(4, 4)).reshape(coords.shape[:-1] + (2, 2))
+
+
+def traceless_coordinates(bloch: np.ndarray) -> np.ndarray:
+    """Pauli coordinates (0, v) of the traceless matrices v . sigma for (..., 3) Bloch vectors v."""
+    return np.concatenate([np.zeros(bloch.shape[:-1] + (1,)), bloch], axis=-1)
 
 
 def correlations(psi: np.ndarray) -> np.ndarray:

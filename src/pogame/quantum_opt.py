@@ -30,11 +30,13 @@ sum-zero set the value cannot pass 2n, so at the ceiling no later sweep
 could gain more than ``tol``: reaching it is the stronger certificate of
 convergence.  From the starts below every restart reaches it in one sweep,
 so each trace holds 2 entries, the start and the optimum.  Alice starts every
-restart from one fixed sum-zero configuration, so she is on the set from
-the start, and Bob from random unit directions: one generator seeded with
-``seed`` draws a (restarts, n, 3) block of normals, and restart k takes
-block k, so its start and trace do not depend on the number of restarts.
-Only the best restart becomes a validated ``QuantumSetup``.
+restart from the Bloch rows of ``observables.spiral_configuration``, a fixed
+sum-zero configuration, so she is on the set from the start, and Bob from
+random unit directions: one generator seeded with ``seed`` draws a
+(restarts, n, 3) block of normals, and restart k takes block k, so its
+start and trace do not depend on the number of restarts.  Every Bloch
+vector enters the sweep through ``qmat.traceless_coordinates``.  Only the
+best restart becomes a validated ``QuantumSetup``.
 """
 
 from __future__ import annotations
@@ -44,7 +46,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gamecore import GameSpec, QuantumSetup, setting_combinations
-from .observables import check_n, check_parity_condition
+from .observables import check_n, check_parity_condition, spiral_configuration
 from .qmat import (
     EPS,
     PAULI_PRODUCTS,
@@ -54,6 +56,7 @@ from .qmat import (
     pauli_coordinates,
     pauli_squares,
     row_norms,
+    traceless_coordinates,
 )
 
 #: See-saw defaults: the seed of the start generator, the number of
@@ -74,16 +77,14 @@ def bell_operator(alice, bob) -> np.ndarray:
 
     The coefficient matrix is ``J - 2I`` (all ones minus twice the
     identity), so the double sum collapses to
-    ``(sum_x A_x) (x) (sum_y B_y) - 2 sum_x A_x (x) B_x``: one Kronecker
-    product and one contraction instead of n^2 Kronecker products.  Stacks
-    of shape (..., n, 2, 2) give one operator per leading index.
+    ``sum_x A_x (x) (sum_y B_y - 2 B_x)``, which ``_bell_from_pauli`` builds
+    from the parties' Pauli coordinates (of Hermitian observables, read from
+    their lower triangles).  Stacks of shape (..., n, 2, 2) give one
+    operator per leading index.
     """
-    a = np.asarray(alice, dtype=complex)
-    b = np.asarray(bob, dtype=complex)
-    GameSpec(a.shape[-3])  # validates n
-    pairs = np.einsum("...xij,...xkl->...ikjl", a, b)
-    kron = np.einsum("...ij,...kl->...ikjl", a.sum(axis=-3), b.sum(axis=-3))
-    return (kron - 2.0 * pairs).reshape(a.shape[:-3] + (4, 4))
+    a = pauli_coordinates(alice)
+    GameSpec(a.shape[-2])  # validates n
+    return _bell_from_pauli(a, setting_combinations(pauli_coordinates(bob), axis=-2))
 
 
 def setup_bell_value(setup: QuantumSetup) -> float:
@@ -174,13 +175,6 @@ def concavity_bound(n: int) -> float:
 # ---------------------------------------------------------------------------
 # See-saw ascent
 # ---------------------------------------------------------------------------
-
-
-def _traceless(bloch: np.ndarray) -> np.ndarray:
-    """Pauli coordinates (0, v) of the traceless matrices v . sigma for (..., 3) Bloch vectors v."""
-    coords = np.zeros(bloch.shape[:-1] + (4,))
-    coords[..., 1:] = bloch
-    return coords
 
 
 def _matrix_sign(m: np.ndarray) -> np.ndarray:
@@ -316,28 +310,13 @@ class SeesawResult:
     best_restart: int
 
 
-def _sum_zero_configuration(n: int) -> np.ndarray:
-    """n unit Bloch vectors that sum to zero exactly: a trine, then (n - 3)/2 antipodal pairs.
-
-    The trine lies in the xy plane; the pairs point along a golden-angle
-    spiral over the upper hemisphere, so that no two vectors coincide.
-    """
-    half = np.sqrt(3.0) / 2.0
-    trine = np.array([[1.0, 0.0, 0.0], [-0.5, half, 0.0], [-0.5, -half, 0.0]])
-    k = np.arange((n - 3) // 2)
-    z = 1.0 - (k + 0.5) / max(len(k), 1)
-    phi = k * np.pi * (3.0 - np.sqrt(5.0))
-    r = np.sqrt(1.0 - z * z)
-    pairs = np.stack([r * np.cos(phi), r * np.sin(phi), z], axis=-1)
-    return np.concatenate([trine, pairs, -pairs])
-
-
 def _random_starts(n: int, seed: int, restarts: int, skip: int = 0) -> tuple[np.ndarray, np.ndarray]:
     """Alice's and Bob's starting observables of restarts ``skip`` to ``restarts - 1``, Pauli coordinates.
 
-    Both come as (restarts - skip, n, 4) stacks.  Alice starts from
-    ``_sum_zero_configuration(n)`` in every restart, so she is on the
-    sum-zero set to roundoff without a projection.  Bob starts from n
+    Both come as (restarts - skip, n, 4) stacks, each Bloch row turned into
+    Pauli coordinates by ``qmat.traceless_coordinates``.  Alice starts from
+    ``observables.spiral_configuration(n)`` in every restart, so she is on
+    the sum-zero set to roundoff without a projection.  Bob starts from n
     random unit directions: one generator, ``np.random.default_rng(seed)``,
     draws a (restarts, n, 3) block of normals and restart k takes block k,
     so its start does not depend on ``restarts`` or ``skip``.  Nothing is
@@ -355,8 +334,8 @@ def _random_starts(n: int, seed: int, restarts: int, skip: int = 0) -> tuple[np.
     if restarts > skip:
         bob = np.random.default_rng(seed).normal(size=(restarts, n, 3))[skip:]
         bob /= row_norms(bob)[..., None]
-    alice = np.repeat(_traceless(_sum_zero_configuration(n))[None], len(bob), axis=0)
-    return alice, _traceless(bob)
+    alice = np.repeat(traceless_coordinates(spiral_configuration(n))[None], len(bob), axis=0)
+    return alice, traceless_coordinates(bob)
 
 
 def check_tol(tol: float) -> float:
@@ -415,7 +394,7 @@ def seesaw(
         b_combos = setting_combinations(b, axis=-2)
         effective = b_combos @ np.swapaxes(corr, -1, -2) / 2.0
         units, degenerate = _sum_zero_units(effective[..., 1:])
-        candidate = _traceless(units)
+        candidate = traceless_coordinates(units)
         # Keep the previous observables where the median sits on a target or the
         # update loses value (the value is sum_x tr(A_x M_x) = 2 sum_x a_x . m_x):
         # the trace stays monotone.

@@ -206,10 +206,11 @@ def bounds_section(n: int) -> tuple[dict, list]:
     }
     # Each witness is replayed on the Bell expression itself, with no behavior
     # table: a product strategy's correlator is a_x b_y (Alice's 0 is her
-    # unbiased response), so its value is a^T C b for the coefficients C.
-    coefficients = gc.bell_expression(n).coefficients
-    local_replay = float(np.array(local_w.a) @ coefficients @ np.array(local_w.b))
-    pnc_replay = float(np.array(pnc_w.a) @ coefficients @ np.array(pnc_w.b))
+    # unbiased response), so its value is a^T (J - 2I) b, the row action of
+    # J - 2I on a dotted with b.  The values are integers, exact either way.
+    local_replay, pnc_replay = (
+        float(gc.setting_combinations(np.array(w.a)) @ np.array(w.b)) for w in (local_w, pnc_w)
+    )
     checks = [
         Check("local witness replays its bound", abs(local_replay - local), "<", 1e-12),
         Check("pnc witness replays its bound", abs(pnc_replay - pnc), "<", 1e-12),

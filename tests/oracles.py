@@ -29,7 +29,11 @@ POVM at n = 3 only, and the pseudo-inverse of the n x n correlators
 ``certify.reconstruction_deviation``.  The matrix-route Born table
 (``born_table``) is the oracle of the Pauli form's ``e T f^T``, and
 ``two_branch_mixture`` builds the counterexample that shows a non-rigid
-configuration is not self-tested by its correlators.
+configuration is not self-tested by its correlators.  The observable
+families written as sums of Pauli matrices, one observable at a time
+(``trine_sum``, ``family_n_sum``, ``family_quartets_sum``), and the
+see-saw's start written out (``sum_zero_configuration``) are the oracles of
+the Bloch-row generators in ``observables``.
 """
 
 import heapq
@@ -39,8 +43,7 @@ from itertools import combinations, product
 
 import numpy as np
 
-from pogame import bounds, gamecore as gc, qmat, quantum_opt as qo, selftest as st
-from pogame.observables import check_n
+from pogame import bounds, gamecore as gc, observables as obs, qmat, quantum_opt as qo, selftest as st
 from pogame.qmat import EPS, I2, I_PAULI, SIGMA_X, SIGMA_Y, SIGMA_Z, hermitian_norms, phi_plus
 
 
@@ -184,7 +187,7 @@ def pnc_bound_scan(n):
 
 def pnc_bound_reduction(n):
     """Closed-form route: with sum a = 0 the value is 2 sum |a_y|, maximal at 2(n-1)."""
-    check_n(n)
+    obs.check_n(n)
     return 2 * (n - 1)
 
 
@@ -637,6 +640,63 @@ def assert_stacked_selftest_matches(setup, targets):
             assert run.junk is None and run.extracted is None, target
 
 
+def _hand_family(n, alice, params):
+    return obs.ObservableFamily(n=n, alice=tuple(alice), bob=tuple(-a.T for a in alice), params=params)
+
+
+def trine_sum():
+    """``observables.trine`` as sums of Pauli matrices, one observable at a time."""
+    a1 = SIGMA_Z.copy()
+    a2 = (np.sqrt(3) / 2) * SIGMA_X - 0.5 * SIGMA_Z
+    a3 = -(np.sqrt(3) / 2) * SIGMA_X - 0.5 * SIGMA_Z
+    return _hand_family(3, [a1, a2, a3], {})
+
+
+def family_n_sum(n, nu=None, beta=None):
+    """``observables.family_n`` as sums of Pauli matrices: sigma_z, then two mirrored blocks."""
+    nu, beta = obs._split(n, nu, beta)
+    z = -1.0 / (n - 1)
+    alice = [SIGMA_Z.copy()]
+    half = (n - 1) // 2
+    for _ in range(half):
+        alice.append(nu * SIGMA_X - beta * SIGMA_Y + z * SIGMA_Z)
+    for _ in range(half):
+        alice.append(-nu * SIGMA_X + beta * SIGMA_Y + z * SIGMA_Z)
+    return _hand_family(n, alice, {"nu": float(nu), "beta": float(beta)})
+
+
+def family_quartets_sum(n, nu=None, beta=None):
+    """``observables.family_quartets`` as sums of Pauli matrices: sigma_z, quartets, and a pair when n = 3 (mod 4)."""
+    nu, beta = obs._split(n, nu, beta)
+    z = -1.0 / (n - 1)
+    alice = [SIGMA_Z.copy()]
+    for _ in range((n - 1) // 4):
+        alice.extend(
+            [
+                nu * SIGMA_X - beta * SIGMA_Y + z * SIGMA_Z,
+                -nu * SIGMA_X - beta * SIGMA_Y + z * SIGMA_Z,
+                nu * SIGMA_X + beta * SIGMA_Y + z * SIGMA_Z,
+                -nu * SIGMA_X + beta * SIGMA_Y + z * SIGMA_Z,
+            ]
+        )
+    if (n - 1) % 4:
+        alice.append(nu * SIGMA_X - beta * SIGMA_Y + z * SIGMA_Z)
+        alice.append(-nu * SIGMA_X + beta * SIGMA_Y + z * SIGMA_Z)
+    return _hand_family(n, alice, {"nu": float(nu), "beta": float(beta)})
+
+
+def sum_zero_configuration(n):
+    """``observables.spiral_configuration`` written out: an xy-plane trine, then antipodal spiral pairs."""
+    half = np.sqrt(3.0) / 2.0
+    trine = np.array([[1.0, 0.0, 0.0], [-0.5, half, 0.0], [-0.5, -half, 0.0]])
+    k = np.arange((n - 3) // 2)
+    z = 1.0 - (k + 0.5) / max(len(k), 1)
+    phi = k * np.pi * (3.0 - np.sqrt(5.0))
+    r = np.sqrt(1.0 - z * z)
+    pairs = np.stack([r * np.cos(phi), r * np.sin(phi), z], axis=-1)
+    return np.concatenate([trine, pairs, -pairs])
+
+
 def geometric_median_weiszfeld(points):
     """Fermat-Weber point of each (n, 3) slice by a safeguarded Weiszfeld iteration.
 
@@ -700,7 +760,7 @@ def _random_units(rng, count):
 def _random_setup(n, normals):
     """Pauli coordinates of a start: Alice the fixed sum-zero configuration, Bob the directions of (n, 3) normals."""
     bob = normals / np.linalg.norm(normals, axis=1)[:, None]
-    return qo._traceless(qo._sum_zero_configuration(n)), qo._traceless(bob)
+    return qmat.traceless_coordinates(sum_zero_configuration(n)), qmat.traceless_coordinates(bob)
 
 
 def _top_eigenpair(alice, bob):
@@ -715,7 +775,7 @@ def _constrained_alice_update(targets, previous):
     dist = np.linalg.norm(diff, axis=1)
     if np.any(dist < 1e-12):
         return previous
-    return qo._traceless(diff / dist[:, None])
+    return qmat.traceless_coordinates(diff / dist[:, None])
 
 
 def _setting_combos(obs):

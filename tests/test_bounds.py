@@ -73,8 +73,8 @@ def test_witnesses_replay_exactly(n):
 
 @pytest.mark.parametrize("n", [3, 5, 7, 13, 101])
 def test_report_replays_agree_with_the_behavior_route(n):
-    # The bounds section replays each witness as a^T C b on the Bell
-    # coefficients, with no behavior table; the table route is its oracle.
+    # The bounds section replays each witness as a^T (J - 2I) b through the
+    # row action of J - 2I, with no behavior table; the table route is its oracle.
     section, checks = report.bounds_section(n)
     expr = gc.bell_expression(n)
     for key, value in (("local_witness", section["local_bound"]), ("pnc_witness", section["pnc_bound"])):
@@ -91,6 +91,16 @@ def test_report_replay_flags_a_wrong_witness(monkeypatch):
     _, checks = report.bounds_section(5)
     failed = [check.name for check in checks if not check.passed]
     assert failed == ["local witness replays its bound"]
+
+
+def test_report_replay_builds_no_bell_coefficients(monkeypatch):
+    # The replay is the row action of J - 2I, not the n x n coefficient matrix.
+    def refuse(n):
+        raise AssertionError("bounds_section built the n x n Bell coefficients")
+
+    monkeypatch.setattr(gc, "bell_expression", refuse)
+    _, checks = report.bounds_section(101)
+    assert all(check.passed for check in checks)
 
 
 def test_witness_behaviors_are_valid():

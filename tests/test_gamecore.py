@@ -414,6 +414,29 @@ def test_csv_rejects_out_of_range_index():
         gc.behavior_from_csv(text.replace("\n1,1,0,0,", "\n0,1,0,0,", 1))
 
 
+INT64_MIN = "-9223372036854775808"
+
+
+def test_readers_name_an_int64_min_setting_as_given():
+    # The range is checked before the 1-based setting is made 0-based, which would wrap around int64.
+    beh = gc.behavior_from_setup(gc.setup_from_family(obs.trine()))
+    with pytest.raises(ValueError, match=f"^row {INT64_MIN},1,0,0 is out of range for n=3$"):
+        gc.behavior_from_csv(gc.behavior_to_csv(beh).replace("\n1,1,0,0,", f"\n{INT64_MIN},1,0,0,", 1))
+    with pytest.raises(ValueError, match=f'^block "1,{INT64_MIN}" is out of range for n=3$'):
+        gc.behavior_from_json(gc.behavior_to_json(beh).replace('"1,1"', f'"1,{INT64_MIN}"', 1))
+
+
+@pytest.mark.parametrize(
+    "block, bad",
+    [('[["0.25", 0.25], [0.25, "2.5e-1"]]', '"0.25"'), ("[[true, false], [false, false]]", "true"), ("[[0.5, 0.5], [null, 0]]", "null")],
+    ids=["strings", "booleans", "null"],
+)
+def test_json_entries_must_be_json_numbers(block, bad):
+    # The float conversion alone reads these as four 0.25s, as [1, 0, 0, 0] and as nan.
+    with pytest.raises(ValueError, match=f"^table entries must be JSON numbers, got {re.escape(bad)}$"):
+        gc.behavior_from_json(f'{{"n": 1, "table": {{"1,1": {block}}}}}')
+
+
 def test_json_rejects_missing_block():
     text = gc.behavior_to_json(gc.behavior_from_setup(gc.setup_from_family(obs.trine())))
     doc = json.loads(text)
@@ -475,10 +498,11 @@ def _peak_bytes(call):
         # Sized from its largest index, a 2001-setting table would take over 100 MB.
         (gc.behavior_from_csv, "x,y,a,b,p\n2001,1,0,0,1", "missing row 1,1,0,0"),
         (gc.behavior_from_csv, "x,y,a,b,p\n9000000000000000000,1,0,0,1", "missing row 1,1,0,0"),
+        (gc.behavior_from_csv, "x,y,a,b,p\n9223372036854775807,1,1,1,1", "missing row 1,1,0,0"),
         (gc.behavior_from_json, '{"n": 2001, "table": {"1,1": [[1, 0], [0, 0]]}}', 'missing block "1,2"'),
         (gc.behavior_from_json, '{"n": 10000000000000000000000, "table": {"2,1": [[1, 0], [0, 0]]}}', 'missing block "1,1"'),
     ],
-    ids=["csv-2001", "csv-int64-max", "json-2001", "json-beyond-int64"],
+    ids=["csv-2001", "csv-int64-max", "csv-int64-max-exact", "json-2001", "json-beyond-int64"],
 )
 def test_short_input_is_rejected_in_memory_of_its_own_size(read, text, match):
     def call():

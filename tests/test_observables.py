@@ -7,7 +7,7 @@ from pogame import bounds
 from pogame import gamecore as gc
 from pogame import observables as obs
 from pogame import quantum_opt as qo
-from pogame.qmat import I2, SIGMA_X, SIGMA_Z
+from pogame.qmat import I2, SIGMA_X, SIGMA_Z, pauli_coordinates
 
 ALL_FAMILIES = [
     obs.trine(),
@@ -44,7 +44,7 @@ def test_trine_sum_vanishes():
 
 def test_trine_bloch_overlaps():
     fam = obs.trine()
-    blochs = [obs.bloch_of(a) for a in fam.alice]
+    blochs = pauli_coordinates(np.array(fam.alice))[:, 1:]
     for x in range(3):
         for y in range(x + 1, 3):
             assert blochs[x] @ blochs[y] == pytest.approx(-0.5, abs=1e-12)
@@ -53,7 +53,7 @@ def test_trine_bloch_overlaps():
 def test_family_n3_matches_trine_up_to_rotation():
     # Anticommutator spectrum: all pairwise overlaps -1/2, as for the trine.
     fam = obs.family_n(3)
-    blochs = [obs.bloch_of(a) for a in fam.alice]
+    blochs = pauli_coordinates(np.array(fam.alice))[:, 1:]
     for x in range(3):
         for y in range(x + 1, 3):
             assert blochs[x] @ blochs[y] == pytest.approx(-0.5, abs=1e-12)
@@ -99,7 +99,7 @@ def test_family_quartets_nine_sums_to_zero():
 def test_family_quartets_seven_has_extra_pair():
     fam = obs.family_quartets(7)
     assert fam.n == 7
-    ys = [obs.bloch_of(a)[1] for a in fam.alice]
+    ys = pauli_coordinates(np.array(fam.alice))[:, 2]
     # one quartet (pattern -,-,+,+) plus a mirrored pair (-,+) after the z pivot
     assert ys[0] == pytest.approx(0.0, abs=1e-12)
     assert np.sign(ys[1:5]).tolist() == [-1.0, -1.0, 1.0, 1.0]
@@ -175,7 +175,8 @@ def test_obs_from_bloch_round_trip():
         v = v / np.linalg.norm(v)
         m = obs.obs_from_bloch(v)
         obs.assert_observable(m)
-        assert np.allclose(obs.bloch_of(m), v, atol=1e-12)
+        assert np.allclose(pauli_coordinates(m)[1:], v, atol=1e-12)
+        assert np.allclose(m, oracles.bloch_observables(v), atol=1e-15)
 
 
 def test_obs_from_bloch_rejects_non_unit():
@@ -207,3 +208,48 @@ def test_bounds_follow_the_odd_n_rule_without_a_cap():
             bounds.local_bound(n)
         assert str(err.value) == f"n must be odd and >= 3, got {n}"
     assert bounds.local_bound(15)[0] == bounds.local_bound_closed_form(15)
+
+
+BIT_IDENTITY_N = [3, 5, 7, 9, 11, 13, 21, 41, 101]
+
+
+def assert_bit_identical(got, want):
+    """Equal values and equal sign bits, so that signed zeros agree as well."""
+    got, want = np.asarray(got), np.asarray(want)
+    assert np.array_equal(got, want)
+    for part in (np.real, np.imag):
+        assert np.array_equal(np.signbit(part(got)), np.signbit(part(want)))
+
+
+def _generated_pairs(n):
+    """(Bloch-row generator, its hand-written oracle) for every family defined at n."""
+    pairs = [(obs.family_n(n), oracles.family_n_sum(n))]
+    if n == 3:
+        pairs.append((obs.trine(), oracles.trine_sum()))
+    else:
+        pairs.append((obs.family_quartets(n), oracles.family_quartets_sum(n)))
+    return pairs
+
+
+@pytest.mark.parametrize("n", BIT_IDENTITY_N)
+def test_bloch_row_generators_match_the_pauli_sums_bit_for_bit(n):
+    for fam, want in _generated_pairs(n):
+        assert_bit_identical(fam.alice, want.alice)
+        assert_bit_identical(fam.bob, want.bob)
+        assert fam.params == want.params
+    assert_bit_identical(obs.spiral_configuration(n), oracles.sum_zero_configuration(n))
+
+
+def test_spiral_configuration_starts_with_the_trine_in_the_xy_plane():
+    assert_bit_identical(obs.spiral_configuration(3), obs.TRINE[:, [2, 0, 1]])
+    assert not obs.TRINE.flags.writeable
+
+
+@pytest.mark.parametrize("n", BIT_IDENTITY_N)
+def test_every_generator_has_unit_rows_that_sum_to_zero(n):
+    rows = [obs.spiral_configuration(n)]
+    rows += [pauli_coordinates(np.array(fam.alice))[:, 1:] for fam, _ in _generated_pairs(n)]
+    for bloch in rows:
+        assert bloch.shape == (n, 3)
+        assert np.max(np.abs(np.linalg.norm(bloch, axis=1) - 1.0)) <= 1e-15 * n
+        assert np.max(np.abs(bloch.sum(axis=0))) <= 1e-15 * n

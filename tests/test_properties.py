@@ -1,5 +1,6 @@
 """Property tests over random gauges and observables (skipped without hypothesis)."""
 
+import json
 import re
 import tracemalloc
 from decimal import Decimal, localcontext
@@ -167,6 +168,21 @@ hermitians = st.one_of(
 
 
 @PROPERTY_SETTINGS
+@given(odd_n, angles)
+def test_bloch_row_families_match_the_pauli_sums_on_the_normalization_circle(n, theta):
+    # nu^2 + beta^2 = 1 - 1/(n-1)^2, at any angle: signs of nu and beta included.
+    radius = np.sqrt(1.0 - 1.0 / (n - 1) ** 2)
+    nu, beta = radius * np.cos(theta), radius * np.sin(theta)
+    pairs = [(family_n(n, nu, beta), oracles.family_n_sum(n, nu, beta))]
+    if n >= 5:
+        pairs.append((family_quartets(n, nu, beta), oracles.family_quartets_sum(n, nu, beta)))
+    for fam, want in pairs:
+        # Equal values; a zero entry may differ in sign where nu or beta is itself 0.
+        assert np.array_equal(fam.alice, want.alice) and np.array_equal(fam.bob, want.bob)
+        assert fam.params == want.params
+
+
+@PROPERTY_SETTINGS
 @given(st.lists(hermitians, min_size=1, max_size=6))
 def test_closed_form_sign_matches_eigh_oracle(mats):
     m = np.array(mats)
@@ -253,11 +269,11 @@ def test_behavior_round_trips_bit_for_bit(n, u, v):
 
 
 # Substitutes for one number of a behavior text: out-of-range and overflowing
-# indices, a float in an int field, non-finite probabilities, and a number too
-# large for a float.
+# indices, a float in an int field, non-finite probabilities, a number too
+# large for a float, and JSON values that are not numbers.
 _HOSTILE_NUMBERS = [
     "0", "-1", "7", "1.7", "99999999999999999999", "9223372036854775807", "-9223372036854775808",
-    "nan", "inf", "-inf", "NaN", "Infinity", "-Infinity", "1e400", "1" + "0" * 400,
+    "nan", "inf", "-inf", "NaN", "Infinity", "-Infinity", "1e400", "1" + "0" * 400, "true", "null",
 ]
 _NUMBER = re.compile(r"\d+(?:\.\d+)?(?:[eE][-+]?\d+)?")
 
@@ -267,8 +283,8 @@ def mutated_behavior_texts(draw):
     """A valid CSV or JSON behavior text at n in {3, 5}, with one to three edits.
 
     An edit deletes, inserts or replaces characters; drops, duplicates or
-    swaps lines (CSV rows, or JSON entries split at ``, "``); or puts a
-    hostile number in place of one number of the text.
+    swaps lines (CSV rows, or JSON entries split at ``, "``); puts a
+    hostile number in place of one number of the text; or quotes one number.
     """
     n = draw(st.sampled_from([3, 5]))
     fmt = draw(st.sampled_from(["csv", "json"]))
@@ -279,17 +295,18 @@ def mutated_behavior_texts(draw):
     sep = "\n" if fmt == "csv" else ', "'
     chars = st.one_of(st.sampled_from(list('0123456789,.-+eE\n []{}":naifNI')), st.characters())
     for _ in range(draw(st.integers(1, 3))):
-        kind = draw(st.sampled_from(["delete", "insert", "replace", "drop", "duplicate", "swap", "number"]))
+        kind = draw(st.sampled_from(["delete", "insert", "replace", "drop", "duplicate", "swap", "number", "quote"]))
         if kind in ("delete", "insert", "replace"):
             i = draw(st.integers(0, max(len(text) - 1, 0)))
             size = draw(st.integers(1, 3))
             ins = draw(st.text(chars, min_size=1, max_size=5)) if kind != "delete" else ""
             text = text[:i] + ins + text[i + (size if kind != "insert" else 0) :]
-        elif kind == "number":
+        elif kind in ("number", "quote"):
             spans = [m.span() for m in _NUMBER.finditer(text)]
             if spans:
                 start, end = draw(st.sampled_from(spans))
-                text = text[:start] + draw(st.sampled_from(_HOSTILE_NUMBERS)) + text[end:]
+                swap = draw(st.sampled_from(_HOSTILE_NUMBERS)) if kind == "number" else f'"{text[start:end]}"'
+                text = text[:start] + swap + text[end:]
         else:
             units = text.split(sep)
             i, j = draw(st.integers(0, len(units) - 1)), draw(st.integers(0, len(units) - 1))
@@ -335,6 +352,9 @@ def test_behavior_readers_round_trip_or_raise_value_error(case):
     assert peak <= 64 * len(text) + 2**18
     if beh is not None:
         assert reader(writer(beh)).table.tobytes() == beh.table.tobytes()
+        if fmt == "json":  # an accepted document holds JSON numbers only
+            blocks = json.loads(text)["table"].values()
+            assert all(type(p) in (int, float) for block in blocks for row in block for p in row)
 
 
 @PROPERTY_SETTINGS

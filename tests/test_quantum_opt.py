@@ -270,7 +270,7 @@ def test_geometric_median_of_a_sum_zero_configuration_is_its_centroid(n):
     rng = np.random.default_rng(120 + n)
     rotations = [np.linalg.qr(rng.normal(size=(3, 3)))[0] for _ in range(6)]
     points = np.array(
-        [scale * qo._sum_zero_configuration(n) @ rot.T for rot in rotations for scale in (1.0, 1e-3, 7.5, 2.0**20)]
+        [scale * obs.spiral_configuration(n) @ rot.T for rot in rotations for scale in (1.0, 1e-3, 7.5, 2.0**20)]
     )
     assert np.array_equal(qo._geometric_median(points), points.mean(axis=-2))
     for pts in points:
