@@ -24,7 +24,7 @@ from .gamecore import (
     steered_states,
     success_probability,
 )
-from .observables import ObservableFamily, canonical_family, family_n, family_quartets, trine
+from .observables import canonical_family, family_n, family_quartets, trine
 from .quantum_opt import concavity_bound, delta_check, seesaw, sos_certificate
 from .report import CertificationReport, build_report
 from .selftest import build_selftest_operators, run_isometry, verify_relations
@@ -35,7 +35,6 @@ __all__ = [
     "BellExpression",
     "CertificationReport",
     "GameSpec",
-    "ObservableFamily",
     "PovmSet",
     "QuantumSetup",
     "behavior_from_setup",

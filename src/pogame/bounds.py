@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import gamecore
-from .observables import check_n
+from .gamecore import check_n
 
 
 @dataclass(frozen=True)

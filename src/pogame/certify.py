@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .gamecore import CertificationError, QuantumSetup
-from .observables import ObservableFamily, check_parity_condition
+from .observables import check_parity_condition
 from .qmat import EPS, I2, I_PAULI, hermitian_norms, hermitian_spectra, outcome_coordinates, pauli_coordinates
 from .quantum_opt import setup_bell_value
 
@@ -80,8 +80,8 @@ class PovmSet:
         return len(self.elements)
 
 
-def canonical_povm(fam: QuantumSetup | ObservableFamily) -> PovmSet:
-    """Anti-aligned POVM (I - A_k)/n built from Alice's observables of a parity-valid setup or family.
+def canonical_povm(fam: QuantumSetup) -> PovmSet:
+    """Anti-aligned POVM (I - A_k)/n built from Alice's observables of a parity-valid setup.
 
     Raises ``CertificationError`` when the observables violate the parity
     condition by more than ``EPS``: then (I - A_k)/n do not sum to I.
@@ -100,8 +100,6 @@ class PovmStatistics:
     P(k), which no-signaling makes independent of y.
     """
 
-    n_outcomes: int
-    n_settings: int
     table: np.ndarray
     marginals: np.ndarray
 
@@ -111,7 +109,7 @@ def povm_statistics(setup: QuantumSetup, povm: PovmSet) -> PovmStatistics:
     _, bob, corr = setup.pauli_form
     steered = povm.coordinates @ corr
     table = (steered @ outcome_coordinates(bob).reshape(-1, 4).T).reshape(len(povm), setup.n, 2)
-    return PovmStatistics(n_outcomes=len(povm), n_settings=setup.n, table=table, marginals=steered[:, 0])
+    return PovmStatistics(table=table, marginals=steered[:, 0])
 
 
 def penalty_probabilities(setup: QuantumSetup, povm: PovmSet) -> np.ndarray:

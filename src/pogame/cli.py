@@ -19,8 +19,8 @@ import sys
 from . import quantum_opt as qo
 from . import report as report_mod
 from .certify import ALPHA
-from .gamecore import CertificationError, setup_from_family
-from .observables import canonical_family, check_n
+from .gamecore import CertificationError, check_n
+from .observables import canonical_family
 from .report import Check, provenance, render_json
 from .selftest import perturbed_state
 
@@ -185,7 +185,7 @@ def _cmd_optimize(args) -> int:
 
 
 def _cmd_selftest(args) -> int:
-    setup = setup_from_family(canonical_family(args.n))
+    setup = canonical_family(args.n)
     if args.perturb:
         setup = dataclasses.replace(setup, state=perturbed_state(args.perturb))
     section, checks = report_mod.selftest_section(setup, perturb=args.perturb)
@@ -194,7 +194,7 @@ def _cmd_selftest(args) -> int:
 
 
 def _cmd_certify(args) -> int:
-    setup = setup_from_family(canonical_family(args.n))
+    setup = canonical_family(args.n)
     povm_sec, rand_sec, checks = report_mod.certify_section(setup, args.alpha)
     print(render_json({"n": args.n, "povm": povm_sec, "randomness": rand_sec}))
     return 0 if _emit_checks(checks) else 1

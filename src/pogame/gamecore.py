@@ -1,4 +1,10 @@
-"""Game definition, Bell expression, behaviors and steering checks.
+"""Game definition, strategies, Bell expression, behaviors and steering checks.
+
+The game is defined for an odd number n >= 3 of settings only.  That rule
+is ``check_n``, and every type that carries an n checks it: ``GameSpec``,
+``bell_expression`` and ``QuantumSetup``, the one type of a strategy (a
+two-qubit state and n observables per party), which every pipeline stage
+takes and every family of ``observables`` is.
 
 Conventions
 -----------
@@ -34,9 +40,9 @@ from itertools import chain, product
 
 import numpy as np
 
-from .observables import ObservableFamily, assert_observable, check_n
 from .qmat import (
     EPS,
+    I2,
     I_PAULI,
     as_state,
     correlations,
@@ -56,6 +62,12 @@ class CertificationError(ValueError):
     A ``ValueError``, so callers that catch that are unaffected; the command
     line exits 1 on it, as on a failed check, not 2.
     """
+
+
+def check_n(n: int) -> None:
+    """Raise ``ValueError`` unless n is an odd number of settings >= 3: the game is defined for no other n."""
+    if n % 2 == 0 or n < 3:
+        raise ValueError(f"n must be odd and >= 3, got {n}")
 
 
 @dataclass(frozen=True)
@@ -148,9 +160,32 @@ class Behavior:
         return float(max(d_alice, d_bob))
 
 
+def assert_observable(m) -> None:
+    """Check the dichotomic-observable contract, Hermitian and m^2 = I within ``EPS``, in one pass.
+
+    ``m`` is one 2x2 matrix or a stack of them (shape (..., 2, 2), or a
+    sequence of 2x2 matrices).
+    """
+    try:
+        arr = np.asarray(m, dtype=complex)
+    except ValueError:  # a ragged sequence: name the first odd shape
+        arr = next(np.asarray(x) for x in m if np.shape(x) != (2, 2))
+    if arr.shape[-2:] != (2, 2):
+        raise ValueError(f"expected a 2x2 observable, got shape {arr.shape[-2:]}")
+    if not np.abs(arr - np.swapaxes(arr.conj(), -1, -2)).max(initial=0.0) <= EPS:
+        raise ValueError("observable is not Hermitian")
+    if np.abs(arr @ arr - I2).max(initial=0.0) > EPS:
+        raise ValueError("observable does not square to the identity")
+
+
 @dataclass(frozen=True, eq=False)
 class QuantumSetup:
-    """Shared two-qubit pure state plus n dichotomic observables per party."""
+    """Shared two-qubit pure state plus n dichotomic observables per party, n odd and >= 3.
+
+    The one type of a strategy: every family of ``observables`` is one (on
+    phi+), and every pipeline stage takes one.  The odd-n rule is checked
+    here, where a setup is built.
+    """
 
     state: np.ndarray
     alice: tuple[np.ndarray, ...]
@@ -162,6 +197,7 @@ class QuantumSetup:
             raise ValueError("state must be a two-qubit vector of dimension 4")
         if len(self.alice) != len(self.bob):
             raise ValueError("alice and bob must hold the same number of observables")
+        check_n(len(self.alice))
         assert_observable(self.alice)
         assert_observable(self.bob)
 
@@ -184,8 +220,8 @@ class QuantumSetup:
         return form
 
 
-def setup_from_family(fam: ObservableFamily) -> QuantumSetup:
-    """Canonical optimal setup: family observables on the maximally entangled state."""
+def setup_from_family(fam: QuantumSetup) -> QuantumSetup:
+    """The setup's observables on the maximally entangled state; a family of ``observables`` already is that setup."""
     return QuantumSetup(state=phi_plus(), alice=fam.alice, bob=fam.bob)
 
 
@@ -210,8 +246,7 @@ def bell_value(expr: BellExpression, beh: Behavior) -> float:
 
 def success_probability(expr: BellExpression, beh: Behavior) -> float:
     """Game success probability 1/2 + <B>/(2 n^2)."""
-    n = expr.n
-    return 0.5 + bell_value(expr, beh) / (2.0 * n * n)
+    return success_probability_at(expr.n, bell_value(expr, beh))
 
 
 def success_probability_direct(spec: GameSpec, beh: Behavior) -> float:
@@ -427,6 +462,11 @@ def _first_gap(index: np.ndarray, keyed: tuple[int, ...]) -> tuple[str, np.ndarr
     return "missing", want[first]
 
 
+def _csv_row(x: int, y: int, a: int, b: int) -> str:
+    """A CSV data row as the readers' errors name it."""
+    return f"row {x},{y},{a},{b}"
+
+
 def behavior_from_csv(text: str) -> Behavior:
     """Parse the CSV written by ``behavior_to_csv``: all rows are converted in one ``np.loadtxt``."""
     lines = list(filter(None, text.strip().splitlines()))
@@ -438,7 +478,9 @@ def behavior_from_csv(text: str) -> Behavior:
     records = _load_records(rows, _CSV_ROW, "CSV row")
     keys = np.stack([records["x"], records["y"], records["a"], records["b"]], axis=1)
     n = int(keys[:, 0].max())
-    table = _fill_once((n, n, 2, 2), keys, (1, 1, 0, 0), records["p"], lambda x, y, a, b: f"row {x},{y},{a},{b}")
+    if n < 1:  # n is read from the largest setting x; with none, every row is out of range whatever n is
+        raise ValueError(f"{_csv_row(*keys[0].tolist())} is out of range: settings start at 1")
+    table = _fill_once((n, n, 2, 2), keys, (1, 1, 0, 0), records["p"], _csv_row)
     beh = Behavior(n=n, table=table)
     beh.validate()
     return beh

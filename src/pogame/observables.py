@@ -1,11 +1,13 @@
-"""Canonical qubit observable families for the n-setting oblivious game.
+"""Canonical qubit strategies for the n-setting oblivious game, as ``QuantumSetup``s on phi+.
 
 Every family consists of n traceless unit-Bloch observables for Alice that
 sum to the zero operator, together with Bob's optimal counterparts
-``B_y = -A_y^T``.  The transpose matters: for families with a sigma_y
-component the plain negation does not reach the optimal correlations on the
-maximally entangled state, while the transposed form always does (for real
-families the two coincide).
+``B_y = -A_y^T``, on the maximally entangled state.  The transpose matters:
+for families with a sigma_y component the plain negation does not reach the
+optimal correlations on that state, while the transposed form always does
+(for real families the two coincide).  A family is a
+``gamecore.QuantumSetup``, the one type of a strategy, which checks the
+odd-n rule and the observables where it is built.
 
 This module is the one place that writes such a configuration down, as an
 (n, 3) array of unit Bloch rows (``TRINE``, ``_transverse``, and the
@@ -16,11 +18,10 @@ observables by one route, ``qmat.traceless_coordinates`` then
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
-from .qmat import EPS, I2, from_pauli, hermitian_norms, pauli_coordinates, traceless_coordinates
+from .gamecore import QuantumSetup, check_n
+from .qmat import EPS, from_pauli, hermitian_norms, pauli_coordinates, phi_plus, traceless_coordinates
 
 #: Bloch rows of the trine: three coplanar directions at 120 degrees in the x-z plane.
 TRINE = np.array([[0.0, 0.0, 1.0], [np.sqrt(3) / 2, 0.0, -0.5], [-np.sqrt(3) / 2, 0.0, -0.5]])
@@ -32,12 +33,6 @@ _PAIR = np.array([[1.0, -1.0], [-1.0, 1.0]])
 _QUARTET = np.array([[1.0, -1.0], [-1.0, -1.0], [1.0, 1.0], [-1.0, 1.0]])
 
 
-def check_n(n: int) -> None:
-    """Raise ``ValueError`` unless n is an odd number of settings >= 3."""
-    if n % 2 == 0 or n < 3:
-        raise ValueError(f"n must be odd and >= 3, got {n}")
-
-
 def obs_from_bloch(vec) -> np.ndarray:
     """Observable ``n . sigma`` for a unit Bloch vector ``n``."""
     v = np.asarray(vec, dtype=float).reshape(3)
@@ -46,55 +41,15 @@ def obs_from_bloch(vec) -> np.ndarray:
     return from_pauli(traceless_coordinates(v))
 
 
-def assert_observable(m) -> None:
-    """Check the dichotomic-observable contract, Hermitian and m^2 = I within ``EPS``, in one pass.
-
-    ``m`` is one 2x2 matrix or a stack of them (shape (..., 2, 2), or a
-    sequence of 2x2 matrices).
-    """
-    try:
-        arr = np.asarray(m, dtype=complex)
-    except ValueError:  # a ragged sequence: name the first odd shape
-        arr = next(np.asarray(x) for x in m if np.shape(x) != (2, 2))
-    if arr.shape[-2:] != (2, 2):
-        raise ValueError(f"expected a 2x2 observable, got shape {arr.shape[-2:]}")
-    if not np.abs(arr - np.swapaxes(arr.conj(), -1, -2)).max(initial=0.0) <= EPS:
-        raise ValueError("observable is not Hermitian")
-    if np.abs(arr @ arr - I2).max(initial=0.0) > EPS:
-        raise ValueError("observable does not square to the identity")
-
-
-@dataclass(frozen=True, eq=False)
-class ObservableFamily:
-    """n dichotomic qubit observables per party with the sum-zero constraint.
-
-    ``alice`` holds the generating observables; ``bob`` is fixed to the
-    optimal ``-A^T`` counterparts.  ``params`` records the free parameters
-    used by the generator.
-    """
-
-    n: int
-    alice: tuple[np.ndarray, ...]
-    bob: tuple[np.ndarray, ...]
-    params: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        check_n(self.n)
-        if len(self.alice) != self.n or len(self.bob) != self.n:
-            raise ValueError("family must carry exactly n observables per party")
-        assert_observable(self.alice)
-        assert_observable(self.bob)
-
-
-def _family(n: int, bloch: np.ndarray, params: dict) -> ObservableFamily:
-    """The family whose Alice measures ``v . sigma`` for each of the (n, 3) Bloch rows, Bob ``-A^T``."""
+def _family(bloch: np.ndarray) -> QuantumSetup:
+    """The setup on phi+ whose Alice measures ``v . sigma`` for each of the (n, 3) Bloch rows, Bob ``-A^T``."""
     alice = from_pauli(traceless_coordinates(bloch))
-    return ObservableFamily(n=n, alice=tuple(alice), bob=tuple(-alice.mT), params=params)
+    return QuantumSetup(state=phi_plus(), alice=tuple(alice), bob=tuple(-alice.mT))
 
 
-def trine() -> ObservableFamily:
+def trine() -> QuantumSetup:
     """Three coplanar observables at 120 degrees in the x-z Bloch plane (``TRINE``)."""
-    return _family(3, TRINE, {})
+    return _family(TRINE)
 
 
 def _split(n: int, nu: float | None, beta: float | None) -> tuple[float, float]:
@@ -114,17 +69,17 @@ def _split(n: int, nu: float | None, beta: float | None) -> tuple[float, float]:
     return nu, beta
 
 
-def _transverse(n: int, nu: float | None, beta: float | None, signs: np.ndarray) -> ObservableFamily:
+def _transverse(n: int, nu: float | None, beta: float | None, signs: np.ndarray) -> QuantumSetup:
     """The family of Bloch rows (0, 0, 1) and then (s nu, t beta, -1/(n-1)) for each row (s, t) of ``signs``."""
     nu, beta = _split(n, nu, beta)
     bloch = np.zeros((n, 3))
     bloch[0, 2] = 1.0
     bloch[1:, :2] = signs * (nu, beta)
     bloch[1:, 2] = -1.0 / (n - 1)
-    return _family(n, bloch, {"nu": float(nu), "beta": float(beta)})
+    return _family(bloch)
 
 
-def family_n(n: int, nu: float | None = None, beta: float | None = None) -> ObservableFamily:
+def family_n(n: int, nu: float | None = None, beta: float | None = None) -> QuantumSetup:
     """Mirrored-pair family of n observables for any odd n >= 3.
 
     The first observable is sigma_z; the remaining n-1 split into two
@@ -136,7 +91,7 @@ def family_n(n: int, nu: float | None = None, beta: float | None = None) -> Obse
     return _transverse(n, nu, beta, np.repeat(_PAIR, (n - 1) // 2, axis=0))
 
 
-def family_quartets(n: int, nu: float | None = None, beta: float | None = None) -> ObservableFamily:
+def family_quartets(n: int, nu: float | None = None, beta: float | None = None) -> QuantumSetup:
     """Quartet family for odd n >= 5.
 
     Settings 2..n are grouped into (+x,-y)/(-x,-y)/(+x,+y)/(-x,+y) quartets;
@@ -168,12 +123,12 @@ def spiral_configuration(n: int) -> np.ndarray:
     return np.concatenate([TRINE[:, [2, 0, 1]], pairs, -pairs])
 
 
-def canonical_family(n: int) -> ObservableFamily:
+def canonical_family(n: int) -> QuantumSetup:
     """Family of the ``selftest`` and ``certify`` commands: the trine for n = 3, quartets from n = 5 on."""
     return trine() if n == 3 else family_quartets(n)
 
 
-def check_parity_condition(fam: ObservableFamily) -> float:
+def check_parity_condition(setup: QuantumSetup) -> float:
     """Largest violation of the operator constraints behind parity obliviousness.
 
     Returns ``||sum_x A_x||`` in spectral norm, which vanishes for a valid
@@ -182,4 +137,4 @@ def check_parity_condition(fam: ObservableFamily) -> float:
     The sum is Hermitian, so its norm is the closed form ``|m0| + |v|`` of
     its Pauli coordinates.
     """
-    return float(hermitian_norms(pauli_coordinates(np.sum(fam.alice, axis=0))))
+    return float(hermitian_norms(pauli_coordinates(np.sum(setup.alice, axis=0))))

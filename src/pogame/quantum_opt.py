@@ -45,8 +45,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gamecore import GameSpec, QuantumSetup, setting_combinations
-from .observables import check_n, check_parity_condition, spiral_configuration
+from .gamecore import GameSpec, QuantumSetup, check_n, setting_combinations
+from .observables import check_parity_condition, spiral_configuration
 from .qmat import (
     EPS,
     PAULI_PRODUCTS,

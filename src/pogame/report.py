@@ -365,8 +365,9 @@ def build_report(
     self_sec, self_checks = selftest_section(setup) if n in (3, 5) else (None, [])
     povm_sec, rand_sec, certify_checks = certify_section(setup, alpha)
 
-    # The bounds detail rides along inside the optimization dict so the
-    # top-level schema stays stable across n.
+    # The report's top-level fields hold only the two bound values; the rest
+    # of the bounds section (witnesses, closed form, ceiling) rides along
+    # inside the optimization dict, so the report needs no field of its own for it.
     opt_sec = dict(opt_sec, bounds_detail=bounds_sec)
     succ = {
         "quantum": gc.success_probability_at(n, result.value),

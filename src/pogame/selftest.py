@@ -82,15 +82,13 @@ _SPAN_TOL = 1e-8
 
 @dataclass(frozen=True, eq=False)
 class SelfTestOperators:
-    """Normalized swap operators built from a setup's observables.
+    """Normalized swap operators built from ``setup``'s observables.
 
     ``y_a`` and ``y_b`` are None when the observables are planar on the
     state; ``norms`` holds the state norm each operator was divided by.
     """
 
-    n: int
-    alice: tuple[np.ndarray, ...]
-    bob: tuple[np.ndarray, ...]
+    setup: QuantumSetup
     z_a: np.ndarray
     x_a: np.ndarray
     z_b: np.ndarray
@@ -171,7 +169,7 @@ def build_selftest_operators(setup: QuantumSetup) -> SelfTestOperators:
     frame = np.array(frame)
     if np.max(hermitian_norms(pauli_coordinates(frame @ frame - I2))) > 1e-6:
         raise CertificationError("normalized swap operator does not square to the identity")
-    return SelfTestOperators(setup.n, setup.alice, setup.bob, alice[0], x_a, -bob[0], x_b, y_a, y_b, norms)
+    return SelfTestOperators(setup, alice[0], x_a, -bob[0], x_b, y_a, y_b, norms)
 
 
 def verify_relations(ops: SelfTestOperators, state) -> dict[str, float]:
@@ -186,13 +184,14 @@ def verify_relations(ops: SelfTestOperators, state) -> dict[str, float]:
     psi = np.asarray(state, dtype=complex).reshape(2, 2)
     zero = np.zeros((2, 2), dtype=complex)
     z_a, x_a, z_b, x_b = ops.z_a, ops.x_a, ops.z_b, ops.x_b
-    terms = {f"diag_anticorrelation_{x + 1}": ((a, b), (I2, I2)) for x, (a, b) in enumerate(zip(ops.alice, ops.bob))}
+    alice, bob = ops.setup.alice, ops.setup.bob
+    terms = {f"diag_anticorrelation_{x + 1}": ((a, b), (I2, I2)) for x, (a, b) in enumerate(zip(alice, bob))}
     terms |= {
         "z_equal": ((z_a, I2), (I2, -z_b)),
         "x_equal": ((x_a, I2), (I2, -x_b)),
         "zx_anticommute_a": ((z_a @ x_a + x_a @ z_a, I2), (zero, zero)),
         "zx_anticommute_b": ((I2, z_b @ x_b + x_b @ z_b), (zero, zero)),
-        "sum_zero": ((np.sum(ops.alice, axis=0), I2), (zero, zero)),
+        "sum_zero": ((np.sum(alice, axis=0), I2), (zero, zero)),
     }
     if ops.y_a is not None:
         y_a, y_b = ops.y_a, ops.y_b
@@ -219,7 +218,6 @@ class SwapCircuit:
     operators indexed by the value of the stage's ancilla.
     """
 
-    n: int
     nregs: int
     stages: tuple[tuple[np.ndarray, np.ndarray], ...]
 
@@ -237,7 +235,7 @@ def build_circuit(ops: SelfTestOperators) -> SwapCircuit:
             # (I + M)/2 and (I - M)/2: Hadamard, controlled-M, Hadamard.
             (outcome_projectors(1j * ops.y_a @ ops.x_a), outcome_projectors(1j * ops.y_b @ ops.x_b))
         )
-    return SwapCircuit(n=ops.n, nregs=2 + 2 * len(stages), stages=tuple(stages))
+    return SwapCircuit(nregs=2 + 2 * len(stages), stages=tuple(stages))
 
 
 def _apply_stage(stage: tuple[np.ndarray, np.ndarray], states: np.ndarray) -> np.ndarray:
@@ -309,10 +307,10 @@ def frame_coordinates(ops: SelfTestOperators) -> tuple[np.ndarray, np.ndarray]:
     an identity setting always stays in the leftover.
     """
     frame = _traceless_part(np.array([_menu(ops.z_a, ops.x_a, ops.y_a), _menu(ops.z_b, ops.x_b, ops.y_b)])[:, 1:])
-    observables = np.array([ops.alice, ops.bob])
+    observables = np.array([ops.setup.alice, ops.setup.bob])
     coords = np.einsum("pxij,pfji->pxf", observables, frame).real / 2.0
     leftover = observables - np.einsum("pxf,pfij->pxij", coords, frame)
-    return coords, row_norms(leftover.reshape(2, ops.n, 4))
+    return coords, row_norms(leftover.reshape(2, ops.setup.n, 4))
 
 
 def run_isometry(setup: QuantumSetup, target: str = "state") -> IsometryResult:

@@ -339,10 +339,10 @@ def reconstruct_gamma(stats):
                                       shows up as a round-trip deviation)
         g3 = (E_k3 - E_k2)/sqrt(3)
     """
-    if stats.n_settings != 3:
+    if stats.table.shape[1] != 3:
         raise ValueError("gamma reconstruction is defined for the three-setting game")
     e = stats.table[:, :, 0] - stats.table[:, :, 1]
-    gam = np.zeros((stats.n_outcomes, 4))
+    gam = np.zeros((len(stats.table), 4))
     gam[:, 0] = stats.marginals
     gam[:, 1] = -e[:, 0]
     gam[:, 2] = -(e[:, 0] + e[:, 1] + e[:, 2])
@@ -640,8 +640,8 @@ def assert_stacked_selftest_matches(setup, targets):
             assert run.junk is None and run.extracted is None, target
 
 
-def _hand_family(n, alice, params):
-    return obs.ObservableFamily(n=n, alice=tuple(alice), bob=tuple(-a.T for a in alice), params=params)
+def _hand_family(alice):
+    return gc.QuantumSetup(state=phi_plus(), alice=tuple(alice), bob=tuple(-a.T for a in alice))
 
 
 def trine_sum():
@@ -649,7 +649,7 @@ def trine_sum():
     a1 = SIGMA_Z.copy()
     a2 = (np.sqrt(3) / 2) * SIGMA_X - 0.5 * SIGMA_Z
     a3 = -(np.sqrt(3) / 2) * SIGMA_X - 0.5 * SIGMA_Z
-    return _hand_family(3, [a1, a2, a3], {})
+    return _hand_family([a1, a2, a3])
 
 
 def family_n_sum(n, nu=None, beta=None):
@@ -662,7 +662,7 @@ def family_n_sum(n, nu=None, beta=None):
         alice.append(nu * SIGMA_X - beta * SIGMA_Y + z * SIGMA_Z)
     for _ in range(half):
         alice.append(-nu * SIGMA_X + beta * SIGMA_Y + z * SIGMA_Z)
-    return _hand_family(n, alice, {"nu": float(nu), "beta": float(beta)})
+    return _hand_family(alice)
 
 
 def family_quartets_sum(n, nu=None, beta=None):
@@ -682,7 +682,7 @@ def family_quartets_sum(n, nu=None, beta=None):
     if (n - 1) % 4:
         alice.append(nu * SIGMA_X - beta * SIGMA_Y + z * SIGMA_Z)
         alice.append(-nu * SIGMA_X + beta * SIGMA_Y + z * SIGMA_Z)
-    return _hand_family(n, alice, {"nu": float(nu), "beta": float(beta)})
+    return _hand_family(alice)
 
 
 def sum_zero_configuration(n):

@@ -1,8 +1,17 @@
 """The public names of ``pogame``: any change to an export must change this file."""
 
 import inspect
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
 
 import pogame
+
+PACKAGE = Path(pogame.__file__).parent
+MODULES = sorted(f"pogame.{path.stem}" for path in PACKAGE.glob("*.py") if path.stem != "__init__")
 
 EXPORTS = [
     "__version__",
@@ -10,7 +19,6 @@ EXPORTS = [
     "BellExpression",
     "CertificationReport",
     "GameSpec",
-    "ObservableFamily",
     "PovmSet",
     "QuantumSetup",
     "behavior_from_setup",
@@ -48,7 +56,6 @@ PARAMETERS = {
     "CertificationReport": "n, local_bound, pnc_bound, quantum_value, success_probabilities, sos, "
     "optimization, selftest, povm, randomness, provenance",
     "GameSpec": "n",
-    "ObservableFamily": "n, alice, bob, params",
     "PovmSet": "elements",
     "QuantumSetup": "state, alice, bob",
     "behavior_from_setup": "setup",
@@ -94,3 +101,13 @@ def test_parameters_of_every_export_are_pinned():
     for name in callables:
         params = ", ".join(inspect.signature(getattr(pogame, name)).parameters)
         assert params == PARAMETERS[name], name
+
+
+@pytest.mark.parametrize("module", ["pogame", *MODULES])
+def test_each_module_imports_alone_in_a_fresh_interpreter(module):
+    # In this process every module is already loaded, which would hide an import cycle.
+    path = os.pathsep.join(filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    cmd = [sys.executable, "-c", f"import {module}"]
+    done = subprocess.run(cmd, env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr

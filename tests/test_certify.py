@@ -8,7 +8,7 @@ import oracles
 from pogame import certify as ct
 from pogame import gamecore as gc
 from pogame import observables as obs
-from pogame.qmat import I2, SIGMA_X, SIGMA_Z
+from pogame.qmat import I2, SIGMA_X, SIGMA_Z, phi_plus
 from pogame.report import build_report
 from pogame.selftest import perturbed_state
 
@@ -43,7 +43,7 @@ def test_canonical_povm_rejects_invalid_family():
         dtype=complex,
     )
     alice = (rot @ fam.alice[0] @ rot.conj().T,) + fam.alice[1:]
-    bad = obs.ObservableFamily(n=3, alice=alice, bob=tuple(-a.T for a in alice))
+    bad = gc.QuantumSetup(state=phi_plus(), alice=alice, bob=tuple(-a.T for a in alice))
     with pytest.raises(ValueError):
         ct.canonical_povm(bad)
 
@@ -287,7 +287,7 @@ def test_report_bell_values_equal_the_quantum_value(n, seed):
 def test_canonical_povm_parity_violation_is_a_certification_error():
     fam = obs.trine()
     tilted = (obs.obs_from_bloch([np.sin(0.2), 0.0, np.cos(0.2)]),) + fam.alice[1:]
-    bad = obs.ObservableFamily(n=3, alice=tilted, bob=tuple(-a.T for a in tilted))
+    bad = gc.QuantumSetup(state=phi_plus(), alice=tilted, bob=tuple(-a.T for a in tilted))
     with pytest.raises(gc.CertificationError, match="^family violates the parity condition by"):
         ct.canonical_povm(bad)
     assert issubclass(gc.CertificationError, ValueError)

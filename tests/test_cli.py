@@ -460,12 +460,12 @@ def test_certification_errors_exit_one(argv, alice, message, monkeypatch, capsys
     # A stage that fails on its setup is a certification failure, not a usage
     # error.  The command's canonical family is replaced by Alice's ``alice``
     # and Bob's -A^T.
-    from pogame import observables as obs
-    from pogame.qmat import I2, SIGMA_X, SIGMA_Z
+    from pogame import gamecore as gc
+    from pogame.qmat import I2, SIGMA_X, SIGMA_Z, phi_plus
 
     named = {"Z": SIGMA_Z, "-Z": -SIGMA_Z, "X": SIGMA_X, "-X": -SIGMA_X, "I": I2, "-I": -I2}
     matrices = tuple(named[a] for a in alice)
-    fam = obs.ObservableFamily(n=len(matrices), alice=matrices, bob=tuple(-a.T for a in matrices))
+    fam = gc.QuantumSetup(state=phi_plus(), alice=matrices, bob=tuple(-a.T for a in matrices))
     monkeypatch.setattr(cli, "canonical_family", lambda n: fam)
     code, out, err = run_cli(argv, capsys)
     assert code == 1

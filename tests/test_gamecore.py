@@ -10,6 +10,7 @@ from oracles import born_table, proj
 from pogame import certify as ct
 from pogame import gamecore as gc
 from pogame import observables as obs
+from pogame import report
 from pogame.qmat import I2, SIGMA_X, SIGMA_Z, phi_plus
 
 
@@ -42,6 +43,23 @@ def test_game_spec_winning_rule():
 def test_game_spec_rejects_even_n():
     with pytest.raises(ValueError):
         gc.GameSpec(4)
+
+
+@pytest.mark.parametrize("n", [1, 2, 4, 6])
+def test_quantum_setup_enforces_the_odd_n_rule(n):
+    alice = (SIGMA_Z, -SIGMA_Z) * (n // 2) + (SIGMA_Z,) * (n % 2)
+    with pytest.raises(ValueError, match=f"^n must be odd and >= 3, got {n}$"):
+        gc.QuantumSetup(state=phi_plus(), alice=alice, bob=tuple(-a for a in alice))
+
+
+def test_an_even_n_setup_reaches_no_certificate_stage():
+    # Built, this n = 4 setup would pass every check of these sections, with a
+    # shifted Bell value of 8 = 2n, though the game has no n = 4; refused where
+    # it is built, it reaches no stage.
+    alice = (SIGMA_Z, -SIGMA_Z, SIGMA_X, -SIGMA_X)
+    for section in (report.sos_section, report.selftest_section, lambda s: report.certify_section(s, 1.0)):
+        with pytest.raises(ValueError, match="^n must be odd and >= 3, got 4$"):
+            section(gc.QuantumSetup(state=phi_plus(), alice=alice, bob=tuple(-a for a in alice)))
 
 
 def test_bell_expression_structure():
@@ -415,6 +433,13 @@ def test_csv_rejects_out_of_range_index():
 
 
 INT64_MIN = "-9223372036854775808"
+
+
+@pytest.mark.parametrize("x", ["0", INT64_MIN])
+def test_csv_without_a_setting_of_one_or_more_names_no_n(x):
+    # n is read from the largest setting x, so here there is none to name.
+    with pytest.raises(ValueError, match=f"^row {x},1,0,0 is out of range: settings start at 1$"):
+        gc.behavior_from_csv(f"x,y,a,b,p\n{x},1,0,0,1")
 
 
 def test_readers_name_an_int64_min_setting_as_given():

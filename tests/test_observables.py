@@ -7,7 +7,7 @@ from pogame import bounds
 from pogame import gamecore as gc
 from pogame import observables as obs
 from pogame import quantum_opt as qo
-from pogame.qmat import I2, SIGMA_X, SIGMA_Z, pauli_coordinates
+from pogame.qmat import I2, SIGMA_X, SIGMA_Z, pauli_coordinates, phi_plus
 
 ALL_FAMILIES = [
     obs.trine(),
@@ -61,10 +61,15 @@ def test_family_n3_matches_trine_up_to_rotation():
             assert np.allclose(anti, -I2, atol=1e-12)
 
 
+def transverse_weights(fam):
+    """(nu, beta) read from the Bloch row (nu, -beta, -1/(n-1)) of setting 2."""
+    nu, minus_beta, _ = pauli_coordinates(fam.alice[1])[1:]
+    return nu, -minus_beta
+
+
 def test_family_five_default_parameters():
     fam = obs.family_quartets(5)
-    nu = fam.params["nu"]
-    beta = fam.params["beta"]
+    nu, beta = transverse_weights(fam)
     assert nu == pytest.approx(np.sqrt(15 / 32), abs=1e-12)
     assert nu**2 + beta**2 + 1 / 16 == pytest.approx(1.0, abs=1e-12)
     assert operator_norm(sum(fam.alice)) <= 1e-12
@@ -72,7 +77,7 @@ def test_family_five_default_parameters():
 
 def test_family_n5_default_split_and_sum():
     fam = obs.family_n(5)
-    assert fam.params["nu"] == pytest.approx(np.sqrt(15 / 32), abs=1e-12)
+    assert transverse_weights(fam)[0] == pytest.approx(np.sqrt(15 / 32), abs=1e-12)
     assert operator_norm(sum(fam.alice)) <= 1e-12
 
 
@@ -127,7 +132,7 @@ def test_check_parity_condition_detects_perturbation():
     )
     alice = (rot @ fam.alice[0] @ rot.conj().T,) + fam.alice[1:]
     bob = tuple(-a.T for a in alice)
-    perturbed = obs.ObservableFamily(n=3, alice=alice, bob=bob)
+    perturbed = gc.QuantumSetup(state=phi_plus(), alice=alice, bob=bob)
     assert obs.check_parity_condition(perturbed) > 1e-3
     # One norm covers both constraints: ||(2/n) sum_x (I - A_x)/2 - I|| = ||sum_x A_x|| / n.
     total = alice[0] + alice[1] + alice[2]
@@ -174,7 +179,7 @@ def test_obs_from_bloch_round_trip():
         v = rng.normal(size=3)
         v = v / np.linalg.norm(v)
         m = obs.obs_from_bloch(v)
-        obs.assert_observable(m)
+        gc.assert_observable(m)
         assert np.allclose(pauli_coordinates(m)[1:], v, atol=1e-12)
         assert np.allclose(m, oracles.bloch_observables(v), atol=1e-15)
 
@@ -187,7 +192,7 @@ def test_obs_from_bloch_rejects_non_unit():
 @pytest.mark.parametrize(
     "call",
     [
-        lambda n: obs.ObservableFamily(n, (), ()),
+        lambda n: gc.QuantumSetup(phi_plus(), (SIGMA_Z,) * n, (SIGMA_Z,) * n),
         obs.family_n,
         gc.GameSpec,
         gc.bell_expression,
@@ -236,7 +241,8 @@ def test_bloch_row_generators_match_the_pauli_sums_bit_for_bit(n):
     for fam, want in _generated_pairs(n):
         assert_bit_identical(fam.alice, want.alice)
         assert_bit_identical(fam.bob, want.bob)
-        assert fam.params == want.params
+        assert type(fam) is gc.QuantumSetup
+        assert_bit_identical(fam.state, phi_plus())
     assert_bit_identical(obs.spiral_configuration(n), oracles.sum_zero_configuration(n))
 
 

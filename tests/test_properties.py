@@ -179,7 +179,7 @@ def test_bloch_row_families_match_the_pauli_sums_on_the_normalization_circle(n, 
     for fam, want in pairs:
         # Equal values; a zero entry may differ in sign where nu or beta is itself 0.
         assert np.array_equal(fam.alice, want.alice) and np.array_equal(fam.bob, want.bob)
-        assert fam.params == want.params
+        assert np.array_equal(fam.state, phi_plus())
 
 
 @PROPERTY_SETTINGS

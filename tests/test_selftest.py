@@ -232,7 +232,7 @@ def test_circuit_stages_follow_the_frame_not_n():
     for n in (7, 9, 11, 13, 101):
         for family, stages in ((obs.family_quartets(n), 2), (obs.family_n(n), 1)):
             circuit = st.build_circuit(st.build_selftest_operators(gc.setup_from_family(family)))
-            assert (len(circuit.stages), circuit.nregs, circuit.n) == (stages, 2 + 2 * stages, n)
+            assert (len(circuit.stages), circuit.nregs) == (stages, 2 + 2 * stages)
 
 
 def test_state_extraction_trine():
