@@ -103,6 +103,11 @@ class PovmStatistics:
     table: np.ndarray
     marginals: np.ndarray
 
+    @property
+    def penalties(self) -> np.ndarray:
+        """Flagged joint probabilities P(k, flagged | extra setting, y = k): the diagonal ``table[k, k, 1]``."""
+        return self.table[:, :, 1].diagonal()
+
 
 def povm_statistics(setup: QuantumSetup, povm: PovmSet) -> PovmStatistics:
     """The table ``g T q^T`` of the elements' coordinates g against Bob's outcome projectors' q, and P(k) = (g T)_0."""
@@ -116,8 +121,7 @@ def penalty_probabilities(setup: QuantumSetup, povm: PovmSet) -> np.ndarray:
     """Flagged joint probabilities P(k, flagged | extra setting, y = k)."""
     if len(povm) != setup.n:
         raise ValueError("penalty needs one POVM outcome per Bob setting")
-    _, bob, corr = setup.pauli_form
-    return np.vecdot(povm.coordinates @ corr, outcome_coordinates(bob)[:, 1])
+    return povm_statistics(setup, povm).penalties
 
 
 #: Default weight of the flagged probabilities in the shifted Bell value.
@@ -195,7 +199,7 @@ def randomness_report(setup: QuantumSetup, povm: PovmSet) -> RandomnessReport:
     marginal; otherwise the same number is reported only as the trivial
     bound and the result is flagged as not certified.
     """
-    return randomness_from_marginals((povm.coordinates @ setup.pauli_form[2])[:, 0], povm)
+    return randomness_from_marginals(povm_statistics(setup, povm).marginals, povm)
 
 
 def randomness_from_marginals(marginals: np.ndarray, povm: PovmSet) -> RandomnessReport:

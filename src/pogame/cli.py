@@ -1,5 +1,10 @@
 """Command-line driver for the oblivious-game certification pipeline.
 
+Every command prints one JSON document on stdout, with its sections under
+the names of ``report.CertificationReport``'s fields (``report --format
+csv`` and ``text`` print that document's rows), and one check line per
+invariant on stderr.
+
 Exit status: 0 when every checked invariant holds within tolerance, 1 when
 any certification check fails or a stage raises ``CertificationError``, 2
 on usage errors (argparse's convention) and any other ``ValueError``.
@@ -154,12 +159,11 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _emit_checks(checks: list[Check], to_stderr: bool = False) -> bool:
-    """Print one line per check, with its value and bound on FAIL; True if all passed."""
-    stream = sys.stderr if to_stderr else sys.stdout
+def _emit_checks(checks: list[Check]) -> bool:
+    """Print one line per check on stderr, with its value and bound on FAIL; True if all passed."""
     for c in checks:
         line = f"[PASS] {c.name}" if c.passed else f"[FAIL] {c.name}  ({c.value} {c.relation} {c.bound})"
-        print(line, file=stream)
+        print(line, file=sys.stderr)
     return all(c.passed for c in checks)
 
 
@@ -235,7 +239,7 @@ def _cmd_report(args) -> int:
             raise _cannot_write(args.out, exc) from None
     else:
         sys.stdout.write(rendered)
-    return 0 if _emit_checks(checks, to_stderr=True) else 1
+    return 0 if _emit_checks(checks) else 1
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -123,15 +123,16 @@ def setting_combinations(values: np.ndarray, axis: int = -1) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class Behavior:
-    """Joint probability table p(a, b | x, y), stored as table[x, y, a, b]."""
+    """Joint probability table p(a, b | x, y), stored as the float array table[x, y, a, b]."""
 
     n: int
     table: np.ndarray
 
     def __post_init__(self):
-        t = np.asarray(self.table)
+        t = np.asarray(self.table, dtype=float)
         if t.shape != (self.n, self.n, 2, 2):
             raise ValueError(f"table must have shape (n, n, 2, 2), got {t.shape}")
+        object.__setattr__(self, "table", t)
 
     def validate(self) -> None:
         t = self.table

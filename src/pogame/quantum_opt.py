@@ -45,7 +45,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gamecore import GameSpec, QuantumSetup, check_n, setting_combinations
+from .gamecore import QuantumSetup, check_n, setting_combinations
 from .observables import check_parity_condition, spiral_configuration
 from .qmat import (
     EPS,
@@ -83,7 +83,7 @@ def bell_operator(alice, bob) -> np.ndarray:
     operator per leading index.
     """
     a = pauli_coordinates(alice)
-    GameSpec(a.shape[-2])  # validates n
+    check_n(a.shape[-2])
     return _bell_from_pauli(a, setting_combinations(pauli_coordinates(bob), axis=-2))
 
 

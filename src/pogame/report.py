@@ -11,6 +11,11 @@ significant digits, which round-trips IEEE doubles bit-exactly; identical
 inputs therefore produce byte-identical documents except for the provenance
 timestamp.
 
+``CertificationReport`` is the one schema of the command line's output:
+each command prints its sections under the report's field names, and
+``CertificationReport.from_dict`` checks a document against the fields and
+their annotated types.
+
 Each format is one typed pass over the tree: ``render_json`` and ``flatten``
 test a node for the exact leaf types ``float`` and ``int`` first, then for
 the containers ``list``, ``tuple`` and ``dict``, and ``flatten`` appends to
@@ -112,11 +117,14 @@ def _flatten(obj, prefix: str, rows: list) -> None:
 
 @dataclass(frozen=True)
 class CertificationReport:
+    """One report document; its fields and their annotations are the schema ``from_dict`` checks."""
+
     n: int
     local_bound: int
     pnc_bound: int
     quantum_value: float
     success_probabilities: dict
+    bounds: dict
     sos: dict
     optimization: dict
     selftest: dict | None
@@ -133,7 +141,19 @@ class CertificationReport:
 
     @classmethod
     def from_dict(cls, d: dict) -> "CertificationReport":
-        return cls(**{f.name: d[f.name] for f in fields(cls)})
+        """The report ``d`` holds; ``ValueError`` names the first missing, unknown or mistyped field."""
+        if not isinstance(d, dict):
+            raise ValueError(f"a report must be an object, got {type(d).__name__}")
+        for name, (admitted, what) in _SCHEMA.items():
+            if name not in d:
+                raise ValueError(f"report is missing field {name!r}")
+            value = d[name]
+            if isinstance(value, bool) or not isinstance(value, admitted):
+                raise ValueError(f"report field {name!r} must be {what}, got {type(value).__name__}")
+        unknown = [key for key in d if key not in _SCHEMA]
+        if unknown:
+            raise ValueError(f"report has unknown field {unknown[0]!r}")
+        return cls(**d)
 
     def to_json(self) -> str:
         return render_json(self.to_dict()) + "\n"
@@ -150,6 +170,18 @@ class CertificationReport:
         rows = flatten(self.to_dict())
         width = max(len(k) for k, _ in rows)
         return "".join(f"{k.ljust(width)}  {v}\n" for k, v in rows)
+
+
+#: The values a field's annotation admits, and how an error names them.  A
+#: float field takes an int too, since 17 significant digits print 6.0 as
+#: ``6``; no field takes a bool.
+_ADMITTED = {
+    "int": ((int,), "an integer"),
+    "float": ((int, float), "a number"),
+    "dict": ((dict,), "an object"),
+    "dict | None": ((dict, type(None)), "an object or null"),
+}
+_SCHEMA = {f.name: _ADMITTED[f.type] for f in fields(CertificationReport)}
 
 
 def provenance(seed: int, tol: float, extra: dict | None = None) -> dict:
@@ -305,7 +337,7 @@ def certify_section(setup: gc.QuantumSetup, alpha: float) -> tuple[dict, dict, l
     n = setup.n
     povm = certify_mod.canonical_povm(setup)
     stats = certify_mod.povm_statistics(setup, povm)
-    penalty_total = float(np.trace(stats.table[:, :, 1]))
+    penalty_total = float(stats.penalties.sum())
     plain = qo.setup_bell_value(setup)
     shifted = certify_mod._shifted(plain, penalty_total, alpha)
     completeness = povm.completeness_deviation
@@ -365,10 +397,6 @@ def build_report(
     self_sec, self_checks = selftest_section(setup) if n in (3, 5) else (None, [])
     povm_sec, rand_sec, certify_checks = certify_section(setup, alpha)
 
-    # The report's top-level fields hold only the two bound values; the rest
-    # of the bounds section (witnesses, closed form, ceiling) rides along
-    # inside the optimization dict, so the report needs no field of its own for it.
-    opt_sec = dict(opt_sec, bounds_detail=bounds_sec)
     succ = {
         "quantum": gc.success_probability_at(n, result.value),
         "pnc": gc.success_probability_at(n, bounds_sec["pnc_bound"]),
@@ -380,6 +408,7 @@ def build_report(
         pnc_bound=bounds_sec["pnc_bound"],
         quantum_value=result.value,
         success_probabilities=succ,
+        bounds=bounds_sec,
         sos=sos_sec,
         optimization=opt_sec,
         selftest=self_sec,

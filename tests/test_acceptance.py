@@ -24,9 +24,8 @@ def _run(argv, capsys):
     except SystemExit as exc:  # argparse usage errors
         code = exc.code
     out, err = capsys.readouterr()
-    json_lines = [ln for ln in out.splitlines() if not ln.startswith("[")]
-    payload = json.loads("\n".join(json_lines)) if any(json_lines) else None
-    return code, payload, err
+    # The document is all of stdout; the check lines are all of stderr.
+    return code, json.loads(out), err.splitlines()
 
 
 def _criterion(name, body):
@@ -41,9 +40,10 @@ def _criterion(name, body):
 def test_criterion_1_bounds_n3(capsys):
     def body():
         start = time.monotonic()
-        code, payload, _ = _run(["bounds", "--n", "3"], capsys)
+        code, payload, checks = _run(["bounds", "--n", "3"], capsys)
         elapsed = time.monotonic() - start
         assert code == 0
+        assert len(checks) == 5 and all(line.startswith("[PASS]") for line in checks)
         assert payload["bounds"]["local_bound"] == 5
         assert payload["bounds"]["pnc_bound"] == 4
         assert elapsed < 1.0
@@ -112,8 +112,9 @@ def test_criterion_5_success_probabilities():
 
 def test_criterion_6_selftest_n3(capsys):
     def body():
-        code, payload, _ = _run(["selftest", "--n", "3"], capsys)
+        code, payload, checks = _run(["selftest", "--n", "3"], capsys)
         assert code == 0
+        assert len(checks) == 5 and all(line.startswith("[PASS]") for line in checks)
         section = payload["selftest"]
         assert section["residual_max"] <= 1e-9
         assert section["state_fidelity"] >= 1 - 1e-10
@@ -143,8 +144,10 @@ def test_criterion_7_selftest_n5(capsys):
 
 def test_criterion_8_certify_n3(capsys):
     def body():
-        code, payload, _ = _run(["certify", "--n", "3"], capsys)
+        code, payload, checks = _run(["certify", "--n", "3"], capsys)
         assert code == 0
+        assert "[PASS] min-entropy equals log2(3)" in checks
+        assert all(line.startswith("[PASS]") for line in checks)
         povm = payload["povm"]
         for spectrum in povm["element_spectra"]:
             assert abs(spectrum[0]) <= 1e-9

@@ -53,7 +53,7 @@ EXPORTS = [
 PARAMETERS = {
     "Behavior": "n, table",
     "BellExpression": "n, coefficients",
-    "CertificationReport": "n, local_bound, pnc_bound, quantum_value, success_probabilities, sos, "
+    "CertificationReport": "n, local_bound, pnc_bound, quantum_value, success_probabilities, bounds, sos, "
     "optimization, selftest, povm, randomness, provenance",
     "GameSpec": "n",
     "PovmSet": "elements",
@@ -103,11 +103,31 @@ def test_parameters_of_every_export_are_pinned():
         assert params == PARAMETERS[name], name
 
 
+def run_fresh(source):
+    path = os.pathsep.join(filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    done = subprocess.run([sys.executable, "-c", source], env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+
+
 @pytest.mark.parametrize("module", ["pogame", *MODULES])
 def test_each_module_imports_alone_in_a_fresh_interpreter(module):
     # In this process every module is already loaded, which would hide an import cycle.
-    path = os.pathsep.join(filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")]))
-    env = dict(os.environ, PYTHONPATH=path)
-    cmd = [sys.executable, "-c", f"import {module}"]
-    done = subprocess.run(cmd, env=env, capture_output=True, text=True, timeout=120)
-    assert done.returncode == 0, done.stderr
+    run_fresh(f"import {module}")
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_each_module_imports_first_under_a_stub_package(module):
+    # ``import pogame.<module>`` runs pogame/__init__.py first, which loads the
+    # submodules in its own order.  A stub package with only __path__ and
+    # __version__ lets the named module load first, so its own imports decide
+    # the order, and a cycle that __init__'s order hides shows.
+    run_fresh(
+        "import sys, types\n"
+        "stub = types.ModuleType('pogame')\n"
+        f"stub.__path__ = [{str(PACKAGE)!r}]\n"
+        f"stub.__version__ = {pogame.__version__!r}\n"
+        "sys.modules['pogame'] = stub\n"
+        f"import {module}\n"
+        "assert sys.modules['pogame'] is stub and not hasattr(stub, '__all__')\n"
+    )

@@ -267,6 +267,9 @@ def test_report_reads_the_povm_statistics_it_already_has(n):
     for setup in (gc.setup_from_family(fam), random_state):
         stats = ct.povm_statistics(setup, povm)
         assert ct.randomness_from_marginals(stats.marginals, povm) == ct.randomness_report(setup, povm)
+        # The flagged probabilities are the diagonal table[k, k, 1], by either route.
+        assert np.array_equal(stats.penalties, [stats.table[k, k, 1] for k in range(n)])
+        assert np.array_equal(ct.penalty_probabilities(setup, povm), stats.penalties)
     svd_norm = oracles.operator_norm(sum(povm.elements) - np.eye(2))
     assert abs(povm.completeness_deviation - svd_norm) <= oracles.ulp_tolerance(1.0)
     assert povm.completeness_deviation <= 1e-12

@@ -1,11 +1,14 @@
 import dataclasses
 import json
+import re
 
 import numpy as np
 import pytest
 
 from pogame import bounds, cli, quantum_opt
 from pogame import report as report_mod
+from pogame.certify import ALPHA
+from pogame.observables import canonical_family
 from pogame.report import CertificationReport, Check
 
 
@@ -29,17 +32,9 @@ def no_pipeline(monkeypatch):
     monkeypatch.setattr(report_mod, "optimization_section", fail)
 
 
-def split_payload(text):
-    json_lines, check_lines = [], []
-    for line in text.splitlines():
-        (check_lines if line.startswith("[") else json_lines).append(line)
-    payload = json.loads("\n".join(json_lines)) if any(json_lines) else None
-    return payload, check_lines
-
-
 def test_bounds_command(capsys):
-    code, out, _ = run_cli(["bounds", "--n", "3"], capsys)
-    payload, checks = split_payload(out)
+    code, out, err = run_cli(["bounds", "--n", "3"], capsys)
+    payload, checks = json.loads(out), err.splitlines()
     assert code == 0
     assert payload["bounds"]["local_bound"] == 5
     assert payload["bounds"]["pnc_bound"] == 4
@@ -88,8 +83,8 @@ def test_non_finite_or_huge_perturbation_is_usage_error(perturb, capsys):
 
 
 def test_bounds_command_beyond_thirteen(capsys):
-    code, out, _ = run_cli(["bounds", "--n", "15"], capsys)
-    payload, checks = split_payload(out)
+    code, out, err = run_cli(["bounds", "--n", "15"], capsys)
+    payload, checks = json.loads(out), err.splitlines()
     section = payload["bounds"]
     assert code == 0
     assert section["local_bound"] == bounds.local_bound_closed_form(15)
@@ -101,18 +96,17 @@ def test_bounds_command_beyond_thirteen(capsys):
 def test_report_beyond_thirteen(n, capsys):
     code, out, err = run_cli(["report", "--n", str(n), "--seed", "3"], capsys)
     report = CertificationReport.from_json(out)
-    detail = report.optimization["bounds_detail"]
     assert code == 0
     assert report.local_bound == bounds.local_bound_closed_form(n)
-    assert report.pnc_bound == detail["pnc_bound_symmetric"] == 2 * n - 2
+    assert report.pnc_bound == report.bounds["pnc_bound_symmetric"] == 2 * n - 2
     assert report.selftest is None  # the report self-tests only at n = 3 and 5
     checks = err.splitlines()
     assert checks and all(line.startswith("[PASS]") for line in checks)
 
 
 def test_optimize_command(capsys):
-    code, out, _ = run_cli(["optimize", "--n", "3", "--seed", "5", "--restarts", "4"], capsys)
-    payload, checks = split_payload(out)
+    code, out, err = run_cli(["optimize", "--n", "3", "--seed", "5", "--restarts", "4"], capsys)
+    payload, checks = json.loads(out), err.splitlines()
     assert code == 0
     assert abs(payload["optimization"]["value"] - 6.0) <= 1e-6
     assert payload["provenance"]["seed"] == 5
@@ -122,9 +116,9 @@ def test_optimize_command(capsys):
 
 def test_optimize_and_report_check_the_found_setup_at_n3(capsys):
     wanted = ["[PASS] see-saw restarts converged", "[PASS] found setup is parity oblivious"]
-    code, out, _ = run_cli(["optimize", "--n", "3"], capsys)
+    code, _, err = run_cli(["optimize", "--n", "3"], capsys)
     assert code == 0
-    assert all(line in split_payload(out)[1] for line in wanted)
+    assert all(line in err.splitlines() for line in wanted)
     code, _, err = run_cli(["report", "--n", "3"], capsys)
     assert code == 0
     assert all(line in err.splitlines() for line in wanted)
@@ -132,15 +126,15 @@ def test_optimize_and_report_check_the_found_setup_at_n3(capsys):
 
 def test_selftest_command(capsys):
     code, out, _ = run_cli(["selftest", "--n", "3"], capsys)
-    payload, _ = split_payload(out)
+    payload = json.loads(out)
     assert code == 0
     assert payload["selftest"]["state_fidelity"] >= 1 - 1e-10
 
 
 @pytest.mark.parametrize("n", [7, 21, 101])
 def test_selftest_command_for_any_odd_n(n, capsys):
-    code, out, _ = run_cli(["selftest", "--n", str(n)], capsys)
-    payload, checks = split_payload(out)
+    code, out, err = run_cli(["selftest", "--n", str(n)], capsys)
+    payload, checks = json.loads(out), err.splitlines()
     assert code == 0
     assert payload["n"] == n
     assert set(payload["selftest"]["extraction_entry_errors"]) == {"ZA", "XA", "YA", "ZB", "XB", "YB"}
@@ -151,8 +145,8 @@ def test_selftest_command_for_any_odd_n(n, capsys):
         "[PASS] observables lie in the swap frame",
         "[PASS] self-tested Gram matches the correlators",
     ]
-    code, out, _ = run_cli(["selftest", "--n", str(n), "--perturb", "0.05"], capsys)
-    payload, checks = split_payload(out)
+    code, out, err = run_cli(["selftest", "--n", str(n), "--perturb", "0.05"], capsys)
+    payload, checks = json.loads(out), err.splitlines()
     assert code == 1
     assert payload["selftest"]["perturbation"] == 0.05
     assert [line.split("  (")[0] for line in checks] == [
@@ -176,8 +170,8 @@ def test_selftest_rejects_n_as_every_command_does(n, message, capsys):
 
 def test_selftest_perturbed_fails_certification(capsys):
     for n in ("3", "5"):
-        code, out, _ = run_cli(["selftest", "--n", n, "--perturb", "0.05"], capsys)
-        payload, checks = split_payload(out)
+        code, out, err = run_cli(["selftest", "--n", n, "--perturb", "0.05"], capsys)
+        payload, checks = json.loads(out), err.splitlines()
         section = payload["selftest"]
         assert code == 1
         assert section["residual_max"] > 1e-3
@@ -205,19 +199,19 @@ def test_check_relation_on_both_sides_of_its_bound(relation, below, at, above):
 def test_emit_checks_prints_value_relation_and_bound_on_fail(capsys):
     checks = [Check("gap closes", 2e-12, "<=", 1e-9), Check("extremal", False, "==", True), Check("x", 3, "<", 3)]
     assert cli._emit_checks(checks) is False
-    assert capsys.readouterr().out == "[PASS] gap closes\n[FAIL] extremal  (False == True)\n[FAIL] x  (3 < 3)\n"
-    assert cli._emit_checks(checks[:1], to_stderr=True) is True
+    assert capsys.readouterr() == ("", "[PASS] gap closes\n[FAIL] extremal  (False == True)\n[FAIL] x  (3 < 3)\n")
+    assert cli._emit_checks(checks[:1]) is True
     assert capsys.readouterr() == ("", "[PASS] gap closes\n")
 
 
 def test_certify_three_and_five(capsys):
     code3, out3, _ = run_cli(["certify", "--n", "3"], capsys)
-    payload3, _ = split_payload(out3)
+    payload3 = json.loads(out3)
     assert code3 == 0
     assert payload3["randomness"]["certified"] is True
 
     code5, out5, _ = run_cli(["certify", "--n", "5"], capsys)
-    payload5, _ = split_payload(out5)
+    payload5 = json.loads(out5)
     assert code5 == 0
     assert payload5["povm"]["extremal"] is False
     assert payload5["randomness"]["certified"] is False
@@ -226,6 +220,111 @@ def test_certify_three_and_five(capsys):
 def test_certify_rejects_nonpositive_alpha(capsys):
     code, _, _ = run_cli(["certify", "--n", "3", "--alpha", "0"], capsys)
     assert code == 2
+
+
+def check_lines(checks):
+    """What ``cli._emit_checks`` prints for checks that all pass."""
+    assert all(c.passed for c in checks)
+    return [f"[PASS] {c.name}" for c in checks]
+
+
+def expected_checks(command, n):
+    if command == "bounds":
+        return check_lines(report_mod.bounds_section(n)[1])
+    if command == "optimize":
+        section = report_mod.optimization_section(n, quantum_opt.SEED, quantum_opt.RESTARTS, quantum_opt.TOL)
+        return check_lines(section[1])
+    if command == "selftest":
+        return check_lines(report_mod.selftest_section(canonical_family(n))[1])
+    if command == "certify":
+        return check_lines(report_mod.certify_section(canonical_family(n), ALPHA)[2])
+    return check_lines(report_mod.build_report(n)[1])
+
+
+REPORT_FIELDS = [f.name for f in dataclasses.fields(CertificationReport)]
+
+
+@pytest.mark.parametrize("n", [3, 5])
+@pytest.mark.parametrize(
+    "argv",
+    [["bounds"], ["optimize"], ["selftest"], ["certify"], *(["report", "--format", f] for f in ("json", "csv", "text"))],
+    ids=["bounds", "optimize", "selftest", "certify", "report-json", "report-csv", "report-text"],
+)
+def test_each_command_prints_one_document_and_its_checks_on_stderr(argv, n, monkeypatch, capsys):
+    monkeypatch.delenv(cli.ENV_SEED, raising=False)
+    code, out, err = run_cli([*argv, "--n", str(n)], capsys)
+    assert code == 0
+    assert not [line for line in out.splitlines() if line.startswith(("[PASS]", "[FAIL]"))]
+    assert err.splitlines() == expected_checks(argv[0], n)
+    if argv[-1] in ("csv", "text"):
+        return
+    doc = json.loads(out)
+    # Each section sits under the report's name for it.
+    assert doc["n"] == n
+    assert set(doc) <= set(REPORT_FIELDS)
+
+
+@pytest.mark.parametrize("n", ["3", "5"])
+def test_commands_print_the_report_sections_unchanged(n, capsys):
+    report = CertificationReport.from_json(run_cli(["report", "--n", n, "--seed", "7"], capsys)[1])
+    bounds_doc = json.loads(run_cli(["bounds", "--n", n], capsys)[1])
+    optimize_doc = json.loads(run_cli(["optimize", "--n", n, "--seed", "7"], capsys)[1])
+    assert bounds_doc == {"n": int(n), "bounds": report.bounds}
+    assert optimize_doc["optimization"] == report.optimization
+    assert optimize_doc["sos"] == report.sos
+
+
+@pytest.fixture(scope="module")
+def report_doc():
+    report, _ = report_mod.build_report(3, seed=7)
+    return report.to_dict()
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("{}", "report is missing field 'n'"),
+        ("[]", "a report must be an object, got list"),
+        ("1", "a report must be an object, got int"),
+        ("null", "a report must be an object, got NoneType"),
+    ],
+)
+def test_report_parser_rejects_a_document_that_is_not_a_report(text, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        CertificationReport.from_json(text)
+
+
+@pytest.mark.parametrize("field", REPORT_FIELDS)
+def test_report_parser_names_a_missing_field(field, report_doc):
+    doc = {key: value for key, value in report_doc.items() if key != field}
+    with pytest.raises(ValueError, match=f"^report is missing field '{field}'$"):
+        CertificationReport.from_json(json.dumps(doc))
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        ({"extra": 1}, "report has unknown field 'extra'"),
+        ({"pnc_bound": "x"}, "report field 'pnc_bound' must be an integer, got str"),
+        ({"n": True}, "report field 'n' must be an integer, got bool"),
+        ({"local_bound": 5.0}, "report field 'local_bound' must be an integer, got float"),
+        ({"quantum_value": "6"}, "report field 'quantum_value' must be a number, got str"),
+        ({"quantum_value": False}, "report field 'quantum_value' must be a number, got bool"),
+        ({"bounds": None}, "report field 'bounds' must be an object, got NoneType"),
+        ({"selftest": []}, "report field 'selftest' must be an object or null, got list"),
+    ],
+    ids=["unknown", "str-bound", "bool-n", "float-bound", "str-value", "bool-value", "null-bounds", "list-selftest"],
+)
+def test_report_parser_names_an_unknown_or_mistyped_field(edit, message, report_doc):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        CertificationReport.from_json(json.dumps({**report_doc, **edit}))
+
+
+def test_report_parser_takes_an_integral_value_and_a_null_selftest(report_doc):
+    doc = {**report_doc, "quantum_value": 6, "selftest": None}
+    text = CertificationReport.from_dict(doc).to_json()
+    assert CertificationReport.from_json(text).to_json() == text
+    assert json.loads(text) == doc
 
 
 def test_report_json_round_trip(tmp_path, capsys):
@@ -328,7 +427,7 @@ def test_restarts_range_ends_at_the_ceiling():
 def test_env_variable_overrides_default_seed(monkeypatch, capsys):
     monkeypatch.setenv(cli.ENV_SEED, "123")
     code, out, _ = run_cli(["optimize", "--n", "3"], capsys)
-    payload, _ = split_payload(out)
+    payload = json.loads(out)
     assert code == 0
     assert payload["provenance"]["seed"] == 123
 
@@ -336,7 +435,7 @@ def test_env_variable_overrides_default_seed(monkeypatch, capsys):
 def test_explicit_seed_beats_env_variable(monkeypatch, capsys):
     monkeypatch.setenv(cli.ENV_SEED, "123")
     code, out, _ = run_cli(["optimize", "--n", "3", "--seed", "4"], capsys)
-    payload, _ = split_payload(out)
+    payload = json.loads(out)
     assert code == 0
     assert payload["provenance"]["seed"] == 4
 
@@ -420,9 +519,9 @@ def test_nonpositive_alpha_is_usage_error(command, alpha, capsys):
 @pytest.mark.parametrize("alpha", ["1", "1e9", "1e20"])
 def test_large_alpha_keeps_a_valid_optimum(n, alpha, capsys):
     # The flagged probabilities are roundoff at the optimum; alpha times them is not.
-    code, out, _ = run_cli(["certify", "--n", n, "--alpha", alpha], capsys)
+    code, _, err = run_cli(["certify", "--n", n, "--alpha", alpha], capsys)
     assert code == 0
-    assert "[PASS] shifted value matches the plain value" in out
+    assert "[PASS] shifted value matches the plain value" in err.splitlines()
 
 
 @pytest.mark.parametrize("total, alpha, passed", [(2e-9, "1e-3", False), (5e-10, "1e20", True)])
@@ -439,8 +538,8 @@ def test_shifted_value_check_reads_the_penalty_total(total, alpha, passed, monke
         return dataclasses.replace(stats, table=table)
 
     monkeypatch.setattr(certify, "povm_statistics", with_penalty)
-    code, out, _ = run_cli(["certify", "--n", "3", "--alpha", alpha], capsys)
-    payload, checks = split_payload(out)
+    code, out, err = run_cli(["certify", "--n", "3", "--alpha", alpha], capsys)
+    payload, checks = json.loads(out), err.splitlines()
     assert payload["povm"]["penalty_total"] == total
     assert code == (0 if passed else 1)
     mark = "[PASS]" if passed else "[FAIL]"

@@ -117,9 +117,15 @@ def test_bell_value_matches_correlator_loop(n):
             + m_b[None, :, None, None] * signs
             + corr[:, :, None, None] * np.outer(signs, signs)
         ) / 4
-        beh = gc.Behavior(n=n, table=table)
-        beh.validate()
-        assert abs(gc.bell_value(expr, beh) - oracles.bell_value_loop(expr, beh)) <= 1e-12
+        # A float array is kept as is; a nested list is stored as the float array it validates.
+        assert gc.Behavior(n=n, table=table).table is table
+        for given in (table, table.tolist()):
+            beh = gc.Behavior(n=n, table=given)
+            assert np.array_equal(beh.table, table)
+            beh.validate()
+            assert abs(gc.bell_value(expr, beh) - oracles.bell_value_loop(expr, beh)) <= 1e-12
+            assert beh.correlator(0, 1) == pytest.approx(corr[0, 1], abs=1e-12)
+            assert beh.no_signaling_defect() <= 1e-12
 
 
 def test_bell_value_size_mismatch():

@@ -504,7 +504,7 @@ def test_renderers_match_the_recursive_oracle(tree, indent, prefix):
 
 
 @settings(max_examples=100, deadline=None, database=None)
-@given(st.lists(report_trees, min_size=9, max_size=9))
+@given(st.lists(report_trees, min_size=10, max_size=10))
 def test_report_formats_match_the_recursive_oracle(trees):
     # Any trees in the fields, with pnc_bound <= quantum_value as the constructor requires.
     n, local, *sections = trees
