@@ -42,121 +42,60 @@ MAX_PERTURB = 1e6
 MAX_RESTARTS = 64
 
 
-def _default_seed() -> int:
+def _number(name: str, parse: type, ok=None, wanted: str = "", home=None):
+    """The argparse type of the numeric flag ``name``.
+
+    ``parse`` (``int`` or ``float``) reads the text.  The value must then
+    pass ``home``, the check where the flag's rule already lives (it raises
+    ``ValueError``), and ``ok``, a limit of the command line's own that the
+    value meets when it is ``wanted``.  A refusal raises ``error``;
+    ``POGAME_SEED`` is read with ``ValueError``, under its own ``name``.
+    """
+    kind = "an integer" if parse is int else "a number"
+
+    def convert(text: str, name: str = name, error: type[Exception] = argparse.ArgumentTypeError):
+        try:
+            value = parse(text)
+        except ValueError:
+            raise error(f"{name} must be {kind}, got {text!r}") from None
+        try:
+            if home is not None:
+                home(value)
+        except ValueError as exc:
+            raise error(str(exc)) from None
+        if ok is not None and not ok(value):
+            raise error(f"{name} must be {wanted}, got {value}")
+        return value
+
+    return convert
+
+
+_odd_n = _number("n", int, lambda n: n <= MAX_N, f"at most {MAX_N}", home=check_n)
+_seed = _number("seed", int, lambda s: s >= 0, "a non-negative integer")
+_restarts = _number("restarts", int, lambda r: 1 <= r <= MAX_RESTARTS, f"an integer from 1 to {MAX_RESTARTS}")
+_tol = _number("tol", float, home=qo.check_tol)
+_alpha = _number("alpha", float, lambda a: 0 < a < float("inf"), "strictly positive and finite")
+_perturb = _number("perturb", float, lambda d: abs(d) <= MAX_PERTURB, f"finite with |perturb| <= {MAX_PERTURB:g}")
+
+# Each flag once: its argparse keywords.  A subcommand names the flags it takes.
+FLAGS = {
+    "--n": {"type": _odd_n, "required": True},
+    "--seed": {"type": _seed, "default": None},
+    "--restarts": {"type": _restarts, "default": qo.RESTARTS},
+    "--tol": {"type": _tol, "default": qo.TOL},
+    "--perturb": {"type": _perturb, "default": 0.0},
+    "--alpha": {"type": _alpha, "default": ALPHA},
+    "--format": {"choices": ("json", "csv", "text"), "default": "json"},
+    "--out": {"default": None},
+}
+
+
+def _run_seed(args) -> int:
+    """``--seed``, else ``POGAME_SEED`` read through the same rule, else the see-saw's default."""
+    if args.seed is not None:
+        return args.seed
     raw = os.environ.get(ENV_SEED)
-    if raw is None:
-        return qo.SEED
-    try:
-        seed = int(raw)
-    except ValueError:
-        raise ValueError(f"{ENV_SEED} must be an integer, got {raw!r}") from None
-    if seed < 0:
-        raise ValueError(f"{ENV_SEED} must be a non-negative integer, got {seed}")
-    return seed
-
-
-def _odd_n(value: str) -> int:
-    try:
-        n = int(value)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"n must be an integer, got {value!r}") from exc
-    try:
-        check_n(n)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
-    if n > MAX_N:
-        raise argparse.ArgumentTypeError(f"n must be at most {MAX_N}, got {n}")
-    return n
-
-
-def _seed(value: str) -> int:
-    try:
-        seed = int(value)
-        if seed >= 0:
-            return seed
-    except ValueError:
-        pass
-    raise argparse.ArgumentTypeError(f"seed must be a non-negative integer, got {value}")
-
-
-def _restarts(value: str) -> int:
-    try:
-        restarts = int(value)
-        if 1 <= restarts <= MAX_RESTARTS:
-            return restarts
-    except ValueError:
-        pass
-    raise argparse.ArgumentTypeError(f"restarts must be an integer from 1 to {MAX_RESTARTS}, got {value}")
-
-
-def _tol(value: str) -> float:
-    try:
-        tol = float(value)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"tol must be a number, got {value!r}") from exc
-    try:
-        return qo.check_tol(tol)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
-
-
-def _positive_alpha(value: str) -> float:
-    try:
-        alpha = float(value)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"alpha must be a number, got {value!r}") from exc
-    if not 0 < alpha < float("inf"):
-        raise argparse.ArgumentTypeError(f"alpha must be strictly positive and finite, got {alpha}")
-    return alpha
-
-
-def _perturbation(value: str) -> float:
-    try:
-        delta = float(value)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"perturb must be a number, got {value!r}") from exc
-    if not abs(delta) <= MAX_PERTURB:
-        raise argparse.ArgumentTypeError(f"perturb must be finite with |perturb| <= {MAX_PERTURB:g}, got {delta}")
-    return delta
-
-
-@functools.cache
-def _build_parser() -> argparse.ArgumentParser:
-    """The parser, built once per process: parsing leaves no state on it."""
-    parser = argparse.ArgumentParser(
-        prog="pogame",
-        description="Bounds, quantum optimum, self-testing and POVM/randomness "
-        "certification for the n-input oblivious game.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p_bounds = sub.add_parser("bounds", help="local and PNC bounds with witnesses")
-    p_bounds.add_argument("--n", type=_odd_n, required=True)
-
-    p_opt = sub.add_parser("optimize", help="see-saw value plus certificate")
-    p_opt.add_argument("--n", type=_odd_n, required=True)
-    p_opt.add_argument("--seed", type=_seed, default=None)
-    p_opt.add_argument("--restarts", type=_restarts, default=qo.RESTARTS)
-    p_opt.add_argument("--tol", type=_tol, default=qo.TOL)
-
-    p_self = sub.add_parser("selftest", help="swap-circuit relations and extractions")
-    p_self.add_argument("--n", type=_odd_n, required=True)
-    p_self.add_argument("--perturb", type=_perturbation, default=0.0)
-
-    p_cert = sub.add_parser("certify", help="POVM certification and randomness")
-    p_cert.add_argument("--n", type=_odd_n, required=True)
-    p_cert.add_argument("--alpha", type=_positive_alpha, default=ALPHA)
-
-    p_rep = sub.add_parser("report", help="full pipeline report")
-    p_rep.add_argument("--n", type=_odd_n, required=True)
-    p_rep.add_argument("--seed", type=_seed, default=None)
-    p_rep.add_argument("--restarts", type=_restarts, default=qo.RESTARTS)
-    p_rep.add_argument("--tol", type=_tol, default=qo.TOL)
-    p_rep.add_argument("--alpha", type=_positive_alpha, default=ALPHA)
-    p_rep.add_argument("--format", choices=("json", "csv", "text"), default="json")
-    p_rep.add_argument("--out", default=None)
-
-    return parser
+    return qo.SEED if raw is None else _seed(raw, ENV_SEED, ValueError)
 
 
 def _emit_checks(checks: list[Check]) -> bool:
@@ -165,43 +104,6 @@ def _emit_checks(checks: list[Check]) -> bool:
         line = f"[PASS] {c.name}" if c.passed else f"[FAIL] {c.name}  ({c.value} {c.relation} {c.bound})"
         print(line, file=sys.stderr)
     return all(c.passed for c in checks)
-
-
-def _cmd_bounds(args) -> int:
-    section, checks = report_mod.bounds_section(args.n)
-    print(render_json({"n": args.n, "bounds": section}))
-    return 0 if _emit_checks(checks) else 1
-
-
-def _cmd_optimize(args) -> int:
-    seed = args.seed if args.seed is not None else _default_seed()
-    section, checks, result = report_mod.optimization_section(args.n, seed, args.restarts, args.tol)
-    # Only the see-saw checks decide the exit code; the SOS data of the found setup rides along.
-    sos, _ = report_mod.sos_section(result.setup)
-    payload = {
-        "n": args.n,
-        "optimization": section,
-        "sos": sos,
-        "provenance": provenance(seed, args.tol, {"restarts": args.restarts}),
-    }
-    print(render_json(payload))
-    return 0 if _emit_checks(checks) else 1
-
-
-def _cmd_selftest(args) -> int:
-    setup = canonical_family(args.n)
-    if args.perturb:
-        setup = dataclasses.replace(setup, state=perturbed_state(args.perturb))
-    section, checks = report_mod.selftest_section(setup, perturb=args.perturb)
-    print(render_json({"n": args.n, "selftest": section}))
-    return 0 if _emit_checks(checks) else 1
-
-
-def _cmd_certify(args) -> int:
-    setup = canonical_family(args.n)
-    povm_sec, rand_sec, checks = report_mod.certify_section(setup, args.alpha)
-    print(render_json({"n": args.n, "povm": povm_sec, "randomness": rand_sec}))
-    return 0 if _emit_checks(checks) else 1
 
 
 def _cannot_write(path: str, exc: OSError) -> ValueError:
@@ -223,35 +125,92 @@ def _check_writable(path: str) -> None:
         os.remove(path)
 
 
+def _finish(text: str, checks: list[Check], out: str | None = None) -> int:
+    """Write the document to ``out`` or stdout and the checks to stderr; the exit code."""
+    if out:
+        try:
+            with open(out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise _cannot_write(out, exc) from None
+    else:
+        sys.stdout.write(text)
+    return 0 if _emit_checks(checks) else 1
+
+
+def _cmd_bounds(args) -> int:
+    section, checks = report_mod.bounds_section(args.n)
+    return _finish(render_json({"n": args.n, "bounds": section}) + "\n", checks)
+
+
+def _cmd_optimize(args) -> int:
+    seed = _run_seed(args)
+    section, checks, result = report_mod.optimization_section(args.n, seed, args.restarts, args.tol)
+    # Only the see-saw checks decide the exit code; the SOS data of the found setup rides along.
+    sos, _ = report_mod.sos_section(result.setup)
+    payload = {
+        "n": args.n,
+        "optimization": section,
+        "sos": sos,
+        "provenance": provenance(seed, args.tol, {"restarts": args.restarts}),
+    }
+    return _finish(render_json(payload) + "\n", checks)
+
+
+def _cmd_selftest(args) -> int:
+    setup = canonical_family(args.n)
+    if args.perturb:
+        setup = dataclasses.replace(setup, state=perturbed_state(args.perturb))
+    section, checks = report_mod.selftest_section(setup, perturb=args.perturb)
+    return _finish(render_json({"n": args.n, "selftest": section}) + "\n", checks)
+
+
+def _cmd_certify(args) -> int:
+    povm_sec, rand_sec, checks = report_mod.certify_section(canonical_family(args.n), args.alpha)
+    return _finish(render_json({"n": args.n, "povm": povm_sec, "randomness": rand_sec}) + "\n", checks)
+
+
 def _cmd_report(args) -> int:
-    seed = args.seed if args.seed is not None else _default_seed()
+    seed = _run_seed(args)
     if args.out:
         _check_writable(args.out)
     report, checks = report_mod.build_report(
         args.n, seed=seed, restarts=args.restarts, tol=args.tol, alpha=args.alpha
     )
     rendered = getattr(report, f"to_{args.format}")()  # --format is one of json, csv, text
-    if args.out:
-        try:
-            with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write(rendered)
-        except OSError as exc:
-            raise _cannot_write(args.out, exc) from None
-    else:
-        sys.stdout.write(rendered)
-    return 0 if _emit_checks(checks) else 1
+    return _finish(rendered, checks, args.out)
+
+
+# Each subcommand once: its help, the flags it takes (keys of FLAGS without
+# the dashes) and its handler.
+COMMANDS = {
+    "bounds": ("local and PNC bounds with witnesses", "n", _cmd_bounds),
+    "optimize": ("see-saw value plus certificate", "n seed restarts tol", _cmd_optimize),
+    "selftest": ("swap-circuit relations and extractions", "n perturb", _cmd_selftest),
+    "certify": ("POVM certification and randomness", "n alpha", _cmd_certify),
+    "report": ("full pipeline report", "n seed restarts tol alpha format out", _cmd_report),
+}
+
+
+@functools.cache
+def _build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: parsing leaves no state on it."""
+    parser = argparse.ArgumentParser(
+        prog="pogame",
+        description="Bounds, quantum optimum, self-testing and POVM/randomness "
+        "certification for the n-input oblivious game.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    for command, (help_text, flags, _) in COMMANDS.items():
+        p = sub.add_parser(command, help=help_text)
+        for flag in flags.split():
+            p.add_argument(f"--{flag}", **FLAGS[f"--{flag}"])
+    return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    handler = {
-        "bounds": _cmd_bounds,
-        "optimize": _cmd_optimize,
-        "selftest": _cmd_selftest,
-        "certify": _cmd_certify,
-        "report": _cmd_report,
-    }[args.command]
+    args = _build_parser().parse_args(argv)
+    _, _, handler = COMMANDS[args.command]
     try:
         return handler(args)
     except CertificationError as exc:  # a ValueError too: caught first

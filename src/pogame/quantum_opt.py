@@ -278,8 +278,11 @@ def _median_search(every: np.ndarray, mu: np.ndarray) -> np.ndarray:
         pull = (w[:, None, :] @ diff)[:, 0]
         total = w.sum(axis=1)
         # The 1e-12 W I term keeps the solve defined when the points and the iterate
-        # are collinear; the step it gives along their line is then rejected.
-        hess = (total * (1 + 1e-12))[:, None, None] * np.eye(3) - np.swapaxes(diff * (w**3)[..., None], 1, 2) @ diff
+        # are collinear; the step it gives along their line is then rejected.  The
+        # sum is taken over unit vectors u_j, weighted by 1/r_j: 1/r_j^3 overflows
+        # on an iterate within about 1e-103 of a point.
+        unit = diff * w[..., None]
+        hess = (total * (1 + 1e-12))[:, None, None] * np.eye(3) - np.swapaxes(unit * w[..., None], 1, 2) @ unit
         newton = y + np.linalg.solve(hess, pull[..., None])[..., 0]
         test = row_norms(pts - newton[:, None, :]).sum(axis=1) > dist.sum(axis=1) * (1 + 1e-14)
         done = row_norms(pull) <= 1e-15 * (every.shape[1] + total * row_norms(y))

@@ -160,7 +160,7 @@ class CertificationReport:
 
     @classmethod
     def from_json(cls, text: str) -> "CertificationReport":
-        return cls.from_dict(json.loads(text))
+        return cls.from_dict(json.loads(text, parse_constant=_refuse_constant))
 
     def to_csv(self) -> str:
         rows = flatten(self.to_dict())
@@ -182,6 +182,11 @@ _ADMITTED = {
     "dict | None": ((dict, type(None)), "an object or null"),
 }
 _SCHEMA = {f.name: _ADMITTED[f.type] for f in fields(CertificationReport)}
+
+
+def _refuse_constant(literal: str):
+    # JSON has no NaN or Infinity; a report holding one could not be written back.
+    raise ValueError(f"a report must not contain {literal}")
 
 
 def provenance(seed: int, tol: float, extra: dict | None = None) -> dict:

@@ -287,6 +287,9 @@ def report_doc():
         ("[]", "a report must be an object, got list"),
         ("1", "a report must be an object, got int"),
         ("null", "a report must be an object, got NoneType"),
+        ('{"sos": {"gap": NaN}}', "a report must not contain NaN"),
+        ('{"n": 3, "quantum_value": Infinity}', "a report must not contain Infinity"),
+        ("[-Infinity]", "a report must not contain -Infinity"),
     ],
 )
 def test_report_parser_rejects_a_document_that_is_not_a_report(text, message):
@@ -411,11 +414,18 @@ def test_failed_report_leaves_out_path_as_it_was(tmp_path, monkeypatch, capsys):
 
 
 @pytest.mark.parametrize("command", ["optimize", "report"])
-@pytest.mark.parametrize("restarts", ["0", "-1", "abc", str(cli.MAX_RESTARTS + 1)])
-def test_invalid_restarts_is_usage_error(command, restarts, capsys):
+@pytest.mark.parametrize(
+    "restarts, message",
+    [
+        *((r, f"restarts must be an integer from 1 to {cli.MAX_RESTARTS}, got {r}") for r in ("0", "-1", str(cli.MAX_RESTARTS + 1))),
+        ("abc", "restarts must be an integer, got 'abc'"),
+    ],
+    ids=["0", "-1", str(cli.MAX_RESTARTS + 1), "abc"],
+)
+def test_invalid_restarts_is_usage_error(command, restarts, message, capsys):
     code, out, err = run_cli([command, "--n", "3", "--restarts", restarts], capsys)
     assert code == 2
-    assert f"restarts must be an integer from 1 to {cli.MAX_RESTARTS}, got {restarts}" in err
+    assert message in err
     assert out == ""
 
 
@@ -467,12 +477,130 @@ def test_invalid_tolerance_is_rejected_at_parse_time(command, tol, message, caps
 
 
 @pytest.mark.parametrize("command", ["optimize", "report"])
-@pytest.mark.parametrize("seed", ["-1", "abc", "1.5"])
-def test_invalid_seed_is_usage_error(command, seed, capsys):
+@pytest.mark.parametrize(
+    "seed, message",
+    [
+        ("-1", "seed must be a non-negative integer, got -1"),
+        ("abc", "seed must be an integer, got 'abc'"),
+        ("1.5", "seed must be an integer, got '1.5'"),
+    ],
+    ids=["-1", "abc", "1.5"],
+)
+def test_invalid_seed_is_usage_error(command, seed, message, capsys):
     code, out, err = run_cli([command, "--n", "3", "--seed", seed], capsys)
     assert code == 2
-    assert f"seed must be a non-negative integer, got {seed}" in err
+    assert message in err
     assert out == ""
+
+
+# Each numeric flag: the commands that take it, the texts it refuses (unparsable,
+# then one on each side of its range) with their messages, and the boundary
+# texts it accepts with their values.
+NUMERIC_FLAGS = {
+    "n": (
+        ["bounds", "optimize", "selftest", "certify", "report"],
+        [
+            ("abc", "n must be an integer, got 'abc'"),
+            ("1", "n must be odd and >= 3, got 1"),
+            ("1003", "n must be at most 1001, got 1003"),
+        ],
+        [("3", 3), ("1001", 1001)],
+    ),
+    "seed": (
+        ["optimize", "report"],
+        [("abc", "seed must be an integer, got 'abc'"), ("-1", "seed must be a non-negative integer, got -1")],
+        [("0", 0)],
+    ),
+    "restarts": (
+        ["optimize", "report"],
+        [
+            ("abc", "restarts must be an integer, got 'abc'"),
+            ("0", "restarts must be an integer from 1 to 64, got 0"),
+            ("65", "restarts must be an integer from 1 to 64, got 65"),
+        ],
+        [("1", 1), ("64", 64)],
+    ),
+    "tol": (
+        ["optimize", "report"],
+        [
+            ("abc", "tol must be a number, got 'abc'"),
+            ("-1e-300", "tol must be >= 0, got -1e-300"),
+            ("inf", "tol must be finite and >= 0, got inf"),
+        ],
+        [("0", 0.0)],
+    ),
+    "alpha": (
+        ["certify", "report"],
+        [
+            ("abc", "alpha must be a number, got 'abc'"),
+            ("0", "alpha must be strictly positive and finite, got 0.0"),
+            ("inf", "alpha must be strictly positive and finite, got inf"),
+        ],
+        [("5e-324", 5e-324)],
+    ),
+    "perturb": (
+        ["selftest"],
+        [
+            ("abc", "perturb must be a number, got 'abc'"),
+            ("-1.000001e6", "perturb must be finite with |perturb| <= 1e+06, got -1000001.0"),
+            ("1.000001e6", "perturb must be finite with |perturb| <= 1e+06, got 1000001.0"),
+        ],
+        [("-1e6", -1e6), ("1e6", 1e6)],
+    ),
+}
+
+
+def flag_argv(command, flag, text):
+    # ``--flag=text``, since argparse takes ``-1e6`` after a space for an option.
+    return [command, *(["--n", "3"] if flag != "n" else []), f"--{flag}={text}"]
+
+
+@pytest.mark.parametrize(
+    "command, flag, text, message",
+    [
+        pytest.param(c, f, t, m, id=f"{c}-{f}={t}")
+        for f, (commands, refused, _) in NUMERIC_FLAGS.items()
+        for c in commands
+        for t, m in refused
+    ],
+)
+def test_numeric_flag_refuses_text_outside_its_rule(command, flag, text, message, capsys, no_pipeline):
+    code, out, err = run_cli(flag_argv(command, flag, text), capsys)
+    assert (code, out) == (2, "")
+    assert err.endswith(f"error: argument --{flag}: {message}\n")
+
+
+@pytest.mark.parametrize(
+    "command, flag, text, value",
+    [
+        pytest.param(c, f, t, v, id=f"{c}-{f}={t}")
+        for f, (commands, _, accepted) in NUMERIC_FLAGS.items()
+        for c in commands
+        for t, v in accepted
+    ],
+)
+def test_numeric_flag_accepts_its_boundary_values(command, flag, text, value):
+    got = getattr(cli._build_parser().parse_args(flag_argv(command, flag, text)), flag)
+    assert (got, type(got)) == (value, type(value))
+
+
+@pytest.mark.parametrize("command", ["optimize", "report"])
+@pytest.mark.parametrize(
+    "text, message",
+    [pytest.param(t, m, id=t) for t, m in NUMERIC_FLAGS["seed"][1] + [(t, None) for t, _ in NUMERIC_FLAGS["seed"][2]]],
+)
+def test_env_seed_goes_through_the_seed_flags_rows(command, text, message, monkeypatch, capsys, no_pipeline):
+    def stop(n, seed, *args, **kwargs):
+        raise ValueError(f"the pipeline started with seed {seed}")
+
+    monkeypatch.setattr(report_mod, "build_report" if command == "report" else "optimization_section", stop)
+    monkeypatch.setenv(cli.ENV_SEED, text)
+    code, out, err = run_cli([command, "--n", "3"], capsys)
+    assert (code, out) == (2, "")
+    if message is None:
+        assert err == f"error: the pipeline started with seed {int(text)}\n"
+    else:
+        assert err == f"error: {message.replace('seed', cli.ENV_SEED, 1)}\n"
 
 
 def test_non_integer_env_seed_is_usage_error(monkeypatch, capsys):

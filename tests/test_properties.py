@@ -25,7 +25,7 @@ from pogame.qmat import I2, SIGMA_X, SIGMA_Y, SIGMA_Z, apply_local, phi_plus  # 
 
 import oracles  # noqa: E402
 
-PROPERTY_SETTINGS = settings(max_examples=40, deadline=None, database=None)
+PROPERTY_SETTINGS = settings(max_examples=40, deadline=None, database=None, print_blob=True)
 
 angles = st.floats(min_value=0.0, max_value=2 * np.pi, allow_nan=False)
 odd_n = st.sampled_from([3, 5, 7, 9, 13])
@@ -131,7 +131,7 @@ def test_born_rule_behaviors_no_signalling_and_match_oracle(pair, state, u, v):
         assert np.max(np.abs(beh.table - oracles.behavior_loop(setup))) <= 1e-12
 
 
-@settings(max_examples=100, deadline=None, database=None)
+@settings(max_examples=100, deadline=None, database=None, print_blob=True)
 @given(parity_setups())
 def test_operational_parity_matches_the_states_route_and_loop_oracle(case):
     setup, product = case
@@ -220,6 +220,17 @@ def test_seesaw_traces_monotone_and_value_is_best_restart(data, seed, n, restart
     assert result.best_restart == result.restart_values.index(result.value)  # earliest of the ties
 
 
+def test_seesaw_median_search_takes_an_iterate_next_to_a_point():
+    # A draw of the property above: the geometric median's iterate comes so
+    # close to a Bloch target that a 1/r^3 Hessian weight would overflow.
+    psi = np.array([0, 1j, 1e-60j, 0])
+    init = gc.QuantumSetup(
+        state=psi / np.linalg.norm(psi), alice=(I2, -I2, (SIGMA_Y + SIGMA_Z) / np.sqrt(2)), bob=(I2, I2, I2)
+    )
+    result = qo.seesaw(3, seed=0, restarts=1, init=init)
+    assert result.value == 5.0
+
+
 @st.composite
 def alice_vectors_and_permutations(draw):
     n = draw(odd_n)
@@ -238,7 +249,7 @@ def test_best_bob_value_is_permutation_invariant(pair):
     assert np.array_equal(b_moved, b[perm])
 
 
-@settings(max_examples=15, deadline=None, database=None)
+@settings(max_examples=15, deadline=None, database=None, print_blob=True)
 @given(odd_n, st.integers(0, 2**32 - 1))
 def test_report_round_trips(n, seed):
     report, _ = build_report(n, seed=seed, restarts=2)
@@ -253,7 +264,7 @@ def test_report_round_trips(n, seed):
 
 # No shrink phase: a failing (n, u, v) is readable as drawn, and shrinking its
 # eight angles can take minutes where the unshrunk failure takes seconds.
-@settings(max_examples=25, deadline=None, database=None, phases=[Phase.generate])
+@settings(max_examples=25, deadline=None, database=None, print_blob=True, phases=[Phase.generate])
 @given(st.integers(1, 20).map(lambda k: 2 * k + 1), unitaries, unitaries)
 def test_behavior_round_trips_bit_for_bit(n, u, v):
     # The canonical family measured on phi+ turned by random local unitaries.
@@ -324,7 +335,7 @@ _TRINE = gc.behavior_from_setup(gc.setup_from_family(canonical_family(3)))
 _TRINE_CSV, _TRINE_JSON = gc.behavior_to_csv(_TRINE), gc.behavior_to_json(_TRINE)
 
 
-@settings(max_examples=300, deadline=None, database=None)
+@settings(max_examples=300, deadline=None, database=None, print_blob=True)
 @given(mutated_behavior_texts())
 # A probability too large for a float, arrays nested past the recursion limit,
 # a setting whose 0-based index wraps around int64, and a character beyond
@@ -377,7 +388,7 @@ def _haar_unitary(seed):
 haar_unitaries = st.integers(0, 2**32 - 1).map(_haar_unitary)
 
 
-@settings(max_examples=30, deadline=None, database=None, phases=[Phase.generate])
+@settings(max_examples=30, deadline=None, database=None, print_blob=True, phases=[Phase.generate])
 @given(st.integers(1, 20).map(lambda k: 2 * k + 1), haar_unitaries, haar_unitaries, st.floats(0.1, 1.4))
 def test_selftest_passes_for_every_odd_n_and_fails_when_perturbed(n, u, v, angle):
     # The swap frame is read from the correlations, so any odd n and any
@@ -430,7 +441,7 @@ def _median_slice(rng, kind, n):
     return np.vstack([others, point])[rng.permutation(n)]
 
 
-@settings(max_examples=60, deadline=None, database=None)
+@settings(max_examples=60, deadline=None, database=None, print_blob=True)
 @given(
     st.integers(1, 20).map(lambda k: 2 * k + 1),
     st.sampled_from(["generic", "unit", "collinear", "repeated", "near"]),
@@ -493,7 +504,7 @@ def _outcome(render, *args):
         return type(exc), str(exc)
 
 
-@settings(max_examples=300, deadline=None, database=None)
+@settings(max_examples=300, deadline=None, database=None, print_blob=True)
 @given(report_trees, st.integers(0, 3), st.sampled_from(["", "key", "a.0"]))
 @example(tree={"a": [1.5, {"": [np.int64(2), None, True]}, (), {}]}, indent=0, prefix="")
 @example(tree=[np.float64("nan"), 1j], indent=1, prefix="")
@@ -503,7 +514,7 @@ def test_renderers_match_the_recursive_oracle(tree, indent, prefix):
     assert _outcome(report.flatten, tree, prefix) == _outcome(oracles.flatten_recursive, tree, prefix)
 
 
-@settings(max_examples=100, deadline=None, database=None)
+@settings(max_examples=100, deadline=None, database=None, print_blob=True)
 @given(st.lists(report_trees, min_size=10, max_size=10))
 def test_report_formats_match_the_recursive_oracle(trees):
     # Any trees in the fields, with pnc_bound <= quantum_value as the constructor requires.
@@ -562,7 +573,7 @@ def pauli_hermitians(draw):
     return qmat.from_pauli(np.array([m0, *v]))
 
 
-@settings(max_examples=300, deadline=None, database=None, derandomize=True)
+@settings(max_examples=300, deadline=None, database=None, print_blob=True, derandomize=True)
 @given(pauli_hermitians())
 def test_closed_form_spectra_and_norms_match_lapack(m):
     coords = qmat.pauli_coordinates(m)
