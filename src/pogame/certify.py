@@ -28,6 +28,7 @@ certified.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -128,9 +129,14 @@ def penalty_probabilities(setup: QuantumSetup, povm: PovmSet) -> np.ndarray:
 ALPHA = 1.0
 
 
+def check_alpha(alpha: float) -> None:
+    """Raise ``ValueError`` unless ``alpha`` is finite and ``>= 0``: ``alpha = 0`` is the plain value."""
+    if not 0 <= alpha < math.inf:
+        raise ValueError(f"alpha must be finite and >= 0, got {alpha}")
+
+
 def _shifted(value: float, penalty_total: float, alpha: float) -> float:
-    if alpha < 0:
-        raise ValueError("alpha must be non-negative")
+    check_alpha(alpha)
     return value - alpha * penalty_total
 
 

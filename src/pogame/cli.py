@@ -19,11 +19,12 @@ import argparse
 import dataclasses
 import functools
 import os
+import re
 import sys
 
 from . import quantum_opt as qo
 from . import report as report_mod
-from .certify import ALPHA
+from .certify import ALPHA, check_alpha
 from .gamecore import CertificationError, check_n
 from .observables import canonical_family
 from .report import Check, provenance, render_json
@@ -74,7 +75,7 @@ _odd_n = _number("n", int, lambda n: n <= MAX_N, f"at most {MAX_N}", home=check_
 _seed = _number("seed", int, lambda s: s >= 0, "a non-negative integer")
 _restarts = _number("restarts", int, lambda r: 1 <= r <= MAX_RESTARTS, f"an integer from 1 to {MAX_RESTARTS}")
 _tol = _number("tol", float, home=qo.check_tol)
-_alpha = _number("alpha", float, lambda a: 0 < a < float("inf"), "strictly positive and finite")
+_alpha = _number("alpha", float, lambda a: a > 0, "strictly positive", home=check_alpha)
 _perturb = _number("perturb", float, lambda d: abs(d) <= MAX_PERTURB, f"finite with |perturb| <= {MAX_PERTURB:g}")
 
 # Each flag once: its argparse keywords.  A subcommand names the flags it takes.
@@ -192,10 +193,21 @@ COMMANDS = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ``ArgumentParser`` that reads ``-1e-3`` after a flag as a negative number, not as an option.
+
+    argparse's own pattern takes only ``-1`` and ``-1.5``; the subparsers are of this class too.
+    """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)(e[+-]?\d+)?$", re.IGNORECASE)
+
+
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     """The parser, built once per process: parsing leaves no state on it."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="pogame",
         description="Bounds, quantum optimum, self-testing and POVM/randomness "
         "certification for the n-input oblivious game.",

@@ -2,7 +2,7 @@
 
 The game is defined for an odd number n >= 3 of settings only.  That rule
 is ``check_n``, and every type that carries an n checks it: ``GameSpec``,
-``bell_expression`` and ``QuantumSetup``, the one type of a strategy (a
+``BellExpression`` and ``QuantumSetup``, the one type of a strategy (a
 two-qubit state and n observables per party), which every pipeline stage
 takes and every family of ``observables`` is.
 
@@ -18,15 +18,18 @@ different, per-setting convention: the state labeled ``(x, a)`` is the one
 steered by the projector with eigenvalue sign ``(-1)^(x+a)``, so the
 even-parity ensemble always collects the +1 steerings.  Under this labeling
 the operational parity condition is equivalent to ``sum_x A_x = 0``.
+``SteeredStates`` holds the 2n states as one stack indexed
+``[x - 1, parity]``, parity = (x + a) mod 2.
 
 Computation
 -----------
 Every Born-rule number is read from the setup's Pauli form
 (``QuantumSetup.pauli_form``): the behavior table is ``e T f^T`` for the
 outcome projectors' coordinates e and f, and the 2n steered states are
-one matmul too, which ``operational_parity`` reduces without building a
-``SteeredState`` per entry.  ``setting_combinations`` is the row action
-of the Bell expression's ``J - 2I``.
+one matmul too, whose stack ``check_operational_parity`` reduces.
+``setting_combinations`` is the row action of the Bell expression's
+``J - 2I``, and the Bell value is the trace of that action on the
+correlators.
 """
 
 from __future__ import annotations
@@ -37,6 +40,7 @@ import math
 import warnings
 from dataclasses import dataclass
 from itertools import chain, product
+from typing import NamedTuple
 
 import numpy as np
 
@@ -91,29 +95,21 @@ class GameSpec:
         return (x == y) ^ (a & 1)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class BellExpression:
-    """Coefficient tensor with -1 on the diagonal and +1 off it."""
+    """The game's Bell expression ``sum_xy (J - 2I)_xy E_xy``: -1 on the diagonal, +1 off it.
+
+    Its coefficients live in ``setting_combinations``; the expression holds only n.
+    """
 
     n: int
-    coefficients: np.ndarray
 
     def __post_init__(self):
-        c = np.asarray(self.coefficients)
-        if c.shape != (self.n, self.n):
-            raise ValueError("coefficient tensor must be n x n")
-        if not np.all(np.abs(c) == 1):
-            raise ValueError("coefficients must be +1 or -1")
-        diag = np.diag(c)
-        if not (np.all(diag == -1) and np.sum(c == -1) == self.n):
-            raise ValueError("exactly the n diagonal entries must be -1")
+        check_n(self.n)
 
 
 def bell_expression(n: int) -> BellExpression:
-    check_n(n)
-    coeff = np.ones((n, n), dtype=int)
-    np.fill_diagonal(coeff, -1)
-    return BellExpression(n=n, coefficients=coeff)
+    return BellExpression(n=n)
 
 
 def setting_combinations(values: np.ndarray, axis: int = -1) -> np.ndarray:
@@ -237,12 +233,12 @@ def behavior_from_setup(setup: QuantumSetup) -> Behavior:
 
 
 def bell_value(expr: BellExpression, beh: Behavior) -> float:
-    """sum_xy alpha_xy E_xy for matching sizes."""
+    """sum_xy (J - 2I)_xy E_xy for matching sizes: the trace of ``setting_combinations`` on the correlators."""
     if expr.n != beh.n:
         raise ValueError(f"size mismatch: expression n={expr.n}, behavior n={beh.n}")
     t = beh.table
     correlators = t[..., 0, 0] - t[..., 0, 1] - t[..., 1, 0] + t[..., 1, 1]
-    return float(np.sum(expr.coefficients * correlators))
+    return float(np.trace(setting_combinations(correlators, axis=0)))
 
 
 def success_probability(expr: BellExpression, beh: Behavior) -> float:
@@ -269,89 +265,55 @@ def success_probability_at(n: int, value: float) -> float:
     return 0.5 + value / (2.0 * n * n)
 
 
-@dataclass(frozen=True, eq=False)
-class SteeredState:
-    """Conditional state of Bob for one prepared-ensemble label (x, a)."""
+class SteeredStates(NamedTuple):
+    """Bob's 2n steered states, indexed ``[x - 1, parity]`` for the 1-based setting x.
 
-    x: int  # 1-based setting
-    a: int  # ensemble label in {0, 1}
-    parity: int  # (x + a) mod 2; 0 is the even-parity ensemble
+    The entry ``[x - 1, p]`` is the state prepared by Alice's outcome label
+    ``a = (x + p) mod 2``: the one steered by her projector with eigenvalue
+    sign ``(-1)^(x+a) = (-1)^p``, so parity 0 (the even-parity ensemble)
+    holds the +1 steering of every setting.  ``rho`` is the (n, 2, 2, 2)
+    stack of density matrices, ``probability`` and ``degenerate`` are
+    (n, 2).  A branch of probability below ``EPS`` holds the maximally
+    mixed state and probability 0, and is flagged as degenerate.
+    """
+
     rho: np.ndarray
-    probability: float
-    degenerate: bool = False
+    probability: np.ndarray
+    degenerate: np.ndarray
 
 
-def _steered_stack(corr: np.ndarray, alice: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Bob's steered states, their probabilities and degeneracy flags, indexed ``[x - 1, parity]``.
+def _steered_stack(corr: np.ndarray, alice: np.ndarray) -> SteeredStates:
+    """Bob's steered states for a shared state's correlation tensor T ``corr`` and Alice's (n, 4) Pauli coordinates.
 
-    ``corr`` is the state's correlation tensor T and ``alice`` Alice's (n, 4)
-    Pauli coordinates.  Parity p = (x + a) mod 2 is also the outcome index
-    of the projector P with sign ``(-1)^(x+a)``.  Bob's unnormalized state
+    Parity p is also the outcome index of Alice's projector P with sign
+    ``(-1)^p``.  Bob's unnormalized state
     ``tr_A[(P (x) I) rho (P (x) I)] = tr_A[(P^2 (x) I) rho]`` has Pauli
     coordinates ``(p T)/2`` and probability ``(p T)_0``, p those of P^2
-    (not P, which differs when A^2 = I only within ``EPS``).  Branches of
-    probability below ``EPS`` hold the maximally mixed state and
-    probability 0, flagged as degenerate.
+    (not P, which differs when A^2 = I only within ``EPS``).
     """
     steered = pauli_squares(outcome_coordinates(alice)) @ corr
     probs = steered[..., 0]
     degenerate = probs < EPS
     coords = steered / (2.0 * np.where(degenerate, 1.0, probs))[..., None]
     coords[degenerate] = I_PAULI / 2.0
-    return from_pauli(coords), np.where(degenerate, 0.0, probs), degenerate
+    return SteeredStates(from_pauli(coords), np.where(degenerate, 0.0, probs), degenerate)
 
 
-def _states(stack: tuple[np.ndarray, np.ndarray, np.ndarray]) -> list[SteeredState]:
-    """One ``SteeredState`` per label (x, a) of a ``_steered_stack``, x ascending, a = 0 first."""
-    rhos, probs, degenerate = stack
-    flags, probs = degenerate.tolist(), probs.tolist()
-    # Each state copies its matrix: views that keep the stack alive raised the
-    # behaviors workload's peak RSS by about 1.3 MB over 1,000 ops.
-    return [
-        SteeredState(x, a, p, rhos[x - 1, p].copy(), probs[x - 1][p], flags[x - 1][p])
-        for x in range(1, len(rhos) + 1)
-        for a, p in ((0, x % 2), (1, (x + 1) % 2))
-    ]
+def steer(rho_ab: np.ndarray, alice: tuple[np.ndarray, ...]) -> SteeredStates:
+    """Bob's steered states for a shared density matrix and Alice's n observables."""
+    return _steered_stack(density_correlations(rho_ab), pauli_coordinates(np.array(alice)))
 
 
-def steer(rho_ab: np.ndarray, alice: tuple[np.ndarray, ...]) -> list[SteeredState]:
-    """Steered states of Bob for a shared density matrix.
-
-    The label (x, a) maps to the projector with eigenvalue sign
-    ``(-1)^(x+a)`` (see module docstring).  Branches of probability below
-    ``EPS`` return the maximally mixed state flagged as degenerate instead of
-    failing.
-    """
-    return _states(_steered_stack(density_correlations(rho_ab), pauli_coordinates(np.array(alice))))
-
-
-def steered_states(setup: QuantumSetup) -> list[SteeredState]:
-    """Steered states for a pure-state setup (2n entries, one per label), read from its Pauli form."""
+def steered_states(setup: QuantumSetup) -> SteeredStates:
+    """Bob's steered states for a pure-state setup, read from its Pauli form."""
     alice, _, corr = setup.pauli_form
-    return _states(_steered_stack(corr, alice))
+    return _steered_stack(corr, alice)
 
 
-def _parity_difference(even: np.ndarray, odd: np.ndarray) -> float:
-    """Spectral norm of the sum of the (k, 2, 2) even-parity states minus the sum of the (m, 2, 2) odd-parity ones."""
-    return float(hermitian_norms(pauli_coordinates(even.sum(axis=0) - odd.sum(axis=0))))
-
-
-def check_operational_parity(states: list[SteeredState]) -> float:
-    """Spectral norm of (sum of even-parity states) - (sum of odd-parity states)."""
-    rhos = np.array([s.rho for s in states])
-    odd = np.array([s.parity for s in states], dtype=bool)
-    return _parity_difference(rhos[~odd], rhos[odd])
-
-
-def operational_parity(setup: QuantumSetup) -> float:
-    """``check_operational_parity(steered_states(setup))`` from the stack of steered states, with no state objects.
-
-    Each parity's states are summed in the order of x in both routes, so
-    the two agree bit for bit.
-    """
-    alice, _, corr = setup.pauli_form
-    rhos = _steered_stack(corr, alice)[0]
-    return _parity_difference(rhos[:, 0], rhos[:, 1])
+def check_operational_parity(states: SteeredStates) -> float:
+    """Spectral norm of (sum of even-parity states) - (sum of odd-parity states), each summed in x order."""
+    rhos = states.rho
+    return float(hermitian_norms(pauli_coordinates(rhos[:, 0].sum(axis=0) - rhos[:, 1].sum(axis=0))))
 
 
 # ---------------------------------------------------------------------------

@@ -273,7 +273,7 @@ def optimization_section(n: int, seed: int, restarts: int, tol: float) -> tuple[
     }
     steps = [later - earlier for trace in result.traces for earlier, later in zip(trace, trace[1:])]
     # The game's quantum value is the optimum over parity-oblivious strategies only.
-    parity = gc.operational_parity(result.setup)
+    parity = gc.check_operational_parity(gc.steered_states(result.setup))
     checks = [
         Check("see-saw reaches the quantum ceiling", abs(result.value - target), "<=", OPTIMUM_TOL),
         Check("see-saw traces are monotone", min(steps, default=0.0), ">=", -1e-9),

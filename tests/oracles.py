@@ -230,10 +230,15 @@ def strategy_behavior_loop(strategy, n):
     return table
 
 
+def bell_coefficients(n):
+    """The Bell expression's n x n integer coefficients ``J - 2I``: -1 on the diagonal, +1 off it."""
+    return np.ones((n, n), dtype=int) - 2 * np.eye(n, dtype=int)
+
+
 def bell_operator_loop(alice, bob):
-    """sum_xy alpha_xy A_x (x) B_y with the coefficients of ``bell_expression``."""
+    """sum_xy alpha_xy A_x (x) B_y with the coefficients ``bell_coefficients``."""
     n = len(alice)
-    coeff = gc.bell_expression(n).coefficients
+    coeff = bell_coefficients(n)
     op = np.zeros((4, 4), dtype=complex)
     for x in range(n):
         for y in range(n):
@@ -243,10 +248,11 @@ def bell_operator_loop(alice, bob):
 
 def bell_value_loop(expr, beh):
     """sum_xy alpha_xy E_xy, one correlator at a time."""
+    coeff = bell_coefficients(expr.n)
     total = 0.0
     for x in range(expr.n):
         for y in range(expr.n):
-            total += expr.coefficients[x, y] * beh.correlator(x, y)
+            total += coeff[x, y] * beh.correlator(x, y)
     return float(total)
 
 
@@ -295,11 +301,28 @@ def steer_loop(rho_ab, alice):
     return out
 
 
+def assert_steering_matches(states, rho_ab, alice, tol=1e-12):
+    """A ``gamecore.SteeredStates`` stack against ``steer_loop``, label by label.
+
+    The loop's label (x, a) must sit at ``[x - 1, (x + a) mod 2]`` of the
+    stack, with the same state, probability and degeneracy flag.
+    """
+    n = len(alice)
+    assert states.rho.shape == (n, 2, 2, 2)
+    assert states.probability.shape == states.degenerate.shape == (n, 2)
+    for x, a, parity, rho, probability, degenerate in steer_loop(rho_ab, alice):
+        assert parity == (x + a) % 2
+        assert states.degenerate[x - 1, parity] == degenerate, (x, a)
+        assert abs(states.probability[x - 1, parity] - probability) <= tol, (x, a)
+        assert np.max(np.abs(states.rho[x - 1, parity] - rho)) <= tol, (x, a)
+
+
 def operational_parity_loop(states):
     """Spectral norm of the even-parity minus the odd-parity steered states, added one state at a time."""
     diff = np.zeros((2, 2), dtype=complex)
-    for s in states:
-        diff += s.rho if s.parity == 0 else -s.rho
+    for pair in states.rho:
+        for parity, rho in enumerate(pair):
+            diff += rho if parity == 0 else -rho
     return float(np.linalg.norm(diff, 2))
 
 

@@ -52,7 +52,7 @@ EXPORTS = [
 # Parameter names of every exported callable (a class lists its constructor's).
 PARAMETERS = {
     "Behavior": "n, table",
-    "BellExpression": "n, coefficients",
+    "BellExpression": "n",
     "CertificationReport": "n, local_bound, pnc_bound, quantum_value, success_probabilities, bounds, sos, "
     "optimization, selftest, povm, randomness, provenance",
     "GameSpec": "n",

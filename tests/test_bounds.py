@@ -10,7 +10,7 @@ import oracles
 
 def brute_force_local(n):
     """Oracle: evaluate the expression on every deterministic pair directly."""
-    coeff = gc.bell_expression(n).coefficients
+    coeff = oracles.bell_coefficients(n)
     best = None
     for a in product((-1, 1), repeat=n):
         for b in product((-1, 1), repeat=n):

@@ -226,6 +226,20 @@ def test_negative_alpha_rejected():
         ct.shifted_bell_value(setup, povm, -1.0)
 
 
+@pytest.mark.parametrize("alpha", [float("nan"), float("inf"), -float("inf"), -1e-3])
+def test_alpha_outside_its_rule_is_refused_by_the_library(alpha):
+    # A NaN or infinite alpha makes the shifted value non-finite, and a report
+    # that holds one cannot be written as JSON.
+    setup, povm = trine_pieces()
+    message = f"^alpha must be finite and >= 0, got {alpha}$"
+    with pytest.raises(ValueError, match=message):
+        ct.check_alpha(alpha)
+    with pytest.raises(ValueError, match=message):
+        ct.shifted_bell_value(setup, povm, alpha)
+    with pytest.raises(ValueError, match=message):
+        build_report(3, alpha=alpha)
+
+
 @pytest.mark.parametrize("n", [3, 5, 7, 13])
 def test_povm_spectra_equal_each_element_spectrum(n):
     # The report's element_spectra are the closed forms m0 -+ |v|; each must be

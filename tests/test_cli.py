@@ -533,8 +533,10 @@ NUMERIC_FLAGS = {
         ["certify", "report"],
         [
             ("abc", "alpha must be a number, got 'abc'"),
-            ("0", "alpha must be strictly positive and finite, got 0.0"),
-            ("inf", "alpha must be strictly positive and finite, got inf"),
+            ("0", "alpha must be strictly positive, got 0.0"),
+            ("inf", "alpha must be finite and >= 0, got inf"),
+            ("nan", "alpha must be finite and >= 0, got nan"),
+            ("-1e-3", "alpha must be finite and >= 0, got -0.001"),
         ],
         [("5e-324", 5e-324)],
     ),
@@ -551,8 +553,8 @@ NUMERIC_FLAGS = {
 
 
 def flag_argv(command, flag, text):
-    # ``--flag=text``, since argparse takes ``-1e6`` after a space for an option.
-    return [command, *(["--n", "3"] if flag != "n" else []), f"--{flag}={text}"]
+    # The value after a space: a negative value in exponent form, such as ``-1e6``, is a value too.
+    return [command, *(["--n", "3"] if flag != "n" else []), f"--{flag}", text]
 
 
 @pytest.mark.parametrize(
@@ -633,6 +635,22 @@ def test_one_process_runs_commands_in_sequence(capsys):
     assert cli._build_parser() is cli._build_parser()
     assert [code for code, _, _ in in_sequence] == [0, 2, 0]
     assert in_sequence == [run_alone_or_not(argv, alone=True) for argv in runs]
+
+
+def test_negative_perturbation_in_exponent_form_runs_the_self_test(capsys):
+    code, out, err = run_cli(["selftest", "--n", "3", "--perturb", "-1e-3"], capsys)
+    assert code == 1
+    assert json.loads(out)["selftest"]["perturbation"] == -1e-3
+    assert any(line.startswith("[FAIL] self-tested Gram matches the correlators") for line in err.splitlines())
+
+
+def test_report_checks_parity_through_the_public_route(monkeypatch, capsys):
+    from pogame import gamecore as gc
+
+    monkeypatch.setattr(gc, "check_operational_parity", lambda states: 1.0)
+    code, _, err = run_cli(["report", "--n", "3"], capsys)
+    assert code == 1
+    assert "[FAIL] found setup is parity oblivious  (1.0 <= 1e-09)" in err.splitlines()
 
 
 @pytest.mark.parametrize("command", ["certify", "report"])

@@ -63,9 +63,10 @@ def test_an_even_n_setup_reaches_no_certificate_stage():
 
 
 def test_bell_expression_structure():
-    expr = gc.bell_expression(5)
-    assert np.all(np.diag(expr.coefficients) == -1)
-    assert np.sum(expr.coefficients == -1) == 5
+    assert gc.bell_expression(5) == gc.BellExpression(n=5)
+    for n in (1, 4):
+        with pytest.raises(ValueError, match=f"^n must be odd and >= 3, got {n}$"):
+            gc.BellExpression(n=n)
 
 
 def test_trine_behavior_diagonal_anticorrelation():
@@ -180,7 +181,7 @@ def test_setting_combinations_is_the_row_action_of_j_minus_2i(n):
     signs = rng.integers(-1, 2, size=(4, n))
     combos = gc.setting_combinations(signs)
     assert combos.dtype == signs.dtype
-    assert np.array_equal(combos, signs @ gc.bell_expression(n).coefficients)
+    assert np.array_equal(combos, signs @ oracles.bell_coefficients(n))
     coords = rng.normal(size=(3, n, 4))
     combos = gc.setting_combinations(coords, axis=-2)
     assert np.array_equal(combos, coords.sum(axis=-2, keepdims=True) - 2.0 * coords)
@@ -203,13 +204,8 @@ def _haar(rng):
 
 def _assert_steering_matches_oracle(rho, alice):
     got = gc.steer(rho, alice)
-    want = oracles.steer_loop(rho, alice)
-    assert len(got) == len(want) == 2 * len(alice)
-    for s, (x, a, parity, w_rho, w_p, w_degenerate) in zip(got, want):
-        assert (s.x, s.a, s.parity, s.degenerate) == (x, a, parity, w_degenerate)
-        assert abs(s.probability - w_p) <= 1e-12
-        assert np.max(np.abs(s.rho - w_rho)) <= 1e-12
-    assert abs(gc.check_operational_parity(got) - oracles.operational_parity_loop(got)) <= 1e-12
+    oracles.assert_steering_matches(got, rho, alice)
+    assert abs(gc.check_operational_parity(got) - oracles.operational_parity_loop(got)) <= 1e-15 * len(alice)
 
 
 def _assert_povm_routes_match_oracle(setup, povm):
@@ -239,7 +235,7 @@ def test_born_routes_match_loop_oracles(n):
         table = gc.behavior_from_setup(setup).table
         assert np.max(np.abs(table - oracles.behavior_loop(setup))) <= 1e-12
         _assert_steering_matches_oracle(proj(setup.state), setup.alice)
-    assert any(s.degenerate for s in gc.steered_states(product_state))
+    assert gc.steered_states(product_state).degenerate.any()
 
     # Mixed shared states: a random two-state mixture and the maximally mixed state.
     w = rng.uniform(0.2, 0.8)
@@ -273,38 +269,35 @@ def test_behavior_writers_match_per_entry_oracle(n):
 def test_steered_states_trine_pure_and_complete():
     setup = gc.setup_from_family(obs.trine())
     states = gc.steered_states(setup)
-    assert len(states) == 6
-    by_x = {}
-    for s in states:
-        assert np.trace(s.rho @ s.rho).real == pytest.approx(1.0, abs=1e-12)
-        assert s.probability == pytest.approx(0.5, abs=1e-12)
-        by_x.setdefault(s.x, []).append(s.rho)
-    for x, pair in by_x.items():
-        assert np.allclose(pair[0] + pair[1], I2, atol=1e-12)
+    assert states.rho.shape == (3, 2, 2, 2)
+    purity = np.einsum("xpij,xpji->xp", states.rho, states.rho).real
+    assert np.allclose(purity, 1.0, atol=1e-12)
+    assert np.allclose(states.probability, 0.5, atol=1e-12)
+    assert not states.degenerate.any()
+    # Both labels of a setting together are Alice's two outcomes: they sum to the identity.
+    assert np.allclose(states.rho.sum(axis=1), I2, atol=1e-12)
 
 
 def test_steered_state_label_convention():
-    # Label (x=1, a=1) has even parity and steers with the +1 projector.
-    setup = gc.setup_from_family(obs.trine())
-    states = {(s.x, s.a): s for s in gc.steered_states(setup)}
-    assert np.allclose(states[(1, 1)].rho, (I2 + SIGMA_Z) / 2, atol=1e-12)
-    assert states[(1, 1)].parity == 0
+    # Label (x=1, a=1) has even parity, sits at [0, 0] and steers with the +1 projector.
+    states = gc.steered_states(gc.setup_from_family(obs.trine()))
+    assert np.allclose(states.rho[0, 0], (I2 + SIGMA_Z) / 2, atol=1e-12)
+    assert np.allclose(states.rho[0, 1], (I2 - SIGMA_Z) / 2, atol=1e-12)
 
 
 def test_steer_maximally_mixed_shared_state():
     states = gc.steer(np.eye(4, dtype=complex) / 4, obs.trine().alice)
-    for s in states:
-        assert np.allclose(s.rho, I2 / 2, atol=1e-12)
+    assert np.allclose(states.rho, I2 / 2, atol=1e-12)
 
 
 def test_steer_zero_probability_branch_flagged():
     # Product state |00>: the -1 branch of sigma_z on A never fires.
     state = np.array([1, 0, 0, 0], dtype=complex)
-    states = {(s.x, s.a): s for s in gc.steer(proj(state), (SIGMA_Z,))}
-    missing = states[(1, 0)]  # sign (-1)^(1+0) = -1
-    assert missing.degenerate
-    assert np.allclose(missing.rho, I2 / 2)
-    assert missing.probability == 0.0
+    states = gc.steer(proj(state), (SIGMA_Z,))
+    # Label (x=1, a=0) has sign (-1)^(1+0) = -1 and odd parity.
+    assert states.degenerate.tolist() == [[False, True]]
+    assert states.probability.tolist() == [[1.0, 0.0]]
+    assert np.allclose(states.rho[0, 1], I2 / 2)
 
 
 def test_operational_parity_trine_and_five():

@@ -1,24 +1,53 @@
-"""The README's library example runs and gives the values its comments state."""
+"""The README's library and command-line examples give the values and exit codes their comments state."""
 
 import ast
 import math
 import re
+import shlex
 from pathlib import Path
 
 import numpy as np
+import pytest
+
+from pogame import cli
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
 
-def library_block() -> str:
-    """The first ```python block after the README's ``## Library`` heading."""
+def first_block(heading: str, language: str) -> str:
+    """The first ```language block after the README's ``## heading``."""
     text = README.read_text(encoding="utf-8")
-    section = text[text.index("\n## Library\n") :]
-    return re.search(r"```python\n(.*?)```", section, re.S).group(1)
+    section = text[text.index(f"\n## {heading}\n") :]
+    return re.search(rf"```{language}\n(.*?)```", section, re.S).group(1)
+
+
+def command_lines() -> list[tuple[list[str], int]]:
+    """Each ``pogame`` line of the "Command line" block: its arguments and the exit code its comment states."""
+    runs = []
+    for line in first_block("Command line", "sh").splitlines():
+        command, _, comment = line.partition("#")
+        words = shlex.split(command)
+        assert words[0] == "pogame", line
+        runs.append((words[1:], 1 if "expected to fail" in comment else 0))
+    return runs
+
+
+COMMAND_LINES = command_lines()
+
+
+@pytest.mark.parametrize("argv, code", COMMAND_LINES, ids=[" ".join(argv) for argv, _ in COMMAND_LINES])
+def test_command_line_example_exits_as_its_comment_states(argv, code, tmp_path):
+    out = None
+    if "--out" in argv:
+        at = argv.index("--out") + 1
+        out = tmp_path / argv[at]
+        argv = [*argv[:at], str(out), *argv[at + 1 :]]
+    assert cli.main(argv) == code
+    assert out is None or out.stat().st_size > 0
 
 
 def test_library_example_gives_its_commented_values():
-    source = library_block()
+    source = first_block("Library", "python")
     lines = source.splitlines()
     namespace: dict = {}
     checked = []
